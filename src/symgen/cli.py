@@ -3,7 +3,7 @@
     symgen enumerate <spec.json>
     symgen graph <spec.json> --format dot|json [--out FILE]
     symgen elt <spec.json> convert|mult|invert|centralize ELEMENT...
-    symgen selftest [--jobs N]
+    symgen selftest
 
 Spec files are the JSON format of groupfile; bundled fixture names
 (l2_19, 5sq_d6, u3_3) are accepted wherever a path is.  Exit codes:
@@ -15,12 +15,12 @@ limit for enumeration.
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from .fpgroup import CosetLimitExceeded
-from .perm import parse_cycles, cycles_str
+from .perm import IdentificationError, parse_cycles, cycles_str
 from .dcenum import CollapsedGraph, double_cosets, emit_graph
 from .groupfile import (GroupSpecFile, SpecFileError, bundled_fixture_names,
                         load_bundled, load_spec_file)
@@ -137,25 +137,14 @@ def _elt(gf: GroupSpecFile, action: str, element_args: list[str], out) -> int:
     return EXIT_OK
 
 
-def _selftest_one(name: str) -> tuple[str, int, str]:
-    import io
-    buf = io.StringIO()
-    code = _enumerate(load_bundled(name), buf)
-    return name, code, buf.getvalue()
-
-
-def _selftest(jobs: int, out) -> int:
-    names = bundled_fixture_names()
+def _selftest(out) -> int:
     worst = EXIT_OK
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_selftest_one, names))
-    else:
-        results = [_selftest_one(name) for name in names]
-    for name, code, text in results:
+    for name in bundled_fixture_names():
+        buf = io.StringIO()
+        code = _enumerate(load_bundled(name), buf)
         status = "ok" if code == EXIT_OK else f"FAILED (exit {code})"
         print(f"== {name}: {status}", file=out)
-        out.write(text)
+        out.write(buf.getvalue())
         worst = max(worst, code)
     return worst
 
@@ -179,8 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=["convert", "mult", "invert", "centralize"])
     p.add_argument("elements", nargs="*")
 
-    p = sub.add_parser("selftest", help="enumerate all bundled fixtures")
-    p.add_argument("--jobs", type=int, default=1)
+    sub.add_parser("selftest", help="enumerate all bundled fixtures")
     return parser
 
 
@@ -194,17 +182,16 @@ def main(argv: list[str] | None = None) -> int:
             return _graph(_load(args.spec), args.format, args.out, out)
         if args.command == "elt":
             return _elt(_load(args.spec), args.action, args.elements, out)
-        return _selftest(args.jobs, out)
+        return _selftest(out)
     except CosetLimitExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_LIMIT
-    except (SpecFileError, ValueError) as exc:
-        from .perm import IdentificationError
-        membership = isinstance(exc, IdentificationError) or \
-            "not in the control group" in str(exc) or \
-            "is not in the group" in str(exc)
+    except IdentificationError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MEMBERSHIP if membership else EXIT_PARSE
+        return EXIT_MEMBERSHIP
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
 
 
 if __name__ == "__main__":

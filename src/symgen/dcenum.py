@@ -94,7 +94,7 @@ class SymImage:
         if nu.degree != self.n:
             raise ValueError(f"control degree {nu.degree} != {self.n}")
         if nu not in self.spec.control_group:
-            raise ValueError("permutation is not in the control group")
+            raise IdentificationError("permutation is not in the control group")
         images = [self.follow_word(tuple(nu.apply(i) for i in self.cst[c - 1]))
                   for c in range(1, self.index + 1)]
         return Perm(images)
@@ -139,6 +139,9 @@ def build_image(spec: ProgenitorSpec, t_words: Sequence[FreeWord] | None = None,
 
 
 def _build_cst(ts: Sequence[Perm], index: int) -> tuple[Word, ...]:
+    """Canonical word per coset point: BFS over the generators in ascending
+    index order, so each coset gets its shortest, lexicographically least
+    reaching word."""
     cst: dict[int, Word] = {1: ()}
     queue = [1]
     for point in queue:
@@ -153,13 +156,6 @@ def _build_cst(ts: Sequence[Perm], index: int) -> tuple[Word, ...]:
             "symmetric generators do not reach every coset: "
             f"{len(cst)} of {index}")
     return tuple(cst[c] for c in range(1, index + 1))
-
-
-def build_cst(img: SymImage) -> tuple[Word, ...]:
-    """Canonical word per coset point: BFS over the generators in ascending
-    index order, so each coset gets its shortest, lexicographically least
-    reaching word."""
-    return _build_cst(img.ts, img.index)
 
 
 @dataclass

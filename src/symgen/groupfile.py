@@ -46,25 +46,65 @@ class GroupSpecFile:
         return SymContext(self.spec, rules=rules, image=image)
 
 
-def _require(data: dict, key: str, path: str):
-    if key not in data:
-        raise SpecFileError(f"{path}: missing required field {key!r}")
-    return data[key]
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_str_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+def _is_relator_list(value) -> bool:
+    return isinstance(value, list) and all(
+        isinstance(item, dict) and isinstance(item.get("control_word"), str)
+        and _is_str_list(item.get("tail")) for item in value)
+
+
+def _is_expected(value) -> bool:
+    if not isinstance(value, dict):
+        return False
+    sizes = value.get("node_sizes")
+    return all(value.get(key) is None or _is_int(value[key])
+               for key in ("index", "group_order")) and (
+        sizes is None or isinstance(sizes, list) and all(map(_is_int, sizes)))
+
+
+def _field(data: dict, key: str, path: str, check, what: str,
+           required: bool = True):
+    """data[key] after a type check; None for an absent optional field."""
+    value = data.get(key)
+    if value is None:
+        if required:
+            raise SpecFileError(f"{path}: missing required field {key!r}")
+        return None
+    if not check(value):
+        raise SpecFileError(f"{path}: field {key!r} must be {what}")
+    return value
 
 
 def load_spec_data(data: dict, path: str = "<data>") -> GroupSpecFile:
-    try:
-        name = _require(data, "name", path)
-        n = _require(data, "n", path)
-        labels = tuple(_require(data, "labels", path))
-        gen_names = tuple(_require(data, "control_generator_names", path))
-        gen_cycles = _require(data, "control_generators", path)
-        pres_text = _require(data, "control_presentation", path)
-        relator_items = _require(data, "relators", path)
-    except SpecFileError:
-        raise
-    if not isinstance(n, int) or n < 1:
-        raise SpecFileError(f"{path}: n must be a positive integer")
+    strings = "a list of strings"
+    name = _field(data, "name", path, lambda v: isinstance(v, str), "a string")
+    n = _field(data, "n", path, lambda v: _is_int(v) and v >= 1,
+               "a positive integer")
+    labels = tuple(_field(data, "labels", path, _is_str_list, strings))
+    gen_names = tuple(_field(data, "control_generator_names", path,
+                             _is_str_list, strings))
+    gen_cycles = _field(data, "control_generators", path, _is_str_list, strings)
+    pres_text = _field(data, "control_presentation", path,
+                       lambda v: isinstance(v, str), "a string")
+    relator_items = _field(
+        data, "relators", path, _is_relator_list,
+        'a list of {"control_word": string, "tail": list of labels} objects')
+    t_name = _field(data, "t_name", path, lambda v: isinstance(v, str),
+                    "a string", required=False) or "t"
+    t_word_texts = _field(data, "t_words", path, _is_str_list, strings,
+                          required=False)
+    exp = _field(data, "expected", path, _is_expected,
+                 "an object of integer index, group_order and node_sizes",
+                 required=False) or {}
+    display = _field(data, "display", path, lambda v: isinstance(v, dict),
+                     "an object", required=False) or {}
     if len(labels) != n:
         raise SpecFileError(f"{path}: expected {n} labels, got {len(labels)}")
     for label in labels:
@@ -82,25 +122,24 @@ def load_spec_data(data: dict, path: str = "<data>") -> GroupSpecFile:
             tail = tuple(labels.index(l) + 1 for l in item["tail"])
             relators.append((cw, tail))
         spec = ProgenitorSpec(n, control_gens, presentation, tuple(relators),
-                              labels, t_name=data.get("t_name", "t"))
+                              labels, t_name=t_name)
         t_words = None
-        if data.get("t_words") is not None:
+        if t_word_texts is not None:
             pres_names = gen_names + (spec.t_name,)
-            t_words = tuple(parse_word(w, pres_names) for w in data["t_words"])
+            t_words = tuple(parse_word(w, pres_names) for w in t_word_texts)
             if len(t_words) != n:
                 raise SpecFileError(f"{path}: expected {n} t_words")
     except SpecFileError:
         raise
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         raise SpecFileError(f"{path}: {exc}") from exc
 
-    exp = data.get("expected") or {}
+    node_sizes = exp.get("node_sizes")
     expected = Expected(
         index=exp.get("index"),
         group_order=exp.get("group_order"),
-        node_sizes=tuple(exp["node_sizes"]) if "node_sizes" in exp else None)
-    return GroupSpecFile(name, spec, t_words, expected,
-                         dict(data.get("display") or {}))
+        node_sizes=tuple(node_sizes) if node_sizes is not None else None)
+    return GroupSpecFile(name, spec, t_words, expected, dict(display))
 
 
 def load_spec_file(path: str) -> GroupSpecFile:

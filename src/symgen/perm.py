@@ -30,7 +30,7 @@ class GroupTooLarge(ValueError):
 
 
 class IdentificationError(ValueError):
-    """Raised when identify_by_action cannot produce a unique answer."""
+    """Raised when an element is not in the group it must belong to."""
 
 
 class Perm:
@@ -93,9 +93,6 @@ class Perm:
     def conj(self, other: "Perm") -> "Perm":
         """Conjugate self by other: ~other * self * other."""
         return ~other * self * other
-
-    def commutes_with(self, other: "Perm") -> bool:
-        return self * other == other * self
 
     def is_identity(self) -> bool:
         return all(i == k for k, i in enumerate(self.images, start=1))
@@ -229,7 +226,6 @@ class PermGroup:
         self._chain: list[_Level] | None = None
         self._order: int | None = None
         self._elements: tuple[Perm, ...] | None = None
-        self._probe_tables: dict[tuple[int, ...], dict[tuple[int, ...], Perm]] = {}
 
     # -- chain ---------------------------------------------------------
 
@@ -358,7 +354,7 @@ class PermGroup:
                 perm = word_perm(self.gens, word, self.degree)
                 if perm.is_identity() or perm in sub:
                     continue
-                out.append((_free_reduce_word(word), perm))
+                out.append((word, perm))
                 sub = PermGroup(self.degree, sub.gens + (perm,))
         return out
 
@@ -396,11 +392,11 @@ class PermGroup:
     def centralizer(self, p: Perm, max_elements: int = 10 ** 6) -> "PermGroup":
         """Centralizer of p, by filtered enumeration (p must lie in the group)."""
         if p not in self:
-            raise ValueError("element is not in the group")
+            raise IdentificationError("element is not in the group")
         matching = (g for g in self.elements(max_elements) if g * p == p * g)
         return self._span_filter(matching)
 
-    # -- transversals and identification ---------------------------------
+    # -- transversals ------------------------------------------------------
 
     def is_subgroup(self, h: "PermGroup") -> bool:
         return h.degree == self.degree and all(g in self for g in h.gens)
@@ -435,40 +431,6 @@ class PermGroup:
         others = sorted((m for key, m in reps.items() if key != root.images),
                         key=lambda q: q.images)
         return [identity] + others
-
-    def identify_by_action(self, candidate: Perm, probes: Sequence[int]) -> Perm:
-        """The unique group element agreeing with candidate on the probe points.
-
-        Raises IdentificationError if the action on the probes is not
-        faithful, or if no element matches.
-        """
-        key = tuple(probes)
-        table = self._probe_tables.get(key)
-        if table is None:
-            table = {}
-            for g in self.elements():
-                sig = tuple(g.images[k - 1] for k in key)
-                if sig in table and table[sig] != g:
-                    raise IdentificationError(
-                        "group action on probe points is not faithful")
-                table[sig] = g
-            self._probe_tables[key] = table
-        sig = tuple(candidate.images[k - 1] for k in key)
-        try:
-            return table[sig]
-        except KeyError:
-            raise IdentificationError(
-                "candidate does not match any group element on the probes") from None
-
-
-def _free_reduce_word(word: Sequence[int]) -> tuple[int, ...]:
-    out: list[int] = []
-    for letter in word:
-        if out and out[-1] == -letter:
-            out.pop()
-        else:
-            out.append(letter)
-    return tuple(out)
 
 
 def closure_order(gens: Sequence[Perm], limit: int = 10 ** 6) -> int:

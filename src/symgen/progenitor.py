@@ -12,8 +12,9 @@ This module turns such a specification into
     inversion, then splitting each into pattern -> (permutation, shorter or
     equal replacement) form.  A bounded search service composes rules
     (including through inserted involution squares, t_x t_y = t_x t_k t_k
-    t_y) to canonicalize short words, and every letter pair gets a direct
-    rule up front.
+    t_y) to canonicalize short words.  Every letter pair gets a direct
+    rule up front, from one search per control-group orbit of pairs moved
+    over the orbit by conjugation.
 """
 
 from __future__ import annotations
@@ -165,9 +166,6 @@ class Rule:
     perm: Perm
     replacement: Word
 
-    def is_shortening(self) -> bool:
-        return len(self.replacement) < len(self.pattern)
-
 
 def conjugate_rule(rule: Rule, pi: Perm) -> Rule:
     """Map a rule through a control element: letters via pi, perm by conjugation."""
@@ -176,7 +174,7 @@ def conjugate_rule(rule: Rule, pi: Perm) -> Rule:
                 tuple(pi.apply(i) for i in rule.replacement))
 
 
-def _relator_variants(spec: ProgenitorSpec, max_elements: int = 10 ** 6):
+def _relator_variants(spec: ProgenitorSpec):
     """All (perm, tail) relators: originals closed under control conjugation,
     cyclic rotation and inversion."""
     seeds = []
@@ -187,7 +185,7 @@ def _relator_variants(spec: ProgenitorSpec, max_elements: int = 10 ** 6):
             raise UnsupportedRelator("factoring relator with empty tail")
         seeds.append((pi, tail))
 
-    elems = spec.control_group.elements(max_elements)
+    elems = spec.control_group.elements()
     pool: dict[tuple[tuple[int, ...], Word], tuple[Perm, Word]] = {}
 
     def add(pi: Perm, w: Word):
@@ -211,8 +209,7 @@ def _relator_variants(spec: ProgenitorSpec, max_elements: int = 10 ** 6):
     return list(pool.values())
 
 
-def derive_rules(spec: ProgenitorSpec, max_pattern: int | None = None,
-                 search_slack: int | None = None) -> "RuleSet":
+def derive_rules(spec: ProgenitorSpec) -> "RuleSet":
     """Rewrite rules from the factoring relators.
 
     Each relator variant pi * t_w = 1 is split at the middle into
@@ -231,12 +228,10 @@ def derive_rules(spec: ProgenitorSpec, max_pattern: int | None = None,
                      key=lambda r: (len(r.pattern), r.pattern, r.replacement,
                                     r.perm.images))
     widest = max((len(r.pattern) for r in ordered), default=2)
-    if max_pattern is None:
-        # wide enough to canonicalize whole products of two short elements
-        max_pattern = max(4, 2 * widest - 1) if spec.n <= 4 else max(4, widest + 1)
-    if search_slack is None:
-        search_slack = 2 if widest <= 2 else 4
-    ruleset = RuleSet(spec, tuple(ordered), max_pattern, search_slack)
+    # wide enough to canonicalize whole products of two short elements
+    max_pattern = max(4, 2 * widest - 1) if spec.n <= 4 else max(4, widest + 1)
+    slack = 2 if widest <= 2 else 4
+    ruleset = RuleSet(spec, tuple(ordered), max_pattern, slack)
     ruleset.bootstrap_pairs()
     return ruleset
 
@@ -252,15 +247,15 @@ class RuleSet:
       shorter_form(word)   -- first strictly shorter reachable form, if any
       canonical_form(word) -- least (length, lex) reachable form
 
-    bootstrap_pairs registers a direct rule for every letter pair,
-    retrying unchanged pairs one level deeper and spreading any find over
-    its control orbit, so that the badly hidden pair identities (the ones
+    bootstrap_pairs gives every letter pair whose least form differs from
+    it a direct rule, so that the badly hidden pair identities (the ones
     whose manual derivations run through long intermediate words) become
-    single moves afterwards.
+    single moves afterwards.  It searches one pair per control-group orbit
+    and carries the result over the orbit by conjugation.
     """
 
     def __init__(self, spec: ProgenitorSpec, rules: tuple[Rule, ...],
-                 max_pattern: int, slack: int = 2):
+                 max_pattern: int, slack: int):
         self.spec = spec
         self.rules = rules
         self.max_pattern = max_pattern
@@ -273,57 +268,49 @@ class RuleSet:
         self._canon_cache: dict[Word, tuple[Perm, Word]] = {}
         self._shorter_cache: dict[Word, tuple[Perm, Word] | None] = {}
 
-    def rules_for(self, pattern: Word) -> list[Rule]:
-        return self._by_pattern.get(pattern, [])
-
-    def _register(self, rule: Rule) -> bool:
-        bucket = self._by_pattern.setdefault(rule.pattern, [])
-        if rule in bucket:
-            return False
-        bucket.append(rule)
-        return True
-
     def bootstrap_pairs(self):
-        """Derive direct rules for every two-letter word.
+        """Derive a direct rule for every two-letter word not in least form.
 
-        Pass one canonicalizes each pair at the standard depth and keeps
-        the changed ones as direct rules.  Pairs that did not move are
-        either genuinely canonical or hiding behind a long derivation, so
-        pass two retries them one level deeper and propagates anything it
-        finds to the whole control orbit by conjugation.  A final sweep
-        refreshes every pair's direct rule against the enriched system.
+        The base rules are closed under control conjugation, so the words
+        reachable from pair^nu are those reachable from pair, moved by nu,
+        with every delta conjugated by nu.  One exhaustive search per
+        control-group orbit of ordered pairs therefore settles the whole
+        orbit.  The searches run on the base rules alone, and the rules are
+        registered only after the last one: a pair rule registered earlier
+        would not come with its conjugates, and later searches would lose
+        that symmetry.
         """
-        pairs = [(a, b)
-                 for a in range(1, self.n + 1)
-                 for b in range(1, self.n + 1) if a != b]
-        stuck = []
-        for pair in pairs:
-            delta, form = self._search(pair, 2 + self.slack, exhaustive=True)
-            if form != pair:
-                self._register(Rule(pair, delta, form))
-            else:
-                stuck.append(pair)
+        found = []
+        for pair, conjugators in self._pair_orbits():
+            reached = self._reach(pair, 3 + self.slack)
+            for target, nu in conjugators:
+                moved = {tuple(nu.apply(i) for i in w): w for w in reached}
+                form = min(moved, key=lambda w: (len(w), w))
+                if form != target:
+                    w = moved[form]
+                    found.append(conjugate_rule(Rule(pair, reached[w], w), nu))
+        for rule in found:
+            bucket = self._by_pattern.setdefault(rule.pattern, [])
+            if rule not in bucket:
+                bucket.append(rule)
         self.pattern_lengths = sorted({len(p) for p in self._by_pattern})
-        elems = None
-        for pair in stuck:
-            delta, form = self._search(pair, 3 + self.slack, exhaustive=True)
-            if form == pair:
-                continue
-            rule = Rule(pair, delta, form)
-            if elems is None:
-                elems = self.spec.control_group.elements()
-            for nu in elems:
-                self._register(conjugate_rule(rule, nu))
-        self.pattern_lengths = sorted({len(p) for p in self._by_pattern})
-        self._canon_cache.clear()
-        self._shorter_cache.clear()
-        for pair in pairs:
-            delta, form = self.canonical_form(pair)
-            if form != pair:
-                self._register(Rule(pair, delta, form))
-        self.pattern_lengths = sorted({len(p) for p in self._by_pattern})
-        self._canon_cache.clear()
-        self._shorter_cache.clear()
+
+    def _pair_orbits(self) -> list[tuple[Word, list[tuple[Word, Perm]]]]:
+        """Control-group orbits on ordered pairs of distinct letters: each
+        orbit's least pair with (pair^nu, nu) for one nu per orbit member."""
+        elems = self.spec.control_group.elements()
+        seen: set[Word] = set()
+        orbits = []
+        for a in range(1, self.n + 1):
+            for b in range(1, self.n + 1):
+                if a == b or (a, b) in seen:
+                    continue
+                members = {}
+                for nu in elems:
+                    members.setdefault((nu.apply(a), nu.apply(b)), nu)
+                seen.update(members)
+                orbits.append(((a, b), list(members.items())))
+        return orbits
 
     def canonical_form(self, word: Word) -> tuple[Perm, Word]:
         """Least reachable form of a short word, with its gathered perm."""
@@ -332,7 +319,9 @@ class RuleSet:
             return self._canon_cache[word]
         if not word:
             return Perm.identity(self.n), ()
-        result = self._search(word, len(word) + self.slack, exhaustive=True)
+        reached = self._reach(word, len(word) + self.slack)
+        form = min(reached, key=lambda w: (len(w), w))
+        result = reached[form], form
         self._canon_cache[word] = result
         return result
 
@@ -344,17 +333,20 @@ class RuleSet:
             return self._shorter_cache[word]
         if len(word) < 2:
             return None
-        delta, form = self._search(word, len(word) + self.slack,
-                                   exhaustive=False)
-        result = (delta, form) if len(form) < len(word) else None
+        reached = self._reach(word, len(word) + self.slack, stop_shorter=True)
+        form = min(reached, key=lambda w: (len(w), w))
+        result = (reached[form], form) if len(form) < len(word) else None
         self._shorter_cache[word] = result
         return result
 
-    def _search(self, word: Word, limit: int,
-                exhaustive: bool) -> tuple[Perm, Word]:
-        # BFS over word states; delta transports t_query = delta * t_state.
-        # Any two derivations of the same state carry the same delta (the
-        # residue is determined in the image), so first-found wins.
+    def _reach(self, word: Word, limit: int,
+               stop_shorter: bool = False) -> dict[Word, Perm]:
+        """Breadth-first search over word states no longer than limit:
+        each reached state maps to the delta with t_word = delta * t_state.
+        Any two derivations of the same state carry the same delta (the
+        residue is determined in the image), so first-found wins.  With
+        stop_shorter the search returns at the first state shorter than
+        word, which is then the only such state in the map."""
         best: dict[Word, Perm] = {word: Perm.identity(self.n)}
         frontier = [word]
         while frontier:
@@ -363,14 +355,12 @@ class RuleSet:
                 delta = best[state]
                 for new_state, step in self._moves(state, limit):
                     if new_state not in best:
-                        gathered = delta * step
-                        if not exhaustive and len(new_state) < len(word):
-                            return gathered, new_state
-                        best[new_state] = gathered
+                        best[new_state] = delta * step
+                        if stop_shorter and len(new_state) < len(word):
+                            return best
                         nxt.append(new_state)
             frontier = nxt
-        winner = min(best, key=lambda w: (len(w), w))
-        return best[winner], winner
+        return best
 
     def _apply_at(self, state: Word, q: int, width: int, out: list):
         """Apply every rule matching state[q:q+width], gathering the rule

@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass
 from typing import Sequence
 
-from .perm import Perm
+from .perm import IdentificationError, Perm
 from .progenitor import ProgenitorSpec, RuleSet, Word, normalize_tail
 from .dcenum import SymImage
 
@@ -74,7 +74,7 @@ class SymElement:
         if control.degree != ctx.n:
             raise ValueError(f"control degree {control.degree} != {ctx.n}")
         if control not in ctx.spec.control_group:
-            raise ValueError("control permutation is not in the control group")
+            raise IdentificationError("control permutation is not in the control group")
         word = tuple(word)
         for letter in word:
             if not 1 <= letter <= ctx.n:
@@ -161,9 +161,8 @@ def canon(raw: tuple[Perm, Word], rules: RuleSet, max_steps: int = 4096,
     return perm, word
 
 
-def canon_element(ctx: SymContext, raw: tuple[Perm, Word],
-                  max_steps: int = 4096) -> SymElement:
-    perm, word = canon(raw, ctx.require_rules(), max_steps)
+def canon_element(ctx: SymContext, raw: tuple[Perm, Word]) -> SymElement:
+    perm, word = canon(raw, ctx.require_rules())
     return SymElement(ctx, perm, word, canonical=True)
 
 
@@ -242,28 +241,12 @@ def _pick_mode(ctx: SymContext, mode: str) -> str:
     return mode
 
 
-def cenelt(ctx: SymContext, a: SymElement,
-           max_elements: int = 10 ** 6) -> tuple[int, list[SymElement]]:
+def cenelt(ctx: SymContext, a: SymElement) -> tuple[int, list[SymElement]]:
     """Centralizer of a symmetrically represented element, computed in the
     image and returned symmetrically represented."""
     img = ctx.require_image()
-    cent = img.full_group.centralizer(sym2per(ctx, a), max_elements)
+    cent = img.full_group.centralizer(sym2per(ctx, a))
     return cent.order(), [per2sym(ctx, g) for g in cent.gens]
-
-
-# -- the flattened wire form ------------------------------------------------
-
-def flatten(e: SymElement) -> list[int]:
-    """Single integer sequence: n control images then the word letters."""
-    return list(e.control.images) + list(e.word)
-
-
-def unflatten(ctx: SymContext, seq: Sequence[int],
-              canonical: bool = False) -> SymElement:
-    n = ctx.n
-    if len(seq) < n:
-        raise ValueError(f"sequence shorter than control degree {n}")
-    return SymElement(ctx, Perm(seq[:n]), tuple(seq[n:]), canonical)
 
 
 # -- text form ---------------------------------------------------------------

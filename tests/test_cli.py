@@ -3,6 +3,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 
 from symgen.cli import main
 
@@ -62,6 +63,32 @@ def test_enumerate_expectation_mismatch(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "enumerate", str(path))
     assert code == 3
     assert "MISMATCH" in out
+
+
+@pytest.mark.parametrize("field,value", [
+    ("relators", [1]),
+    ("relators", [{"control_word": "x", "tail": "01"}]),
+    ("labels", [1, 2, 3]),
+    ("control_generators", 5),
+    ("control_presentation", ["x^3"]),
+    ("expected", "abc"),
+    ("expected", {"node_sizes": [1, "3"]}),
+    ("n", True),
+    ("t_words", "t"),
+])
+def test_malformed_spec_field_exit_code(tmp_path, capsys, field, value):
+    src = json.loads(
+        (Path(__file__).parents[1] / "src/symgen/fixtures/5sq_d6.json")
+        .read_text(encoding="utf-8"))
+    src[field] = value
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(src), encoding="utf-8")
+    code, out, err = run_cli(capsys, "enumerate", str(path))
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert repr(field) in lines[0]
 
 
 def test_parse_error_exit_code(tmp_path, capsys):
@@ -160,13 +187,6 @@ def test_elt_wrong_arg_count(capsys):
 
 def test_selftest(capsys):
     code, out, _ = run_cli(capsys, "selftest")
-    assert code == 0
-    for name in ("l2_19", "5sq_d6", "u3_3"):
-        assert f"== {name}: ok" in out
-
-
-def test_selftest_parallel(capsys):
-    code, out, _ = run_cli(capsys, "selftest", "--jobs", "3")
     assert code == 0
     for name in ("l2_19", "5sq_d6", "u3_3"):
         assert f"== {name}: ok" in out

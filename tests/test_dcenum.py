@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from symgen.dcenum import (CollapsedGraph, DoubleCoset, ImageError, build_cst,
+from symgen.dcenum import (CollapsedGraph, DoubleCoset, ImageError,
                            build_image, double_cosets, emit_graph,
                            verify_relators_in_image)
 from symgen.perm import Perm, parse_cycles
@@ -59,7 +59,6 @@ def test_cst_words_reach_their_cosets(all_contexts):
             assert img.follow_word(img.cst[point - 1]) == point
         # the coset reached by the first generator alone is named by it
         assert img.cst[img.ts[0].apply(1) - 1] == (1,)
-        assert build_cst(img) == img.cst
 
 
 def test_l2_19_graph_values(l2_19):
@@ -273,3 +272,11 @@ def test_degenerate_image_rejected():
                           (((), (1,)),))
     with pytest.raises(ImageError):
         build_image(spec)
+
+
+def test_realize_control_rejects_non_members(u3_3):
+    from symgen.perm import IdentificationError
+    outside = Perm((2, 1) + tuple(range(3, u3_3.n + 1)))
+    assert outside not in u3_3.spec.control_group
+    with pytest.raises(IdentificationError):
+        u3_3.image.realize_control(outside)

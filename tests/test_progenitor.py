@@ -264,3 +264,42 @@ def test_default_t_words_reach_all_generators(l2_19):
     assert len(set(ts)) == spec.n
     for t in ts:
         assert t.order() == 2
+
+
+def test_pair_canonical_forms_match_image(all_contexts):
+    # every ordered pair, including the u3_3 pair orbits whose least forms
+    # only the depth-(3 + slack) orbit search finds
+    from symgen.symrep import per2sym
+    for name, ctx in all_contexts.items():
+        img = ctx.image
+        n = ctx.spec.n
+        for a in range(1, n + 1):
+            for b in range(1, n + 1):
+                if a == b:
+                    continue
+                delta, form = ctx.rules.canonical_form((a, b))
+                e = per2sym(ctx, img.ts[a - 1] * img.ts[b - 1])
+                assert (delta, form) == (e.control, e.word), (name, a, b)
+
+
+@pytest.mark.parametrize("name,searches", [("5sq_d6", 1), ("l2_19", 1),
+                                           ("u3_3", 3)])
+def test_bootstrap_searches_one_pair_per_orbit(monkeypatch, name, searches):
+    from symgen.progenitor import RuleSet
+    reach = RuleSet._reach
+    queries = []
+
+    def counting_reach(self, word, limit, stop_shorter=False):
+        queries.append(word)
+        return reach(self, word, limit, stop_shorter)
+
+    monkeypatch.setattr(RuleSet, "_reach", counting_reach)
+    rules = derive_rules(load_bundled(name).spec)
+    assert len(queries) == searches
+    assert len(rules._pair_orbits()) == searches
+    # the representatives' orbits partition the ordered pairs
+    n = rules.n
+    covered = [target for _, members in rules._pair_orbits()
+               for target, _ in members]
+    assert sorted(covered) == [(a, b) for a in range(1, n + 1)
+                               for b in range(1, n + 1) if a != b]

@@ -4,9 +4,9 @@ import pytest
 
 from symgen.perm import Perm
 from symgen.symrep import (ContextError, SymContext, SymElement, canon,
-                           canon_element, cenelt, equal_sym, flatten,
+                           canon_element, cenelt, equal_sym,
                            format_element, invert_sym, mult, parse_element,
-                           per2sym, sym2per, unflatten, unify)
+                           per2sym, sym2per, unify)
 
 
 def ix_map(ctx):
@@ -51,18 +51,10 @@ def test_unify_flatten_length(u3_3):
     ctx = u3_3
     a, b = rand_elements(ctx, 2, seed=2)
     perm, word = unify(a, b)
-    raw = SymElement(ctx, perm, word)
-    seq = flatten(raw)
-    assert len(seq) == ctx.n + len(a.word) + len(b.word)
-    back = unflatten(ctx, seq)
-    assert back.control == perm and back.word == word
-
-
-def test_flatten_roundtrip(all_contexts):
-    for ctx in all_contexts.values():
-        for e in rand_elements(ctx, 20, seed=3):
-            back = unflatten(ctx, flatten(e), canonical=True)
-            assert back.control == e.control and back.word == e.word
+    # unify only concatenates: the raw word keeps every letter of both
+    assert len(word) == len(a.word) + len(b.word)
+    assert perm == a.control * b.control
+    assert word[len(a.word):] == b.word
 
 
 def test_canon_deletes_squares(l2_19):
