@@ -10,11 +10,12 @@ This module turns such a specification into
   * a rewrite-rule system over generator words, derived by closing the
     relators under control-group conjugation, cyclic rotation and
     inversion, then splitting each into pattern -> (permutation, shorter or
-    equal replacement) form.  A bounded search service composes rules
-    (including through inserted involution squares, t_x t_y = t_x t_k t_k
-    t_y) to canonicalize short words.  Every letter pair gets a direct
-    rule up front, from one search per control-group orbit of pairs moved
-    over the orbit by conjugation.
+    equal replacement) form.  Words are canonicalized letter by letter:
+    the least form of (least word) * t_i is found once by a bounded search
+    that composes rules (including through inserted involution squares,
+    t_x t_y = t_x t_k t_k t_y) and is then kept in a table.  Every letter
+    pair gets a direct rule up front, from one search per control-group
+    orbit of pairs moved over the orbit by conjugation.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Iterable, Sequence
 
 from .perm import Perm, PermGroup, word_perm
 from .fpgroup import (FreeWord, Presentation, concat, invert_word, reduce_word,
-                      word_conj)
+                      word_conj, word_str)
 
 Word = tuple[int, ...]  # letters are symmetric-generator indices in 1..n
 
@@ -71,6 +72,11 @@ class ProgenitorSpec:
                 raise ValueError("control generator degree != n")
         if len(self.control_gens) != len(self.control_presentation.names):
             raise ValueError("control generators and presentation names differ in number")
+        for rel in self.control_presentation.relators:
+            if not word_perm(self.control_gens, rel, self.n).is_identity():
+                raise ValueError(
+                    "control generators do not satisfy control relator "
+                    + word_str(rel, self.control_presentation.names))
         if self.t_name in self.control_presentation.names:
             raise ValueError(f"symbol {self.t_name!r} collides with a control generator name")
         labels = self.labels or tuple(str(i) for i in range(1, self.n + 1))
@@ -228,24 +234,26 @@ def derive_rules(spec: ProgenitorSpec) -> "RuleSet":
                      key=lambda r: (len(r.pattern), r.pattern, r.replacement,
                                     r.perm.images))
     widest = max((len(r.pattern) for r in ordered), default=2)
-    # wide enough to canonicalize whole products of two short elements
-    max_pattern = max(4, 2 * widest - 1) if spec.n <= 4 else max(4, widest + 1)
     slack = 2 if widest <= 2 else 4
-    ruleset = RuleSet(spec, tuple(ordered), max_pattern, slack)
+    ruleset = RuleSet(spec, tuple(ordered), slack)
     ruleset.bootstrap_pairs()
     return ruleset
 
 
 class RuleSet:
-    """Base rules plus lazy rewrite services over the rule system.
+    """Base rules plus a lazy letter table over the rule system.
 
     A reachability move is a rule application, or an involution square
     t_k t_k inserted and immediately part-consumed by a rule (the standard
     manual derivation step); intermediate words may grow ``slack`` letters
-    above the query.  Two services, both memoized:
+    above the query.
 
-      shorter_form(word)   -- first strictly shorter reachable form, if any
-      canonical_form(word) -- least (length, lex) reachable form
+      step(w, i)           -- least form of t_w t_i for a least word w,
+                              memoized per (w, i)
+      canonical_form(word) -- least (length, lex) form, one step per letter
+
+    The least words are the coset representatives, so the table has at
+    most index * n entries; it fills as products need it.
 
     bootstrap_pairs gives every letter pair whose least form differs from
     it a direct rule, so that the badly hidden pair identities (the ones
@@ -255,18 +263,16 @@ class RuleSet:
     """
 
     def __init__(self, spec: ProgenitorSpec, rules: tuple[Rule, ...],
-                 max_pattern: int, slack: int):
+                 slack: int):
         self.spec = spec
         self.rules = rules
-        self.max_pattern = max_pattern
         self.slack = slack
         self.n = spec.n
         self._by_pattern: dict[Word, list[Rule]] = {}
         for r in rules:
             self._by_pattern.setdefault(r.pattern, []).append(r)
         self.pattern_lengths = sorted({len(p) for p in self._by_pattern})
-        self._canon_cache: dict[Word, tuple[Perm, Word]] = {}
-        self._shorter_cache: dict[Word, tuple[Perm, Word] | None] = {}
+        self._steps: dict[tuple[Word, int], tuple[Perm, Word]] = {}
 
     def bootstrap_pairs(self):
         """Derive a direct rule for every two-letter word not in least form.
@@ -312,31 +318,48 @@ class RuleSet:
                 orbits.append(((a, b), list(members.items())))
         return orbits
 
-    def canonical_form(self, word: Word) -> tuple[Perm, Word]:
-        """Least reachable form of a short word, with its gathered perm."""
-        word = normalize_tail(word, self.n)
-        if word in self._canon_cache:
-            return self._canon_cache[word]
-        if not word:
-            return Perm.identity(self.n), ()
-        reached = self._reach(word, len(word) + self.slack)
-        form = min(reached, key=lambda w: (len(w), w))
-        result = reached[form], form
-        self._canon_cache[word] = result
-        return result
+    def canonical_form(self, word: Word,
+                       trace: list | None = None) -> tuple[Perm, Word]:
+        """Least form of a word with its gathered perm, t_word = perm *
+        t_form: a left-to-right scan that extends the least form of each
+        prefix by one letter.  When given, trace collects the (length,
+        word) measure of the input and of the whole word after every step
+        that rewrites it."""
+        identity = perm = Perm.identity(self.n)
+        form: Word = ()
+        if trace is not None:
+            trace.append((len(word), word))
+        for k, letter in enumerate(word):
+            delta, new = self.step(form, letter)
+            if delta != identity:  # cheaper than a product on warm scans
+                perm = perm * delta
+            if trace is not None and new != form + (letter,):
+                current = new + word[k + 1:]
+                trace.append((len(current), current))
+            form = new
+        return perm, form
 
-    def shorter_form(self, word: Word) -> tuple[Perm, Word] | None:
-        """A strictly shorter reachable form, or None; stops at the first
-        length drop rather than hunting for the least form."""
-        word = normalize_tail(word, self.n)
-        if word in self._shorter_cache:
-            return self._shorter_cache[word]
-        if len(word) < 2:
-            return None
-        reached = self._reach(word, len(word) + self.slack, stop_shorter=True)
-        form = min(reached, key=lambda w: (len(w), w))
-        result = (reached[form], form) if len(form) < len(word) else None
-        self._shorter_cache[word] = result
+    def step(self, w: Word, letter: int) -> tuple[Perm, Word]:
+        """Least form of t_w t_letter for a least word w: (delta, form) with
+        t_w t_letter = delta * t_form."""
+        key = (w, letter)
+        result = self._steps.get(key)
+        if result is not None:
+            return result
+        word = w + (letter,)
+        if w and w[-1] == letter:
+            result = Perm.identity(self.n), w[:-1]
+        else:
+            reached = self._reach(word, len(word) + self.slack,
+                                  stop_shorter=True)
+            form = min(reached, key=lambda v: (len(v), v))
+            delta = reached[form]
+            if len(form) < len(word):
+                # every step of this scan extends a word shorter than w
+                rest, form = self.canonical_form(form)
+                delta = delta * rest
+            result = delta, form
+        self._steps[key] = result
         return result
 
     def _reach(self, word: Word, limit: int,

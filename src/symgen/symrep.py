@@ -112,53 +112,22 @@ def unify(a: SymElement, b: SymElement) -> tuple[Perm, Word]:
             tuple(sigma.apply(i) for i in a.word) + b.word)
 
 
-def canon(raw: tuple[Perm, Word], rules: RuleSet, max_steps: int = 4096,
+def canon(raw: tuple[Perm, Word], rules: RuleSet, *,
           trace: list | None = None) -> tuple[Perm, Word]:
     """Reduce a raw pair to canonically shortest form.
 
-    Repeatedly applies the first window whose rule-system canonical form
-    is shorter (gathering the rule permutation over the prefix), then
-    normalizes the surviving word to the least (length, lex) form of its
-    class.  Every step strictly decreases (length, word), so termination
-    is structural; max_steps is a defensive bound.  When given, trace
-    collects the (length, word) measure after every rewrite step.
+    One left-to-right pass over the word (RuleSet.canonical_form): each
+    letter extends the least form of the prefix before it, through the
+    rule system's memoized (least word, letter) table, and the table's
+    permutation is gathered into the control part.  When given, trace
+    collects the (length, word) measure of the input and of the whole word
+    after every rewrite step; each entry is strictly less than the one
+    before.
     """
     perm, word = raw
-    word = normalize_tail(word, rules.n)
-    if trace is not None:
-        trace.append((len(word), word))
-    steps = 0
-    while True:
-        if steps > max_steps:
-            raise RuntimeError("canon exceeded max_steps; rule set is inconsistent")
-        improved = False
-        L = len(word)
-        for width in range(2, min(rules.max_pattern, L) + 1):
-            for start in range(L - width + 1):
-                found = rules.shorter_form(word[start:start + width])
-                if found is not None:
-                    delta, form = found
-                    prefix = tuple(delta.apply(i) for i in word[:start])
-                    perm = perm * delta
-                    word = normalize_tail(prefix + form + word[start + width:],
-                                          rules.n)
-                    improved = True
-                    steps += 1
-                    if trace is not None:
-                        trace.append((len(word), word))
-                    break
-            if improved:
-                break
-        if not improved:
-            break
-    if 2 <= len(word) <= rules.max_pattern:
-        delta, form = rules.canonical_form(word)
-        if (len(form), form) < (len(word), word):
-            perm = perm * delta
-            word = form
-            if trace is not None:
-                trace.append((len(word), word))
-    return perm, word
+    delta, form = rules.canonical_form(normalize_tail(word, rules.n),
+                                       trace=trace)
+    return perm * delta, form
 
 
 def canon_element(ctx: SymContext, raw: tuple[Perm, Word]) -> SymElement:

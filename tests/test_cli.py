@@ -91,6 +91,23 @@ def test_malformed_spec_field_exit_code(tmp_path, capsys, field, value):
     assert repr(field) in lines[0]
 
 
+def test_unsatisfied_control_relator_exit_code(tmp_path, capsys):
+    # (0,1,2)*(0,1) has order 2, so (x*y)^3 fails; this once ran coset
+    # enumeration to its limit and exited 4
+    src = json.loads(
+        (Path(__file__).parents[1] / "src/symgen/fixtures/5sq_d6.json")
+        .read_text(encoding="utf-8"))
+    src["control_presentation"] = "x^3, y^2, (x*y)^3"
+    path = tmp_path / "unsatisfied.json"
+    path.write_text(json.dumps(src), encoding="utf-8")
+    code, out, err = run_cli(capsys, "enumerate", str(path))
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "control relator x*y*x*y*x*y" in lines[0]
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json", encoding="utf-8")

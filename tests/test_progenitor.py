@@ -303,3 +303,46 @@ def test_bootstrap_searches_one_pair_per_orbit(monkeypatch, name, searches):
                for target, _ in members]
     assert sorted(covered) == [(a, b) for a in range(1, n + 1)
                                for b in range(1, n + 1) if a != b]
+
+
+@pytest.mark.parametrize("name,words,entries", [("5sq_d6", 50, 150),
+                                                ("l2_19", 57, 342),
+                                                ("u3_3", 36, 504)])
+def test_letter_table_closes_on_coset_representatives(monkeypatch, all_contexts,
+                                                      name, words, entries):
+    # the least words the table reaches from () are exactly the image's
+    # coset representatives, so a complete table needs no further search
+    from symgen.progenitor import RuleSet
+    from symgen.symrep import canon, per2sym, unify
+    ctx = all_contexts[name]
+    rules = ctx.rules
+    reached, frontier = {()}, [()]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for letter in range(1, rules.n + 1):
+                _, form = rules.step(w, letter)
+                if form not in reached:
+                    reached.add(form)
+                    nxt.append(form)
+        frontier = nxt
+    assert reached == set(ctx.image.cst)
+    assert len(reached) == words
+    assert len(rules._steps) == entries
+
+    searches = []
+    reach = RuleSet._reach
+
+    def counting_reach(self, word, limit, stop_shorter=False):
+        searches.append(word)
+        return reach(self, word, limit, stop_shorter)
+
+    monkeypatch.setattr(RuleSet, "_reach", counting_reach)
+    rng = random.Random(11)
+    full = ctx.image.full_group
+    for _ in range(200):
+        a = per2sym(ctx, full.random_element(rng))
+        b = per2sym(ctx, full.random_element(rng))
+        perm, word = canon(unify(a, b), rules)
+        assert word in reached
+    assert searches == []
