@@ -21,7 +21,7 @@ import sys
 
 from .fpgroup import CosetLimitExceeded
 from .perm import IdentificationError, parse_cycles, cycles_str
-from .dcenum import CollapsedGraph, double_cosets, emit_graph
+from .dcenum import CollapsedGraph, double_cosets, emit_graph, word_label
 from .groupfile import (GroupSpecFile, SpecFileError, bundled_fixture_names,
                         load_bundled, load_spec_file)
 from . import symrep
@@ -46,12 +46,6 @@ def _max_cosets() -> int:
     return int(value) if value else 10 ** 6
 
 
-def _word_str(gf: GroupSpecFile, word) -> str:
-    if not word:
-        return "*"
-    return ".".join(gf.spec.labels[i - 1] for i in word)
-
-
 def _enumerate(gf: GroupSpecFile, out) -> int:
     ctx = gf.build_context(with_rules=False, max_cosets=_max_cosets())
     img = ctx.image
@@ -62,7 +56,7 @@ def _enumerate(gf: GroupSpecFile, out) -> int:
     print(f"order: {order}", file=out)
     print(f"double cosets: {len(graph.nodes)}", file=out)
     for node in graph.nodes:
-        print(f"  [{_word_str(gf, node.rep)}]  size {node.size}  "
+        print(f"  [{word_label(gf.spec, node.rep)}]  size {node.size}  "
               f"stabilizer {node.stabilizer.order()}", file=out)
     problems = _check_expected(gf, img.index, order, graph)
     if problems:

@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .perm import Perm, PermGroup, IdentificationError
-from .fpgroup import FreeWord, coset_action, todd_coxeter, word_image
+from .fpgroup import (CosetLimitExceeded, FreeWord, coset_action, todd_coxeter,
+                      word_image, word_str)
 from .progenitor import ProgenitorSpec, Word, build_presentation, default_t_words
 
 
@@ -110,7 +111,11 @@ def build_image(spec: ProgenitorSpec, t_words: Sequence[FreeWord] | None = None,
     """
     pres = build_presentation(spec)
     m = len(spec.control_gens)
-    table = todd_coxeter(pres, [(i,) for i in range(1, m + 1)], max_cosets)
+    try:
+        table = todd_coxeter(pres, [(i,) for i in range(1, m + 1)], max_cosets)
+    except CosetLimitExceeded:
+        _check_control_presentation(spec)
+        raise
     gens_image = tuple(coset_action(table))
     if t_words is None:
         t_words = default_t_words(spec)
@@ -136,6 +141,24 @@ def build_image(spec: ProgenitorSpec, t_words: Sequence[FreeWord] | None = None,
     img = SymImage(spec, table.index, gens_image, ts, control_image,
                    cst, faithful)
     return img
+
+
+def _check_control_presentation(spec: ProgenitorSpec):
+    """Raise ValueError unless the control presentation closes at |N|
+    within 100 |N| cosets.  Run only after the progenitor's enumeration hit
+    its limit, where a presentation of a cover of N would otherwise read as
+    a resource limit; the budget is not the caller's limit, so a small
+    limit on a valid spec still ends as a resource limit."""
+    order = spec.control_group.order()
+    pres = spec.control_presentation
+    try:
+        closed = todd_coxeter(pres, (), 100 * order).index == order
+    except CosetLimitExceeded:
+        closed = False
+    if not closed:
+        relators = ", ".join(word_str(rel, pres.names) for rel in pres.relators)
+        raise ValueError(f"control presentation {relators} does not present "
+                         f"the control group of order {order}")
 
 
 def _build_cst(ts: Sequence[Perm], index: int) -> tuple[Word, ...]:
@@ -236,7 +259,8 @@ def double_cosets(img: SymImage) -> CollapsedGraph:
     return CollapsedGraph(img.spec, img.index, n_order, nodes)
 
 
-def _word_label(spec: ProgenitorSpec, word: Word) -> str:
+def word_label(spec: ProgenitorSpec, word: Word) -> str:
+    """Dotted generator labels of a word; "*" for the empty word."""
     if not word:
         return "*"
     return ".".join(spec.labels[i - 1] for i in word)
@@ -273,7 +297,7 @@ def emit_graph(graph: CollapsedGraph, format: str = "dot") -> str:
 
     lines = ["graph collapsed_cayley {", "  rankdir=LR;"]
     for i, node in enumerate(graph.nodes):
-        label = f"[{_word_label(graph.spec, node.rep)}] / {node.size}"
+        label = f"[{word_label(graph.spec, node.rep)}] / {node.size}"
         lines.append(f'  n{i} [label="{label}"];')
     # collect multiplicities per unordered node pair
     toward: dict[tuple[int, int], int] = {}

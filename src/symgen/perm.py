@@ -432,20 +432,3 @@ class PermGroup:
                         key=lambda q: q.images)
         return [identity] + others
 
-
-def closure_order(gens: Sequence[Perm], limit: int = 10 ** 6) -> int:
-    """Order of the generated group by plain product closure (test oracle)."""
-    if not gens:
-        return 1
-    degree = gens[0].degree
-    seen = {Perm.identity(degree).images}
-    queue = [Perm.identity(degree)]
-    for x in queue:
-        for g in gens:
-            y = x * g
-            if y.images not in seen:
-                seen.add(y.images)
-                queue.append(y)
-                if len(seen) > limit:
-                    raise GroupTooLarge(f"closure exceeds {limit} elements")
-    return len(seen)

@@ -10,12 +10,14 @@ This module turns such a specification into
   * a rewrite-rule system over generator words, derived by closing the
     relators under control-group conjugation, cyclic rotation and
     inversion, then splitting each into pattern -> (permutation, shorter or
-    equal replacement) form.  Words are canonicalized letter by letter:
-    the least form of (least word) * t_i is found once by a bounded search
-    that composes rules (including through inserted involution squares,
-    t_x t_y = t_x t_k t_k t_y) and is then kept in a table.  Every letter
-    pair gets a direct rule up front, from one search per control-group
-    orbit of pairs moved over the orbit by conjugation.
+    equal replacement) form.  Each rule also yields two half rules, with
+    its pattern's first or last letter moved into the replacement: the
+    effect of inserting an involution square t_k t_k beside a window and
+    letting the rule consume one k.  Words are canonicalized letter by
+    letter: the least form of (least word) * t_i is found once by a
+    bounded search over rule and half-rule moves and is then kept in a
+    table.  Every letter pair gets a direct rule up front, from one search
+    per control-group orbit of pairs moved over the orbit by conjugation.
 """
 
 from __future__ import annotations
@@ -104,21 +106,6 @@ class ProgenitorSpec:
 
     def control_word_perm(self, word: Sequence[int]) -> Perm:
         return word_perm(self.control_gens, word, self.n)
-
-
-def relator_power_expand(pi: Perm, i: int, k: int) -> tuple[Perm, Word]:
-    """Normal form of (pi * t_i)^k: gather the permutations to the left.
-
-    Returns (pi^k, [i^(pi^(k-1)), ..., i^pi, i]).
-    """
-    if k < 1:
-        raise ValueError("power must be >= 1")
-    word = []
-    p = Perm.identity(pi.degree)
-    for _ in range(k):
-        word.append(p.apply(i))
-        p = p * pi
-    return p, tuple(reversed(word))
 
 
 def build_presentation(spec: ProgenitorSpec) -> Presentation:
@@ -243,10 +230,13 @@ def derive_rules(spec: ProgenitorSpec) -> "RuleSet":
 class RuleSet:
     """Base rules plus a lazy letter table over the rule system.
 
-    A reachability move is a rule application, or an involution square
-    t_k t_k inserted and immediately part-consumed by a rule (the standard
-    manual derivation step); intermediate words may grow ``slack`` letters
-    above the query.
+    A reachability move applies a rule or a half rule at some window.  A
+    half rule is a rule with the first or last letter k dropped from its
+    pattern and carried into its replacement: it is the standard manual
+    derivation step of inserting an involution square t_k t_k next to the
+    window and letting the rule consume one of the two k's.  Half rules
+    grow the word, so they fire only while it stays within ``slack``
+    letters above the query.
 
       step(w, i)           -- least form of t_w t_i for a least word w,
                               memoized per (w, i)
@@ -268,11 +258,25 @@ class RuleSet:
         self.rules = rules
         self.slack = slack
         self.n = spec.n
-        self._by_pattern: dict[Word, list[Rule]] = {}
-        for r in rules:
-            self._by_pattern.setdefault(r.pattern, []).append(r)
-        self.pattern_lengths = sorted({len(p) for p in self._by_pattern})
+        self._index(rules)
         self._steps: dict[tuple[Word, int], tuple[Perm, Word]] = {}
+
+    def _index(self, rules: tuple[Rule, ...]):
+        """Build the move tables, indexed by window width and then window,
+        each holding the distinct (perm, replacement) moves as dict keys:
+        one for rules alone, one for rules plus half rules."""
+        widths = range(max((len(r.pattern) for r in rules), default=0) + 1)
+        self._full: list[dict[Word, dict]] = [{} for _ in widths]
+        self._grow: list[dict[Word, dict]] = [{} for _ in widths]
+        for r in rules:
+            pi, pat, rep = r.perm, r.pattern, r.replacement
+            self._full[len(pat)].setdefault(pat, {})[pi, rep] = None
+            # t_pat = pi t_rep gives t_pat[1:] = pi t_(pi(pat[0])) t_rep
+            # and t_pat[:-1] = pi t_rep t_pat[-1]
+            for window, move in ((pat, rep),
+                                 (pat[1:], (pi.apply(pat[0]),) + rep),
+                                 (pat[:-1], rep + (pat[-1],))):
+                self._grow[len(window)].setdefault(window, {})[pi, move] = None
 
     def bootstrap_pairs(self):
         """Derive a direct rule for every two-letter word not in least form.
@@ -282,24 +286,23 @@ class RuleSet:
         with every delta conjugated by nu.  One exhaustive search per
         control-group orbit of ordered pairs therefore settles the whole
         orbit.  The searches run on the base rules alone, and the rules are
-        registered only after the last one: a pair rule registered earlier
-        would not come with its conjugates, and later searches would lose
-        that symmetry.
+        indexed only after the last one: a pair rule indexed earlier would
+        not come with its conjugates, and later searches would lose that
+        symmetry.  Conjugation keeps lengths, so only the shortest reached
+        words can hold an orbit member's least form.
         """
         found = []
         for pair, conjugators in self._pair_orbits():
             reached = self._reach(pair, 3 + self.slack)
+            shortest = min(map(len, reached))
+            candidates = [w for w in reached if len(w) == shortest]
             for target, nu in conjugators:
-                moved = {tuple(nu.apply(i) for i in w): w for w in reached}
-                form = min(moved, key=lambda w: (len(w), w))
+                moved = {tuple(nu.apply(i) for i in w): w for w in candidates}
+                form = min(moved)
                 if form != target:
                     w = moved[form]
                     found.append(conjugate_rule(Rule(pair, reached[w], w), nu))
-        for rule in found:
-            bucket = self._by_pattern.setdefault(rule.pattern, [])
-            if rule not in bucket:
-                bucket.append(rule)
-        self.pattern_lengths = sorted({len(p) for p in self._by_pattern})
+        self._index(self.rules + tuple(found))
 
     def _pair_orbits(self) -> list[tuple[Word, list[tuple[Word, Perm]]]]:
         """Control-group orbits on ordered pairs of distinct letters: each
@@ -385,34 +388,20 @@ class RuleSet:
             frontier = nxt
         return best
 
-    def _apply_at(self, state: Word, q: int, width: int, out: list):
-        """Apply every rule matching state[q:q+width], gathering the rule
-        permutation over the prefix: t_x t_pat t_y = pi t_(x^pi) t_rep t_y."""
-        window = state[q:q + width]
-        for rule in self._by_pattern.get(window, ()):
-            prefix = tuple(rule.perm.apply(i) for i in state[:q])
-            new_word = normalize_tail(
-                prefix + rule.replacement + state[q + width:], self.n)
-            out.append((new_word, rule.perm))
-
-    def _moves(self, state: Word, limit: int):
-        out: list[tuple[Word, Perm]] = []
+    def _moves(self, state: Word, limit: int) -> list[tuple[Word, Perm]]:
+        """Every rule (and, with room for two more letters, half rule)
+        application to state, gathering the rule permutation over the
+        prefix: t_x t_pat t_y = pi t_(x^pi) t_rep t_y."""
         L = len(state)
-        for width in self.pattern_lengths:
-            if width > L:
-                break
+        index = self._grow if L + 2 <= limit else self._full
+        out = []
+        for width, windows in enumerate(index[:L + 1]):
+            if not windows:
+                continue
             for q in range(L - width + 1):
-                self._apply_at(state, q, width, out)
-        if L + 2 <= limit:
-            # insert t_k t_k at position p and consume it at once with a
-            # rule whose window overlaps an inserted letter; unconsumed
-            # squares would cancel right back, so they are never kept
-            for p in range(L + 1):
-                for k in range(1, self.n + 1):
-                    grown = state[:p] + (k, k) + state[p:]
-                    for width in self.pattern_lengths:
-                        lo = max(0, p - width + 1)
-                        hi = min(p + 1, len(grown) - width)
-                        for q in range(lo, hi + 1):
-                            self._apply_at(grown, q, width, out)
+                for perm, rep in windows.get(state[q:q + width], ()):
+                    prefix = tuple(perm.apply(i) for i in state[:q])
+                    out.append((normalize_tail(
+                        prefix + rep + state[q + width:], self.n), perm))
         return out
+

@@ -1,0 +1,19 @@
+"""Reference implementations that tests compare the library against."""
+
+from symgen.perm import Perm
+
+
+def closure_order(gens):
+    """Order of the generated group by plain product closure."""
+    if not gens:
+        return 1
+    degree = gens[0].degree
+    seen = {Perm.identity(degree).images}
+    queue = [Perm.identity(degree)]
+    for x in queue:
+        for g in gens:
+            y = x * g
+            if y.images not in seen:
+                seen.add(y.images)
+                queue.append(y)
+    return len(seen)

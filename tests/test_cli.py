@@ -108,6 +108,35 @@ def test_unsatisfied_control_relator_exit_code(tmp_path, capsys):
     assert "control relator x*y*x*y*x*y" in lines[0]
 
 
+def test_control_presentation_of_a_cover_exit_code(tmp_path, capsys,
+                                                   monkeypatch):
+    # x^3, y^2 presents the infinite group C3 * C2, not D6; the progenitor's
+    # enumeration runs to the limit, which must not read as exit 4
+    monkeypatch.setenv("SYMGEN_MAX_COSETS", "3000")
+    src = json.loads(
+        (Path(__file__).parents[1] / "src/symgen/fixtures/5sq_d6.json")
+        .read_text(encoding="utf-8"))
+    src["control_presentation"] = "x^3, y^2"
+    path = tmp_path / "cover.json"
+    path.write_text(json.dumps(src), encoding="utf-8")
+    code, out, err = run_cli(capsys, "enumerate", str(path))
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "control presentation x*x*x, y*y" in lines[0]
+
+
+def test_small_limit_on_valid_spec_exit_code(capsys, monkeypatch):
+    # the presentation check on failure has its own budget, so a limit
+    # below the index of a valid spec is still a resource limit
+    monkeypatch.setenv("SYMGEN_MAX_COSETS", "40")
+    code, out, err = run_cli(capsys, "enumerate", "u3_3")
+    assert code == 4
+    assert out == ""
+    assert "exceeded the limit of 40 cosets" in err
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json", encoding="utf-8")

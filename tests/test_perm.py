@@ -3,7 +3,9 @@ import random
 import pytest
 
 from symgen.perm import (GroupTooLarge, IdentificationError, Perm, PermGroup,
-                         closure_order, cycles_str, parse_cycles, word_perm)
+                         cycles_str, parse_cycles, word_perm)
+
+from oracles import closure_order
 
 # the 14-point control group used by the largest fixture; handy here because
 # its subgroup structure is known exactly

@@ -6,21 +6,8 @@ from symgen.fpgroup import (CosetLimitExceeded, Presentation, parse_word,
                             todd_coxeter, word_image, coset_action)
 from symgen.perm import Perm, parse_cycles, word_perm
 from symgen.progenitor import (ProgenitorSpec, Rule, build_presentation,
-                               conjugate_rule, derive_rules, normalize_tail,
-                               relator_power_expand)
+                               conjugate_rule, derive_rules, normalize_tail)
 from symgen.groupfile import load_bundled
-
-
-def naive_power_gather(pi, i, k):
-    """Independent left-gathering: multiply (pi * t_i)^k step by step,
-    keeping the state as (permutation, word)."""
-    perm = Perm.identity(pi.degree)
-    word = ()
-    for _ in range(k):
-        word = tuple(pi.apply(j) for j in word)
-        perm = perm * pi
-        word = word + (i,)
-    return perm, word
 
 
 def test_normalize_tail():
@@ -28,35 +15,6 @@ def test_normalize_tail():
     assert normalize_tail((1, 2, 2, 1), 3) == ()
     with pytest.raises(ValueError):
         normalize_tail((4,), 3)
-
-
-def test_relator_power_expand_small_cases():
-    pi = parse_cycles("(1,2,3)", 3)
-    perm, word = relator_power_expand(pi, 1, 1)
-    assert perm == pi and word == (1,)
-
-    # on points (inf,0,1,2,3,4) -> 1..6: pi = (inf,0,1)(2,4,3), i = t_2
-    pi6 = parse_cycles("(1,2,3)(4,6,5)", 6)
-    perm, word = relator_power_expand(pi6, 4, 5)
-    assert perm == pi6 ** 5 == pi6 ** 2
-    assert word == (6, 4, 5, 6, 4)  # labels 4,2,3,4,2
-
-    pi3 = parse_cycles("(1,2,3)", 3)
-    perm, word = relator_power_expand(pi3, 1, 10)
-    assert perm == pi3
-    assert word == (1, 3, 2, 1, 3, 2, 1, 3, 2, 1)  # labels 0,2,1,0,2,1,0,2,1,0
-
-
-def test_relator_power_expand_matches_naive_gather():
-    rng = random.Random(21)
-    for _ in range(200):
-        degree = rng.randrange(2, 8)
-        images = list(range(1, degree + 1))
-        rng.shuffle(images)
-        pi = Perm(images)
-        i = rng.randrange(1, degree + 1)
-        k = rng.randrange(1, 12)
-        assert relator_power_expand(pi, i, k) == naive_power_gather(pi, i, k)
 
 
 def spec_without_relators(spec):
@@ -346,3 +304,47 @@ def test_letter_table_closes_on_coset_representatives(monkeypatch, all_contexts,
         perm, word = canon(unify(a, b), rules)
         assert word in reached
     assert searches == []
+
+
+def insertion_moves(by_pattern, n, state, limit):
+    """Reference move generator: apply each rule at every window and, with
+    room for two more letters, insert t_k t_k at every position and apply
+    each rule at every window that overlaps an inserted letter."""
+    def apply_at(word, q, width):
+        for perm, rep in by_pattern.get(word[q:q + width], ()):
+            prefix = tuple(perm.apply(i) for i in word[:q])
+            yield normalize_tail(prefix + rep + word[q + width:], n), perm
+
+    widths = sorted({len(p) for p in by_pattern})
+    L = len(state)
+    for width in widths:
+        for q in range(L - width + 1):
+            yield from apply_at(state, q, width)
+    if L + 2 <= limit:
+        for p in range(L + 1):
+            for k in range(1, n + 1):
+                grown = state[:p] + (k, k) + state[p:]
+                for width in widths:
+                    for q in range(max(0, p - width + 1),
+                                   min(p + 1, len(grown) - width) + 1):
+                        yield from apply_at(grown, q, width)
+
+
+@pytest.mark.parametrize("name", ["5sq_d6", "l2_19", "u3_3"])
+def test_half_rules_make_the_square_insertion_moves(all_contexts, name):
+    rules = all_contexts[name].rules
+    by_pattern = {pattern: moves for windows in rules._full
+                  for pattern, moves in windows.items()}
+    rng = random.Random(23)
+    for length in range(8):
+        for _ in range(12):
+            state = ()
+            while len(state) < length:
+                letter = rng.randrange(1, rules.n + 1)
+                if not state or state[-1] != letter:
+                    state += (letter,)
+            for extra in (0, 1, 2, rules.slack):
+                limit = length + extra
+                assert set(rules._moves(state, limit)) == set(
+                    insertion_moves(by_pattern, rules.n, state, limit)), \
+                    (state, limit)
