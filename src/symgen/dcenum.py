@@ -6,7 +6,9 @@ table of canonical coset-representative words (breadth-first, shortest
 then lexicographically least).  double_cosets then reads the collapsed
 Cayley graph straight off the image: nodes are orbits of the control group
 on coset points, sized |N| / |N^(w)|, with one edge entry per orbit of the
-coset stabilizer on the symmetric generators.
+coset stabilizer N^(w) on the symmetric generators.  Orbit and N^(w) come
+from one orbit-Schreier pass of N itself (PermGroup.schreier) acting on
+the coset points, so N^(w) is found in N's own degree-n action.
 
 Construction is single-threaded; a built SymImage is effectively immutable
 and distinct images can be processed concurrently.
@@ -32,21 +34,24 @@ class ImageError(ValueError):
 class SymImage:
     """Coset-space realization of a factored progenitor.
 
-    ts[i-1] is the image of the i-th symmetric generator as a permutation
-    of the coset points {1..index}; cst[c-1] is the canonical generator
-    word reaching coset point c from point 1; control_image is the image
-    of the control group on coset points.
+    gens_image[j-1] is the action on the coset points {1..index} of the
+    j-th generator of the built presentation (the control generators, then
+    t); ts[i-1] is the image of the i-th symmetric generator; cst[c-1] is
+    the canonical generator word reaching coset point c from point 1;
+    t_points[i-1] is the coset point N*t_i.  control_faithful_on_t_cosets
+    says the t_points are distinct: N then acts on them as it acts on the
+    generator indices, so a permutation fixing point 1 can be read back as
+    a control element (and N acts faithfully on the coset points).
     """
 
     spec: ProgenitorSpec
     index: int
     gens_image: tuple[Perm, ...]
     ts: tuple[Perm, ...]
-    control_image: PermGroup
     cst: tuple[Word, ...]
+    t_points: tuple[int, ...]
     control_faithful_on_t_cosets: bool
     _full_group: PermGroup | None = field(default=None, repr=False)
-    _t_points: tuple[int, ...] | None = field(default=None, repr=False)
 
     @property
     def n(self) -> int:
@@ -58,15 +63,8 @@ class SymImage:
             self._full_group = PermGroup(self.index, self.gens_image)
         return self._full_group
 
-    @property
-    def t_points(self) -> tuple[int, ...]:
-        """Coset point of each length-one representative N*t_i."""
-        if self._t_points is None:
-            self._t_points = tuple(t.apply(1) for t in self.ts)
-        return self._t_points
-
-    def follow_word(self, word: Sequence[int], start: int = 1) -> int:
-        point = start
+    def follow_word(self, word: Sequence[int]) -> int:
+        point = 1
         for letter in word:
             point = self.ts[letter - 1].apply(point)
         return point
@@ -135,12 +133,10 @@ def build_image(spec: ProgenitorSpec, t_words: Sequence[FreeWord] | None = None,
                     "conjugation by the control image does not permute the "
                     "generators as the control action does")
 
-    control_image = PermGroup(table.index, gens_image[:m])
-    faithful = control_image.order() == spec.control_group.order()
-    cst = _build_cst(ts, table.index)
-    img = SymImage(spec, table.index, gens_image, ts, control_image,
-                   cst, faithful)
-    return img
+    t_points = tuple(t.apply(1) for t in ts)
+    return SymImage(spec, table.index, gens_image, ts,
+                    _build_cst(ts, table.index), t_points,
+                    len(set(t_points)) == spec.n)
 
 
 def _check_control_presentation(spec: ProgenitorSpec):
@@ -204,57 +200,46 @@ class CollapsedGraph:
 def double_cosets(img: SymImage) -> CollapsedGraph:
     """Collapsed Cayley graph of the image over the control group.
 
+    A node is an orbit of N on the coset points; its representative w is
+    the least (length, lex) canonical word among them, its coset
+    stabilizer is N^(w) = {pi in N : N w^pi = N w}, and its size is
+    |N| / |N^(w)|.  Each orbit of N^(w) on the symmetric generators gives
+    one edge entry, to the node holding N w t_i for the orbit's least i.
     Nodes appear in breadth-first discovery order from the trivial double
-    coset; each node's representative is the least (length, lex) canonical
-    word among its coset points.
+    coset.
+
+    The point through which the search first reaches a node is N w, so w
+    is read off it: with w = v t_i, v represents its own node and i is
+    least in its N^(v)-orbit, or conjugating by N^(v) or N would give a
+    smaller canonical word in w's node.
     """
     N = img.spec.control_group
     n_order = N.order()
+    found: list = []   # (point N w, orbit, Schreier generators of N^(w)) per node
+    node_of: dict[int, int] = {}
 
-    point_orbit: dict[int, int] = {}
-    orbits: list[tuple[int, ...]] = []
-    for start in range(1, img.index + 1):
-        if start in point_orbit:
-            continue
-        orb, _ = img.control_image.orbit(start)
-        oid = len(orbits)
-        orbits.append(tuple(sorted(orb)))
-        for p in orb:
-            point_orbit[p] = oid
+    def discover(point: int) -> int:
+        orbit, _, sgens = N.schreier(point, action=img.gens_image)
+        node_of.update(dict.fromkeys(orbit, len(found)))
+        found.append((point, orbit, sgens))
+        return node_of[point]
 
-    reps: list[Word] = []
-    for orb in orbits:
-        reps.append(min((img.cst[p - 1] for p in orb), key=lambda w: (len(w), w)))
-
-    # breadth-first order over the collapsed graph, starting at the node
-    # containing coset point 1
-    order: list[int] = [point_orbit[1]]
-    node_id = {point_orbit[1]: 0}
+    discover(1)
     nodes: list[DoubleCoset] = []
-    cursor = 0
-    while cursor < len(order):
-        oid = order[cursor]
-        cursor += 1
-        rep = reps[oid]
-        rep_point = img.follow_word(rep)
-        stab_image = img.control_image.point_stabilizer(rep_point)
-        stab = PermGroup(img.n, tuple(img.control_perm_of(g)
-                                      for g in stab_image.gens))
-        size = len(orbits[oid])
+    for point, orbit, sgens in found:
+        stab = PermGroup(img.n, sgens)
+        size = len(orbit)
         if size * stab.order() != n_order:
             raise ImageError(
                 f"orbit size {size} x stabilizer {stab.order()} != |N| = {n_order}")
         edges: list[tuple[int, int, int]] = []
         for t_orbit in stab.orbits():
-            t_rep = t_orbit[0]
-            target_point = img.ts[t_rep - 1].apply(rep_point)
-            target_oid = point_orbit[target_point]
-            if target_oid not in node_id:
-                node_id[target_oid] = len(order)
-                order.append(target_oid)
-            edges.append((t_rep, len(t_orbit), node_id[target_oid]))
-        nodes.append(DoubleCoset(rep, orbits[oid], stab, size, edges))
-    if len(nodes) != len(orbits):
+            target = img.ts[t_orbit[0] - 1].apply(point)
+            target_id = node_of[target] if target in node_of else discover(target)
+            edges.append((t_orbit[0], len(t_orbit), target_id))
+        nodes.append(DoubleCoset(img.cst[point - 1], tuple(sorted(orbit)),
+                                 stab, size, edges))
+    if len(node_of) != img.index:
         raise ImageError("collapsed graph is not connected from the trivial coset")
     return CollapsedGraph(img.spec, img.index, n_order, nodes)
 

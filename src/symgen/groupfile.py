@@ -119,6 +119,10 @@ def load_spec_data(data: dict, path: str = "<data>") -> GroupSpecFile:
         relators = []
         for item in relator_items:
             cw = parse_word(item["control_word"], gen_names)
+            for label in item["tail"]:
+                if label not in labels:
+                    raise SpecFileError(
+                        f"{path}: field 'relators' has unknown tail label {label!r}")
             tail = tuple(labels.index(l) + 1 for l in item["tail"])
             relators.append((cw, tail))
         spec = ProgenitorSpec(n, control_gens, presentation, tuple(relators),

@@ -229,17 +229,34 @@ class PermGroup:
 
     # -- chain ---------------------------------------------------------
 
-    def _orbit_transversal(self, point: int, gens: Sequence[Perm]):
+    def schreier(self, point: int, action: Sequence[Perm] | None = None):
+        """Orbit of point, its transversal and the stabilizer's Schreier
+        generators, in one breadth-first pass over the generators.
+
+        action, when given, pairs each generator with its permutation of
+        another point set (zip stops at the shorter); point and the orbit
+        are then in that set, while transversal elements and Schreier
+        generators stay in this group.  Returns (orbit in discovery order,
+        transversal with point^u_b == b, the distinct non-identity
+        u_a g u_(a^g)^-1 in discovery order), the last generating the
+        stabilizer of point.
+        """
+        pairs = list(zip(self.gens, self.gens if action is None else action))
         trans = {point: Perm.identity(self.degree)}
         orbit = [point]
+        stab: dict[tuple[int, ...], Perm] = {}
         for a in orbit:
             ua = trans[a]
-            for g in gens:
-                b = g.images[a - 1]
+            for g, act in pairs:
+                b = act.images[a - 1]
+                uag = ua * g
                 if b not in trans:
-                    trans[b] = ua * g
+                    trans[b] = uag
                     orbit.append(b)
-        return orbit, trans
+                elif uag != trans[b]:
+                    sg = uag * ~trans[b]
+                    stab.setdefault(sg.images, sg)
+        return orbit, trans, list(stab.values())
 
     @property
     def chain(self) -> list[_Level]:
@@ -248,20 +265,8 @@ class PermGroup:
             gens = [g for g in self.gens if not g.is_identity()]
             while gens:
                 point = min(min(g.moved()) for g in gens)
-                orbit, trans = self._orbit_transversal(point, gens)
-                level = _Level(point, orbit, trans, gens)
-                levels.append(level)
-                # Schreier generators of the stabilizer, deduplicated
-                seen: set[tuple[int, ...]] = set()
-                nxt = []
-                for a in orbit:
-                    ua = trans[a]
-                    for g in gens:
-                        b = g.images[a - 1]
-                        sg = ua * g * ~trans[b]
-                        if not sg.is_identity() and sg.images not in seen:
-                            seen.add(sg.images)
-                            nxt.append(sg)
+                orbit, trans, nxt = PermGroup(self.degree, gens).schreier(point)
+                levels.append(_Level(point, orbit, trans, gens))
                 gens = nxt
             self._chain = levels
         return self._chain

@@ -123,20 +123,14 @@ def build_presentation(spec: ProgenitorSpec) -> Presentation:
     relators: list[FreeWord] = list(spec.control_presentation.relators)
     relators.append((t, t))
 
-    group = spec.control_group
-    _, witness = group.orbit(1)
-
-    def t_conj(i: int) -> FreeWord:
-        w = witness[i]
-        return word_conj((t,), w)
-
-    for stab_word, _ in group.schreier_generators(1):
+    for stab_word, _ in spec.control_group.schreier_generators(1):
         relators.append(concat(invert_word((t,)), invert_word(stab_word),
                                (t,), stab_word))
+    t_words = default_t_words(spec)
     for control_word, tail in spec.relators:
         rel = control_word
         for i in tail:
-            rel = concat(rel, t_conj(i))
+            rel = concat(rel, t_words[i - 1])
         relators.append(rel)
     return Presentation(names, tuple(relators))
 

@@ -58,27 +58,33 @@ class SymContext:
 
     def element(self, control: Perm, word: Sequence[int],
                 canonical: bool = False) -> "SymElement":
-        return SymElement(self, control, tuple(word), canonical)
+        """Checked construction from outside input: the control must be a
+        degree-n member of N and every letter must lie in 1..n."""
+        if control.degree != self.n:
+            raise ValueError(f"control degree {control.degree} != {self.n}")
+        if control not in self.spec.control_group:
+            raise IdentificationError("control permutation is not in the control group")
+        word = tuple(word)
+        for letter in word:
+            if not 1 <= letter <= self.n:
+                raise ValueError(f"word letter {letter} out of range 1..{self.n}")
+        return SymElement(self, control, word, canonical)
 
     def identity_element(self) -> "SymElement":
         return SymElement(self, Perm.identity(self.n), (), True)
 
 
 class SymElement:
-    """control * t_word, with the control in its action on generator indices."""
+    """control * t_word, with the control in its action on generator indices.
+
+    Built unchecked: outside input goes through SymContext.element, and
+    the engines build results only from members of N.
+    """
 
     __slots__ = ("ctx", "control", "word", "canonical")
 
-    def __init__(self, ctx: SymContext, control: Perm, word: Sequence[int],
+    def __init__(self, ctx: SymContext, control: Perm, word: Word,
                  canonical: bool = False):
-        if control.degree != ctx.n:
-            raise ValueError(f"control degree {control.degree} != {ctx.n}")
-        if control not in ctx.spec.control_group:
-            raise IdentificationError("control permutation is not in the control group")
-        word = tuple(word)
-        for letter in word:
-            if not 1 <= letter <= ctx.n:
-                raise ValueError(f"word letter {letter} out of range 1..{ctx.n}")
         self.ctx = ctx
         self.control = control
         self.word = word
@@ -254,7 +260,7 @@ def parse_element(ctx: SymContext, text: str) -> SymElement:
     else:
         word = tuple(ctx.spec.label_index(tok.strip())
                      for tok in word_part.split("."))
-    return SymElement(ctx, control, word)
+    return ctx.element(control, word)
 
 
 def parse_label_cycles(text: str, labels: Sequence[str]) -> Perm:

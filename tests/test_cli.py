@@ -1,13 +1,16 @@
+import copy
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from symgen.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+FIXTURE_DIR = Path(__file__).parents[1] / "src/symgen/fixtures"
 
 
 def run_cli(capsys, *args):
@@ -89,6 +92,81 @@ def test_malformed_spec_field_exit_code(tmp_path, capsys, field, value):
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert repr(field) in lines[0]
+
+
+def test_unknown_tail_label_exit_code(tmp_path, capsys):
+    # the message names the label, not Python's "x not in tuple"
+    src = json.loads((FIXTURE_DIR / "5sq_d6.json").read_text(encoding="utf-8"))
+    src["relators"][0]["tail"][0] = "9"
+    path = tmp_path / "tail.json"
+    path.write_text(json.dumps(src), encoding="utf-8")
+    code, out, err = run_cli(capsys, "enumerate", str(path))
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and "unknown tail label '9'" in lines[0]
+
+
+FIXTURE_DATA = {name: json.loads((FIXTURE_DIR / f"{name}.json")
+                                 .read_text(encoding="utf-8"))
+                for name in ("l2_19", "5sq_d6", "u3_3")}
+
+JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 60), st.text(max_size=6),
+    st.lists(st.one_of(st.integers(-2, 60), st.text(max_size=3)), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(-2, 60), max_size=2))
+
+
+@st.composite
+def mutated_spec(draw):
+    """A bundled fixture with one field, label, tail entry, cycle string or
+    t_words entry replaced by junk or by a near-valid value."""
+    kind = draw(st.sampled_from(["field", "label", "tail", "cycle", "t_word"]))
+    name = "u3_3" if kind == "t_word" else draw(st.sampled_from(sorted(FIXTURE_DATA)))
+    data = copy.deepcopy(FIXTURE_DATA[name])
+    labels = data["labels"]
+
+    def pick(items):
+        return draw(st.integers(0, len(items) - 1))
+
+    if kind == "field":
+        data[draw(st.sampled_from(sorted(data)))] = draw(JUNK)
+    elif kind == "label":
+        labels[pick(labels)] = draw(st.text(max_size=3))
+    elif kind == "tail":
+        tail = data["relators"][pick(data["relators"])]["tail"]
+        tail[pick(tail)] = draw(st.one_of(st.sampled_from(labels),
+                                          st.text(max_size=3)))
+    elif kind == "cycle":
+        cycle = draw(st.lists(st.sampled_from(labels), unique=True, max_size=4))
+        gens = data["control_generators"]
+        gens[pick(gens)] = draw(st.one_of(
+            st.text(max_size=8), st.just("(" + ",".join(cycle) + ")")))
+    else:
+        names = data["control_generator_names"] + [data["t_name"]]
+        letter = st.tuples(st.sampled_from(names),
+                           st.sampled_from(["", "^-1", "^2"])).map("".join)
+        words = data["t_words"]
+        words[pick(words)] = draw(st.one_of(
+            st.text(max_size=6),
+            st.lists(letter, min_size=1, max_size=4).map("*".join)))
+    return data
+
+
+@settings(max_examples=50, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=mutated_spec())
+def test_mutated_spec_file_exits_cleanly(tmp_path, capsys, monkeypatch, data):
+    # a spec file broken in one place ends with a documented exit code, and
+    # every error exit prints exactly one error line and no traceback
+    monkeypatch.setenv("SYMGEN_MAX_COSETS", "2000")
+    path = tmp_path / "mutated.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    code, _, err = run_cli(capsys, "enumerate", str(path))
+    assert code in (0, 2, 3, 4, 5)
+    assert "Traceback" not in err
+    if code in (2, 4, 5):
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 def test_unsatisfied_control_relator_exit_code(tmp_path, capsys):

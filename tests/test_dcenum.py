@@ -38,7 +38,7 @@ def test_image_invariants(all_contexts):
             for i in range(1, ctx.n + 1):
                 assert img.ts[i - 1].conj(g_img) == img.ts[g_ctrl.apply(i) - 1]
         # control image fixes the trivial coset point
-        for g in img.control_image.gens:
+        for g in img.gens_image[:len(ctx.spec.control_gens)]:
             assert g.apply(1) == 1
 
 
@@ -141,6 +141,24 @@ def test_pointwise_stabilizer_inside_coset_stabilizer(all_contexts):
                          if all(e.apply(i) == i for i in letters)]
             for e in pointwise:
                 assert e in node.stabilizer
+
+
+def test_coset_stabilizers_match_their_definition(all_contexts):
+    # w is the least canonical word of its node, N^(w) = {nu in N :
+    # N w^nu = N w}, and the node's points are the cosets N w^nu, filtered
+    # straight from the elements of N
+    for ctx in all_contexts.values():
+        img = ctx.image
+        N = ctx.spec.control_group
+        for node in double_cosets(img).nodes:
+            moved = {nu: img.follow_word(tuple(nu.apply(i) for i in node.rep))
+                     for nu in N.elements()}
+            point = img.follow_word(node.rep)
+            assert node.rep == min((img.cst[p - 1] for p in node.points),
+                                   key=lambda w: (len(w), w))
+            assert {nu for nu in N.elements() if nu in node.stabilizer} == \
+                {nu for nu, p in moved.items() if p == point}
+            assert set(node.points) == set(moved.values())
 
 
 def test_edge_double_counting(all_contexts):
