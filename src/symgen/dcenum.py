@@ -11,13 +11,15 @@ from one orbit-Schreier pass of N itself (PermGroup.schreier) acting on
 the coset points, so N^(w) is found in N's own degree-n action.
 
 Construction is single-threaded; a built SymImage is effectively immutable
-and distinct images can be processed concurrently.
+(its tables are built on first use), and distinct images can be processed
+concurrently.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .perm import Perm, PermGroup, IdentificationError
@@ -37,11 +39,11 @@ class SymImage:
     gens_image[j-1] is the action on the coset points {1..index} of the
     j-th generator of the built presentation (the control generators, then
     t); ts[i-1] is the image of the i-th symmetric generator; cst[c-1] is
-    the canonical generator word reaching coset point c from point 1;
-    t_points[i-1] is the coset point N*t_i.  control_faithful_on_t_cosets
-    says the t_points are distinct: N then acts on them as it acts on the
-    generator indices, so a permutation fixing point 1 can be read back as
-    a control element (and N acts faithfully on the coset points).
+    the canonical generator word reaching coset point c from point 1.
+    control_action maps each element of N to its permutation of the coset
+    points.  control_faithful_on_t_cosets says the cosets N*t_i are
+    distinct, so N acts faithfully and a permutation fixing point 1 is
+    read back from control_action as the unique control element.
     """
 
     spec: ProgenitorSpec
@@ -49,19 +51,34 @@ class SymImage:
     gens_image: tuple[Perm, ...]
     ts: tuple[Perm, ...]
     cst: tuple[Word, ...]
-    t_points: tuple[int, ...]
     control_faithful_on_t_cosets: bool
-    _full_group: PermGroup | None = field(default=None, repr=False)
 
     @property
     def n(self) -> int:
         return self.spec.n
 
-    @property
+    @cached_property
     def full_group(self) -> PermGroup:
-        if self._full_group is None:
-            self._full_group = PermGroup(self.index, self.gens_image)
-        return self._full_group
+        return PermGroup(self.index, self.gens_image)
+
+    @cached_property
+    def control_action(self) -> dict[Perm, Perm]:
+        """N's action on the coset points, closed breadth-first from the
+        control generators' images; a word trivial in N (in a cover) fixes
+        point 1 and commutes with every t_i, so the action is well defined."""
+        action = {Perm.identity(self.n): Perm.identity(self.index)}
+        queue = list(action)
+        for nu in queue:
+            for gen, gen_image in zip(self.spec.control_gens, self.gens_image):
+                mu = nu * gen
+                if mu not in action:
+                    action[mu] = action[nu] * gen_image
+                    queue.append(mu)
+        return action
+
+    @cached_property
+    def _control_of_action(self) -> dict[Perm, Perm]:
+        return {g: nu for nu, g in self.control_action.items()}
 
     def follow_word(self, word: Sequence[int]) -> int:
         point = 1
@@ -70,33 +87,20 @@ class SymImage:
         return point
 
     def control_perm_of(self, g: Perm) -> Perm:
-        """Pull a coset permutation fixing point 1 back to the action on
-        generator indices, reading it off the length-one coset points."""
-        points = self.t_points
-        point_index = {p: i for i, p in enumerate(points, start=1)}
-        images = []
-        for p in points:
-            q = g.apply(p)
-            if q not in point_index:
-                raise IdentificationError(
-                    "permutation does not preserve the length-one coset points")
-            images.append(point_index[q])
-        pulled = Perm(images)
-        if pulled not in self.spec.control_group:
-            raise IdentificationError(
-                "action on length-one cosets is not induced by the control group")
-        return pulled
+        """The control element acting on the coset points as g does, read
+        off N's action table; a miss means g is not in the image of N."""
+        if g not in self._control_of_action:
+            raise IdentificationError("permutation is not in the group")
+        return self._control_of_action[g]
 
     def realize_control(self, nu: Perm) -> Perm:
         """Image of a control element as a permutation of coset points:
         coset of word w goes to the coset of w^nu."""
         if nu.degree != self.n:
             raise ValueError(f"control degree {nu.degree} != {self.n}")
-        if nu not in self.spec.control_group:
+        if nu not in self.control_action:
             raise IdentificationError("permutation is not in the control group")
-        images = [self.follow_word(tuple(nu.apply(i) for i in self.cst[c - 1]))
-                  for c in range(1, self.index + 1)]
-        return Perm(images)
+        return self.control_action[nu]
 
 
 def build_image(spec: ProgenitorSpec, t_words: Sequence[FreeWord] | None = None,
@@ -133,10 +137,9 @@ def build_image(spec: ProgenitorSpec, t_words: Sequence[FreeWord] | None = None,
                     "conjugation by the control image does not permute the "
                     "generators as the control action does")
 
-    t_points = tuple(t.apply(1) for t in ts)
     return SymImage(spec, table.index, gens_image, ts,
-                    _build_cst(ts, table.index), t_points,
-                    len(set(t_points)) == spec.n)
+                    _build_cst(ts, table.index),
+                    len({t.apply(1) for t in ts}) == spec.n)
 
 
 def _check_control_presentation(spec: ProgenitorSpec):
@@ -321,16 +324,10 @@ def verify_relators_in_image(spec: ProgenitorSpec, img: SymImage) -> list[str]:
     report = []
     for k, (control_word, tail) in enumerate(spec.relators, start=1):
         pi = spec.control_word_perm(control_word)
-        g = img.realize_control(pi)
-        for i in tail:
-            g = g * img.ts[i - 1]
-        if not g.is_identity():
+        tail_product = word_image(img.ts, tail)
+        if not (img.realize_control(pi) * tail_product).is_identity():
             raise ImageError(f"relator {k} does not evaluate to the identity")
-        tail_product = Perm.identity(img.index)
-        for i in tail:
-            tail_product = tail_product * img.ts[i - 1]
-        conj_action = img.control_perm_of(tail_product) if not tail_product.is_identity() \
-            else Perm.identity(img.n)
+        conj_action = img.control_perm_of(tail_product)
         if conj_action != ~pi:
             raise ImageError(f"relator {k}: tail word does not act as the "
                              "inverse control part")

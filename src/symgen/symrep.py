@@ -145,8 +145,9 @@ def per2sym(ctx: SymContext, p: Perm) -> SymElement:
     """Algorithm converting a coset permutation to its canonical pair.
 
     The image of point 1 names the coset, hence the word; stripping the
-    word off leaves a permutation fixing point 1, which is identified with
-    a control element by its action on the length-one coset points.
+    word off leaves a permutation fixing point 1, whose control element is
+    read off N's action table on the coset points.  A miss there means p
+    is not in the group, which raises IdentificationError.
     """
     img = ctx.require_image()
     if not img.control_faithful_on_t_cosets:

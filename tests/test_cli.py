@@ -299,6 +299,21 @@ def test_elt_membership_failure(capsys):
     assert code == 5
 
 
+@pytest.mark.parametrize("args", [
+    ("convert", "(8,9)"),
+    ("mult", "(8,9)", "(id | b0)"),
+    ("centralize", "(8,9)"),
+])
+def test_elt_permutation_outside_the_group(capsys, args):
+    # (8,9) swaps two cosets of word length 2 and fixes point 1 and every
+    # length-one coset, but is not in the group
+    code, out, err = run_cli(capsys, "elt", "u3_3", *args)
+    assert code == 5
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 def test_elt_bad_element_text(capsys):
     code, _, err = run_cli(capsys, "elt", "5sq_d6", "convert", "(id | banana)")
     assert code == 2

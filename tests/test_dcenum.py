@@ -298,3 +298,35 @@ def test_realize_control_rejects_non_members(u3_3):
     assert outside not in u3_3.spec.control_group
     with pytest.raises(IdentificationError):
         u3_3.image.realize_control(outside)
+    with pytest.raises(ValueError, match="control degree"):
+        u3_3.image.realize_control(Perm.identity(u3_3.n + 1))
+
+
+@pytest.mark.parametrize("name", ["l2_19", "5sq_d6", "u3_3"])
+def test_control_action_table_matches_coset_words(all_contexts, name):
+    # the table closed from the generators' images agrees with moving every
+    # coset word by nu, N w -> N w^nu, and control_perm_of inverts it
+    img = all_contexts[name].image
+    N = all_contexts[name].spec.control_group
+    for nu in N.elements():
+        g = img.realize_control(nu)
+        assert g.images == tuple(
+            img.follow_word(tuple(nu.apply(i) for i in img.cst[c - 1]))
+            for c in range(1, img.index + 1))
+        assert img.control_perm_of(g) == nu
+    assert len(set(img.control_action.values())) == N.order()
+
+
+@pytest.mark.parametrize("name", ["l2_19", "5sq_d6", "u3_3"])
+def test_per2sym_rejects_permutations_outside_the_group(all_contexts, name):
+    # swapping two cosets of word length 2 fixes point 1 and every N*t_i,
+    # so only the action on the other cosets shows it is not in the group
+    from symgen.perm import IdentificationError
+    from symgen.symrep import per2sym
+    ctx = all_contexts[name]
+    img = ctx.image
+    a, b = [c for c in range(1, img.index + 1) if len(img.cst[c - 1]) == 2][:2]
+    swap = parse_cycles(f"({a},{b})", img.index)
+    assert swap not in img.full_group
+    with pytest.raises(IdentificationError):
+        per2sym(ctx, swap)
