@@ -361,13 +361,19 @@ def todd_coxeter(pres: Presentation, subgroup_gens: Sequence[Sequence[int]] = ()
 
 
 def _check_closed(t: CosetTable, relators, subgens):
+    """Raise RuntimeError unless every subgroup generator fixes coset 0
+    and every relator closes at every coset."""
     for w in subgens:
         if t.trace(0, w) != 0:
-            raise AssertionError("subgroup generator does not fix coset 0")
+            raise RuntimeError(
+                f"coset table check failed: subgroup generator {w} "
+                f"does not fix coset 0")
     for c in range(t.index):
         for rel in relators:
             if t.trace(c, rel) != c:
-                raise AssertionError(f"relator does not close at coset {c}")
+                raise RuntimeError(
+                    f"coset table check failed: relator {rel} "
+                    f"does not close at coset {c}")
 
 
 def coset_action(t: CosetTable) -> list[Perm]:

@@ -8,11 +8,12 @@ first, so ``(p * q)(k) == q(p(k))`` and conjugation is ``p.conj(q) ==
 ~q * p * q``.
 
 Groups here are desk-scale (orders up to a few tens of thousands), so the
-stabilizer chain is the plain deterministic Schreier-Sims construction and
-set stabilizers / centralizers are found by filtered element enumeration
-behind an explicit size bound.  No randomization anywhere: two builds of
-the same group produce identical transversals, orders and element
-sequences.
+stabilizer chain is the plain deterministic Schreier-Sims construction.
+Set stabilizers are found by filtered element enumeration; centralizers
+split over the chain's top level, so a call multiplies out only the
+stabilizer of the first base point.  Both sit behind an explicit size
+bound.  No randomization anywhere: two builds of the same group produce
+identical transversals, orders and element sequences.
 
 Perm values are immutable.  A PermGroup builds its chain and caches lazily
 on first use, so share instances across threads only after forcing that
@@ -293,15 +294,28 @@ class PermGroup:
     def elements(self, max_elements: int = 10 ** 6) -> tuple[Perm, ...]:
         """All elements in a deterministic order; the identity comes first."""
         if self._elements is None:
-            if self.order() > max_elements:
-                raise GroupTooLarge(
-                    f"group order {self.order()} exceeds bound {max_elements}")
-            elems = [Perm.identity(self.degree)]
-            for level in reversed(self.chain):
-                elems = [e * level.transversal[pt]
-                         for e in elems for pt in level.orbit]
-            self._elements = tuple(elems)
+            self._check_order(max_elements)
+            self._elements = tuple(self._multiply_out(self.chain))
         return self._elements
+
+    def _check_order(self, max_elements: int) -> None:
+        if self.order() > max_elements:
+            raise GroupTooLarge(
+                f"group order {self.order()} exceeds bound {max_elements}")
+
+    def _multiply_out(self, levels: Sequence[_Level]) -> list[Perm]:
+        """Every product u_k * ... * u_1 of transversal elements, one per
+        level, the deepest level's varying slowest.
+
+        Over the whole chain this is elements(); over chain[1:] it is the
+        stabilizer of the first base point, and elements() is then
+        [e * u_c for e in those for c in the top orbit].
+        """
+        elems = [Perm.identity(self.degree)]
+        for level in reversed(levels):
+            elems = [e * level.transversal[pt]
+                     for e in elems for pt in level.orbit]
+        return elems
 
     def random_element(self, rng) -> Perm:
         g = Perm.identity(self.degree)
@@ -395,11 +409,43 @@ class PermGroup:
         return self._span_filter(matching)
 
     def centralizer(self, p: Perm, max_elements: int = 10 ** 6) -> "PermGroup":
-        """Centralizer of p, by filtered enumeration (p must lie in the group)."""
+        """Centralizer of p (p must lie in the group), split over the
+        chain's top level.
+
+        Every element is e * u_c, with e in the stabilizer H of the first
+        base point b and u_c the top transversal element for c, and it
+        centralizes p iff p.conj(e) == u_c * p * ~u_c =: q_c.  Since e fixes
+        b, it must then send b^p to b^(q_c), so for each c only the
+        elements of H with that image are compared with q_c, on image
+        tuples.  The matches are sorted by (index in H, index in the top
+        orbit), which is their order in elements(), so the generators kept
+        by the span filter are exactly those of filtering elements().
+        Raises GroupTooLarge when the group order exceeds max_elements.
+        """
         if p not in self:
             raise IdentificationError("element is not in the group")
-        matching = (g for g in self.elements(max_elements) if g * p == p * g)
-        return self._span_filter(matching)
+        self._check_order(max_elements)
+        if not self.chain:
+            return PermGroup(self.degree)
+        top = self.chain[0]
+        stab = self._multiply_out(self.chain[1:])
+        pb = p.images[top.point - 1]
+        by_image: dict[int, list[int]] = {}
+        for i, e in enumerate(stab):
+            by_image.setdefault(e.images[pb - 1], []).append(i)
+        p0 = tuple(k - 1 for k in p.images)
+        matches = []
+        for j, c in enumerate(top.orbit):
+            u = top.transversal[c]
+            q1 = (0,) + (u * p * ~u).images
+            for i in by_image.get(q1[top.point], ()):
+                ei = stab[i].images
+                # k^(p e) == k^(e q) for every point k
+                if tuple(map(ei.__getitem__, p0)) == tuple(map(q1.__getitem__, ei)):
+                    matches.append((i, j))
+        matches.sort()
+        return self._span_filter(stab[i] * top.transversal[top.orbit[j]]
+                                 for i, j in matches)
 
     # -- transversals ------------------------------------------------------
 

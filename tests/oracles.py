@@ -17,3 +17,9 @@ def closure_order(gens):
                 seen.add(y.images)
                 queue.append(y)
     return len(seen)
+
+
+def centralizer_by_enumeration(group, p):
+    """Centralizer of p by filtering every element of the group for the
+    ones commuting with p, spanned in element order."""
+    return group._span_filter(g for g in group.elements() if g * p == p * g)

@@ -2,9 +2,10 @@ import random
 
 import pytest
 
-from symgen.fpgroup import (CosetLimitExceeded, Presentation, coset_action,
-                            commutator, concat, invert_word, parse_word,
-                            reduce_word, todd_coxeter, word_image, word_str)
+from symgen.fpgroup import (CosetLimitExceeded, Presentation, _check_closed,
+                            coset_action, commutator, concat, invert_word,
+                            parse_word, reduce_word, todd_coxeter, word_image,
+                            word_str)
 from symgen.perm import parse_cycles
 
 from oracles import closure_order
@@ -111,6 +112,17 @@ def test_subgroup_enumeration():
     pres = Presentation.parse(["x", "y"], "x^5, y^2, (x*y)^3")
     t = todd_coxeter(pres, [(1,)])
     assert t.index == 12  # cosets of <x> in the order-60 group
+
+
+def test_closed_table_check_names_what_fails():
+    pres = Presentation.parse(["x", "y"], "x^5, y^2, (x*y)^3")
+    t = todd_coxeter(pres, [(1,)])
+    _check_closed(t, pres.relators, [(1,)])
+    # x^3 is not a relator of A5, and y does not lie in <x>
+    with pytest.raises(RuntimeError, match=r"relator \(1, 1, 1\) does not close at coset \d+$"):
+        _check_closed(t, pres.relators + ((1, 1, 1),), [(1,)])
+    with pytest.raises(RuntimeError, match=r"subgroup generator \(2,\) does not fix coset 0$"):
+        _check_closed(t, pres.relators, [(1,), (2,)])
 
 
 def test_max_cosets_limit():

@@ -5,7 +5,7 @@ import pytest
 from symgen.perm import (GroupTooLarge, IdentificationError, Perm, PermGroup,
                          cycles_str, parse_cycles, word_perm)
 
-from oracles import closure_order
+from oracles import centralizer_by_enumeration, closure_order
 
 # the 14-point control group used by the largest fixture; handy here because
 # its subgroup structure is known exactly
@@ -319,6 +319,42 @@ def test_centralizer_counting_identity():
         assert len(cls) * cent.order() == g.order()
         assert cent.order() == sum(1 for e in elems if e * p == p * e)
         assert all(h * p == p * h for h in cent.gens)
+
+
+def assert_centralizer_matches_oracle(g, p):
+    got, ref = g.centralizer(p), centralizer_by_enumeration(g, p)
+    assert got.gens == ref.gens
+    assert got.order() == ref.order()
+
+
+@pytest.mark.parametrize("name", ["5sq_d6", "l2_19", "u3_3"])
+@pytest.mark.parametrize("which", ["full", "control"])
+def test_centralizer_generators_match_enumeration(all_contexts, name, which):
+    # the split over the chain's top level keeps exactly the generators
+    # that filtering elements() keeps, at the identity and at random elements
+    ctx = all_contexts[name]
+    g = ctx.image.full_group if which == "full" else ctx.spec.control_group
+    rng = random.Random(9)
+    for p in [Perm.identity(g.degree)] + [g.random_element(rng) for _ in range(6)]:
+        assert_centralizer_matches_oracle(g, p)
+
+
+@pytest.mark.parametrize("g", [
+    PermGroup(3),
+    # intransitive: the first base point's orbit is {1,2,3}
+    PermGroup(7, (parse_cycles("(1,2,3)(4,5)", 7), parse_cycles("(1,2)(6,7)", 7))),
+    # cyclic: a chain of one level
+    PermGroup(5, (parse_cycles("(1,2,3,4,5)", 5),)),
+], ids=["trivial", "intransitive", "cyclic"])
+def test_centralizer_edge_groups_match_enumeration(g):
+    for p in g.elements():
+        assert_centralizer_matches_oracle(g, p)
+
+
+def test_centralizer_bound():
+    g = pgl_2_7()
+    with pytest.raises(GroupTooLarge):
+        g.centralizer(Perm.identity(14), max_elements=100)
 
 
 def test_associativity_randomized():
