@@ -9,7 +9,7 @@ Spec files are the JSON format of groupfile; bundled fixture names
 (l2_19, 5sq_d6, u3_3) are accepted wherever a path is.  Exit codes:
 0 ok, 2 parse/validation error, 3 expectation mismatch, 4 resource
 limit, 5 membership failure.  SYMGEN_MAX_COSETS overrides the coset
-limit for enumeration.
+limit, which bounds both the enumeration and the rewrite table.
 """
 
 from __future__ import annotations
@@ -43,7 +43,12 @@ def _load(spec_arg: str) -> GroupSpecFile:
 
 def _max_cosets() -> int:
     value = os.environ.get("SYMGEN_MAX_COSETS")
-    return int(value) if value else 10 ** 6
+    if not value:
+        return 10 ** 6
+    if not value.isdecimal() or int(value) < 1:
+        raise ValueError(
+            f"SYMGEN_MAX_COSETS must be a positive integer, got {value!r}")
+    return int(value)
 
 
 def _enumerate(gf: GroupSpecFile, out) -> int:

@@ -42,7 +42,7 @@ class GroupSpecFile:
     def build_context(self, with_rules: bool = True,
                       max_cosets: int = 10 ** 6) -> SymContext:
         image = build_image(self.spec, self.t_words, max_cosets=max_cosets)
-        rules = derive_rules(self.spec) if with_rules else None
+        rules = derive_rules(self.spec, max_cosets) if with_rules else None
         return SymContext(self.spec, rules=rules, image=image)
 
 

@@ -385,10 +385,15 @@ class PermGroup:
         gens = tuple(p for _, p in self.schreier_generators(k))
         return PermGroup(self.degree, gens)
 
-    def _span_filter(self, perms: Iterable[Perm]) -> "PermGroup":
+    def _span_filter(self, perms: Iterable[Perm],
+                     order: int = 0) -> "PermGroup":
+        """Span of perms, keeping each one outside the span of those kept,
+        until the span reaches the given order (all of perms by default)."""
         kept: list[Perm] = []
         sub = PermGroup(self.degree)
         for q in perms:
+            if sub.order() == order:
+                break
             if q.is_identity() or q in sub:
                 continue
             kept.append(q)
@@ -444,8 +449,9 @@ class PermGroup:
                 if tuple(map(ei.__getitem__, p0)) == tuple(map(q1.__getitem__, ei)):
                     matches.append((i, j))
         matches.sort()
-        return self._span_filter(stab[i] * top.transversal[top.orbit[j]]
-                                 for i, j in matches)
+        # the matches are all of C(p), so the span stops at |C(p)|
+        return self._span_filter((stab[i] * top.transversal[top.orbit[j]]
+                                  for i, j in matches), len(matches))
 
     # -- transversals ------------------------------------------------------
 

@@ -7,27 +7,27 @@ This module turns such a specification into
     for the first symmetric generator, commutators encoding its stabilizer,
     and the factoring relators rewritten through orbit witness words), and
 
-  * a rewrite-rule system over generator words, derived by closing the
-    relators under control-group conjugation, cyclic rotation and
-    inversion, then splitting each into pattern -> (permutation, shorter or
-    equal replacement) form.  Each rule also yields two half rules, with
-    its pattern's first or last letter moved into the replacement: the
-    effect of inserting an involution square t_k t_k beside a window and
-    letting the rule consume one k.  Words are canonicalized letter by
-    letter: the least form of (least word) * t_i is found once by a
-    bounded search over rule and half-rule moves and is then kept in a
-    table.  Every letter pair gets a direct rule up front, from one search
-    per control-group orbit of pairs moved over the orbit by conjugation.
+  * a rewrite-rule system over generator words.  The relators, closed
+    under control-group conjugation, cyclic rotation and inversion, are
+    split into rules t_pattern = perm * t_replacement.  Knuth-Bendix
+    completion under reverse shortlex makes them confluent, so every word
+    reduces to one normal form per coset of N.  The least (length, lex)
+    form of (least word) * t_i is then read off the completed system for
+    every least word and letter into one table, and a word is
+    canonicalized letter by letter through it.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .perm import Perm, PermGroup, word_perm
-from .fpgroup import (FreeWord, Presentation, concat, invert_word, reduce_word,
-                      word_conj, word_str)
+from .fpgroup import (CosetLimitExceeded, FreeWord, Presentation, concat,
+                      invert_word, reduce_word, word_conj, word_str)
 
 Word = tuple[int, ...]  # letters are symmetric-generator indices in 1..n
 
@@ -154,13 +154,6 @@ class Rule:
     replacement: Word
 
 
-def conjugate_rule(rule: Rule, pi: Perm) -> Rule:
-    """Map a rule through a control element: letters via pi, perm by conjugation."""
-    return Rule(tuple(pi.apply(i) for i in rule.pattern),
-                rule.perm.conj(pi),
-                tuple(pi.apply(i) for i in rule.replacement))
-
-
 def _relator_variants(spec: ProgenitorSpec):
     """All (perm, tail) relators: originals closed under control conjugation,
     cyclic rotation and inversion."""
@@ -196,138 +189,189 @@ def _relator_variants(spec: ProgenitorSpec):
     return list(pool.values())
 
 
-def derive_rules(spec: ProgenitorSpec) -> "RuleSet":
-    """Rewrite rules from the factoring relators.
+def derive_rules(spec: ProgenitorSpec, max_cosets: int = 10 ** 6) -> "RuleSet":
+    """Base rewrite rules from the factoring relators.
 
     Each relator variant pi * t_w = 1 is split at the middle into
-    t_u = pi^-1 * t_(reverse v), giving a shortening rule when |u| > |v|
-    and a swap rule when equal.  The full set is closed under control
-    conjugation by construction.
+    t_u = pi^-1 * t_(reverse v), with |u| >= |v|.  The set is closed under
+    control conjugation by construction.  RuleSet completes it on first
+    use, within the max_cosets budget.
     """
-    rules: dict[tuple[Word, tuple[int, ...], Word], Rule] = {}
+    rules = []
     for pi, w in _relator_variants(spec):
-        length = len(w)
-        a = (length + 1) // 2
-        pattern, v = w[:a], w[a:]
-        rule = Rule(pattern, ~pi, tuple(reversed(v)))
-        rules[(rule.pattern, rule.perm.images, rule.replacement)] = rule
-    ordered = sorted(rules.values(),
-                     key=lambda r: (len(r.pattern), r.pattern, r.replacement,
-                                    r.perm.images))
-    widest = max((len(r.pattern) for r in ordered), default=2)
-    slack = 2 if widest <= 2 else 4
-    ruleset = RuleSet(spec, tuple(ordered), slack)
-    ruleset.bootstrap_pairs()
-    return ruleset
+        a = (len(w) + 1) // 2
+        rules.append(Rule(w[:a], ~pi, tuple(reversed(w[a:]))))
+    ordered = sorted(rules, key=lambda r: (len(r.pattern), r.pattern,
+                                           r.replacement, r.perm.images))
+    return RuleSet(spec, tuple(ordered), max_cosets)
+
+
+def _shift(word: Word, pi: Perm) -> Word:
+    """The letters of word moved by pi: t_word pi = pi t_shift(word, pi)."""
+    images = pi.images
+    return tuple([images[i - 1] for i in word])
 
 
 class RuleSet:
-    """Base rules plus a lazy letter table over the rule system.
+    """The base rules, their Knuth-Bendix completion and the letter table.
 
-    A reachability move applies a rule or a half rule at some window.  A
-    half rule is a rule with the first or last letter k dropped from its
-    pattern and carried into its replacement: it is the standard manual
-    derivation step of inserting an involution square t_k t_k next to the
-    window and letting the rule consume one of the two k's.  Half rules
-    grow the word, so they fire only while it stays within ``slack``
-    letters above the query.
-
-      step(w, i)           -- least form of t_w t_i for a least word w,
-                              memoized per (w, i)
-      canonical_form(word) -- least (length, lex) form, one step per letter
-
-    The least words are the coset representatives, so the table has at
-    most index * n entries; it fills as products need it.
-
-    bootstrap_pairs gives every letter pair whose least form differs from
-    it a direct rule, so that the badly hidden pair identities (the ones
-    whose manual derivations run through long intermediate words) become
-    single moves afterwards.  It searches one pair per control-group orbit
-    and carries the result over the orbit by conjugation.
+    A rule t_u = pi * t_v rewrites x u y to x^pi v y and gathers pi into
+    the control part (t_x pi = pi t_(x^pi)).  Letters right of the window
+    stay put, so under reverse shortlex (length, then lex from the right)
+    a rule with v below u lowers every word it rewrites.  The completed
+    rules in system are confluent: reduce maps each word to the one
+    irreducible word of its coset N t_w.  max_cosets bounds the least
+    words, and n * max_cosets the rules that completion adds; past either,
+    building the table raises CosetLimitExceeded.
     """
 
     def __init__(self, spec: ProgenitorSpec, rules: tuple[Rule, ...],
-                 slack: int):
+                 max_cosets: int):
         self.spec = spec
         self.rules = rules
-        self.slack = slack
         self.n = spec.n
-        self._index(rules)
-        self._steps: dict[tuple[Word, int], tuple[Perm, Word]] = {}
+        self.max_cosets = max_cosets
+        self.system: dict[Word, Rule] = {}  # filled by the table's build
+        self._widths: tuple[int, ...] = ()  # left-hand side lengths, ascending
 
-    def _index(self, rules: tuple[Rule, ...]):
-        """Build the move tables, indexed by window width and then window,
-        each holding the distinct (perm, replacement) moves as dict keys:
-        one for rules alone, one for rules plus half rules."""
-        widths = range(max((len(r.pattern) for r in rules), default=0) + 1)
-        self._full: list[dict[Word, dict]] = [{} for _ in widths]
-        self._grow: list[dict[Word, dict]] = [{} for _ in widths]
-        for r in rules:
-            pi, pat, rep = r.perm, r.pattern, r.replacement
-            self._full[len(pat)].setdefault(pat, {})[pi, rep] = None
-            # t_pat = pi t_rep gives t_pat[1:] = pi t_(pi(pat[0])) t_rep
-            # and t_pat[:-1] = pi t_rep t_pat[-1]
-            for window, move in ((pat, rep),
-                                 (pat[1:], (pi.apply(pat[0]),) + rep),
-                                 (pat[:-1], rep + (pat[-1],))):
-                self._grow[len(window)].setdefault(window, {})[pi, move] = None
+    def reduce(self, word: Word) -> tuple[Perm, Word]:
+        """(delta, nf) with t_word = delta * t_nf and nf irreducible.
 
-    def bootstrap_pairs(self):
-        """Derive a direct rule for every two-letter word not in least form.
-
-        The base rules are closed under control conjugation, so the words
-        reachable from pair^nu are those reachable from pair, moved by nu,
-        with every delta conjugated by nu.  One exhaustive search per
-        control-group orbit of ordered pairs therefore settles the whole
-        orbit.  The searches run on the base rules alone, and the rules are
-        indexed only after the last one: a pair rule indexed earlier would
-        not come with its conjugates, and later searches would lose that
-        symmetry.  Conjugation keeps lengths, so only the shortest reached
-        words can hold an orbit member's least form.
+        Letters go one at a time onto an irreducible stack, so a redex can
+        only end at the letter just pushed.  A rule applied there moves the
+        stack below its window by its perm; the moved part is scanned
+        again, ahead of the replacement and the rest of the word.
         """
-        found = []
-        for pair, conjugators in self._pair_orbits():
-            reached = self._reach(pair, 3 + self.slack)
-            shortest = min(map(len, reached))
-            candidates = [w for w in reached if len(w) == shortest]
-            for target, nu in conjugators:
-                moved = {tuple(nu.apply(i) for i in w): w for w in candidates}
-                form = min(moved)
-                if form != target:
-                    w = moved[form]
-                    found.append(conjugate_rule(Rule(pair, reached[w], w), nu))
-        self._index(self.rules + tuple(found))
+        system = self.system
+        delta = tuple(range(1, self.n + 1))
+        out: list[int] = []
+        todo = list(reversed(word))
+        while todo:
+            letter = todo.pop()
+            if out and out[-1] == letter:
+                out.pop()
+                continue
+            out.append(letter)
+            # shortest first: a slice longer than out is all of out, and
+            # out's own length was probed before it
+            for k in self._widths:
+                rule = system.get(tuple(out[-k:]))
+                if rule is not None:
+                    break
+            else:
+                continue
+            del out[-k:]
+            delta = _shift(delta, rule.perm)
+            todo += reversed(rule.replacement)
+            todo += reversed(_shift(out, rule.perm))
+            out.clear()
+        return Perm(delta), tuple(out)
 
-    def _pair_orbits(self) -> list[tuple[Word, list[tuple[Word, Perm]]]]:
-        """Control-group orbits on ordered pairs of distinct letters: each
-        orbit's least pair with (pair^nu, nu) for one nu per orbit member."""
-        elems = self.spec.control_group.elements()
-        seen: set[Word] = set()
-        orbits = []
-        for a in range(1, self.n + 1):
-            for b in range(1, self.n + 1):
-                if a == b or (a, b) in seen:
-                    continue
-                members = {}
-                for nu in elems:
-                    members.setdefault((nu.apply(a), nu.apply(b)), nu)
-                seen.update(members)
-                orbits.append(((a, b), list(members.items())))
-        return orbits
+    def _complete(self):
+        """Knuth-Bendix completion of the base rules under reverse shortlex.
+
+        Equations p t_u = q t_v wait in a heap, shortest first.  Each one
+        popped is reduced on both sides and, unless they meet, oriented
+        into a new rule; equal words under unequal perms mean the relators
+        collapse N.  A new rule sends back as equations the rules whose
+        left-hand side contains its own, then queues its critical pairs.
+        """
+        identity = Perm.identity(self.n)
+        heap: list = []
+        tiebreak = itertools.count()
+
+        def push(p: Perm, u: Word, q: Perm, v: Word):
+            key = max((len(u), u[::-1]), (len(v), v[::-1]))
+            heapq.heappush(heap, (key, next(tiebreak), p, u, q, v))
+
+        for r in self.rules:
+            push(identity, r.pattern, r.perm, r.replacement)
+        added = 0
+        while heap:
+            _, _, p, u, q, v = heapq.heappop(heap)
+            d, u = self.reduce(u)
+            e, v = self.reduce(v)
+            p, q = p * d, q * e
+            if u == v:
+                if p != q:
+                    raise ValueError("the factoring relators identify a "
+                                     "non-identity element of N with 1")
+                continue
+            if (len(u), u[::-1]) < (len(v), v[::-1]):
+                p, u, q, v = q, v, p, u
+            added += 1
+            if added > self.n * self.max_cosets:
+                raise CosetLimitExceeded(self.max_cosets)
+            stale = [r for lhs, r in self.system.items()
+                     if any(lhs[i:i + len(u)] == u for i in range(len(lhs)))]
+            for r in stale:
+                del self.system[r.pattern]
+                push(identity, r.pattern, r.perm, r.replacement)
+            rule = self.system[u] = Rule(u, ~p * q, v)
+            self._widths = tuple(sorted({*self._widths, len(u)}))
+            for pair in self._critical_pairs(rule):
+                push(*pair)
+
+    def _critical_pairs(self, rule: Rule):
+        """The two one-step rewrites (p, u, q, v) of each word where rule
+        overlaps t_c t_c = 1, a control generator g on its right, or a rule
+        in system (itself too).  The generator overlap is the conjugate
+        rule t_(u^g) = pi^g t_(v^g): a rewrite moves the letters left of
+        its window, so the rules there must also join in moved form."""
+        identity = Perm.identity(self.n)
+        u, pi, v = rule.pattern, rule.perm, rule.replacement
+        yield identity, u[:-1], pi, v + u[-1:]
+        yield identity, u[1:], pi, _shift(u[:1], pi) + v
+        for g in self.spec.control_gens:
+            yield identity, _shift(u, g), pi.conj(g), _shift(v, g)
+        for other in list(self.system.values()):
+            for a, b in ((rule, other), (other, rule)):
+                # a's pattern ends with the k letters that b's begins with
+                for k in range(1, min(len(a.pattern), len(b.pattern))):
+                    if a.pattern[-k:] == b.pattern[:k]:
+                        yield (a.perm, a.replacement + b.pattern[k:], b.perm,
+                               _shift(a.pattern[:-k], b.perm) + b.replacement)
+
+    @cached_property
+    def table(self) -> dict[tuple[Word, int], tuple[Perm, Word]]:
+        """One breadth-first pass over least words in (length, lex) order.
+
+        Least words are prefix-closed, so a coset's least word s_c is the
+        first extension s + (i,) whose normal form nf_c is new, and
+        t_(s_c) = eps_c t_(nf_c).  If t_s t_i = delta t_nf, the entry
+        (s, i) is (delta * eps_c^-1, s_c) for nf's coset c.
+        """
+        self._complete()
+        identity = Perm.identity(self.n)
+        least: dict[Word, tuple[Word, Perm]] = {(): ((), identity)}
+        table: dict[tuple[Word, int], tuple[Perm, Word]] = {}
+        queue: list[Word] = [()]
+        for s in queue:
+            for i in range(1, self.n + 1):
+                delta, nf = self.reduce(s + (i,))
+                if nf not in least:
+                    if len(least) >= self.max_cosets:
+                        raise CosetLimitExceeded(self.max_cosets)
+                    least[nf] = s + (i,), delta
+                    queue.append(s + (i,))
+                word, eps = least[nf]
+                table[s, i] = delta * ~eps, word
+        return table
 
     def canonical_form(self, word: Word,
                        trace: list | None = None) -> tuple[Perm, Word]:
-        """Least form of a word with its gathered perm, t_word = perm *
-        t_form: a left-to-right scan that extends the least form of each
-        prefix by one letter.  When given, trace collects the (length,
-        word) measure of the input and of the whole word after every step
-        that rewrites it."""
+        """Least (length, lex) form of a word with its gathered perm,
+        t_word = perm * t_form: a left-to-right scan that extends the least
+        form of each prefix by one table entry.  When given, trace collects
+        the (length, word) measure of the input and of the whole word after
+        every step that rewrites it."""
+        table = self.table
         identity = perm = Perm.identity(self.n)
         form: Word = ()
         if trace is not None:
             trace.append((len(word), word))
         for k, letter in enumerate(word):
-            delta, new = self.step(form, letter)
+            delta, new = table[form, letter]
             if delta != identity:  # cheaper than a product on warm scans
                 perm = perm * delta
             if trace is not None and new != form + (letter,):
@@ -335,67 +379,3 @@ class RuleSet:
                 trace.append((len(current), current))
             form = new
         return perm, form
-
-    def step(self, w: Word, letter: int) -> tuple[Perm, Word]:
-        """Least form of t_w t_letter for a least word w: (delta, form) with
-        t_w t_letter = delta * t_form."""
-        key = (w, letter)
-        result = self._steps.get(key)
-        if result is not None:
-            return result
-        word = w + (letter,)
-        if w and w[-1] == letter:
-            result = Perm.identity(self.n), w[:-1]
-        else:
-            reached = self._reach(word, len(word) + self.slack,
-                                  stop_shorter=True)
-            form = min(reached, key=lambda v: (len(v), v))
-            delta = reached[form]
-            if len(form) < len(word):
-                # every step of this scan extends a word shorter than w
-                rest, form = self.canonical_form(form)
-                delta = delta * rest
-            result = delta, form
-        self._steps[key] = result
-        return result
-
-    def _reach(self, word: Word, limit: int,
-               stop_shorter: bool = False) -> dict[Word, Perm]:
-        """Breadth-first search over word states no longer than limit:
-        each reached state maps to the delta with t_word = delta * t_state.
-        Any two derivations of the same state carry the same delta (the
-        residue is determined in the image), so first-found wins.  With
-        stop_shorter the search returns at the first state shorter than
-        word, which is then the only such state in the map."""
-        best: dict[Word, Perm] = {word: Perm.identity(self.n)}
-        frontier = [word]
-        while frontier:
-            nxt: list[Word] = []
-            for state in frontier:
-                delta = best[state]
-                for new_state, step in self._moves(state, limit):
-                    if new_state not in best:
-                        best[new_state] = delta * step
-                        if stop_shorter and len(new_state) < len(word):
-                            return best
-                        nxt.append(new_state)
-            frontier = nxt
-        return best
-
-    def _moves(self, state: Word, limit: int) -> list[tuple[Word, Perm]]:
-        """Every rule (and, with room for two more letters, half rule)
-        application to state, gathering the rule permutation over the
-        prefix: t_x t_pat t_y = pi t_(x^pi) t_rep t_y."""
-        L = len(state)
-        index = self._grow if L + 2 <= limit else self._full
-        out = []
-        for width, windows in enumerate(index[:L + 1]):
-            if not windows:
-                continue
-            for q in range(L - width + 1):
-                for perm, rep in windows.get(state[q:q + width], ()):
-                    prefix = tuple(perm.apply(i) for i in state[:q])
-                    out.append((normalize_tail(
-                        prefix + rep + state[q + width:], self.n), perm))
-        return out
-

@@ -124,11 +124,11 @@ def canon(raw: tuple[Perm, Word], rules: RuleSet, *,
 
     One left-to-right pass over the word (RuleSet.canonical_form): each
     letter extends the least form of the prefix before it, through the
-    rule system's memoized (least word, letter) table, and the table's
-    permutation is gathered into the control part.  When given, trace
-    collects the (length, word) measure of the input and of the whole word
-    after every rewrite step; each entry is strictly less than the one
-    before.
+    (least word, letter) table read off the completed rule system on first
+    use, and the table's permutation is gathered into the control part.
+    When given, trace collects the (length, word) measure of the input and
+    of the whole word after every rewrite step; each entry is strictly
+    less than the one before.
     """
     perm, word = raw
     delta, form = rules.canonical_form(normalize_tail(word, rules.n),

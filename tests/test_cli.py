@@ -235,6 +235,17 @@ def test_limit_exit_code(tmp_path, capsys, monkeypatch):
     assert "limit" in err or "exceeded" in err
 
 
+@pytest.mark.parametrize("value", ["abc", "0", "-5", "1.5"])
+def test_max_cosets_must_be_a_positive_integer(capsys, monkeypatch, value):
+    # a limit that is not a positive integer is bad input, not a resource limit
+    monkeypatch.setenv("SYMGEN_MAX_COSETS", value)
+    code, out, err = run_cli(capsys, "enumerate", "5sq_d6")
+    assert code == 2
+    assert out == ""
+    assert err == ("error: SYMGEN_MAX_COSETS must be a positive integer, "
+                   f"got {value!r}\n")
+
+
 def test_graph_golden_bytes(tmp_path, capsys):
     for fmt in ("dot", "json"):
         out_file = tmp_path / f"g.{fmt}"

@@ -16,3 +16,16 @@ def test_demo_runs_cleanly(demo):
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
+
+
+def test_readme_python_block_prints_its_comment():
+    # the README's worked conversion states its output in a comment on the
+    # print line; run the block and compare
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    expected = block.rstrip().splitlines()[-1].split("# ", 1)[1]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", block], cwd=ROOT, env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == expected + "\n"

@@ -5,9 +5,13 @@ import pytest
 from symgen.fpgroup import (CosetLimitExceeded, Presentation, parse_word,
                             todd_coxeter, word_image, coset_action)
 from symgen.perm import Perm, parse_cycles, word_perm
-from symgen.progenitor import (ProgenitorSpec, Rule, build_presentation,
-                               conjugate_rule, derive_rules, normalize_tail)
+from symgen.progenitor import (ProgenitorSpec, Rule, RuleSet,
+                               build_presentation, derive_rules,
+                               normalize_tail)
 from symgen.groupfile import load_bundled
+from oracles import conjugate_rule
+
+FIXTURES = ["5sq_d6", "l2_19", "u3_3"]
 
 
 def test_normalize_tail():
@@ -225,8 +229,8 @@ def test_default_t_words_reach_all_generators(l2_19):
 
 
 def test_pair_canonical_forms_match_image(all_contexts):
-    # every ordered pair, including the u3_3 pair orbits whose least forms
-    # only the depth-(3 + slack) orbit search finds
+    # every ordered pair, including the u3_3 pairs whose least forms lie
+    # past long detours that no single base rule shortens
     from symgen.symrep import per2sym
     for name, ctx in all_contexts.items():
         img = ctx.image
@@ -240,111 +244,124 @@ def test_pair_canonical_forms_match_image(all_contexts):
                 assert (delta, form) == (e.control, e.word), (name, a, b)
 
 
-@pytest.mark.parametrize("name,searches", [("5sq_d6", 1), ("l2_19", 1),
-                                           ("u3_3", 3)])
-def test_bootstrap_searches_one_pair_per_orbit(monkeypatch, name, searches):
-    from symgen.progenitor import RuleSet
-    reach = RuleSet._reach
-    queries = []
+def _realize(img, perm, word):
+    p = img.realize_control(perm)
+    for letter in word:
+        p = p * img.ts[letter - 1]
+    return p
 
-    def counting_reach(self, word, limit, stop_shorter=False):
-        queries.append(word)
-        return reach(self, word, limit, stop_shorter)
 
-    monkeypatch.setattr(RuleSet, "_reach", counting_reach)
-    rules = derive_rules(load_bundled(name).spec)
-    assert len(queries) == searches
-    assert len(rules._pair_orbits()) == searches
-    # the representatives' orbits partition the ordered pairs
-    n = rules.n
-    covered = [target for _, members in rules._pair_orbits()
-               for target, _ in members]
-    assert sorted(covered) == [(a, b) for a in range(1, n + 1)
-                               for b in range(1, n + 1) if a != b]
+@pytest.mark.parametrize("name", FIXTURES)
+def test_completed_system_is_confluent(all_contexts, name):
+    # every rule holds in the image and lowers its word in reverse shortlex;
+    # every critical pair joins: the overlaps of two left-hand sides, the
+    # overlaps with t_c t_c = 1 at either end and the conjugates by the
+    # control generators; no left-hand side contains another
+    ctx = all_contexts[name]
+    rules = ctx.rules
+    rules.table
+    system = list(rules.system.values())
+    identity = Perm.identity(rules.n)
+
+    def shift(word, pi):
+        return tuple(pi.apply(i) for i in word)
+
+    def joins(p, u, q, v):
+        d, u = rules.reduce(u)
+        e, v = rules.reduce(v)
+        return u == v and p * d == q * e
+
+    for r in system:
+        u, pi, v = r.pattern, r.perm, r.replacement
+        assert rules.system[u] is r
+        assert (len(v), v[::-1]) < (len(u), u[::-1])
+        assert _realize(ctx.image, identity, u) == _realize(ctx.image, pi, v)
+        assert joins(identity, u[:-1], pi, v + u[-1:]), r
+        assert joins(identity, u[1:], pi, shift(u[:1], pi) + v), r
+        for g in ctx.spec.control_gens:
+            assert joins(identity, shift(u, g), pi.conj(g),
+                         shift(v, g)), (r, g)
+        for s in system:
+            w = s.pattern
+            if s is not r:
+                assert all(u[i:i + len(w)] != w
+                           for i in range(len(u) - len(w) + 1)), (r, s)
+            for k in range(1, min(len(u), len(w))):
+                if u[-k:] == w[:k]:
+                    assert joins(pi, v + w[k:], s.perm,
+                                 shift(u[:-k], s.perm) + s.replacement), (r, s)
 
 
 @pytest.mark.parametrize("name,words,entries", [("5sq_d6", 50, 150),
                                                 ("l2_19", 57, 342),
                                                 ("u3_3", 36, 504)])
-def test_letter_table_closes_on_coset_representatives(monkeypatch, all_contexts,
-                                                      name, words, entries):
-    # the least words the table reaches from () are exactly the image's
-    # coset representatives, so a complete table needs no further search
-    from symgen.progenitor import RuleSet
-    from symgen.symrep import canon, per2sym, unify
+def test_letter_table_closes_on_coset_representatives(all_contexts, name,
+                                                      words, entries):
+    # the table's least words are exactly the image's coset representatives,
+    # and every entry is the image engine's form of t_s t_i
+    from symgen.symrep import per2sym
     ctx = all_contexts[name]
-    rules = ctx.rules
-    reached, frontier = {()}, [()]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for letter in range(1, rules.n + 1):
-                _, form = rules.step(w, letter)
-                if form not in reached:
-                    reached.add(form)
-                    nxt.append(form)
-        frontier = nxt
-    assert reached == set(ctx.image.cst)
-    assert len(reached) == words
-    assert len(rules._steps) == entries
+    img = ctx.image
+    table = ctx.rules.table
+    assert {s for s, _ in table} == set(img.cst)
+    assert len(set(img.cst)) == words
+    assert len(table) == entries
+    identity = Perm.identity(ctx.n)
+    for (s, i), entry in table.items():
+        e = per2sym(ctx, _realize(img, identity, s + (i,)))
+        assert entry == (e.control, e.word), (name, s, i)
 
-    searches = []
-    reach = RuleSet._reach
 
-    def counting_reach(self, word, limit, stop_shorter=False):
-        searches.append(word)
-        return reach(self, word, limit, stop_shorter)
+@pytest.mark.parametrize("name", FIXTURES)
+def test_products_read_the_table_without_reducing(monkeypatch, all_contexts,
+                                                  name):
+    from symgen.symrep import canon, per2sym, sym2per, unify
+    ctx = all_contexts[name]
+    ctx.rules.table
+    reduced = []
+    reduce = RuleSet.reduce
 
-    monkeypatch.setattr(RuleSet, "_reach", counting_reach)
+    def counting_reduce(self, word):
+        reduced.append(word)
+        return reduce(self, word)
+
+    monkeypatch.setattr(RuleSet, "reduce", counting_reduce)
     rng = random.Random(11)
     full = ctx.image.full_group
     for _ in range(200):
         a = per2sym(ctx, full.random_element(rng))
         b = per2sym(ctx, full.random_element(rng))
-        perm, word = canon(unify(a, b), rules)
-        assert word in reached
-    assert searches == []
+        perm, word = canon(unify(a, b), ctx.rules)
+        e = per2sym(ctx, sym2per(ctx, a) * sym2per(ctx, b))
+        assert (perm, word) == (e.control, e.word)
+    assert reduced == []
 
 
-def insertion_moves(by_pattern, n, state, limit):
-    """Reference move generator: apply each rule at every window and, with
-    room for two more letters, insert t_k t_k at every position and apply
-    each rule at every window that overlaps an inserted letter."""
-    def apply_at(word, q, width):
-        for perm, rep in by_pattern.get(word[q:q + width], ()):
-            prefix = tuple(perm.apply(i) for i in word[:q])
-            yield normalize_tail(prefix + rep + word[q + width:], n), perm
-
-    widths = sorted({len(p) for p in by_pattern})
-    L = len(state)
-    for width in widths:
-        for q in range(L - width + 1):
-            yield from apply_at(state, q, width)
-    if L + 2 <= limit:
-        for p in range(L + 1):
-            for k in range(1, n + 1):
-                grown = state[:p] + (k, k) + state[p:]
-                for width in widths:
-                    for q in range(max(0, p - width + 1),
-                                   min(p + 1, len(grown) - width) + 1):
-                        yield from apply_at(grown, q, width)
+@pytest.mark.parametrize("max_cosets,fits", [(36, True), (35, False)])
+def test_rewrite_table_is_bounded_by_max_cosets(max_cosets, fits):
+    rules = derive_rules(load_bundled("u3_3").spec, max_cosets)
+    if fits:
+        assert len({s for s, _ in rules.table}) == 36
+    else:
+        with pytest.raises(CosetLimitExceeded):
+            rules.table
 
 
-@pytest.mark.parametrize("name", ["5sq_d6", "l2_19", "u3_3"])
-def test_half_rules_make_the_square_insertion_moves(all_contexts, name):
-    rules = all_contexts[name].rules
-    by_pattern = {pattern: moves for windows in rules._full
-                  for pattern, moves in windows.items()}
-    rng = random.Random(23)
-    for length in range(8):
-        for _ in range(12):
-            state = ()
-            while len(state) < length:
-                letter = rng.randrange(1, rules.n + 1)
-                if not state or state[-1] != letter:
-                    state += (letter,)
-            for extra in (0, 1, 2, rules.slack):
-                limit = length + extra
-                assert set(rules._moves(state, limit)) == set(
-                    insertion_moves(by_pattern, rules.n, state, limit)), \
-                    (state, limit)
+def test_rewrite_engine_without_factoring_relators_hits_the_budget():
+    spec = spec_without_relators(load_bundled("5sq_d6").spec)
+    rules = derive_rules(spec, max_cosets=200)
+    with pytest.raises(CosetLimitExceeded):
+        rules.canonical_form((1, 2))
+
+
+def test_relator_that_collapses_the_control_group_raises():
+    # x * t_1 = 1 makes t_1 = x^-1, and t_1^2 = 1 then forces x^2 = 1,
+    # which the order-3 generator x does not satisfy
+    spec = load_bundled("5sq_d6").spec
+    names = spec.control_presentation.names
+    collapsing = ProgenitorSpec(spec.n, spec.control_gens,
+                                spec.control_presentation,
+                                ((parse_word("x", names), (1,)),),
+                                spec.labels, t_name=spec.t_name)
+    with pytest.raises(ValueError, match="non-identity element of N"):
+        derive_rules(collapsing).table
