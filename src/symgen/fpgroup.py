@@ -27,10 +27,13 @@ FreeWord = tuple[int, ...]
 
 
 class CosetLimitExceeded(RuntimeError):
-    """Enumeration abandoned: the coset limit was hit before closure."""
+    """A search abandoned at its budget before closure: Todd-Coxeter's
+    cosets by default; stage and unit name another search the coset limit
+    bounds, such as the rewrite engine's letter table."""
 
-    def __init__(self, limit: int):
-        super().__init__(f"coset enumeration exceeded the limit of {limit} cosets")
+    def __init__(self, limit: int, stage: str = "coset enumeration",
+                 unit: str = "cosets"):
+        super().__init__(f"{stage} exceeded the limit of {limit} {unit}")
         self.limit = limit
 
 

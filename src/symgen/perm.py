@@ -15,6 +15,13 @@ stabilizer of the first base point.  Both sit behind an explicit size
 bound.  No randomization anywhere: two builds of the same group produce
 identical transversals, orders and element sequences.
 
+Only outside input is validated: Perm(images), and so parse_cycles, the
+label-cycle parser and the coset action read off a coset table, checks that
+the images form a permutation, and apply() range-checks its point.
+Products, inverses, conjugates, powers and identity() are built unchecked
+from permutations already valid, the product and images_of() in one C-level
+gather (operator.itemgetter), so composing pays for no validation.
+
 Perm values are immutable.  A PermGroup builds its chain and caches lazily
 on first use, so share instances across threads only after forcing that
 (e.g. by calling order()); afterwards reads are safe everywhere.
@@ -23,6 +30,7 @@ on first use, so share instances across threads only after forcing that
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 
@@ -35,7 +43,13 @@ class IdentificationError(ValueError):
 
 
 class Perm:
-    """A permutation of {1..degree}, stored as the tuple of images."""
+    """A permutation of {1..degree}, stored as the tuple of images.
+
+    Perm(images) is the checked constructor, for outside input: images
+    must be a permutation of 1..len(images).  Products, inverses,
+    conjugates, powers and identity() build their results with no check
+    (_trusted), since the check costs more than composing them.
+    """
 
     __slots__ = ("images",)
 
@@ -43,7 +57,7 @@ class Perm:
         images = tuple(images)
         if sorted(images) != list(range(1, len(images) + 1)):
             raise ValueError(f"not a permutation of 1..{len(images)}: {images!r}")
-        object.__setattr__(self, "images", images)
+        _set_images(self, images)
 
     def __setattr__(self, name, value):
         raise AttributeError("Perm is immutable")
@@ -52,7 +66,7 @@ class Perm:
     def identity(degree: int) -> "Perm":
         if degree < 1:
             raise ValueError("degree must be >= 1")
-        return Perm(range(1, degree + 1))
+        return _trusted(tuple(range(1, degree + 1)))
 
     @property
     def degree(self) -> int:
@@ -65,19 +79,28 @@ class Perm:
 
     __call__ = apply
 
+    def images_of(self, points: Sequence[int]) -> tuple[int, ...]:
+        """The image of each point in turn, unchecked: every point must
+        lie in 1..degree (e.g. the letters of a word moved by a control
+        element)."""
+        if len(points) > 1:
+            return itemgetter(*points)((0,) + self.images)
+        return tuple(self.images[k - 1] for k in points)
+
     def __mul__(self, other: "Perm") -> "Perm":
         # self acts first: k^(self*other) == (k^self)^other
-        if len(self.images) != len(other.images):
-            raise ValueError(
-                f"degree mismatch: {len(self.images)} != {len(other.images)}")
-        oi = other.images
-        return Perm(tuple(oi[i - 1] for i in self.images))
+        si, oi = self.images, other.images
+        if len(si) != len(oi):
+            raise ValueError(f"degree mismatch: {len(si)} != {len(oi)}")
+        if len(si) == 1:  # itemgetter of one index gives no tuple
+            return other
+        return _trusted(itemgetter(*si)((0,) + oi))
 
     def __invert__(self) -> "Perm":
         inv = [0] * len(self.images)
         for k, i in enumerate(self.images, start=1):
             inv[i - 1] = k
-        return Perm(inv)
+        return _trusted(tuple(inv))
 
     def __pow__(self, n: int) -> "Perm":
         if n < 0:
@@ -96,7 +119,7 @@ class Perm:
         return ~other * self * other
 
     def is_identity(self) -> bool:
-        return all(i == k for k, i in enumerate(self.images, start=1))
+        return self.images == tuple(range(1, len(self.images) + 1))
 
     def order(self) -> int:
         n = 1
@@ -132,6 +155,17 @@ class Perm:
 
     def __repr__(self) -> str:
         return f"Perm({cycles_str(self)!r}, degree={len(self.images)})"
+
+
+_set_images = Perm.images.__set__  # the slot's own setter, past __setattr__
+
+
+def _trusted(images: tuple[int, ...]) -> Perm:
+    """A Perm on images with no check: only for tuples computed from valid
+    permutations of the same degree."""
+    p = object.__new__(Perm)
+    _set_images(p, images)
+    return p
 
 
 def parse_cycles(text: str, degree: int) -> Perm:

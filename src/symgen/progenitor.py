@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .perm import Perm, PermGroup, word_perm
+from .perm import Perm, PermGroup, _trusted, word_perm
 from .fpgroup import (CosetLimitExceeded, FreeWord, Presentation, concat,
                       invert_word, reduce_word, word_conj, word_str)
 
@@ -177,15 +177,15 @@ def _relator_variants(spec: ProgenitorSpec):
         # cyclic rotation: conjugating pi*t_a*u = 1 by pi*t_a gives
         # u*pi*t_a = pi * u^pi * t_a
         a, rest = w[0], w[1:]
-        rotated = tuple(pi.apply(i) for i in rest) + (a,)
+        rotated = pi.images_of(rest) + (a,)
         add(pi, rotated)
         # inversion: (pi*w)^-1 = pi^-1 * reverse(w)^(pi^-1)
         inv = ~pi
-        add(inv, tuple(inv.apply(i) for i in reversed(w)))
+        add(inv, inv.images_of(w[::-1]))
 
     for pi, tail in seeds:
         for nu in elems:
-            add(pi.conj(nu), tuple(nu.apply(i) for i in tail))
+            add(pi.conj(nu), nu.images_of(tail))
     return list(pool.values())
 
 
@@ -204,12 +204,6 @@ def derive_rules(spec: ProgenitorSpec, max_cosets: int = 10 ** 6) -> "RuleSet":
     ordered = sorted(rules, key=lambda r: (len(r.pattern), r.pattern,
                                            r.replacement, r.perm.images))
     return RuleSet(spec, tuple(ordered), max_cosets)
-
-
-def _shift(word: Word, pi: Perm) -> Word:
-    """The letters of word moved by pi: t_word pi = pi t_shift(word, pi)."""
-    images = pi.images
-    return tuple([images[i - 1] for i in word])
 
 
 class RuleSet:
@@ -261,11 +255,11 @@ class RuleSet:
             else:
                 continue
             del out[-k:]
-            delta = _shift(delta, rule.perm)
+            delta = rule.perm.images_of(delta)
             todo += reversed(rule.replacement)
-            todo += reversed(_shift(out, rule.perm))
+            todo += reversed(rule.perm.images_of(out))
             out.clear()
-        return Perm(delta), tuple(out)
+        return _trusted(delta), tuple(out)
 
     def _complete(self):
         """Knuth-Bendix completion of the base rules under reverse shortlex.
@@ -301,7 +295,8 @@ class RuleSet:
                 p, u, q, v = q, v, p, u
             added += 1
             if added > self.n * self.max_cosets:
-                raise CosetLimitExceeded(self.max_cosets)
+                raise CosetLimitExceeded(self.n * self.max_cosets,
+                                         "Knuth-Bendix completion", "added rules")
             stale = [r for lhs, r in self.system.items()
                      if any(lhs[i:i + len(u)] == u for i in range(len(lhs)))]
             for r in stale:
@@ -321,16 +316,16 @@ class RuleSet:
         identity = Perm.identity(self.n)
         u, pi, v = rule.pattern, rule.perm, rule.replacement
         yield identity, u[:-1], pi, v + u[-1:]
-        yield identity, u[1:], pi, _shift(u[:1], pi) + v
+        yield identity, u[1:], pi, pi.images_of(u[:1]) + v
         for g in self.spec.control_gens:
-            yield identity, _shift(u, g), pi.conj(g), _shift(v, g)
+            yield identity, g.images_of(u), pi.conj(g), g.images_of(v)
         for other in list(self.system.values()):
             for a, b in ((rule, other), (other, rule)):
                 # a's pattern ends with the k letters that b's begins with
                 for k in range(1, min(len(a.pattern), len(b.pattern))):
                     if a.pattern[-k:] == b.pattern[:k]:
                         yield (a.perm, a.replacement + b.pattern[k:], b.perm,
-                               _shift(a.pattern[:-k], b.perm) + b.replacement)
+                               b.perm.images_of(a.pattern[:-k]) + b.replacement)
 
     @cached_property
     def table(self) -> dict[tuple[Word, int], tuple[Perm, Word]]:
@@ -351,7 +346,8 @@ class RuleSet:
                 delta, nf = self.reduce(s + (i,))
                 if nf not in least:
                     if len(least) >= self.max_cosets:
-                        raise CosetLimitExceeded(self.max_cosets)
+                        raise CosetLimitExceeded(self.max_cosets,
+                                                 "rewrite letter table", "least words")
                     least[nf] = s + (i,), delta
                     queue.append(s + (i,))
                 word, eps = least[nf]

@@ -115,7 +115,7 @@ def unify(a: SymElement, b: SymElement) -> tuple[Perm, Word]:
         raise ValueError("elements come from different contexts")
     sigma = b.control
     return (a.control * sigma,
-            tuple(sigma.apply(i) for i in a.word) + b.word)
+            sigma.images_of(a.word) + b.word)
 
 
 def canon(raw: tuple[Perm, Word], rules: RuleSet, *,
@@ -188,7 +188,7 @@ def invert_sym(a: SymElement, mode: str = "auto") -> SymElement:
     """Inverse: (pi*w)^-1 = pi^-1 * reverse(w)^(pi^-1), then canonical form."""
     ctx = a.ctx
     inv = ~a.control
-    word = tuple(inv.apply(i) for i in reversed(a.word))
+    word = inv.images_of(a.word[::-1])
     mode = _pick_mode(ctx, mode)
     if mode == "pure":
         return canon_element(ctx, (inv, word))

@@ -4,6 +4,19 @@ from symgen.perm import Perm, PermGroup
 from symgen.progenitor import Rule
 
 
+def product_by_generator(p, q):
+    """p * q (p acts first) gathered by a generator and checked by Perm."""
+    return Perm(tuple(q.images[i - 1] for i in p.images))
+
+
+def inverse_by_loop(p):
+    """~p by filling a list point by point, checked by Perm."""
+    inv = [0] * p.degree
+    for k, i in enumerate(p.images, start=1):
+        inv[i - 1] = k
+    return Perm(inv)
+
+
 def closure_order(gens):
     """Order of the generated group by plain product closure."""
     if not gens:

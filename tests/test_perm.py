@@ -5,7 +5,8 @@ import pytest
 from symgen.perm import (GroupTooLarge, IdentificationError, Perm, PermGroup,
                          cycles_str, parse_cycles, word_perm)
 
-from oracles import centralizer_by_enumeration, closure_order
+from oracles import (centralizer_by_enumeration, closure_order,
+                     inverse_by_loop, product_by_generator)
 
 # the 14-point control group used by the largest fixture; handy here because
 # its subgroup structure is known exactly
@@ -34,10 +35,51 @@ def test_identity_basics():
 
 
 def test_not_a_permutation_rejected():
-    with pytest.raises(ValueError):
-        Perm((1, 1, 3))
-    with pytest.raises(ValueError):
-        Perm((0, 1, 2))
+    for images in ((1, 1, 3), (0, 1, 2), (2, 3)):
+        with pytest.raises(ValueError):
+            Perm(images)
+
+
+def _checked_tuple(p):
+    """p's images as a tuple that the checking constructor accepts."""
+    assert type(p.images) is tuple
+    return Perm(p.images).images
+
+
+def _power_by_products(p, k):
+    base = p if k >= 0 else inverse_by_loop(p)
+    result = Perm(range(1, p.degree + 1))
+    for _ in range(abs(k)):
+        result = product_by_generator(result, base)
+    return result
+
+
+@pytest.mark.parametrize("degree", [1, 2, 14, 57])
+def test_unchecked_arithmetic_matches_checked_formulas(degree):
+    rng = random.Random(degree)
+    e = Perm.identity(degree)
+    assert _checked_tuple(e) == tuple(range(1, degree + 1)) and e.is_identity()
+    for _ in range(30):
+        p, q = random_perm(rng, degree), random_perm(rng, degree)
+        pq = product_by_generator(p, q)
+        assert _checked_tuple(p * q) == pq.images
+        assert _checked_tuple(~p) == inverse_by_loop(p).images
+        conj = product_by_generator(product_by_generator(inverse_by_loop(q), p), q)
+        assert _checked_tuple(p.conj(q)) == conj.images
+        for k in range(-3, 4):
+            assert _checked_tuple(p ** k) == _power_by_products(p, k).images
+        assert (p * q).is_identity() == (pq.images == e.images)
+    with pytest.raises(ValueError, match="degree mismatch"):
+        Perm.identity(degree) * Perm.identity(degree + 1)
+
+
+def test_images_of_moves_words_like_apply():
+    rng = random.Random(3)
+    p = random_perm(rng, 14)
+    for length in (0, 1, 2, 7):
+        word = tuple(rng.randint(1, 14) for _ in range(length))
+        assert p.images_of(word) == tuple(p.apply(i) for i in word)
+        assert p.images_of(list(word)) == p.images_of(word)
 
 
 def test_composition_convention_right_action():

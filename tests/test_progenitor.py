@@ -347,6 +347,18 @@ def test_rewrite_table_is_bounded_by_max_cosets(max_cosets, fits):
             rules.table
 
 
+def test_rewrite_budget_names_its_stage():
+    with pytest.raises(CosetLimitExceeded) as exc:
+        derive_rules(load_bundled("u3_3").spec, 35).table
+    assert "letter table" in str(exc.value)
+    assert "coset enumeration" not in str(exc.value)
+    # a budget of one coset lets the completion add n = 14 rules, too few
+    with pytest.raises(CosetLimitExceeded,
+                       match="^Knuth-Bendix completion exceeded the limit "
+                             "of 14 added rules$"):
+        derive_rules(load_bundled("u3_3").spec, 1).table
+
+
 def test_rewrite_engine_without_factoring_relators_hits_the_budget():
     spec = spec_without_relators(load_bundled("5sq_d6").spec)
     rules = derive_rules(spec, max_cosets=200)
