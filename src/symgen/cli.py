@@ -7,9 +7,10 @@
 
 Spec files are the JSON format of groupfile; bundled fixture names
 (l2_19, 5sq_d6, u3_3) are accepted wherever a path is.  Exit codes:
-0 ok, 2 parse/validation error, 3 expectation mismatch, 4 resource
-limit, 5 membership failure.  SYMGEN_MAX_COSETS overrides the coset
-limit, which bounds both the enumeration and the rewrite table.
+0 ok, 2 parse/validation error or unwritable --out file, 3 expectation
+mismatch, 4 resource limit, 5 membership failure.  SYMGEN_MAX_COSETS
+overrides the coset limit, which bounds both the enumeration and the
+rewrite table.
 """
 
 from __future__ import annotations
@@ -90,8 +91,11 @@ def _graph(gf: GroupSpecFile, fmt: str, out_path: str | None, out) -> int:
     ctx = gf.build_context(with_rules=False, max_cosets=_max_cosets())
     text = emit_graph(double_cosets(ctx.image), fmt)
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"{out_path}: {exc.strerror or exc}") from exc
     else:
         out.write(text)
     return EXIT_OK

@@ -256,6 +256,15 @@ def test_graph_golden_bytes(tmp_path, capsys):
             (GOLDEN / f"l2_19.{fmt}").read_text(encoding="utf-8")
 
 
+def test_graph_out_in_missing_directory(tmp_path, capsys):
+    path = tmp_path / "missing" / "g.dot"
+    code, out, err = run_cli(capsys, "graph", "5sq_d6", "--out", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+    assert "Traceback" not in err and not path.exists()
+
+
 def test_graph_stdout(capsys):
     code, out, _ = run_cli(capsys, "graph", "5sq_d6", "--format", "json")
     assert code == 0

@@ -6,9 +6,25 @@ from symgen.fpgroup import (CosetLimitExceeded, Presentation, _check_closed,
                             coset_action, commutator, concat, invert_word,
                             parse_word, reduce_word, todd_coxeter, word_image,
                             word_str)
+from symgen.groupfile import bundled_fixture_names, load_bundled
 from symgen.perm import parse_cycles
+from symgen.progenitor import build_presentation
 
-from oracles import closure_order
+from oracles import closure_order, todd_coxeter_reference
+
+PGL27 = Presentation.parse(
+    ["x", "y", "t"],
+    "x^7, y^2, t^2, (x^-1*t)^2, (y*x)^3, t*x^-1*y*x*t*y, "
+    "x^2*y*x^3*y*x^-4*y*x^-4*y*x")
+A5 = Presentation.parse(["x", "y"], "x^5, y^2, (x*y)^3")
+Q8 = Presentation.parse(["a", "b"], "a^4, a^2*b^-2, b^-1*a*b*a")
+
+
+def fixture_over_control_group(name):
+    """A fixture's built presentation and the generators of N in it."""
+    spec = load_bundled(name).spec
+    return (build_presentation(spec),
+            [(i,) for i in range(1, len(spec.control_gens) + 1)])
 
 
 def test_reduce_word():
@@ -85,17 +101,13 @@ def test_cyclic_group_of_order_three():
 
 def test_trivial_subgroup_examples():
     assert todd_coxeter(Presentation.parse(["x", "y"], "x^3, y^2, (x*y)^2")).index == 6
-    assert todd_coxeter(Presentation.parse(["x", "y"], "x^5, y^2, (x*y)^3")).index == 60
+    assert todd_coxeter(A5).index == 60
     # quaternion group of order 8
-    q8 = Presentation.parse(["a", "b"], "a^4, a^2*b^-2, b^-1*a*b*a")
-    assert todd_coxeter(q8).index == 8
+    assert todd_coxeter(Q8).index == 8
 
 
 def test_pgl27_presentation_has_order_336():
-    pres = Presentation.parse(
-        ["x", "y", "t"],
-        "x^7, y^2, t^2, (x^-1*t)^2, (y*x)^3, t*x^-1*y*x*t*y, "
-        "x^2*y*x^3*y*x^-4*y*x^-4*y*x")
+    pres = PGL27
     t = todd_coxeter(pres)
     assert t.index == 336
     # independent cross-check through the known degree-14 realization
@@ -109,13 +121,13 @@ def test_pgl27_presentation_has_order_336():
 
 
 def test_subgroup_enumeration():
-    pres = Presentation.parse(["x", "y"], "x^5, y^2, (x*y)^3")
+    pres = A5
     t = todd_coxeter(pres, [(1,)])
     assert t.index == 12  # cosets of <x> in the order-60 group
 
 
 def test_closed_table_check_names_what_fails():
-    pres = Presentation.parse(["x", "y"], "x^5, y^2, (x*y)^3")
+    pres = A5
     t = todd_coxeter(pres, [(1,)])
     _check_closed(t, pres.relators, [(1,)])
     # x^3 is not a relator of A5, and y does not lie in <x>
@@ -123,6 +135,70 @@ def test_closed_table_check_names_what_fails():
         _check_closed(t, pres.relators + ((1, 1, 1),), [(1,)])
     with pytest.raises(RuntimeError, match=r"subgroup generator \(2,\) does not fix coset 0$"):
         _check_closed(t, pres.relators, [(1,), (2,)])
+
+
+def test_check_names_the_least_failing_coset_first():
+    # (1,) is listed first but first fails at coset 1; (2,) fails at coset 0
+    t = todd_coxeter(A5, [(1,)])
+    assert t.trace(0, (1,)) == 0 and t.trace(1, (1,)) != 1
+    with pytest.raises(RuntimeError) as exc:
+        _check_closed(t, A5.relators + ((1,), (2,)), [(1,)])
+    assert str(exc.value) == (
+        "coset table check failed: relator (2,) does not close at coset 0")
+
+
+def small_subgroups(pres):
+    """The subgroups generated by the first generator, by the second, and
+    the trivial subgroup, each with a label."""
+    a, b = pres.names[:2]
+    return ((f"<{a}>", [(1,)]), (f"<{b}>", [(2,)]), ("1", []))
+
+
+def reference_cases():
+    """(id, presentation, subgroup generators) on which the enumerator must
+    define the same cosets in the same order as the reference."""
+    for name in bundled_fixture_names():
+        yield (f"{name} over N",) + fixture_over_control_group(name)
+    yield "5sq_d6 over 1", fixture_over_control_group("5sq_d6")[0], []
+    rng = random.Random(5)
+    for k in range(5):
+        rels = list(PGL27.relators)
+        rng.shuffle(rels)
+        shuffled = Presentation(PGL27.names, tuple(rels))
+        for label, subgens in small_subgroups(shuffled):
+            yield f"PGL(2,7) shuffle {k} over {label}", shuffled, subgens
+    for group, pres in (("A5", A5), ("Q8", Q8)):
+        for label, subgens in small_subgroups(pres):
+            yield f"{group} over {label}", pres, subgens
+
+
+@pytest.mark.parametrize("case", list(reference_cases()), ids=lambda case: case[0])
+def test_definition_order_matches_reference(case):
+    _, pres, subgens = case
+    assert (todd_coxeter(pres, subgens).rows
+            == todd_coxeter_reference(pres, subgens).rows)
+
+
+@pytest.mark.parametrize("case", ["u3_3 over N", "PGL(2,7) over 1"])
+def test_coset_limit_trips_at_reference_count(case):
+    pres, subgens = (fixture_over_control_group("u3_3") if case == "u3_3 over N"
+                     else (PGL27, []))
+
+    def reference_closes(limit):
+        try:
+            todd_coxeter_reference(pres, subgens, limit)
+        except CosetLimitExceeded:
+            return False
+        return True
+
+    lo, hi = 1, 10 ** 6  # the least closing limit is in (lo, hi]
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if reference_closes(mid) else (mid, hi)
+    assert (todd_coxeter(pres, subgens, hi).rows
+            == todd_coxeter_reference(pres, subgens).rows)
+    with pytest.raises(CosetLimitExceeded):
+        todd_coxeter(pres, subgens, hi - 1)
 
 
 def test_max_cosets_limit():
@@ -135,10 +211,7 @@ def test_max_cosets_limit():
 
 def test_index_invariant_under_relator_order():
     rng = random.Random(11)
-    pres = Presentation.parse(
-        ["x", "y", "t"],
-        "x^7, y^2, t^2, (x^-1*t)^2, (y*x)^3, t*x^-1*y*x*t*y, "
-        "x^2*y*x^3*y*x^-4*y*x^-4*y*x")
+    pres = PGL27
     base = todd_coxeter(pres, [(1,), (2,)]).index
     for _ in range(5):
         rels = list(pres.relators)
@@ -148,7 +221,7 @@ def test_index_invariant_under_relator_order():
 
 
 def test_coset_action_is_homomorphism():
-    pres = Presentation.parse(["x", "y"], "x^5, y^2, (x*y)^3")
+    pres = A5
     t = todd_coxeter(pres, [(1,)])
     images = coset_action(t)
     for rel in pres.relators:
@@ -188,7 +261,7 @@ def test_index_equals_order_for_small_corpus():
 
 
 def test_enumeration_deterministic():
-    pres = Presentation.parse(["x", "y"], "x^5, y^2, (x*y)^3")
+    pres = A5
     t1 = todd_coxeter(pres, [(2,)])
     t2 = todd_coxeter(pres, [(2,)])
     assert t1.rows == t2.rows
