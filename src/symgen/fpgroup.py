@@ -336,6 +336,8 @@ def _hlt(ncols: int, relators: list[tuple[int, ...]],
                 elif w < v:
                     parent[v] = w
                     queue.append(v)
+            # every entry that named dead is cleared, so its row is garbage
+            table[dead] = None
 
     def scan_and_fill(a: int, word: tuple[int, ...]):
         f, i = a, 0

@@ -23,6 +23,7 @@ import heapq
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .perm import Perm, PermGroup, _trusted, word_perm
@@ -217,6 +218,13 @@ class RuleSet:
     irreducible word of its coset N t_w.  max_cosets bounds the least
     words, and n * max_cosets the rules that completion adds; past either,
     building the table raises CosetLimitExceeded.
+
+    Completion keeps a memo of reduce, exact while system is unchanged and
+    cleared whenever a rule is added or retired, and indexes the left-hand
+    sides by proper prefix, proper suffix and factor.  It sorts what the
+    indexes find by insertion sequence, so it pushes its equations in the
+    order of a scan of system (see _complete).  Both live only while
+    _complete runs; system, _widths and the table are what outlive it.
     """
 
     def __init__(self, spec: ProgenitorSpec, rules: tuple[Rule, ...],
@@ -236,7 +244,7 @@ class RuleSet:
         stack below its window by its perm; the moved part is scanned
         again, ahead of the replacement and the rest of the word.
         """
-        system = self.system
+        system, widths = self.system, self._widths
         delta = tuple(range(1, self.n + 1))
         out: list[int] = []
         todo = list(reversed(word))
@@ -248,16 +256,23 @@ class RuleSet:
             out.append(letter)
             # shortest first: a slice longer than out is all of out, and
             # out's own length was probed before it
-            for k in self._widths:
+            for k in widths:
                 rule = system.get(tuple(out[-k:]))
                 if rule is not None:
                     break
             else:
                 continue
             del out[-k:]
-            delta = rule.perm.images_of(delta)
+            # gather from the images padded at 0; itemgetter of one index
+            # returns no tuple, and at degree 1 every perm is the identity
+            images = (0,) + rule.perm.images
+            if len(delta) > 1:
+                delta = itemgetter(*delta)(images)
             todo += reversed(rule.replacement)
-            todo += reversed(rule.perm.images_of(out))
+            if len(out) > 1:
+                todo += reversed(itemgetter(*out)(images))
+            elif out:
+                todo.append(images[out[0]])
             out.clear()
         return _trusted(delta), tuple(out)
 
@@ -269,22 +284,57 @@ class RuleSet:
         into a new rule; equal words under unequal perms mean the relators
         collapse N.  A new rule sends back as equations the rules whose
         left-hand side contains its own, then queues its critical pairs.
+
+        Three things spare repeated work without changing a step.
+        reduce reads only system and _widths, so a memo of its results is
+        exact until a rule is added or retired, and is cleared then.  The
+        left-hand sides are indexed by each proper prefix, each proper
+        suffix and each factor, so a new rule finds the rules it overlaps
+        and the rules it makes stale without a scan of system.  Each rule
+        keeps the sequence number of its insertion into system; sorting
+        the stale rules by it, and the overlaps by (sequence, the new
+        rule's suffix case before its prefix case, overlap length),
+        pushes the equations in the order of a scan of system, so the
+        heap's tiebreak and every later step are those of the scan.  The
+        memo and the indexes die with the call.
         """
         identity = Perm.identity(self.n)
+        system = self.system
         heap: list = []
         tiebreak = itertools.count()
+        memo: dict[Word, tuple[Perm, Word]] = {}
+        sequence: dict[Word, int] = {}  # the value of added at insertion
+        # proper prefix / proper suffix / factor -> left-hand sides with it
+        prefixes: dict[Word, set[Word]] = {}
+        suffixes: dict[Word, set[Word]] = {}
+        factors: dict[Word, set[Word]] = {}
+
+        def index(lhs: Word, update) -> None:
+            k = len(lhs)
+            for i in range(1, k):
+                update(prefixes.setdefault(lhs[:i], set()), lhs)
+                update(suffixes.setdefault(lhs[i:], set()), lhs)
+            for i in range(k):
+                for j in range(i + 1, k + 1):
+                    update(factors.setdefault(lhs[i:j], set()), lhs)
 
         def push(p: Perm, u: Word, q: Perm, v: Word):
             key = max((len(u), u[::-1]), (len(v), v[::-1]))
             heapq.heappush(heap, (key, next(tiebreak), p, u, q, v))
+
+        def reduce(word: Word) -> tuple[Perm, Word]:
+            hit = memo.get(word)
+            if hit is None:
+                hit = memo[word] = self.reduce(word)
+            return hit
 
         for r in self.rules:
             push(identity, r.pattern, r.perm, r.replacement)
         added = 0
         while heap:
             _, _, p, u, q, v = heapq.heappop(heap)
-            d, u = self.reduce(u)
-            e, v = self.reduce(v)
+            d, u = reduce(u)
+            e, v = reduce(v)
             p, q = p * d, q * e
             if u == v:
                 if p != q:
@@ -297,35 +347,43 @@ class RuleSet:
             if added > self.n * self.max_cosets:
                 raise CosetLimitExceeded(self.n * self.max_cosets,
                                          "Knuth-Bendix completion", "added rules")
-            stale = [r for lhs, r in self.system.items()
-                     if any(lhs[i:i + len(u)] == u for i in range(len(lhs)))]
-            for r in stale:
-                del self.system[r.pattern]
+            memo.clear()
+            for lhs in sorted(factors.get(u, ()), key=sequence.__getitem__):
+                r = system.pop(lhs)
+                index(lhs, set.discard)
                 push(identity, r.pattern, r.perm, r.replacement)
-            rule = self.system[u] = Rule(u, ~p * q, v)
+            rule = system[u] = Rule(u, ~p * q, v)
+            sequence[u] = added
+            index(u, set.add)
             self._widths = tuple(sorted({*self._widths, len(u)}))
-            for pair in self._critical_pairs(rule):
+            overlaps = sorted(
+                [(sequence[lhs], 0, k, rule, system[lhs])
+                 for k in range(1, len(u))
+                 for lhs in prefixes.get(u[-k:], ())]
+                + [(sequence[lhs], 1, k, system[lhs], rule)
+                   for k in range(1, len(u))
+                   for lhs in suffixes.get(u[:k], ())],
+                key=lambda o: o[:3])
+            for pair in self._critical_pairs(rule, overlaps):
                 push(*pair)
 
-    def _critical_pairs(self, rule: Rule):
+    def _critical_pairs(self, rule: Rule, overlaps):
         """The two one-step rewrites (p, u, q, v) of each word where rule
         overlaps t_c t_c = 1, a control generator g on its right, or a rule
         in system (itself too).  The generator overlap is the conjugate
         rule t_(u^g) = pi^g t_(v^g): a rewrite moves the letters left of
-        its window, so the rules there must also join in moved form."""
+        its window, so the rules there must also join in moved form.
+        overlaps lists (_, _, k, a, b) where a's pattern ends with the k
+        letters that b's begins with."""
         identity = Perm.identity(self.n)
         u, pi, v = rule.pattern, rule.perm, rule.replacement
         yield identity, u[:-1], pi, v + u[-1:]
         yield identity, u[1:], pi, pi.images_of(u[:1]) + v
         for g in self.spec.control_gens:
             yield identity, g.images_of(u), pi.conj(g), g.images_of(v)
-        for other in list(self.system.values()):
-            for a, b in ((rule, other), (other, rule)):
-                # a's pattern ends with the k letters that b's begins with
-                for k in range(1, min(len(a.pattern), len(b.pattern))):
-                    if a.pattern[-k:] == b.pattern[:k]:
-                        yield (a.perm, a.replacement + b.pattern[k:], b.perm,
-                               b.perm.images_of(a.pattern[:-k]) + b.replacement)
+        for _, _, k, a, b in overlaps:
+            yield (a.perm, a.replacement + b.pattern[k:], b.perm,
+                   b.perm.images_of(a.pattern[:-k]) + b.replacement)
 
     @cached_property
     def table(self) -> dict[tuple[Word, int], tuple[Perm, Word]]:

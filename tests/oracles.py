@@ -1,11 +1,13 @@
 """Reference implementations that tests compare the library against."""
 
+import heapq
+import itertools
 from typing import Sequence
 
 from symgen.fpgroup import (CosetLimitExceeded, CosetTable, Presentation,
                             _check_closed, reduce_word)
-from symgen.perm import Perm, PermGroup
-from symgen.progenitor import Rule
+from symgen.perm import Perm, PermGroup, _trusted
+from symgen.progenitor import Rule, RuleSet, Word
 
 
 def product_by_generator(p, q):
@@ -184,3 +186,111 @@ def todd_coxeter_reference(pres: Presentation,
     result = CosetTable(m, rows)
     _check_closed(result, relators, subgens)
     return result
+
+
+class CompletionReference(RuleSet):
+    """RuleSet with reduce, _complete and _critical_pairs as written before
+    the completion kept a memo of its reductions and indexed its left-hand
+    sides: each new rule scans system once for stale rules and once for
+    overlaps.  RuleSet must push the same equations in the same order,
+    build the same system in the same insertion order and the same letter
+    table, and raise the same errors."""
+
+    def reduce(self, word: Word) -> tuple[Perm, Word]:
+        """(delta, nf) with t_word = delta * t_nf and nf irreducible.
+
+        Letters go one at a time onto an irreducible stack, so a redex can
+        only end at the letter just pushed.  A rule applied there moves the
+        stack below its window by its perm; the moved part is scanned
+        again, ahead of the replacement and the rest of the word.
+        """
+        system = self.system
+        delta = tuple(range(1, self.n + 1))
+        out: list[int] = []
+        todo = list(reversed(word))
+        while todo:
+            letter = todo.pop()
+            if out and out[-1] == letter:
+                out.pop()
+                continue
+            out.append(letter)
+            # shortest first: a slice longer than out is all of out, and
+            # out's own length was probed before it
+            for k in self._widths:
+                rule = system.get(tuple(out[-k:]))
+                if rule is not None:
+                    break
+            else:
+                continue
+            del out[-k:]
+            delta = rule.perm.images_of(delta)
+            todo += reversed(rule.replacement)
+            todo += reversed(rule.perm.images_of(out))
+            out.clear()
+        return _trusted(delta), tuple(out)
+
+    def _complete(self):
+        """Knuth-Bendix completion of the base rules under reverse shortlex.
+
+        Equations p t_u = q t_v wait in a heap, shortest first.  Each one
+        popped is reduced on both sides and, unless they meet, oriented
+        into a new rule; equal words under unequal perms mean the relators
+        collapse N.  A new rule sends back as equations the rules whose
+        left-hand side contains its own, then queues its critical pairs.
+        """
+        identity = Perm.identity(self.n)
+        heap: list = []
+        tiebreak = itertools.count()
+
+        def push(p: Perm, u: Word, q: Perm, v: Word):
+            key = max((len(u), u[::-1]), (len(v), v[::-1]))
+            heapq.heappush(heap, (key, next(tiebreak), p, u, q, v))
+
+        for r in self.rules:
+            push(identity, r.pattern, r.perm, r.replacement)
+        added = 0
+        while heap:
+            _, _, p, u, q, v = heapq.heappop(heap)
+            d, u = self.reduce(u)
+            e, v = self.reduce(v)
+            p, q = p * d, q * e
+            if u == v:
+                if p != q:
+                    raise ValueError("the factoring relators identify a "
+                                     "non-identity element of N with 1")
+                continue
+            if (len(u), u[::-1]) < (len(v), v[::-1]):
+                p, u, q, v = q, v, p, u
+            added += 1
+            if added > self.n * self.max_cosets:
+                raise CosetLimitExceeded(self.n * self.max_cosets,
+                                         "Knuth-Bendix completion", "added rules")
+            stale = [r for lhs, r in self.system.items()
+                     if any(lhs[i:i + len(u)] == u for i in range(len(lhs)))]
+            for r in stale:
+                del self.system[r.pattern]
+                push(identity, r.pattern, r.perm, r.replacement)
+            rule = self.system[u] = Rule(u, ~p * q, v)
+            self._widths = tuple(sorted({*self._widths, len(u)}))
+            for pair in self._critical_pairs(rule):
+                push(*pair)
+
+    def _critical_pairs(self, rule: Rule):
+        """The two one-step rewrites (p, u, q, v) of each word where rule
+        overlaps t_c t_c = 1, a control generator g on its right, or a rule
+        in system (itself too).  The generator overlap is the conjugate
+        rule t_(u^g) = pi^g t_(v^g): a rewrite moves the letters left of
+        its window, so the rules there must also join in moved form."""
+        identity = Perm.identity(self.n)
+        u, pi, v = rule.pattern, rule.perm, rule.replacement
+        yield identity, u[:-1], pi, v + u[-1:]
+        yield identity, u[1:], pi, pi.images_of(u[:1]) + v
+        for g in self.spec.control_gens:
+            yield identity, g.images_of(u), pi.conj(g), g.images_of(v)
+        for other in list(self.system.values()):
+            for a, b in ((rule, other), (other, rule)):
+                # a's pattern ends with the k letters that b's begins with
+                for k in range(1, min(len(a.pattern), len(b.pattern))):
+                    if a.pattern[-k:] == b.pattern[:k]:
+                        yield (a.perm, a.replacement + b.pattern[k:], b.perm,
+                               b.perm.images_of(a.pattern[:-k]) + b.replacement)

@@ -1,3 +1,4 @@
+import heapq
 import random
 
 import pytest
@@ -9,7 +10,7 @@ from symgen.progenitor import (ProgenitorSpec, Rule, RuleSet,
                                build_presentation, derive_rules,
                                normalize_tail)
 from symgen.groupfile import load_bundled
-from oracles import conjugate_rule
+from oracles import CompletionReference, conjugate_rule
 
 FIXTURES = ["5sq_d6", "l2_19", "u3_3"]
 
@@ -366,14 +367,89 @@ def test_rewrite_engine_without_factoring_relators_hits_the_budget():
         rules.canonical_form((1, 2))
 
 
-def test_relator_that_collapses_the_control_group_raises():
+def collapsing_spec():
     # x * t_1 = 1 makes t_1 = x^-1, and t_1^2 = 1 then forces x^2 = 1,
     # which the order-3 generator x does not satisfy
     spec = load_bundled("5sq_d6").spec
     names = spec.control_presentation.names
-    collapsing = ProgenitorSpec(spec.n, spec.control_gens,
-                                spec.control_presentation,
-                                ((parse_word("x", names), (1,)),),
-                                spec.labels, t_name=spec.t_name)
+    return ProgenitorSpec(spec.n, spec.control_gens, spec.control_presentation,
+                          ((parse_word("x", names), (1,)),),
+                          spec.labels, t_name=spec.t_name)
+
+
+def test_relator_that_collapses_the_control_group_raises():
     with pytest.raises(ValueError, match="non-identity element of N"):
-        derive_rules(collapsing).table
+        derive_rules(collapsing_spec()).table
+
+
+def _completion(rules):
+    """Every equation pushed onto the completion's heap, in order, then
+    the completed system as (lhs, perm images, replacement) and the letter
+    table's entries, both in insertion order, or the type and message of
+    the error that building them raised."""
+    pushed = []
+    heappush = heapq.heappush
+
+    def recording_push(heap, item):
+        pushed.append(item)
+        heappush(heap, item)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(heapq, "heappush", recording_push)
+        try:
+            table = rules.table
+        except (CosetLimitExceeded, ValueError) as exc:
+            return pushed, type(exc), str(exc)
+    return (pushed, [(lhs, r.perm.images, r.replacement)
+                     for lhs, r in rules.system.items()], list(table.items()))
+
+
+def _assert_completion_pinned(rules):
+    reference = CompletionReference(rules.spec, rules.rules, rules.max_cosets)
+    outcome = _completion(rules)
+    assert outcome == _completion(reference)
+    return outcome[1:]
+
+
+def test_completion_matches_the_reference_without_relators():
+    spec = spec_without_relators(load_bundled("5sq_d6").spec)
+    # no rule to complete: both trip the letter-table budget at one word
+    outcome = _assert_completion_pinned(derive_rules(spec, 200))
+    assert outcome[0] is CosetLimitExceeded
+
+
+def test_completion_matches_the_reference_on_a_collapse():
+    outcome = _assert_completion_pinned(derive_rules(collapsing_spec()))
+    assert outcome[0] is ValueError
+
+
+@pytest.mark.parametrize("name,index,rules", [("5sq_d6", 50, 14),
+                                              ("l2_19", 57, 143),
+                                              ("u3_3", 36, 179)])
+def test_completion_matches_the_scanning_reference(name, index, rules):
+    # each budget either pushes the reference's equations in its order and
+    # builds its system and table, or raises its error; index is the least
+    # budget that fits, so the last case is the fixture's whole completion
+    spec = load_bundled(name).spec
+    outcomes = [_assert_completion_pinned(derive_rules(spec, m))
+                for m in (1, 2, index - 1, index)]
+    assert outcomes[0][0] is CosetLimitExceeded
+    assert outcomes[2][0] is CosetLimitExceeded
+    system, entries = outcomes[3]
+    assert len(system) == rules
+    assert len({s for (s, _), _ in entries}) == index
+
+
+@pytest.mark.parametrize("relators,words", [
+    ((((), (1,)),), {((), 1): ()}),
+    ((), {((), 1): (1,), ((1,), 1): ()}),
+], ids=["t1_is_1", "free"])
+def test_degree_one_progenitor(relators, words):
+    # 2^{*1} : 1, whose perms have degree 1: a gather of a single index
+    # returns no tuple
+    identity = Perm.identity(1)
+    spec = ProgenitorSpec(1, (identity,), Presentation.parse(["x"], "x"),
+                          relators)
+    _, entries = _assert_completion_pinned(derive_rules(spec))
+    assert dict(entries) == {key: (identity, word)
+                             for key, word in words.items()}
