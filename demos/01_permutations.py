@@ -2,7 +2,8 @@
 """Permutation groups from the ground up.
 
 Builds the degree-14 control group used by the largest bundled fixture and
-walks through orders, orbits, stabilizers and transversals.
+walks through orders, orbits with witness words, a point stabilizer and a
+centralizer.
 """
 
 from symgen.perm import PermGroup, parse_cycles, cycles_str
@@ -25,14 +26,6 @@ print("witness word reaching 14:", witness[14], "(generator indices)")
 stab = N.point_stabilizer(7)
 print("point stabilizer of 7 has order", stab.order(),
       "and orbits", stab.orbits())
-
-pair_stab = N.setwise_stabilizer({7, 14})
-print("setwise stabilizer of {7,14}: order", pair_stab.order(),
-      "index", N.order() // pair_stab.order())
-
-transversal = N.right_transversal(pair_stab)
-print("one representative per right coset:", len(transversal),
-      "| first is the identity:", transversal[0].is_identity())
 
 c = N.centralizer(cc)
 print("centralizer of the pairing involution has order", c.order())

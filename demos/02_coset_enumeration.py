@@ -5,8 +5,8 @@ Parses a few presentations, enumerates cosets of chosen subgroups and turns
 a closed table into a permutation action.
 """
 
-from symgen.fpgroup import (Presentation, coset_action, parse_word,
-                            todd_coxeter, word_image)
+from symgen.fpgroup import Presentation, coset_action, parse_word, todd_coxeter
+from symgen.perm import word_perm
 
 print("cyclic group of order 3:")
 table = todd_coxeter(Presentation.parse(["a"], "a^3"))
@@ -34,4 +34,4 @@ for text in ("s^2", "(s^(x^3),y)", "t*x^-1*y*x*t*y"):
 images = coset_action(table)
 relator = parse_word("(y*x)^3", ["x", "y", "t"])
 print("\nrelators map to the identity in the coset action:",
-      word_image(images, relator).is_identity())
+      word_perm(images, relator).is_identity())

@@ -111,12 +111,12 @@ def _parse_elt_arg(ctx, img, text: str):
 
 
 def _elt(gf: GroupSpecFile, action: str, element_args: list[str], out) -> int:
-    ctx = gf.build_context(with_rules=True, max_cosets=_max_cosets())
-    img = ctx.image
     need = {"convert": 1, "invert": 1, "centralize": 1, "mult": 2}[action]
     if len(element_args) != need:
         print(f"error: {action} takes {need} element argument(s)", file=sys.stderr)
         return EXIT_PARSE
+    ctx = gf.build_context(with_rules=True, max_cosets=_max_cosets())
+    img = ctx.image
     elements = [_parse_elt_arg(ctx, img, a) for a in element_args]
     if action == "convert":
         e = elements[0]

@@ -22,9 +22,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from .perm import Perm, PermGroup, IdentificationError
+from .perm import Perm, PermGroup, IdentificationError, word_perm
 from .fpgroup import (CosetLimitExceeded, FreeWord, coset_action, todd_coxeter,
-                      word_image, word_str)
+                      word_str)
 from .progenitor import ProgenitorSpec, Word, build_presentation, default_t_words
 
 
@@ -41,9 +41,15 @@ class SymImage:
     t); ts[i-1] is the image of the i-th symmetric generator; cst[c-1] is
     the canonical generator word reaching coset point c from point 1.
     control_action maps each element of N to its permutation of the coset
-    points.  control_faithful_on_t_cosets says the cosets N*t_i are
-    distinct, so N acts faithfully and a permutation fixing point 1 is
-    read back from control_action as the unique control element.
+    points.
+
+    That map is one to one, so per2sym reads a permutation fixing point 1
+    back from control_action as the unique control element.  build_image
+    checks that the ts are distinct involutions and that each control
+    generator conjugates them as it permutes their indices, so the image
+    of any nu in N conjugates t_i to t_(i^nu).  If nu acts trivially on
+    the coset points, then t_i = t_i^nu = t_(i^nu) for every i, and since
+    the ts are distinct, i^nu = i for every i: nu = 1.
     """
 
     spec: ProgenitorSpec
@@ -51,7 +57,6 @@ class SymImage:
     gens_image: tuple[Perm, ...]
     ts: tuple[Perm, ...]
     cst: tuple[Word, ...]
-    control_faithful_on_t_cosets: bool
 
     @property
     def n(self) -> int:
@@ -123,7 +128,7 @@ def build_image(spec: ProgenitorSpec, t_words: Sequence[FreeWord] | None = None,
         t_words = default_t_words(spec)
     if len(t_words) != spec.n:
         raise ValueError(f"expected {spec.n} t_words, got {len(t_words)}")
-    ts = tuple(word_image(gens_image, w) for w in t_words)
+    ts = tuple(word_perm(gens_image, w) for w in t_words)
 
     for i, t in enumerate(ts, start=1):
         if t.is_identity() or not (t * t).is_identity():
@@ -138,8 +143,7 @@ def build_image(spec: ProgenitorSpec, t_words: Sequence[FreeWord] | None = None,
                     "generators as the control action does")
 
     return SymImage(spec, table.index, gens_image, ts,
-                    _build_cst(ts, table.index),
-                    len({t.apply(1) for t in ts}) == spec.n)
+                    _build_cst(ts, table.index))
 
 
 def _check_control_presentation(spec: ProgenitorSpec):
@@ -161,18 +165,10 @@ def _check_control_presentation(spec: ProgenitorSpec):
 
 
 def _build_cst(ts: Sequence[Perm], index: int) -> tuple[Word, ...]:
-    """Canonical word per coset point: BFS over the generators in ascending
-    index order, so each coset gets its shortest, lexicographically least
-    reaching word."""
-    cst: dict[int, Word] = {1: ()}
-    queue = [1]
-    for point in queue:
-        word = cst[point]
-        for i, t in enumerate(ts, start=1):
-            target = t.apply(point)
-            if target not in cst:
-                cst[target] = word + (i,)
-                queue.append(target)
+    """Canonical word per coset point: the orbit's witness words, found
+    breadth-first over the generators in ascending index order, so each
+    coset gets its shortest, lexicographically least reaching word."""
+    _, cst = PermGroup(index, ts).orbit(1)
     if len(cst) != index:
         raise ImageError(
             "symmetric generators do not reach every coset: "
@@ -324,7 +320,7 @@ def verify_relators_in_image(spec: ProgenitorSpec, img: SymImage) -> list[str]:
     report = []
     for k, (control_word, tail) in enumerate(spec.relators, start=1):
         pi = spec.control_word_perm(control_word)
-        tail_product = word_image(img.ts, tail)
+        tail_product = word_perm(img.ts, tail)
         if not (img.realize_control(pi) * tail_product).is_identity():
             raise ImageError(f"relator {k} does not evaluate to the identity")
         conj_action = img.control_perm_of(tail_product)

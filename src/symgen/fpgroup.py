@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Sequence
 
-from .perm import Perm, word_perm
+from .perm import Perm
 
 FreeWord = tuple[int, ...]
 
@@ -446,9 +446,3 @@ def coset_action(t: CosetTable) -> list[Perm]:
     return [Perm(tuple(target + 1 for target in columns[_column(g)]))
             for g in range(1, t.n_gens + 1)]
 
-
-def word_image(images: Sequence[Perm], word: Sequence[int]) -> Perm:
-    """Product of the generator images along a free word."""
-    if not images:
-        raise ValueError("no generator images")
-    return word_perm(images, word, images[0].degree)

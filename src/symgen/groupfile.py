@@ -17,7 +17,8 @@ from importlib import resources
 from .fpgroup import FreeWord, Presentation, parse_word
 from .progenitor import ProgenitorSpec, derive_rules
 from .dcenum import build_image
-from .symrep import SymContext, parse_label_cycles
+from .perm import parse_label_cycles
+from .symrep import SymContext
 
 
 class SpecFileError(ValueError):
@@ -108,8 +109,10 @@ def load_spec_data(data: dict, path: str = "<data>") -> GroupSpecFile:
     if len(labels) != n:
         raise SpecFileError(f"{path}: expected {n} labels, got {len(labels)}")
     for label in labels:
-        if any(ch in label for ch in "(),.|") or label != label.strip() or not label:
-            raise SpecFileError(f"{path}: label {label!r} contains reserved characters")
+        # cycle and element text ignore whitespace, so a label may hold none
+        if not label or any(ch in "(),.|" or ch.isspace() for ch in label):
+            raise SpecFileError(f"{path}: label {label!r} is empty or contains "
+                                "whitespace or one of ( ) , . |")
     if len(gen_cycles) != len(gen_names):
         raise SpecFileError(f"{path}: generator names and cycles differ in number")
 

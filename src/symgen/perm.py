@@ -9,15 +9,18 @@ first, so ``(p * q)(k) == q(p(k))`` and conjugation is ``p.conj(q) ==
 
 Groups here are desk-scale (orders up to a few tens of thousands), so the
 stabilizer chain is the plain deterministic Schreier-Sims construction.
-Set stabilizers are found by filtered element enumeration; centralizers
-split over the chain's top level, so a call multiplies out only the
-stabilizer of the first base point.  Both sit behind an explicit size
+Centralizers split over the chain's top level, so a call multiplies out
+only the stabilizer of the first base point, behind an explicit size
 bound.  No randomization anywhere: two builds of the same group produce
 identical transversals, orders and element sequences.
 
-Only outside input is validated: Perm(images), and so parse_cycles, the
-label-cycle parser and the coset action read off a coset table, checks that
-the images form a permutation, and apply() range-checks its point.
+Cycle notation lives here, over arbitrary string labels (a spec file's
+"∞", "0".."6", "b0".."b6"); the numerals "1".."degree" are one such label
+set, read by parse_cycles and written by cycles_str.
+
+Only outside input is validated: Perm(images), and so the cycle parser and
+the coset action read off a coset table, checks that the images form a
+permutation, and apply() range-checks its point.
 Products, inverses, conjugates, powers and identity() are built unchecked
 from permutations already valid, the product and images_of() in one C-level
 gather (operator.itemgetter), so composing pays for no validation.
@@ -30,6 +33,7 @@ on first use, so share instances across threads only after forcing that
 from __future__ import annotations
 
 import math
+import re
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -76,8 +80,6 @@ class Perm:
         if not 1 <= k <= len(self.images):
             raise ValueError(f"point {k} out of range 1..{len(self.images)}")
         return self.images[k - 1]
-
-    __call__ = apply
 
     def images_of(self, points: Sequence[int]) -> tuple[int, ...]:
         """The image of each point in turn, unchecked: every point must
@@ -168,35 +170,30 @@ def _trusted(images: tuple[int, ...]) -> Perm:
     return p
 
 
-def parse_cycles(text: str, degree: int) -> Perm:
-    """Parse cycle notation like "(1,2,3)(4,5)" into a Perm.
+def parse_label_cycles(text: str, labels: Sequence[str]) -> Perm:
+    """Parse cycle notation whose points are labels, the k-th label naming
+    point k: "(a,b,c)(d,e)" over the labels of a spec file.
 
-    Whitespace-insensitive; "()" or the empty string is the identity.
-    Points must lie in 1..degree and may appear at most once.
+    Whitespace-insensitive, so labels must contain none; "()" or the empty
+    string is the identity.  Each label may appear at most once.
     """
     s = "".join(text.split())
-    images = list(range(1, degree + 1))
+    index = {label: i for i, label in enumerate(labels, start=1)}
+    images = list(range(1, len(labels) + 1))
     seen: set[int] = set()
-    pos = 0
-    while pos < len(s):
-        if s[pos] != "(":
-            raise ValueError(f"expected '(' at position {pos} in {text!r}")
-        end = s.find(")", pos)
-        if end < 0:
-            raise ValueError(f"unbalanced '(' in {text!r}")
-        body = s[pos + 1:end]
-        pos = end + 1
+    for match in re.finditer(r"\(([^()]*)\)|(.)", s):
+        if match.group(2) is not None:
+            raise ValueError(f"unexpected {match.group(2)!r} in {text!r}")
+        body = match.group(1)
         if not body:
             continue
         try:
-            cycle = [int(tok) for tok in body.split(",")]
-        except ValueError:
-            raise ValueError(f"bad cycle {body!r} in {text!r}") from None
+            cycle = [index[tok] for tok in body.split(",")]
+        except KeyError as exc:
+            raise ValueError(f"unknown label {exc.args[0]!r} in {text!r}") from None
         for k in cycle:
-            if not 1 <= k <= degree:
-                raise ValueError(f"point {k} out of range 1..{degree}")
             if k in seen:
-                raise ValueError(f"point {k} repeated in {text!r}")
+                raise ValueError(f"label {labels[k - 1]!r} used twice in {text!r}")
             seen.add(k)
         for a, b in zip(cycle, cycle[1:]):
             images[a - 1] = b
@@ -204,12 +201,25 @@ def parse_cycles(text: str, degree: int) -> Perm:
     return Perm(images)
 
 
+def label_cycles_str(p: Perm, labels: Sequence[str]) -> str:
+    """Cycle notation over labels, the k-th label naming point k, with
+    fixed points omitted: the identity gives the empty string."""
+    return "".join("(" + ",".join(labels[k - 1] for k in c) + ")"
+                   for c in p.cycles())
+
+
+def _numerals(degree: int) -> tuple[str, ...]:
+    return tuple(map(str, range(1, degree + 1)))
+
+
+def parse_cycles(text: str, degree: int) -> Perm:
+    """Parse cycle notation like "(1,2,3)(4,5)" on the points 1..degree."""
+    return parse_label_cycles(text, _numerals(degree))
+
+
 def cycles_str(p: Perm) -> str:
     """Cycle notation with fixed points omitted; identity prints as "()"."""
-    cycles = p.cycles()
-    if not cycles:
-        return "()"
-    return "".join("(" + ",".join(map(str, c)) + ")" for c in cycles)
+    return label_cycles_str(p, _numerals(p.degree)) or "()"
 
 
 def word_perm(gens: Sequence[Perm], letters: Iterable[int], degree: int | None = None) -> Perm:
@@ -419,10 +429,9 @@ class PermGroup:
         gens = tuple(p for _, p in self.schreier_generators(k))
         return PermGroup(self.degree, gens)
 
-    def _span_filter(self, perms: Iterable[Perm],
-                     order: int = 0) -> "PermGroup":
+    def _span_filter(self, perms: Iterable[Perm], order: int) -> "PermGroup":
         """Span of perms, keeping each one outside the span of those kept,
-        until the span reaches the given order (all of perms by default)."""
+        until the span reaches the given order."""
         kept: list[Perm] = []
         sub = PermGroup(self.degree)
         for q in perms:
@@ -433,19 +442,6 @@ class PermGroup:
             kept.append(q)
             sub = PermGroup(self.degree, tuple(kept))
         return sub
-
-    def setwise_stabilizer(self, points: Iterable[int],
-                           max_elements: int = 10 ** 6) -> "PermGroup":
-        """Subgroup preserving the given point set, by filtered enumeration."""
-        pts = frozenset(points)
-        if not pts:
-            raise ValueError("point set must be nonempty")
-        for k in pts:
-            if not 1 <= k <= self.degree:
-                raise ValueError(f"point {k} out of range 1..{self.degree}")
-        matching = (g for g in self.elements(max_elements)
-                    if all(g.images[k - 1] in pts for k in pts))
-        return self._span_filter(matching)
 
     def centralizer(self, p: Perm, max_elements: int = 10 ** 6) -> "PermGroup":
         """Centralizer of p (p must lie in the group), split over the
@@ -486,40 +482,3 @@ class PermGroup:
         # the matches are all of C(p), so the span stops at |C(p)|
         return self._span_filter((stab[i] * top.transversal[top.orbit[j]]
                                   for i, j in matches), len(matches))
-
-    # -- transversals ------------------------------------------------------
-
-    def is_subgroup(self, h: "PermGroup") -> bool:
-        return h.degree == self.degree and all(g in self for g in h.gens)
-
-    def right_transversal(self, h: "PermGroup",
-                          max_elements: int = 10 ** 6) -> list[Perm]:
-        """One representative per right coset h*x.
-
-        The first entry is the identity; every other coset is represented
-        by its minimal element (smallest image tuple), and the list is
-        sorted by that key.  Entirely deterministic.
-        """
-        if not self.is_subgroup(h):
-            raise ValueError("h is not a subgroup")
-        h_elems = h.elements(max_elements)
-
-        def coset_min(x: Perm) -> Perm:
-            return min((e * x for e in h_elems), key=lambda q: q.images)
-
-        identity = Perm.identity(self.degree)
-        reps: dict[tuple[int, ...], Perm] = {}
-        root = coset_min(identity)
-        reps[root.images] = root
-        queue = [identity]
-        for x in queue:
-            for g in self.gens:
-                y = x * g
-                m = coset_min(y)
-                if m.images not in reps:
-                    reps[m.images] = m
-                    queue.append(y)
-        others = sorted((m for key, m in reps.items() if key != root.images),
-                        key=lambda q: q.images)
-        return [identity] + others
-

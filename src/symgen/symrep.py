@@ -13,11 +13,11 @@ back).  per2sym and sym2per are the two converters.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Sequence
 
-from .perm import IdentificationError, Perm
+from .perm import (IdentificationError, Perm, label_cycles_str,
+                   parse_label_cycles)
 from .progenitor import ProgenitorSpec, RuleSet, Word, normalize_tail
 from .dcenum import SymImage
 
@@ -150,8 +150,6 @@ def per2sym(ctx: SymContext, p: Perm) -> SymElement:
     is not in the group, which raises IdentificationError.
     """
     img = ctx.require_image()
-    if not img.control_faithful_on_t_cosets:
-        raise ContextError("control action on the coset points is not faithful")
     if p.degree != img.index:
         raise ValueError(f"degree {p.degree} != image degree {img.index}")
     word = img.cst[p.apply(1) - 1]
@@ -230,12 +228,7 @@ def cenelt(ctx: SymContext, a: SymElement) -> tuple[int, list[SymElement]]:
 def format_element(e: SymElement) -> str:
     """Render as "(control-cycles | l1.l2...)" using the group's labels."""
     labels = e.ctx.spec.labels
-    cycles = e.control.cycles()
-    if not cycles:
-        control = "id"
-    else:
-        control = "".join(
-            "(" + ",".join(labels[k - 1] for k in c) + ")" for c in cycles)
+    control = label_cycles_str(e.control, labels) or "id"
     word = ".".join(labels[i - 1] for i in e.word) if e.word else "-"
     return f"({control} | {word})"
 
@@ -252,10 +245,8 @@ def parse_element(ctx: SymContext, text: str) -> SymElement:
     control_part = control_part.strip()
     word_part = word_part.strip()
     labels = ctx.spec.labels
-    if control_part in ("id", "()", ""):
-        control = Perm.identity(ctx.n)
-    else:
-        control = parse_label_cycles(control_part, labels)
+    control = (Perm.identity(ctx.n) if control_part == "id"
+               else parse_label_cycles(control_part, labels))
     if word_part in ("", "-"):
         word: Word = ()
     else:
@@ -263,29 +254,3 @@ def parse_element(ctx: SymContext, text: str) -> SymElement:
                      for tok in word_part.split("."))
     return ctx.element(control, word)
 
-
-def parse_label_cycles(text: str, labels: Sequence[str]) -> Perm:
-    """Parse cycle notation whose points are arbitrary labels."""
-    s = "".join(text.split())
-    index = {label: i + 1 for i, label in enumerate(labels)}
-    n = len(labels)
-    images = list(range(1, n + 1))
-    seen: set[int] = set()
-    for match in re.finditer(r"\(([^()]*)\)|(.)", s):
-        if match.group(2) is not None:
-            raise ValueError(f"unexpected {match.group(2)!r} in {text!r}")
-        body = match.group(1)
-        if not body:
-            continue
-        try:
-            cycle = [index[tok] for tok in body.split(",")]
-        except KeyError as exc:
-            raise ValueError(f"unknown label {exc.args[0]!r} in {text!r}") from None
-        for k in cycle:
-            if k in seen:
-                raise ValueError(f"label used twice in {text!r}")
-            seen.add(k)
-        for a, b in zip(cycle, cycle[1:]):
-            images[a - 1] = b
-        images[cycle[-1] - 1] = cycle[0]
-    return Perm(images)

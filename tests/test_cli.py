@@ -106,6 +106,22 @@ def test_unknown_tail_label_exit_code(tmp_path, capsys):
     assert len(lines) == 1 and "unknown tail label '9'" in lines[0]
 
 
+
+def test_label_with_inner_whitespace_exit_code(tmp_path, capsys):
+    # cycle text ignores whitespace, so "x y" would be read as the label "xy"
+    src = json.loads((FIXTURE_DIR / "l2_19.json").read_text(encoding="utf-8"))
+    rename = {"∞": "x y", "2": "xy"}
+    src["labels"] = [rename.get(label, label) for label in src["labels"]]
+    src["control_generators"] = ["(0,1,xy,3,4)", "(0,x y)(1,4)"]
+    for item in src["relators"]:
+        item["tail"] = [rename.get(label, label) for label in item["tail"]]
+    path = tmp_path / "spaced.json"
+    path.write_text(json.dumps(src), encoding="utf-8")
+    code, out, err = run_cli(capsys, "enumerate", str(path))
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and "label 'x y'" in lines[0]
+
 FIXTURE_DATA = {name: json.loads((FIXTURE_DIR / f"{name}.json")
                                  .read_text(encoding="utf-8"))
                 for name in ("l2_19", "5sq_d6", "u3_3")}
@@ -358,9 +374,14 @@ def test_elt_bad_element_text(capsys):
     assert code == 2
 
 
-def test_elt_wrong_arg_count(capsys):
+def test_elt_wrong_arg_count(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "elt", "5sq_d6", "mult", "(id | 0)")
     assert code == 2
+    # a usage error is reported before any enumeration can hit the limit
+    monkeypatch.setenv("SYMGEN_MAX_COSETS", "1")
+    code, out, err = run_cli(capsys, "elt", "5sq_d6", "mult", "(id | 0)")
+    assert code == 2 and out == ""
+    assert err == "error: mult takes 2 element argument(s)\n"
 
 
 def test_selftest(capsys):

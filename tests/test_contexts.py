@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 
 from symgen.perm import Perm
@@ -38,11 +36,3 @@ def test_mode_validation(l2_19):
     with pytest.raises(ValueError):
         mult(a, a, mode="sideways")
 
-
-def test_per2sym_refuses_unfaithful_coset_action(l2_19):
-    # the conversion depends on reading control elements off the coset
-    # points, which is only well defined when that action is faithful
-    img = dataclasses.replace(l2_19.image, control_faithful_on_t_cosets=False)
-    ctx = SymContext(l2_19.spec, image=img)
-    with pytest.raises(ContextError):
-        per2sym(ctx, Perm.identity(img.index))

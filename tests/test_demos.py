@@ -1,9 +1,12 @@
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from symgen import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -29,3 +32,18 @@ def test_readme_python_block_prints_its_comment():
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == expected + "\n"
+
+
+def test_readme_command_block_runs(tmp_path, monkeypatch, capsys):
+    # every command of the README's "Command line" block exits 0 quietly;
+    # run in a scratch directory, since one of them writes graph.json
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True) for line in block.splitlines()]
+    monkeypatch.chdir(tmp_path)
+    assert commands and all(argv[0] == "symgen" for argv in commands)
+    for argv in commands:
+        code = cli.main(argv[1:])
+        err = capsys.readouterr().err
+        assert (code, err) == (0, ""), argv

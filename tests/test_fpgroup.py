@@ -4,10 +4,9 @@ import pytest
 
 from symgen.fpgroup import (CosetLimitExceeded, Presentation, _check_closed,
                             coset_action, commutator, concat, invert_word,
-                            parse_word, reduce_word, todd_coxeter, word_image,
-                            word_str)
+                            parse_word, reduce_word, todd_coxeter, word_str)
 from symgen.groupfile import bundled_fixture_names, load_bundled
-from symgen.perm import parse_cycles
+from symgen.perm import parse_cycles, word_perm
 from symgen.progenitor import build_presentation
 
 from oracles import closure_order, todd_coxeter_reference
@@ -116,7 +115,7 @@ def test_pgl27_presentation_has_order_336():
         "(2,6)(4,5)(14,10)(13,12)",
         "(7,14)(1,8)(2,9)(3,10)(4,11)(5,12)(6,13)"))
     for rel in pres.relators:
-        assert word_image(gens, rel).is_identity()
+        assert word_perm(gens, rel).is_identity()
     assert closure_order(gens) == 336
 
 
@@ -225,7 +224,7 @@ def test_coset_action_is_homomorphism():
     t = todd_coxeter(pres, [(1,)])
     images = coset_action(t)
     for rel in pres.relators:
-        assert word_image(images, rel).is_identity()
+        assert word_perm(images, rel).is_identity()
     # subgroup generators fix coset 1
     assert images[0].apply(1) == 1
 
@@ -241,10 +240,10 @@ def test_relator_closure_at_every_coset():
 def test_word_image_empty_and_cancelling():
     pres = Presentation.parse(["a"], "a^5")
     images = coset_action(todd_coxeter(pres))
-    assert word_image(images, ()).is_identity()
-    assert word_image(images, (1, -1)).is_identity()
+    assert word_perm(images, ()).is_identity()
+    assert word_perm(images, (1, -1)).is_identity()
     with pytest.raises(ValueError):
-        word_image(images, (2,))
+        word_perm(images, (2,))
 
 
 def test_index_equals_order_for_small_corpus():

@@ -2,8 +2,10 @@ import random
 
 import pytest
 
+from symgen.groupfile import bundled_fixture_names, load_bundled
 from symgen.perm import (GroupTooLarge, IdentificationError, Perm, PermGroup,
-                         cycles_str, parse_cycles, word_perm)
+                         cycles_str, label_cycles_str, parse_cycles,
+                         parse_label_cycles, word_perm)
 
 from oracles import (centralizer_by_enumeration, closure_order,
                      inverse_by_loop, product_by_generator)
@@ -149,6 +151,13 @@ def test_cycle_parse_print_roundtrip():
     assert parse_cycles("()", 5) == Perm.identity(5)
     assert parse_cycles("", 5) == Perm.identity(5)
     assert parse_cycles(" ( 1 , 2 ) ( 3 , 4 ) ", 5) == parse_cycles("(1,2)(3,4)", 5)
+    # the same notation over each fixture's labels ("∞", "b0".."b6", ...)
+    for name in bundled_fixture_names():
+        spec = load_bundled(name).spec
+        for _ in range(20):
+            p = spec.control_group.random_element(rng)
+            text = label_cycles_str(p, spec.labels)
+            assert parse_label_cycles(text, spec.labels) == p
 
 
 def test_cycle_parse_errors():
@@ -271,64 +280,6 @@ def test_orbit_stabilizer_identity_randomized():
             k = rng.randrange(1, g.degree + 1)
             orbit, _ = g.orbit(k)
             assert len(orbit) * g.point_stabilizer(k).order() == g.order()
-
-
-def test_setwise_stabilizer_of_paired_points():
-    g = pgl_2_7()
-    s = g.setwise_stabilizer({7, 14})
-    # brute-force oracle over all 336 elements
-    count = sum(1 for e in g.elements()
-                if {e.apply(7), e.apply(14)} == {7, 14})
-    assert s.order() == count == 12
-    assert g.order() // s.order() == 28
-
-
-def test_setwise_stabilizer_trivia():
-    g = PermGroup(4, (parse_cycles("(1,2,3,4)", 4), parse_cycles("(1,2)", 4)))
-    assert g.setwise_stabilizer(range(1, 5)).order() == g.order()
-    k = 3
-    assert g.setwise_stabilizer({k}).order() == g.point_stabilizer(k).order()
-    with pytest.raises(ValueError):
-        g.setwise_stabilizer(())
-
-
-def test_setwise_stabilizer_bound():
-    g = pgl_2_7()
-    with pytest.raises(GroupTooLarge):
-        g.setwise_stabilizer({1, 2}, max_elements=100)
-
-
-def test_right_transversal_basics():
-    g = PermGroup(4, (parse_cycles("(1,2,3,4)", 4), parse_cycles("(1,2)", 4)))
-    tr = g.right_transversal(g)
-    assert len(tr) == 1 and tr[0].is_identity()
-    trivial = PermGroup(4)
-    tr = g.right_transversal(trivial)
-    assert len(tr) == g.order()
-
-
-def test_right_transversal_cosets_distinct_and_cover():
-    g = pgl_2_7()
-    h = g.setwise_stabilizer({7, 14})
-    tr = g.right_transversal(h)
-    assert len(tr) == 28
-    assert tr[0].is_identity()
-    # pairwise distinct cosets: x*y^-1 must avoid h for x != y
-    for i, x in enumerate(tr):
-        for y in tr[i + 1:]:
-            assert x * ~y not in h
-    # cover: every element lies in h * t for some rep
-    rng = random.Random(4)
-    for _ in range(30):
-        e = g.random_element(rng)
-        assert sum(1 for t in tr if e * ~t in h) == 1
-
-
-def test_right_transversal_requires_subgroup():
-    g = PermGroup(4, (parse_cycles("(1,2,3,4)", 4),))
-    not_sub = PermGroup(4, (parse_cycles("(1,2)", 4),))
-    with pytest.raises(ValueError):
-        g.right_transversal(not_sub)
 
 
 def test_centralizer_identity_is_whole_group():

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from symgen.fpgroup import (CosetLimitExceeded, Presentation, parse_word,
-                            todd_coxeter, word_image, coset_action)
+                            todd_coxeter, coset_action)
 from symgen.perm import Perm, parse_cycles, word_perm
 from symgen.progenitor import (ProgenitorSpec, Rule, RuleSet,
                                build_presentation, derive_rules,
@@ -223,7 +223,7 @@ def test_default_t_words_reach_all_generators(l2_19):
     table = todd_coxeter(pres, [(1,), (2,)])
     images = coset_action(table)
     words = default_t_words(spec)
-    ts = [word_image(images, w) for w in words]
+    ts = [word_perm(images, w) for w in words]
     assert len(set(ts)) == spec.n
     for t in ts:
         assert t.order() == 2
