@@ -207,6 +207,19 @@ def derive_rules(spec: ProgenitorSpec, max_cosets: int = 10 ** 6) -> "RuleSet":
     return RuleSet(spec, tuple(ordered), max_cosets)
 
 
+def _straddled(system: dict[Word, Rule], p: Word, q: Word, k: int) -> bool:
+    """Whether a left-hand side of system lies strictly inside the overlap
+    w = p + q[k:] of left-hand sides p and q.  No left-hand side contains
+    another, so such an occurrence starts after w's first letter and before
+    q's window, and ends after p's window and before w's last letter."""
+    w = p + q[k:]
+    for i in range(1, len(p) - k):
+        for j in range(len(p) + 1, len(w)):
+            if w[i:j] in system:
+                return True
+    return False
+
+
 class RuleSet:
     """The base rules, their Knuth-Bendix completion and the letter table.
 
@@ -223,7 +236,8 @@ class RuleSet:
     cleared whenever a rule is added or retired, and indexes the left-hand
     sides by proper prefix, proper suffix and factor.  It sorts what the
     indexes find by insertion sequence, so it pushes its equations in the
-    order of a scan of system (see _complete).  Both live only while
+    order of a scan of system, less the composite critical pairs, which
+    it skips (see _complete).  Both live only while
     _complete runs; system, _widths and the table are what outlive it.
     """
 
@@ -297,6 +311,14 @@ class RuleSet:
         pushes the equations in the order of a scan of system, so the
         heap's tiebreak and every later step are those of the scan.  The
         memo and the indexes die with the call.
+
+        _critical_pairs drops the composite rule-rule overlaps, judged
+        against system as it stands when the new rule's overlaps are
+        collected.  That stays sound after later retirements: a rule c is
+        retired only by a new rule r whose left-hand side lies inside c's,
+        so r's lies strictly inside the overlap word too, and so on down to
+        a rule of the final system.  The equations left are a subsequence
+        of those of the scan, in the same order.
         """
         identity = Perm.identity(self.n)
         system = self.system
@@ -374,7 +396,32 @@ class RuleSet:
         rule t_(u^g) = pi^g t_(v^g): a rewrite moves the letters left of
         its window, so the rules there must also join in moved form.
         overlaps lists (_, _, k, a, b) where a's pattern ends with the k
-        letters that b's begins with."""
+        letters that b's begins with.
+
+        A rule-rule overlap w = a.pattern + b.pattern[k:] is composite, and
+        yields nothing, when a left-hand side c of system lies strictly
+        inside w: after its first letter and before its last (Kapur,
+        Musser & Narendran 1988).  Its two sides still join:
+
+        * system is interreduced, so that occurrence of c is no factor of
+          a or b: it starts left of b's window and ends right of a's.  The
+          prefix w1 of w that ends with c holds the windows of a and c, and
+          the suffix w2 that starts with c holds those of c and b.  Both
+          are shorter than w, and so is the rewrite of w by c.
+        * Words below w in reverse shortlex are confluent (induct on w, as
+          in Newman's lemma), so the two sides of w1 and those of w2 each
+          reduce to one (delta, nf).
+        * A right extension w1 y is untouched: a rewrite leaves the letters
+          right of its window in place, so the steps that join w1's sides
+          join the sides of w1 y by a and by c.
+        * A left extension x w2 joins too.  A step at a window inside s
+          gathers its perm pi and moves x to x^pi, so a reduction of s to
+          delta t_nf reduces x s to delta t_(x^delta nf).  Both sides of w2
+          gather the same delta, so the moved prefix x^delta is the same on
+          both, and the sides of x w2 by c and by b meet.
+        * The rewrite of w by c is below w, hence confluent, and joins both
+          a's side and b's side; so those two join.
+        """
         identity = Perm.identity(self.n)
         u, pi, v = rule.pattern, rule.perm, rule.replacement
         yield identity, u[:-1], pi, v + u[-1:]
@@ -382,8 +429,14 @@ class RuleSet:
         for g in self.spec.control_gens:
             yield identity, g.images_of(u), pi.conj(g), g.images_of(v)
         for _, _, k, a, b in overlaps:
-            yield (a.perm, a.replacement + b.pattern[k:], b.perm,
-                   b.perm.images_of(a.pattern[:-k]) + b.replacement)
+            p, q = a.pattern, b.pattern
+            # most overlaps leave no room for a third left-hand side: two
+            # letters of p before q's window and two of q after p's
+            if len(p) - k > 1 and len(q) - k > 1 and _straddled(
+                    self.system, p, q, k):
+                continue
+            yield (a.perm, a.replacement + q[k:], b.perm,
+                   b.perm.images_of(p[:-k]) + b.replacement)
 
     @cached_property
     def table(self) -> dict[tuple[Word, int], tuple[Perm, Word]]:

@@ -122,6 +122,21 @@ def test_label_with_inner_whitespace_exit_code(tmp_path, capsys):
     lines = err.splitlines()
     assert len(lines) == 1 and "label 'x y'" in lines[0]
 
+
+def test_label_dash_exit_code(tmp_path, capsys):
+    # "(id | -)" is the identity, so a label "-" would make it ambiguous
+    src = json.loads((FIXTURE_DIR / "5sq_d6.json").read_text(encoding="utf-8"))
+    src["labels"][0] = "-"
+    src["control_generators"] = ["(-,1,2)", "(-,1)"]
+    for item in src["relators"]:
+        item["tail"] = ["-" if label == "0" else label for label in item["tail"]]
+    path = tmp_path / "dash.json"
+    path.write_text(json.dumps(src), encoding="utf-8")
+    code, out, err = run_cli(capsys, "elt", str(path), "invert", "(id | -)")
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and "label '-'" in lines[0]
+
 FIXTURE_DATA = {name: json.loads((FIXTURE_DIR / f"{name}.json")
                                  .read_text(encoding="utf-8"))
                 for name in ("l2_19", "5sq_d6", "u3_3")}

@@ -383,15 +383,16 @@ def test_relator_that_collapses_the_control_group_raises():
 
 
 def _completion(rules):
-    """Every equation pushed onto the completion's heap, in order, then
-    the completed system as (lhs, perm images, replacement) and the letter
-    table's entries, both in insertion order, or the type and message of
-    the error that building them raised."""
+    """Every equation pushed onto the completion's heap, in order and with
+    its tiebreak counter left out, then the completed system as (lhs, perm
+    images, replacement) and the letter table's entries, both in insertion
+    order, or the type and message of the error that building them
+    raised."""
     pushed = []
     heappush = heapq.heappush
 
     def recording_push(heap, item):
-        pushed.append(item)
+        pushed.append(item[:1] + item[2:])
         heappush(heap, item)
 
     with pytest.MonkeyPatch.context() as patch:
@@ -405,39 +406,89 @@ def _completion(rules):
 
 
 def _assert_completion_pinned(rules):
+    """The completion's outcome, which must be the scanning reference's, and
+    the numbers of equations pushed by the completion and the reference.
+    The completion skips the composite critical pairs, so its pushes are a
+    subsequence of the reference's: the rule order is kept, the pair order
+    is not."""
     reference = CompletionReference(rules.spec, rules.rules, rules.max_cosets)
-    outcome = _completion(rules)
-    assert outcome == _completion(reference)
-    return outcome[1:]
+    pushed, *outcome = _completion(rules)
+    reference_pushed, *reference_outcome = _completion(reference)
+    assert outcome == reference_outcome
+    rest = iter(reference_pushed)
+    assert all(item in rest for item in pushed)
+    return tuple(outcome), (len(pushed), len(reference_pushed))
 
 
 def test_completion_matches_the_reference_without_relators():
     spec = spec_without_relators(load_bundled("5sq_d6").spec)
     # no rule to complete: both trip the letter-table budget at one word
-    outcome = _assert_completion_pinned(derive_rules(spec, 200))
+    outcome, _ = _assert_completion_pinned(derive_rules(spec, 200))
     assert outcome[0] is CosetLimitExceeded
 
 
 def test_completion_matches_the_reference_on_a_collapse():
-    outcome = _assert_completion_pinned(derive_rules(collapsing_spec()))
+    outcome, _ = _assert_completion_pinned(derive_rules(collapsing_spec()))
     assert outcome[0] is ValueError
+
+
+# equations pushed by the completion and by the scanning reference
+PUSHES = {"5sq_d6": (138, 214), "l2_19": (2604, 4905), "u3_3": (3290, 3293)}
 
 
 @pytest.mark.parametrize("name,index,rules", [("5sq_d6", 50, 14),
                                               ("l2_19", 57, 143),
                                               ("u3_3", 36, 179)])
 def test_completion_matches_the_scanning_reference(name, index, rules):
-    # each budget either pushes the reference's equations in its order and
-    # builds its system and table, or raises its error; index is the least
-    # budget that fits, so the last case is the fixture's whole completion
+    # each budget either builds the reference's system and table or raises
+    # its error; index is the least budget that fits, so the last case is
+    # the fixture's whole completion, where the skipped composite pairs are
+    # pinned so that a criterion that stops firing fails here
     spec = load_bundled(name).spec
     outcomes = [_assert_completion_pinned(derive_rules(spec, m))
                 for m in (1, 2, index - 1, index)]
-    assert outcomes[0][0] is CosetLimitExceeded
-    assert outcomes[2][0] is CosetLimitExceeded
-    system, entries = outcomes[3]
+    assert outcomes[0][0][0] is CosetLimitExceeded
+    assert outcomes[2][0][0] is CosetLimitExceeded
+    (system, entries), pushes = outcomes[3]
     assert len(system) == rules
     assert len({s for (s, _), _ in entries}) == index
+    assert pushes == PUSHES[name]
+
+
+# 2^{*3} : S_3 and 2^{*4} : S_4 on x = (1,...,n), y = (1,2)
+SYMMETRIC_CONTROL = {3: ("(1,2,3)", "(1,2)", "x^3, y^2, (x*y)^2"),
+                     4: ("(1,2,3,4)", "(1,2)", "x^4, y^2, (x*y)^3")}
+
+
+def power_relator_spec(n, word, k):
+    """2^{*n} : S_n factored by (pi t_1)^k for the control word given;
+    (pi t_1)^k = pi^k t_(1^(pi^(k-1))) ... t_(1^pi) t_1."""
+    x, y, text = SYMMETRIC_CONTROL[n]
+    gens = (parse_cycles(x, n), parse_cycles(y, n))
+    pres = Presentation.parse(["x", "y"], text)
+    control_word = parse_word(word, pres.names)
+    pi = word_perm(gens, control_word, n)
+    tail = [1]
+    for _ in range(k - 1):
+        tail.insert(0, pi.apply(tail[0]))
+    return ProgenitorSpec(n, gens, pres, ((control_word * k, tuple(tail)),))
+
+
+@pytest.mark.parametrize("n,word,k,outcome", [
+    (3, "x", 5, 20), (3, "y", 5, 20), (3, "x^2*y", 4, 8),
+    (3, "x", 8, CosetLimitExceeded), (4, "x*y*x^-1*y", 4, 10),
+    (4, "y", 4, 16), (4, "x", 5, 5), (4, "x", 6, 84),
+    (4, "x*y*x^-1*y", 7, 91), (4, "x", 3, ValueError)])
+def test_completion_matches_the_reference_on_small_progenitors(n, word, k,
+                                                               outcome):
+    # outcome is the number of least words, or the error raised: N
+    # collapses, or the budget of 2000 least words runs out
+    (first, entries), _ = _assert_completion_pinned(
+        derive_rules(power_relator_spec(n, word, k), 2000))
+    if isinstance(outcome, int):
+        assert len({s for (s, _), _ in entries}) == outcome
+    else:
+        assert first is outcome
 
 
 @pytest.mark.parametrize("relators,words", [
@@ -450,6 +501,6 @@ def test_degree_one_progenitor(relators, words):
     identity = Perm.identity(1)
     spec = ProgenitorSpec(1, (identity,), Presentation.parse(["x"], "x"),
                           relators)
-    _, entries = _assert_completion_pinned(derive_rules(spec))
+    (_, entries), _ = _assert_completion_pinned(derive_rules(spec))
     assert dict(entries) == {key: (identity, word)
                              for key, word in words.items()}
