@@ -15,6 +15,9 @@ This module turns such a specification into
     form of (least word) * t_i is then read off the completed system for
     every least word and letter into one table, and a word is
     canonicalized letter by letter through it.
+
+Within the rewrite system a permutation travels as its tuple of images,
+and a Perm is built only for what leaves it (see RuleSet).
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from .fpgroup import (CosetLimitExceeded, FreeWord, Presentation, concat,
                       invert_word, reduce_word, word_conj, word_str)
 
 Word = tuple[int, ...]  # letters are symmetric-generator indices in 1..n
+Images = tuple[int, ...]  # a perm's images of 1..n, as Perm.images
 
 
 class UnsupportedRelator(ValueError):
@@ -154,6 +158,12 @@ class Rule:
     perm: Perm
     replacement: Word
 
+    @cached_property
+    def _padded(self) -> Images:
+        """perm's images behind a 0, so that a gather by points reads the
+        image of each; built on the rule's first rewrite."""
+        return (0,) + self.perm.images
+
 
 def _relator_variants(spec: ProgenitorSpec):
     """All (perm, tail) relators: originals closed under control conjugation,
@@ -207,6 +217,28 @@ def derive_rules(spec: ProgenitorSpec, max_cosets: int = 10 ** 6) -> "RuleSet":
     return RuleSet(spec, tuple(ordered), max_cosets)
 
 
+def _gather(points: Sequence[int], padded: Images) -> Images:
+    """The image of each point under the perm whose images padded holds
+    behind a 0.  itemgetter of one index returns no tuple, and of none
+    fails, so those two lengths are spelled out."""
+    if len(points) > 1:
+        return itemgetter(*points)(padded)
+    return (padded[points[0]],) if points else ()
+
+
+def _product(p: Images, q: Images) -> Images:
+    """The images of p * q, p acting first."""
+    return _gather(p, (0,) + q)
+
+
+def _quotient(p: Images, q: Images) -> Images:
+    """The images of ~p * q, which sends p's image of each point to q's."""
+    out = [0] * len(p)
+    for a, b in zip(p, q):
+        out[a - 1] = b
+    return tuple(out)
+
+
 def _straddled(system: dict[Word, Rule], p: Word, q: Word, k: int) -> bool:
     """Whether a left-hand side of system lies strictly inside the overlap
     w = p + q[k:] of left-hand sides p and q.  No left-hand side contains
@@ -230,7 +262,8 @@ class RuleSet:
     rules in system are confluent: reduce maps each word to the one
     irreducible word of its coset N t_w.  max_cosets bounds the least
     words, and n * max_cosets the rules that completion adds; past either,
-    building the table raises CosetLimitExceeded.
+    building the table raises CosetLimitExceeded, and so does every later
+    access, since each one completes afresh from the base rules.
 
     Completion keeps a memo of reduce, exact while system is unchanged and
     cleared whenever a rule is added or retired, and indexes the left-hand
@@ -239,6 +272,13 @@ class RuleSet:
     order of a scan of system, less the composite critical pairs, which
     it skips (see _complete).  Both live only while
     _complete runs; system, _widths and the table are what outlive it.
+
+    Inside, perms travel as image tuples (Images): the completion's
+    equations, reductions and conjugates, and canonical_form's running
+    control.  A product is one gather of the left factor's images from
+    the right factor's padded behind a 0; each rule and each table entry
+    is padded once, on first use.  A Perm is built only where a result
+    leaves: a rule's perm, reduce, the table and canonical_form.
     """
 
     def __init__(self, spec: ProgenitorSpec, rules: tuple[Rule, ...],
@@ -247,11 +287,17 @@ class RuleSet:
         self.rules = rules
         self.n = spec.n
         self.max_cosets = max_cosets
+        self._identity: Images = tuple(range(1, spec.n + 1))
         self.system: dict[Word, Rule] = {}  # filled by the table's build
         self._widths: tuple[int, ...] = ()  # left-hand side lengths, ascending
 
     def reduce(self, word: Word) -> tuple[Perm, Word]:
-        """(delta, nf) with t_word = delta * t_nf and nf irreducible.
+        """(delta, nf) with t_word = delta * t_nf and nf irreducible."""
+        delta, nf = self._reduce(word)
+        return _trusted(delta), nf
+
+    def _reduce(self, word: Word) -> tuple[Images, Word]:
+        """reduce, with delta as its images.
 
         Letters go one at a time onto an irreducible stack, so a redex can
         only end at the letter just pushed.  A rule applied there moves the
@@ -259,7 +305,7 @@ class RuleSet:
         again, ahead of the replacement and the rest of the word.
         """
         system, widths = self.system, self._widths
-        delta = tuple(range(1, self.n + 1))
+        delta = self._identity
         out: list[int] = []
         todo = list(reversed(word))
         while todo:
@@ -277,9 +323,9 @@ class RuleSet:
             else:
                 continue
             del out[-k:]
-            # gather from the images padded at 0; itemgetter of one index
-            # returns no tuple, and at degree 1 every perm is the identity
-            images = (0,) + rule.perm.images
+            # itemgetter of one index returns no tuple, and at degree 1
+            # every perm is the identity
+            images = rule._padded
             if len(delta) > 1:
                 delta = itemgetter(*delta)(images)
             todo += reversed(rule.replacement)
@@ -288,16 +334,17 @@ class RuleSet:
             elif out:
                 todo.append(images[out[0]])
             out.clear()
-        return _trusted(delta), tuple(out)
+        return delta, tuple(out)
 
     def _complete(self):
         """Knuth-Bendix completion of the base rules under reverse shortlex.
 
-        Equations p t_u = q t_v wait in a heap, shortest first.  Each one
-        popped is reduced on both sides and, unless they meet, oriented
-        into a new rule; equal words under unequal perms mean the relators
-        collapse N.  A new rule sends back as equations the rules whose
-        left-hand side contains its own, then queues its critical pairs.
+        Equations p t_u = q t_v wait in a heap, shortest first, with p and
+        q as images.  Each one popped is reduced on both sides and, unless
+        they meet, oriented into a new rule; equal words under unequal
+        perms mean the relators collapse N.  A new rule sends back as
+        equations the rules whose left-hand side contains its own, then
+        queues its critical pairs.
 
         Three things spare repeated work without changing a step.
         reduce reads only system and _widths, so a memo of its results is
@@ -320,11 +367,11 @@ class RuleSet:
         a rule of the final system.  The equations left are a subsequence
         of those of the scan, in the same order.
         """
-        identity = Perm.identity(self.n)
+        identity = self._identity
         system = self.system
         heap: list = []
         tiebreak = itertools.count()
-        memo: dict[Word, tuple[Perm, Word]] = {}
+        memo: dict[Word, tuple[Images, Word]] = {}
         sequence: dict[Word, int] = {}  # the value of added at insertion
         # proper prefix / proper suffix / factor -> left-hand sides with it
         prefixes: dict[Word, set[Word]] = {}
@@ -340,24 +387,24 @@ class RuleSet:
                 for j in range(i + 1, k + 1):
                     update(factors.setdefault(lhs[i:j], set()), lhs)
 
-        def push(p: Perm, u: Word, q: Perm, v: Word):
+        def push(p: Images, u: Word, q: Images, v: Word):
             key = max((len(u), u[::-1]), (len(v), v[::-1]))
             heapq.heappush(heap, (key, next(tiebreak), p, u, q, v))
 
-        def reduce(word: Word) -> tuple[Perm, Word]:
+        def reduce(word: Word) -> tuple[Images, Word]:
             hit = memo.get(word)
             if hit is None:
-                hit = memo[word] = self.reduce(word)
+                hit = memo[word] = self._reduce(word)
             return hit
 
         for r in self.rules:
-            push(identity, r.pattern, r.perm, r.replacement)
+            push(identity, r.pattern, r.perm.images, r.replacement)
         added = 0
         while heap:
             _, _, p, u, q, v = heapq.heappop(heap)
             d, u = reduce(u)
             e, v = reduce(v)
-            p, q = p * d, q * e
+            p, q = _product(p, d), _product(q, e)
             if u == v:
                 if p != q:
                     raise ValueError("the factoring relators identify a "
@@ -373,8 +420,8 @@ class RuleSet:
             for lhs in sorted(factors.get(u, ()), key=sequence.__getitem__):
                 r = system.pop(lhs)
                 index(lhs, set.discard)
-                push(identity, r.pattern, r.perm, r.replacement)
-            rule = system[u] = Rule(u, ~p * q, v)
+                push(identity, r.pattern, r.perm.images, r.replacement)
+            rule = system[u] = Rule(u, _trusted(_quotient(p, q)), v)
             sequence[u] = added
             index(u, set.add)
             self._widths = tuple(sorted({*self._widths, len(u)}))
@@ -392,11 +439,11 @@ class RuleSet:
     def _critical_pairs(self, rule: Rule, overlaps):
         """The two one-step rewrites (p, u, q, v) of each word where rule
         overlaps t_c t_c = 1, a control generator g on its right, or a rule
-        in system (itself too).  The generator overlap is the conjugate
-        rule t_(u^g) = pi^g t_(v^g): a rewrite moves the letters left of
-        its window, so the rules there must also join in moved form.
-        overlaps lists (_, _, k, a, b) where a's pattern ends with the k
-        letters that b's begins with.
+        in system (itself too), with p and q as images.  The generator
+        overlap is the conjugate rule t_(u^g) = pi^g t_(v^g): a rewrite
+        moves the letters left of its window, so the rules there must also
+        join in moved form.  overlaps lists (_, _, k, a, b) where a's
+        pattern ends with the k letters that b's begins with.
 
         A rule-rule overlap w = a.pattern + b.pattern[k:] is composite, and
         yields nothing, when a left-hand side c of system lies strictly
@@ -422,12 +469,15 @@ class RuleSet:
         * The rewrite of w by c is below w, hence confluent, and joins both
           a's side and b's side; so those two join.
         """
-        identity = Perm.identity(self.n)
-        u, pi, v = rule.pattern, rule.perm, rule.replacement
+        identity = self._identity
+        u, pi, v = rule.pattern, rule.perm.images, rule.replacement
         yield identity, u[:-1], pi, v + u[-1:]
-        yield identity, u[1:], pi, pi.images_of(u[:1]) + v
+        yield identity, u[1:], pi, (rule._padded[u[0]],) + v
         for g in self.spec.control_gens:
-            yield identity, g.images_of(u), pi.conj(g), g.images_of(v)
+            # pi^g = ~g * (pi * g)
+            yield (identity, g.images_of(u),
+                   _quotient(g.images, _product(pi, g.images)),
+                   g.images_of(v))
         for _, _, k, a, b in overlaps:
             p, q = a.pattern, b.pattern
             # most overlaps leave no room for a third left-hand side: two
@@ -435,8 +485,8 @@ class RuleSet:
             if len(p) - k > 1 and len(q) - k > 1 and _straddled(
                     self.system, p, q, k):
                 continue
-            yield (a.perm, a.replacement + q[k:], b.perm,
-                   b.perm.images_of(p[:-k]) + b.replacement)
+            yield (a.perm.images, a.replacement + q[k:], b.perm.images,
+                   _gather(p[:-k], b._padded) + b.replacement)
 
     @cached_property
     def table(self) -> dict[tuple[Word, int], tuple[Perm, Word]]:
@@ -446,43 +496,68 @@ class RuleSet:
         first extension s + (i,) whose normal form nf_c is new, and
         t_(s_c) = eps_c t_(nf_c).  If t_s t_i = delta t_nf, the entry
         (s, i) is (delta * eps_c^-1, s_c) for nf's coset c.
+
+        Completion starts from an empty system, so an access after a
+        budget error raises that error again instead of resuming from the
+        rules the failed one left.
         """
+        self.system, self._widths = {}, ()
         self._complete()
-        identity = Perm.identity(self.n)
-        least: dict[Word, tuple[Word, Perm]] = {(): ((), identity)}
+        identity = self._identity
+        # normal form -> (least word s_c, eps_c^-1 padded behind a 0)
+        least: dict[Word, tuple[Word, Images]] = {(): ((), (0,) + identity)}
         table: dict[tuple[Word, int], tuple[Perm, Word]] = {}
         queue: list[Word] = [()]
         for s in queue:
             for i in range(1, self.n + 1):
-                delta, nf = self.reduce(s + (i,))
+                delta, nf = self._reduce(s + (i,))
                 if nf not in least:
                     if len(least) >= self.max_cosets:
                         raise CosetLimitExceeded(self.max_cosets,
                                                  "rewrite letter table", "least words")
-                    least[nf] = s + (i,), delta
+                    least[nf] = s + (i,), (0,) + _quotient(delta, identity)
                     queue.append(s + (i,))
-                word, eps = least[nf]
-                table[s, i] = delta * ~eps, word
+                word, eps_inverse = least[nf]
+                table[s, i] = _trusted(_gather(delta, eps_inverse)), word
         return table
 
-    def canonical_form(self, word: Word,
-                       trace: list | None = None) -> tuple[Perm, Word]:
+    @cached_property
+    def _steps(self) -> dict[tuple[Word, int], tuple[Images | None, Word]]:
+        """The table with each perm's images padded behind a 0 for
+        canonical_form's gathers, or None for the identity, which needs
+        none."""
+        identity = self._identity
+        return {key: (None if perm.images == identity else (0,) + perm.images,
+                      word)
+                for key, (perm, word) in self.table.items()}
+
+    def canonical_form(self, word: Word, trace: list | None = None,
+                       control: Perm | None = None) -> tuple[Perm, Word]:
         """Least (length, lex) form of a word with its gathered perm,
-        t_word = perm * t_form: a left-to-right scan that extends the least
-        form of each prefix by one table entry.  When given, trace collects
-        the (length, word) measure of the input and of the whole word after
-        every step that rewrites it."""
-        table = self.table
-        identity = perm = Perm.identity(self.n)
+        control * t_word = perm * t_form, where control defaults to the
+        identity: a left-to-right scan that extends the least form of each
+        prefix by one table entry and gathers the entry's images into the
+        control's, building one Perm at the end.  When given, trace
+        collects the (length, word) measure of the input and of the whole
+        word after every step that rewrites it."""
+        steps = self._steps
+        if control is None:
+            images = self._identity
+        elif control.degree != self.n:
+            raise ValueError(f"degree mismatch: {control.degree} != {self.n}")
+        else:
+            images = control.images
         form: Word = ()
         if trace is not None:
             trace.append((len(word), word))
         for k, letter in enumerate(word):
-            delta, new = table[form, letter]
-            if delta != identity:  # cheaper than a product on warm scans
-                perm = perm * delta
+            padded, new = steps[form, letter]
+            # None for the identity, so always at degree 1, where
+            # itemgetter of one index would return no tuple
+            if padded is not None:
+                images = itemgetter(*images)(padded)
             if trace is not None and new != form + (letter,):
                 current = new + word[k + 1:]
                 trace.append((len(current), current))
             form = new
-        return perm, form
+        return _trusted(images), form

@@ -108,11 +108,18 @@ class SymElement:
         return f"SymElement({format_element(self)!r})"
 
 
+def _shared_context(a: SymElement, b: SymElement) -> SymContext:
+    """a's context, once b is known to come from a context of the same
+    spec: elements of two specs never mix, whatever their degrees."""
+    if a.ctx is not b.ctx and a.ctx.spec is not b.ctx.spec:
+        raise ValueError("elements come from different contexts")
+    return a.ctx
+
+
 def unify(a: SymElement, b: SymElement) -> tuple[Perm, Word]:
     """Gather two elements into one raw pair: pi*u . sigma*v =
     (pi*sigma) . u^sigma ++ v, with no reduction performed."""
-    if a.ctx is not b.ctx and a.ctx.spec is not b.ctx.spec:
-        raise ValueError("elements come from different contexts")
+    _shared_context(a, b)
     sigma = b.control
     return (a.control * sigma,
             sigma.images_of(a.word) + b.word)
@@ -125,15 +132,15 @@ def canon(raw: tuple[Perm, Word], rules: RuleSet, *,
     One left-to-right pass over the word (RuleSet.canonical_form): each
     letter extends the least form of the prefix before it, through the
     (least word, letter) table read off the completed rule system on first
-    use, and the table's permutation is gathered into the control part.
+    use.  The scan starts from the raw control's images and gathers each
+    table entry's into them, so a call builds one Perm, its result.
     When given, trace collects the (length, word) measure of the input and
     of the whole word after every rewrite step; each entry is strictly
     less than the one before.
     """
     perm, word = raw
-    delta, form = rules.canonical_form(normalize_tail(word, rules.n),
-                                       trace=trace)
-    return perm * delta, form
+    return rules.canonical_form(normalize_tail(word, rules.n), trace=trace,
+                                control=perm)
 
 
 def canon_element(ctx: SymContext, raw: tuple[Perm, Word]) -> SymElement:
@@ -175,7 +182,7 @@ def mult(a: SymElement, b: SymElement, mode: str = "auto") -> SymElement:
     mode "pure" uses unify + canon; mode "image" multiplies the realized
     permutations and converts back; "auto" prefers pure when rules exist.
     """
-    ctx = a.ctx
+    ctx = _shared_context(a, b)
     mode = _pick_mode(ctx, mode)
     if mode == "pure":
         return canon_element(ctx, unify(a, b))
@@ -194,7 +201,7 @@ def invert_sym(a: SymElement, mode: str = "auto") -> SymElement:
 
 
 def equal_sym(a: SymElement, b: SymElement, mode: str = "auto") -> bool:
-    ctx = a.ctx
+    ctx = _shared_context(a, b)
     mode = _pick_mode(ctx, mode)
     if mode == "pure":
         ca = a if a.canonical else canon_element(ctx, (a.control, a.word))

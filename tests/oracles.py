@@ -6,8 +6,8 @@ from typing import Sequence
 
 from symgen.fpgroup import (CosetLimitExceeded, CosetTable, Presentation,
                             _check_closed, reduce_word)
-from symgen.perm import Perm, PermGroup, _trusted
-from symgen.progenitor import Rule, RuleSet, Word
+from symgen.perm import Perm, PermGroup
+from symgen.progenitor import Rule, RuleSet, Word, normalize_tail
 
 
 def product_by_generator(p, q):
@@ -49,6 +49,28 @@ def centralizer_by_enumeration(group, p):
             kept.append(g)
             sub = PermGroup(group.degree, tuple(kept))
     return sub
+
+
+def canon_by_perms(raw, rules, trace=None):
+    """symrep.canon as written before it gathered image tuples: one Perm
+    product per table entry that is no identity, tested with Perm.__eq__,
+    then one last product with the raw control."""
+    perm, word = raw
+    word = normalize_tail(word, rules.n)
+    table = rules.table
+    identity = delta = Perm.identity(rules.n)
+    form: Word = ()
+    if trace is not None:
+        trace.append((len(word), word))
+    for k, letter in enumerate(word):
+        step, new = table[form, letter]
+        if step != identity:
+            delta = delta * step
+        if trace is not None and new != form + (letter,):
+            current = new + word[k + 1:]
+            trace.append((len(current), current))
+        form = new
+    return perm * delta, form
 
 
 def conjugate_rule(rule, pi):
@@ -189,15 +211,16 @@ def todd_coxeter_reference(pres: Presentation,
 
 
 class CompletionReference(RuleSet):
-    """RuleSet with reduce, _complete and _critical_pairs as written before
-    the completion kept a memo of its reductions and indexed its left-hand
-    sides: each new rule scans system once for stale rules and once for
-    overlaps.  RuleSet must push the same equations in the same order,
-    build the same system in the same insertion order and the same letter
-    table, and raise the same errors."""
+    """RuleSet with _reduce, _complete and _critical_pairs as written before
+    the completion kept a memo of its reductions, indexed its left-hand
+    sides and carried its perms as image tuples: each new rule scans system
+    once for stale rules and once for overlaps, and the equations hold
+    Perms.  RuleSet must push the same equations, perms read as images,
+    in the same order, build the same system in the same insertion order
+    and the same letter table, and raise the same errors."""
 
-    def reduce(self, word: Word) -> tuple[Perm, Word]:
-        """(delta, nf) with t_word = delta * t_nf and nf irreducible.
+    def _reduce(self, word: Word) -> tuple[tuple[int, ...], Word]:
+        """(delta images, nf) with t_word = delta * t_nf and nf irreducible.
 
         Letters go one at a time onto an irreducible stack, so a redex can
         only end at the letter just pushed.  A rule applied there moves the
@@ -227,7 +250,7 @@ class CompletionReference(RuleSet):
             todo += reversed(rule.replacement)
             todo += reversed(rule.perm.images_of(out))
             out.clear()
-        return _trusted(delta), tuple(out)
+        return delta, tuple(out)
 
     def _complete(self):
         """Knuth-Bendix completion of the base rules under reverse shortlex.

@@ -1,8 +1,10 @@
 import pytest
 
 from symgen.perm import Perm
+from symgen.progenitor import derive_rules
 from symgen.symrep import (ContextError, SymContext, equal_sym, mult,
                            per2sym, sym2per)
+from test_progenitor import power_relator_spec
 
 
 def test_pure_only_context(l2_19):
@@ -36,3 +38,19 @@ def test_mode_validation(l2_19):
     with pytest.raises(ValueError):
         mult(a, a, mode="sideways")
 
+
+def test_elements_of_different_contexts_do_not_mix(d6_5sq, u3_3):
+    # 5sq_d6 and 2^{*3}:S_3 / (x t_1)^5 both act on three letters, so only
+    # the context check tells their elements apart; u3_3's act on 14
+    spec = power_relator_spec(3, "x", 5)
+    other = SymContext(spec, rules=derive_rules(spec))
+    a = d6_5sq.element(Perm.identity(3), (1,))
+    for b in (other.element(Perm.identity(3), (1,)), u3_3.identity_element()):
+        for x, y in ((a, b), (b, a)):
+            for mode in ("auto", "pure", "image"):
+                with pytest.raises(ValueError, match="^elements come from "
+                                                     "different contexts$"):
+                    mult(x, y, mode=mode)
+                with pytest.raises(ValueError, match="^elements come from "
+                                                     "different contexts$"):
+                    equal_sym(x, y, mode=mode)

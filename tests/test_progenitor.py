@@ -10,7 +10,8 @@ from symgen.progenitor import (ProgenitorSpec, Rule, RuleSet,
                                build_presentation, derive_rules,
                                normalize_tail)
 from symgen.groupfile import load_bundled
-from oracles import CompletionReference, conjugate_rule
+from symgen.symrep import SymContext, canon, invert_sym, mult
+from oracles import CompletionReference, canon_by_perms, conjugate_rule
 
 FIXTURES = ["5sq_d6", "l2_19", "u3_3"]
 
@@ -320,13 +321,13 @@ def test_products_read_the_table_without_reducing(monkeypatch, all_contexts,
     ctx = all_contexts[name]
     ctx.rules.table
     reduced = []
-    reduce = RuleSet.reduce
+    reduce = RuleSet._reduce  # what reduce, completion and the table call
 
     def counting_reduce(self, word):
         reduced.append(word)
         return reduce(self, word)
 
-    monkeypatch.setattr(RuleSet, "reduce", counting_reduce)
+    monkeypatch.setattr(RuleSet, "_reduce", counting_reduce)
     rng = random.Random(11)
     full = ctx.image.full_group
     for _ in range(200):
@@ -360,6 +361,22 @@ def test_rewrite_budget_names_its_stage():
         derive_rules(load_bundled("u3_3").spec, 1).table
 
 
+@pytest.mark.parametrize("max_cosets", [1, 2])
+def test_table_access_after_a_budget_error_raises_it_again(max_cosets):
+    # every access completes from the base rules: a retry neither grows the
+    # system nor gets past the completion's budget to the table's
+    rules = derive_rules(load_bundled("u3_3").spec, max_cosets)
+    seen = []
+    for _ in range(3):
+        with pytest.raises(CosetLimitExceeded) as exc:
+            rules.table
+        seen.append((str(exc.value), list(rules.system.items())))
+    assert seen[0][0] == ("Knuth-Bendix completion exceeded the limit of "
+                          f"{14 * max_cosets} added rules")
+    assert len(seen[0][1]) == 14 * max_cosets
+    assert seen[1:] == seen[:1] * 2
+
+
 def test_rewrite_engine_without_factoring_relators_hits_the_budget():
     spec = spec_without_relators(load_bundled("5sq_d6").spec)
     rules = derive_rules(spec, max_cosets=200)
@@ -383,16 +400,18 @@ def test_relator_that_collapses_the_control_group_raises():
 
 
 def _completion(rules):
-    """Every equation pushed onto the completion's heap, in order and with
-    its tiebreak counter left out, then the completed system as (lhs, perm
-    images, replacement) and the letter table's entries, both in insertion
-    order, or the type and message of the error that building them
-    raised."""
+    """Every equation pushed onto the completion's heap, in order, with its
+    tiebreak counter left out and its perms read as image tuples (the
+    completion pushes tuples, the reference Perms), then the completed
+    system as (lhs, perm images, replacement) and the letter table's
+    entries, both in insertion order, or the type and message of the error
+    that building them raised."""
     pushed = []
     heappush = heapq.heappush
 
     def recording_push(heap, item):
-        pushed.append(item[:1] + item[2:])
+        pushed.append(tuple(x.images if isinstance(x, Perm) else x
+                            for x in item[:1] + item[2:]))
         heappush(heap, item)
 
     with pytest.MonkeyPatch.context() as patch:
@@ -501,6 +520,58 @@ def test_degree_one_progenitor(relators, words):
     identity = Perm.identity(1)
     spec = ProgenitorSpec(1, (identity,), Presentation.parse(["x"], "x"),
                           relators)
-    (_, entries), _ = _assert_completion_pinned(derive_rules(spec))
+    rules = derive_rules(spec)
+    (_, entries), _ = _assert_completion_pinned(rules)
     assert dict(entries) == {key: (identity, word)
                              for key, word in words.items()}
+    # products: t_1 is words[(), 1], and t_1 t_1 t_1 is t_1
+    t1 = words[(), 1]
+    for word in ((1,), (1, 1, 1)):
+        trace = []
+        assert canon((identity, word), rules, trace=trace) == (identity, t1)
+        assert trace == [(1, (1,))] + [(0, ())] * (t1 == ())
+    ctx = SymContext(spec, rules=rules)
+    t = ctx.element(identity, (1,))
+    product, inverse = mult(t, t), invert_sym(t)
+    assert (product.control, product.word) == (identity, ())
+    assert (inverse.control, inverse.word) == (identity, t1)
+
+
+def _raw_pairs(spec, rng, count):
+    """Seeded raw pairs: a random control and a word of up to 8 letters,
+    each letter after the first repeating the one before a third of the
+    time."""
+    pairs = []
+    for _ in range(count):
+        word: list[int] = []
+        for _ in range(rng.randrange(9)):
+            word.append(word[-1] if word and rng.random() < 1 / 3
+                        else rng.randrange(1, spec.n + 1))
+        pairs.append((spec.control_group.random_element(rng), tuple(word)))
+    return pairs
+
+
+@pytest.mark.parametrize("name", FIXTURES + [
+    "3,x,5", "3,y,5", "3,x^2*y,4", "4,x*y*x^-1*y,4", "4,y,4", "4,x,5",
+    "4,x,6", "4,x*y*x^-1*y,7"])
+def test_canon_matches_the_per_letter_oracle(all_contexts, name):
+    # canon gathers image tuples and builds one Perm per call; the oracle
+    # multiplies a Perm per letter, as canon did before; both give the same
+    # pair and the same trace, on fixtures and on small progenitors
+    # 2^{*n} : S_n / (pi t_1)^k named "n,pi,k"
+    if name in all_contexts:
+        rules = all_contexts[name].rules
+    else:
+        n, word, k = name.split(",")
+        rules = derive_rules(power_relator_spec(int(n), word, int(k)), 2000)
+    rng = random.Random(name)
+    moved = 0
+    for raw in _raw_pairs(rules.spec, rng, 2000):
+        trace, expected_trace = [], []
+        result = canon(raw, rules, trace=trace)
+        expected = canon_by_perms(raw, rules, trace=expected_trace)
+        assert (result, trace) == (expected, expected_trace), raw
+        moved += not (~raw[0] * result[0]).is_identity()
+    # the words reach the entries that move letters, where there are any
+    assert (moved > 0) == any(not perm.is_identity()
+                              for perm, _ in rules.table.values())
