@@ -8,9 +8,9 @@
 Spec files are the JSON format of groupfile; bundled fixture names
 (l2_19, 5sq_d6, u3_3) are accepted wherever a path is.  Exit codes:
 0 ok, 2 parse/validation error or unwritable --out file, 3 expectation
-mismatch, 4 resource limit, 5 membership failure.  SYMGEN_MAX_COSETS
-overrides the coset limit, which bounds both the enumeration and the
-rewrite table.
+mismatch, 4 resource limit (cosets, or a group too large to list),
+5 membership failure.  SYMGEN_MAX_COSETS overrides the coset limit, which
+bounds both the enumeration and the rewrite table.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import os
 import sys
 
 from .fpgroup import CosetLimitExceeded
-from .perm import IdentificationError, parse_cycles, cycles_str
+from .perm import GroupTooLarge, IdentificationError, parse_cycles, cycles_str
 from .dcenum import CollapsedGraph, double_cosets, emit_graph, word_label
 from .groupfile import (GroupSpecFile, SpecFileError, bundled_fixture_names,
                         load_bundled, load_spec_file)
@@ -186,7 +186,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "elt":
             return _elt(_load(args.spec), args.action, args.elements, out)
         return _selftest(out)
-    except CosetLimitExceeded as exc:
+    except (CosetLimitExceeded, GroupTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_LIMIT
     except IdentificationError as exc:

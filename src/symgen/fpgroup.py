@@ -99,30 +99,7 @@ class Presentation:
     @staticmethod
     def parse(names: Sequence[str], relator_text: str) -> "Presentation":
         names = tuple(names)
-        relators = tuple(parse_word(part, names)
-                         for part in split_top_level(relator_text) if part.strip())
-        return Presentation(names, relators)
-
-
-def split_top_level(text: str) -> list[str]:
-    """Split on commas that are not nested inside parentheses."""
-    parts, depth, cur = [], 0, []
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise ValueError(f"unbalanced ')' in {text!r}")
-        if ch == "," and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    if depth != 0:
-        raise ValueError(f"unbalanced '(' in {text!r}")
-    parts.append("".join(cur))
-    return parts
+        return Presentation(names, _WordParser(relator_text, names).word_list())
 
 
 class _WordParser:
@@ -144,6 +121,19 @@ class _WordParser:
         if self.pos != len(self.text):
             self.error("trailing input")
         return w
+
+    def word_list(self) -> tuple[FreeWord, ...]:
+        """Comma-separated words, skipping empty items; the commas of a
+        commutator are read inside its parentheses by atom."""
+        words = []
+        while True:
+            if self.peek() not in (",", ""):
+                words.append(self.word())
+            if self.pos == len(self.text):
+                return tuple(words)
+            if self.peek() != ",":
+                self.error("expected ','")
+            self.pos += 1
 
     def word(self) -> FreeWord:
         out = self.factor()

@@ -21,7 +21,7 @@ set, read by parse_cycles and written by cycles_str.
 Only outside input is validated: Perm(images), and so the cycle parser and
 the coset action read off a coset table, checks that the images form a
 permutation, and apply() range-checks its point.
-Products, inverses, conjugates, powers and identity() are built unchecked
+Products, inverses, conjugates and identity() are built unchecked
 from permutations already valid, the product and images_of() in one C-level
 gather (operator.itemgetter), so composing pays for no validation.
 
@@ -38,8 +38,13 @@ from operator import itemgetter
 from typing import Iterable, Sequence
 
 
-class GroupTooLarge(ValueError):
-    """Raised when an exhaustive-enumeration operation exceeds its bound."""
+# elements() and centralizer() refuse a group of more elements than this
+MAX_ELEMENTS = 10 ** 6
+
+
+class GroupTooLarge(RuntimeError):
+    """Raised when an exhaustive-enumeration operation exceeds
+    MAX_ELEMENTS: a resource limit, like a coset limit, not bad input."""
 
 
 class IdentificationError(ValueError):
@@ -51,7 +56,7 @@ class Perm:
 
     Perm(images) is the checked constructor, for outside input: images
     must be a permutation of 1..len(images).  Products, inverses,
-    conjugates, powers and identity() build their results with no check
+    conjugates and identity() build their results with no check
     (_trusted), since the check costs more than composing them.
     """
 
@@ -103,18 +108,6 @@ class Perm:
         for k, i in enumerate(self.images, start=1):
             inv[i - 1] = k
         return _trusted(tuple(inv))
-
-    def __pow__(self, n: int) -> "Perm":
-        if n < 0:
-            return (~self) ** (-n)
-        result = Perm.identity(len(self.images))
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def conj(self, other: "Perm") -> "Perm":
         """Conjugate self by other: ~other * self * other."""
@@ -335,17 +328,17 @@ class PermGroup:
             r = r * ~level.transversal[b]
         return r.is_identity()
 
-    def elements(self, max_elements: int = 10 ** 6) -> tuple[Perm, ...]:
+    def elements(self) -> tuple[Perm, ...]:
         """All elements in a deterministic order; the identity comes first."""
         if self._elements is None:
-            self._check_order(max_elements)
+            self._check_order()
             self._elements = tuple(self._multiply_out(self.chain))
         return self._elements
 
-    def _check_order(self, max_elements: int) -> None:
-        if self.order() > max_elements:
+    def _check_order(self) -> None:
+        if self.order() > MAX_ELEMENTS:
             raise GroupTooLarge(
-                f"group order {self.order()} exceeds bound {max_elements}")
+                f"group order {self.order()} exceeds bound {MAX_ELEMENTS}")
 
     def _multiply_out(self, levels: Sequence[_Level]) -> list[Perm]:
         """Every product u_k * ... * u_1 of transversal elements, one per
@@ -443,7 +436,7 @@ class PermGroup:
             sub = PermGroup(self.degree, tuple(kept))
         return sub
 
-    def centralizer(self, p: Perm, max_elements: int = 10 ** 6) -> "PermGroup":
+    def centralizer(self, p: Perm) -> "PermGroup":
         """Centralizer of p (p must lie in the group), split over the
         chain's top level.
 
@@ -455,11 +448,11 @@ class PermGroup:
         tuples.  The matches are sorted by (index in H, index in the top
         orbit), which is their order in elements(), so the generators kept
         by the span filter are exactly those of filtering elements().
-        Raises GroupTooLarge when the group order exceeds max_elements.
+        Raises GroupTooLarge when the group order exceeds MAX_ELEMENTS.
         """
         if p not in self:
             raise IdentificationError("element is not in the group")
-        self._check_order(max_elements)
+        self._check_order()
         if not self.chain:
             return PermGroup(self.degree)
         top = self.chain[0]

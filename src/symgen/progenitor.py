@@ -7,14 +7,15 @@ This module turns such a specification into
     for the first symmetric generator, commutators encoding its stabilizer,
     and the factoring relators rewritten through orbit witness words), and
 
-  * a rewrite-rule system over generator words.  The relators, closed
-    under control-group conjugation, cyclic rotation and inversion, are
-    split into rules t_pattern = perm * t_replacement.  Knuth-Bendix
-    completion under reverse shortlex makes them confluent, so every word
-    reduces to one normal form per coset of N.  The least (length, lex)
-    form of (least word) * t_i is then read off the completed system for
-    every least word and letter into one table, and a word is
-    canonicalized letter by letter through it.
+  * a rewrite-rule system over generator words.  Each relator, as
+    written, is split into one rule t_pattern = perm * t_replacement.
+    Knuth-Bendix completion under reverse shortlex makes them confluent,
+    deriving the relators' control-group conjugates, cyclic rotations and
+    inverses on the way, so every word reduces to one normal form per
+    coset of N.  The least (length, lex) form of (least word) * t_i is
+    then read off the completed system for every least word and letter
+    into one table, and a word is canonicalized letter by letter through
+    it.
 
 Within the rewrite system a permutation travels as its tuple of images,
 and a Perm is built only for what leaves it (see RuleSet).
@@ -165,56 +166,30 @@ class Rule:
         return (0,) + self.perm.images
 
 
-def _relator_variants(spec: ProgenitorSpec):
-    """All (perm, tail) relators: originals closed under control conjugation,
-    cyclic rotation and inversion."""
-    seeds = []
-    for control_word, tail in spec.relators:
-        pi = spec.control_word_perm(control_word)
-        tail = normalize_tail(tail, spec.n)
-        if not tail:
-            raise UnsupportedRelator("factoring relator with empty tail")
-        seeds.append((pi, tail))
-
-    elems = spec.control_group.elements()
-    pool: dict[tuple[tuple[int, ...], Word], tuple[Perm, Word]] = {}
-
-    def add(pi: Perm, w: Word):
-        w = normalize_tail(w, spec.n)
-        key = (pi.images, w)
-        if key in pool or not w:
-            return
-        pool[key] = (pi, w)
-        # cyclic rotation: conjugating pi*t_a*u = 1 by pi*t_a gives
-        # u*pi*t_a = pi * u^pi * t_a
-        a, rest = w[0], w[1:]
-        rotated = pi.images_of(rest) + (a,)
-        add(pi, rotated)
-        # inversion: (pi*w)^-1 = pi^-1 * reverse(w)^(pi^-1)
-        inv = ~pi
-        add(inv, inv.images_of(w[::-1]))
-
-    for pi, tail in seeds:
-        for nu in elems:
-            add(pi.conj(nu), nu.images_of(tail))
-    return list(pool.values())
-
-
 def derive_rules(spec: ProgenitorSpec, max_cosets: int = 10 ** 6) -> "RuleSet":
-    """Base rewrite rules from the factoring relators.
+    """Base rewrite rules from the factoring relators as written.
 
-    Each relator variant pi * t_w = 1 is split at the middle into
-    t_u = pi^-1 * t_(reverse v), with |u| >= |v|.  The set is closed under
-    control conjugation by construction.  RuleSet completes it on first
-    use, within the max_cosets budget.
+    Each relator pi * t_w = 1 is split at the middle into one rule
+    t_u = pi^-1 * t_(reverse v), with w = u v and |u| >= |v|.  Its
+    conjugates, cyclic rotations and inverse need no rules of their own,
+    since completion derives them.  A rotation or the inverse is the
+    relator multiplied through by letters that t_c t_c = 1 cancels, and
+    completion joins every rule's overlaps with t_c t_c at both ends.  The
+    conjugate by an element of N follows from conjugates by the control
+    generators, and completion joins every rule's conjugate by each of
+    them.  So the completed system decides the congruence that the closed
+    relators generate, and the letter table, which depends only on that
+    congruence, is theirs.  RuleSet completes the rules on first use,
+    within the max_cosets budget.
     """
     rules = []
-    for pi, w in _relator_variants(spec):
+    for control_word, w in spec.relators:
+        if not w:
+            raise UnsupportedRelator("factoring relator with empty tail")
         a = (len(w) + 1) // 2
-        rules.append(Rule(w[:a], ~pi, tuple(reversed(w[a:]))))
-    ordered = sorted(rules, key=lambda r: (len(r.pattern), r.pattern,
-                                           r.replacement, r.perm.images))
-    return RuleSet(spec, tuple(ordered), max_cosets)
+        rules.append(Rule(w[:a], ~spec.control_word_perm(control_word),
+                          tuple(reversed(w[a:]))))
+    return RuleSet(spec, tuple(rules), max_cosets)
 
 
 def _gather(points: Sequence[int], padded: Images) -> Images:
@@ -259,13 +234,13 @@ class RuleSet:
     the control part (t_x pi = pi t_(x^pi)).  Letters right of the window
     stay put, so under reverse shortlex (length, then lex from the right)
     a rule with v below u lowers every word it rewrites.  The completed
-    rules in system are confluent: reduce maps each word to the one
+    rules in system are confluent: _reduce maps each word to the one
     irreducible word of its coset N t_w.  max_cosets bounds the least
     words, and n * max_cosets the rules that completion adds; past either,
     building the table raises CosetLimitExceeded, and so does every later
     access, since each one completes afresh from the base rules.
 
-    Completion keeps a memo of reduce, exact while system is unchanged and
+    Completion keeps a memo of _reduce, exact while system is unchanged and
     cleared whenever a rule is added or retired, and indexes the left-hand
     sides by proper prefix, proper suffix and factor.  It sorts what the
     indexes find by insertion sequence, so it pushes its equations in the
@@ -278,7 +253,7 @@ class RuleSet:
     control.  A product is one gather of the left factor's images from
     the right factor's padded behind a 0; each rule and each table entry
     is padded once, on first use.  A Perm is built only where a result
-    leaves: a rule's perm, reduce, the table and canonical_form.
+    leaves: a rule's perm, the table and canonical_form.
     """
 
     def __init__(self, spec: ProgenitorSpec, rules: tuple[Rule, ...],
@@ -291,13 +266,9 @@ class RuleSet:
         self.system: dict[Word, Rule] = {}  # filled by the table's build
         self._widths: tuple[int, ...] = ()  # left-hand side lengths, ascending
 
-    def reduce(self, word: Word) -> tuple[Perm, Word]:
-        """(delta, nf) with t_word = delta * t_nf and nf irreducible."""
-        delta, nf = self._reduce(word)
-        return _trusted(delta), nf
-
     def _reduce(self, word: Word) -> tuple[Images, Word]:
-        """reduce, with delta as its images.
+        """(delta, nf) with t_word = delta * t_nf, nf irreducible and delta
+        as its images.
 
         Letters go one at a time onto an irreducible stack, so a redex can
         only end at the letter just pushed.  A rule applied there moves the
@@ -347,7 +318,7 @@ class RuleSet:
         queues its critical pairs.
 
         Three things spare repeated work without changing a step.
-        reduce reads only system and _widths, so a memo of its results is
+        _reduce reads only system and _widths, so a memo of its results is
         exact until a rule is added or retired, and is cleared then.  The
         left-hand sides are indexed by each proper prefix, each proper
         suffix and each factor, so a new rule finds the rules it overlaps

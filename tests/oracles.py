@@ -7,7 +7,8 @@ from typing import Sequence
 from symgen.fpgroup import (CosetLimitExceeded, CosetTable, Presentation,
                             _check_closed, reduce_word)
 from symgen.perm import Perm, PermGroup
-from symgen.progenitor import Rule, RuleSet, Word, normalize_tail
+from symgen.progenitor import (Rule, RuleSet, UnsupportedRelator, Word,
+                               normalize_tail)
 
 
 def product_by_generator(p, q):
@@ -78,6 +79,48 @@ def conjugate_rule(rule, pi):
     return Rule(tuple(pi.apply(i) for i in rule.pattern),
                 rule.perm.conj(pi),
                 tuple(pi.apply(i) for i in rule.replacement))
+
+
+def closed_relator_rules(spec):
+    """derive_rules' base rules as built before completion was left to
+    close the relators: every relator pi * t_w = 1, closed under
+    control-group conjugation, cyclic rotation and inversion by
+    enumerating N, each variant split at the middle into
+    t_u = pi^-1 * t_(reverse v) with |u| >= |v|, sorted."""
+    seeds = []
+    for control_word, tail in spec.relators:
+        pi = spec.control_word_perm(control_word)
+        tail = normalize_tail(tail, spec.n)
+        if not tail:
+            raise UnsupportedRelator("factoring relator with empty tail")
+        seeds.append((pi, tail))
+
+    elems = spec.control_group.elements()
+    pool = {}
+
+    def add(pi, w):
+        w = normalize_tail(w, spec.n)
+        key = (pi.images, w)
+        if key in pool or not w:
+            return
+        pool[key] = (pi, w)
+        # cyclic rotation: conjugating pi*t_a*u = 1 by pi*t_a gives
+        # u*pi*t_a = pi * u^pi * t_a
+        a, rest = w[0], w[1:]
+        add(pi, pi.images_of(rest) + (a,))
+        # inversion: (pi*w)^-1 = pi^-1 * reverse(w)^(pi^-1)
+        inv = ~pi
+        add(inv, inv.images_of(w[::-1]))
+
+    for pi, tail in seeds:
+        for nu in elems:
+            add(pi.conj(nu), nu.images_of(tail))
+    rules = []
+    for pi, w in pool.values():
+        a = (len(w) + 1) // 2
+        rules.append(Rule(w[:a], ~pi, tuple(reversed(w[a:]))))
+    return tuple(sorted(rules, key=lambda r: (len(r.pattern), r.pattern,
+                                              r.replacement, r.perm.images)))
 
 
 def todd_coxeter_reference(pres: Presentation,
@@ -274,9 +317,9 @@ class CompletionReference(RuleSet):
         added = 0
         while heap:
             _, _, p, u, q, v = heapq.heappop(heap)
-            d, u = self.reduce(u)
-            e, v = self.reduce(v)
-            p, q = p * d, q * e
+            d, u = self._reduce(u)
+            e, v = self._reduce(v)
+            p, q = p * Perm(d), q * Perm(e)
             if u == v:
                 if p != q:
                     raise ValueError("the factoring relators identify a "

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from symgen import perm
 from symgen.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -264,6 +265,16 @@ def test_limit_exit_code(tmp_path, capsys, monkeypatch):
     code, _, err = run_cli(capsys, "enumerate", "l2_19")
     assert code == 4
     assert "limit" in err or "exceeded" in err
+
+
+def test_group_too_large_exit_code(capsys, monkeypatch):
+    # a group beyond the element bound is a resource limit, like a coset
+    # limit: exit 4 with one line, where |G| = 300 exceeds a bound of 100
+    monkeypatch.setattr(perm, "MAX_ELEMENTS", 100)
+    code, out, err = run_cli(capsys, "elt", "5sq_d6", "centralize", "(id | 0)")
+    assert code == 4
+    assert out == ""
+    assert err == "error: group order 300 exceeds bound 100\n"
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-5", "1.5"])

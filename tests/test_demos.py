@@ -10,15 +10,19 @@ from symgen import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+GOLDEN = ROOT / "tests" / "golden"
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs_cleanly(demo):
+    # exit 0, nothing on stderr, and stdout byte for byte as committed
+    # under tests/golden/<demo>.out (demo 04's products are seeded)
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
-                          capture_output=True, text=True)
+                          capture_output=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stderr == ""
+    assert proc.stderr == b""
+    assert proc.stdout == (GOLDEN / f"{demo.stem}.out").read_bytes()
 
 
 def test_readme_python_block_prints_its_comment():

@@ -91,6 +91,25 @@ def test_presentation_parse_and_validation():
         Presentation(("a",), ((2,),))
 
 
+@pytest.mark.parametrize("text,expected", [
+    # a comma inside parentheses belongs to the commutator
+    ("(x, y)^2, x^3",
+     (commutator((1,), (2,)) * 2, (1, 1, 1))),
+    # empty items are skipped, and so is an empty text
+    ("x^2, , y,", ((1, 1), (2,))),
+    (" , ", ()),
+    ("", ()),
+])
+def test_presentation_parse_relator_list(text, expected):
+    assert Presentation.parse(["x", "y"], text).relators == expected
+
+
+@pytest.mark.parametrize("text", ["(x, y", "x), y", "(x*y))^2, x", "x y"])
+def test_presentation_parse_relator_list_errors(text):
+    with pytest.raises(ValueError):
+        Presentation.parse(["x", "y"], text)
+
+
 def test_cyclic_group_of_order_three():
     t = todd_coxeter(Presentation.parse(["a"], "a^3"))
     assert t.index == 3

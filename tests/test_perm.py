@@ -3,6 +3,7 @@ import random
 import pytest
 
 from symgen.groupfile import bundled_fixture_names, load_bundled
+from symgen import perm as perm_module
 from symgen.perm import (GroupTooLarge, IdentificationError, Perm, PermGroup,
                          cycles_str, label_cycles_str, parse_cycles,
                          parse_label_cycles, word_perm)
@@ -48,14 +49,6 @@ def _checked_tuple(p):
     return Perm(p.images).images
 
 
-def _power_by_products(p, k):
-    base = p if k >= 0 else inverse_by_loop(p)
-    result = Perm(range(1, p.degree + 1))
-    for _ in range(abs(k)):
-        result = product_by_generator(result, base)
-    return result
-
-
 @pytest.mark.parametrize("degree", [1, 2, 14, 57])
 def test_unchecked_arithmetic_matches_checked_formulas(degree):
     rng = random.Random(degree)
@@ -68,8 +61,6 @@ def test_unchecked_arithmetic_matches_checked_formulas(degree):
         assert _checked_tuple(~p) == inverse_by_loop(p).images
         conj = product_by_generator(product_by_generator(inverse_by_loop(q), p), q)
         assert _checked_tuple(p.conj(q)) == conj.images
-        for k in range(-3, 4):
-            assert _checked_tuple(p ** k) == _power_by_products(p, k).images
         assert (p * q).is_identity() == (pq.images == e.images)
     with pytest.raises(ValueError, match="degree mismatch"):
         Perm.identity(degree) * Perm.identity(degree + 1)
@@ -135,9 +126,6 @@ def test_apply_range_checked():
 
 def test_power_and_conj():
     p = parse_cycles("(1,2,3,4,5)", 5)
-    assert p ** 5 == Perm.identity(5)
-    assert p ** -1 == ~p
-    assert p ** 0 == Perm.identity(5)
     q = parse_cycles("(1,2)", 5)
     assert p.conj(q) == ~q * p * q
 
@@ -344,10 +332,11 @@ def test_centralizer_edge_groups_match_enumeration(g):
         assert_centralizer_matches_oracle(g, p)
 
 
-def test_centralizer_bound():
+def test_centralizer_bound(monkeypatch):
     g = pgl_2_7()
-    with pytest.raises(GroupTooLarge):
-        g.centralizer(Perm.identity(14), max_elements=100)
+    monkeypatch.setattr(perm_module, "MAX_ELEMENTS", 100)
+    with pytest.raises(GroupTooLarge, match="^group order 336 exceeds bound 100$"):
+        g.centralizer(Perm.identity(14))
 
 
 def test_associativity_randomized():

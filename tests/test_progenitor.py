@@ -5,13 +5,14 @@ import pytest
 
 from symgen.fpgroup import (CosetLimitExceeded, Presentation, parse_word,
                             todd_coxeter, coset_action)
-from symgen.perm import Perm, parse_cycles, word_perm
+from symgen.perm import Perm, PermGroup, parse_cycles, word_perm
 from symgen.progenitor import (ProgenitorSpec, Rule, RuleSet,
                                build_presentation, derive_rules,
                                normalize_tail)
 from symgen.groupfile import load_bundled
 from symgen.symrep import SymContext, canon, invert_sym, mult
-from oracles import CompletionReference, canon_by_perms, conjugate_rule
+from oracles import (CompletionReference, canon_by_perms,
+                     closed_relator_rules, conjugate_rule)
 
 FIXTURES = ["5sq_d6", "l2_19", "u3_3"]
 
@@ -101,33 +102,33 @@ def test_derived_rules_valid_in_image(all_contexts):
             assert lhs == rhs, (name, rule)
 
 
-def test_rules_closed_under_control_conjugation(all_contexts):
-    for name, ctx in all_contexts.items():
-        rules = ctx.rules
-        keys = {(r.pattern, r.perm.images, r.replacement) for r in rules.rules}
-        for rule in rules.rules:
-            for nu in ctx.spec.control_gens:
-                c = conjugate_rule(rule, nu)
-                assert (c.pattern, c.perm.images, c.replacement) in keys, (name, rule)
+@pytest.mark.parametrize("name,count", [("5sq_d6", 2), ("l2_19", 1),
+                                        ("u3_3", 2)])
+def test_one_base_rule_per_relator_without_enumerating_n(monkeypatch, name,
+                                                         count):
+    # each factoring relator as written gives one rule, and neither the
+    # split nor its completion lists the elements of N
+    def refuse(self):
+        raise AssertionError("N enumerated")
+
+    monkeypatch.setattr(PermGroup, "elements", refuse)
+    spec = load_bundled(name).spec
+    rules = derive_rules(spec)
+    assert len(rules.rules) == len(spec.relators) == count
+    rules.table
 
 
 def test_rule_shapes_u3(u3_3):
     spec = u3_3.spec
     ix = {label: i + 1 for i, label in enumerate(spec.labels)}
-    by_pattern = {}
-    for r in u3_3.rules.rules:
-        by_pattern.setdefault(r.pattern, []).append(r)
-    # shortening family from the length-3 relator: pattern (b0, 0) -> one letter
-    short = by_pattern[(ix["b0"], ix["0"])]
-    assert any(len(r.replacement) == 1 for r in short)
-    t_perm = spec.control_gens[2]
-    assert any(r.perm == t_perm and r.replacement == (ix["b0"],) for r in short)
-    # swap family from the length-4 relator: pattern (b0, 1) -> two letters
-    swaps = by_pattern[(ix["b0"], ix["1"])]
-    y_perm = spec.control_gens[1]
-    assert any(r.perm == y_perm and r.replacement == (ix["1"], ix["b0"])
-               for r in swaps)
-    # the shortening family covers the whole control orbit of the pair
+    # the length-3 relator gives the shortening rule (b0, 0) -> one letter,
+    # the length-4 relator the swap rule (b0, 1) -> two letters
+    t_perm, y_perm = spec.control_gens[2], spec.control_gens[1]
+    assert [(r.pattern, r.perm, r.replacement) for r in u3_3.rules.rules] == [
+        ((ix["b0"], ix["0"]), t_perm, (ix["b0"],)),
+        ((ix["b0"], ix["1"]), y_perm, (ix["1"], ix["b0"]))]
+    # completion carries the shortening to the whole control orbit of the
+    # pair: each of its 56 pairs has a one-letter least form
     orbit = {(ix["b0"], ix["0"])}
     frontier = [(ix["b0"], ix["0"])]
     for pair in frontier:
@@ -138,7 +139,7 @@ def test_rule_shapes_u3(u3_3):
                 frontier.append(img)
     assert len(orbit) == 56
     for pair in orbit:
-        assert any(len(r.replacement) == 1 for r in by_pattern.get(pair, []))
+        assert len(u3_3.rules.canonical_form(pair)[1]) == 1, pair
 
 
 def test_rule_shapes_5sq(d6_5sq):
@@ -207,14 +208,18 @@ def test_conjugate_rule_second_transport(u3_3):
     assert lhs == rhs
 
 
-def test_unsupported_relator_shape():
+def empty_tail_spec():
+    """2^{*2} : 2 factored by x alone, a relator with no t letters."""
     pres = Presentation.parse(["x"], "x^2")
-    spec = ProgenitorSpec(2, (parse_cycles("(1,2)", 2),), pres,
+    return ProgenitorSpec(2, (parse_cycles("(1,2)", 2),), pres,
                           ((parse_word("x", ["x"]), ()),))
+
+
+def test_unsupported_relator_shape():
     # an empty tail is normalized away and cannot produce rules
     from symgen.progenitor import UnsupportedRelator
     with pytest.raises(UnsupportedRelator):
-        derive_rules(spec)
+        derive_rules(empty_tail_spec())
 
 
 def test_default_t_words_reach_all_generators(l2_19):
@@ -269,9 +274,9 @@ def test_completed_system_is_confluent(all_contexts, name):
         return tuple(pi.apply(i) for i in word)
 
     def joins(p, u, q, v):
-        d, u = rules.reduce(u)
-        e, v = rules.reduce(v)
-        return u == v and p * d == q * e
+        d, u = rules._reduce(u)
+        e, v = rules._reduce(v)
+        return u == v and p * Perm(d) == q * Perm(e)
 
     for r in system:
         u, pi, v = r.pattern, r.perm, r.replacement
@@ -321,7 +326,7 @@ def test_products_read_the_table_without_reducing(monkeypatch, all_contexts,
     ctx = all_contexts[name]
     ctx.rules.table
     reduced = []
-    reduce = RuleSet._reduce  # what reduce, completion and the table call
+    reduce = RuleSet._reduce  # what completion and the table call
 
     def counting_reduce(self, word):
         reduced.append(word)
@@ -452,7 +457,7 @@ def test_completion_matches_the_reference_on_a_collapse():
 
 
 # equations pushed by the completion and by the scanning reference
-PUSHES = {"5sq_d6": (138, 214), "l2_19": (2604, 4905), "u3_3": (3290, 3293)}
+PUSHES = {"5sq_d6": (129, 204), "l2_19": (2546, 4846), "u3_3": (3194, 3197)}
 
 
 @pytest.mark.parametrize("name,index,rules", [("5sq_d6", 50, 14),
@@ -493,11 +498,15 @@ def power_relator_spec(n, word, k):
     return ProgenitorSpec(n, gens, pres, ((control_word * k, tuple(tail)),))
 
 
-@pytest.mark.parametrize("n,word,k,outcome", [
+# (n, control word, k, number of least words or the error raised)
+POWER_CASES = [
     (3, "x", 5, 20), (3, "y", 5, 20), (3, "x^2*y", 4, 8),
     (3, "x", 8, CosetLimitExceeded), (4, "x*y*x^-1*y", 4, 10),
     (4, "y", 4, 16), (4, "x", 5, 5), (4, "x", 6, 84),
-    (4, "x*y*x^-1*y", 7, 91), (4, "x", 3, ValueError)])
+    (4, "x*y*x^-1*y", 7, 91), (4, "x", 3, ValueError)]
+
+
+@pytest.mark.parametrize("n,word,k,outcome", POWER_CASES)
 def test_completion_matches_the_reference_on_small_progenitors(n, word, k,
                                                                outcome):
     # outcome is the number of least words, or the error raised: N
@@ -510,16 +519,24 @@ def test_completion_matches_the_reference_on_small_progenitors(n, word, k,
         assert first is outcome
 
 
+def degree_one_spec(relators):
+    """2^{*1} : 1 with the factoring relators given."""
+    return ProgenitorSpec(1, (Perm.identity(1),),
+                          Presentation.parse(["x"], "x"), relators)
+
+
+DEGREE_ONE_RELATORS = {"t1_is_1": (((), (1,)),), "free": ()}
+
+
 @pytest.mark.parametrize("relators,words", [
-    ((((), (1,)),), {((), 1): ()}),
-    ((), {((), 1): (1,), ((1,), 1): ()}),
+    (DEGREE_ONE_RELATORS["t1_is_1"], {((), 1): ()}),
+    (DEGREE_ONE_RELATORS["free"], {((), 1): (1,), ((1,), 1): ()}),
 ], ids=["t1_is_1", "free"])
 def test_degree_one_progenitor(relators, words):
     # 2^{*1} : 1, whose perms have degree 1: a gather of a single index
     # returns no tuple
     identity = Perm.identity(1)
-    spec = ProgenitorSpec(1, (identity,), Presentation.parse(["x"], "x"),
-                          relators)
+    spec = degree_one_spec(relators)
     rules = derive_rules(spec)
     (_, entries), _ = _assert_completion_pinned(rules)
     assert dict(entries) == {key: (identity, word)
@@ -535,6 +552,53 @@ def test_degree_one_progenitor(relators, words):
     product, inverse = mult(t, t), invert_sym(t)
     assert (product.control, product.word) == (identity, ())
     assert (inverse.control, inverse.word) == (identity, t1)
+
+
+def _table_or_error(build):
+    """The letter table's entries in order, or the type and message of the
+    error that building the rules or their table raised."""
+    try:
+        return list(build().table.items())
+    except (CosetLimitExceeded, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+INDEX = {"5sq_d6": 50, "l2_19": 57, "u3_3": 36}
+CLOSED_RELATOR_CASES = (
+    [(name, m) for name, index in INDEX.items()
+     for m in (1, 2, index - 1, index)]
+    + [(f"{n},{word},{k}", 2000) for n, word, k, _ in POWER_CASES]
+    + [(f"degree_one_{key}", 10 ** 6) for key in DEGREE_ONE_RELATORS]
+    + [("5sq_d6_without_relators", 200), ("collapsing", 10 ** 6),
+       ("empty_tail", 10 ** 6)])
+
+
+@pytest.mark.parametrize("name,max_cosets", CLOSED_RELATOR_CASES)
+def test_relators_as_written_give_the_closed_relators_table(name,
+                                                            max_cosets):
+    # completion closes the relators under N, rotation and inversion
+    # itself: the base of one rule per relator gives the same letter table,
+    # entry by entry in order, or the same error, as the base that closed
+    # every relator over the elements of N before completing
+    if name in INDEX:
+        spec = load_bundled(name).spec
+    elif name.startswith("degree_one_"):
+        spec = degree_one_spec(
+            DEGREE_ONE_RELATORS[name[len("degree_one_"):]])
+    elif name == "5sq_d6_without_relators":
+        spec = spec_without_relators(load_bundled("5sq_d6").spec)
+    elif name == "collapsing":
+        spec = collapsing_spec()
+    elif name == "empty_tail":
+        spec = empty_tail_spec()
+    else:
+        n, word, k = name.split(",")
+        spec = power_relator_spec(int(n), word, int(k))
+    reference = _table_or_error(lambda: RuleSet(
+        spec, closed_relator_rules(spec), max_cosets))
+    assert _table_or_error(lambda: derive_rules(spec, max_cosets)) == reference
+    if name in INDEX and max_cosets == INDEX[name]:
+        assert len(reference) == INDEX[name] * spec.n
 
 
 def _raw_pairs(spec, rng, count):
