@@ -282,6 +282,9 @@ def emit_graph(graph: CollapsedGraph, format: str = "dot") -> str:
     lines = ["graph collapsed_cayley {", "  rankdir=LR;"]
     for i, node in enumerate(graph.nodes):
         label = f"[{word_label(graph.spec, node.rep)}] / {node.size}"
+        # escape " and \: a bare " ends a quoted DOT string, and Graphviz
+        # reads \n, \l and \N in labels as escapes
+        label = label.replace("\\", "\\\\").replace('"', '\\"')
         lines.append(f'  n{i} [label="{label}"];')
     # collect multiplicities per unordered node pair
     toward: dict[tuple[int, int], int] = {}

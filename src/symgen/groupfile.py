@@ -113,9 +113,10 @@ def load_spec_data(data: dict, path: str = "<data>") -> GroupSpecFile:
         if not label or any(ch in "(),.|" or ch.isspace() for ch in label):
             raise SpecFileError(f"{path}: label {label!r} is empty or contains "
                                 "whitespace or one of ( ) , . |")
-        if label == "-":
-            # element text writes the empty word as "-"
-            raise SpecFileError(f"{path}: label '-' is reserved for the empty word")
+        if label in ("-", "*"):
+            # element text writes the empty word as "-", and enumerate and
+            # graph output as "*"
+            raise SpecFileError(f"{path}: label {label!r} is reserved for the empty word")
     if len(gen_cycles) != len(gen_names):
         raise SpecFileError(f"{path}: generator names and cycles differ in number")
 

@@ -240,20 +240,17 @@ class RuleSet:
     building the table raises CosetLimitExceeded, and so does every later
     access, since each one completes afresh from the base rules.
 
-    Completion keeps a memo of _reduce, exact while system is unchanged and
-    cleared whenever a rule is added or retired, and indexes the left-hand
-    sides by proper prefix, proper suffix and factor.  It sorts what the
-    indexes find by insertion sequence, so it pushes its equations in the
-    order of a scan of system, less the composite critical pairs, which
-    it skips (see _complete).  Both live only while
-    _complete runs; system, _widths and the table are what outlive it.
+    Completion keeps a memo of _reduce and indexes the left-hand sides by
+    proper prefix, proper suffix and factor (see _complete); both live only
+    while _complete runs, and system, _widths and the table outlive it.
 
     Inside, perms travel as image tuples (Images): the completion's
-    equations, reductions and conjugates, and canonical_form's running
-    control.  A product is one gather of the left factor's images from
-    the right factor's padded behind a 0; each rule and each table entry
-    is padded once, on first use.  A Perm is built only where a result
-    leaves: a rule's perm, the table and canonical_form.
+    equations, reductions and conjugates, the table's entries and
+    canonical_form's running control.  A product is one gather of the left
+    factor's images from the right factor's padded behind a 0; each rule
+    is padded once, on first rewrite, and each table entry when it is
+    built.  A Perm is built only where a result leaves: a rule's perm and
+    canonical_form's.
     """
 
     def __init__(self, spec: ProgenitorSpec, rules: tuple[Rule, ...],
@@ -317,33 +314,30 @@ class RuleSet:
         equations the rules whose left-hand side contains its own, then
         queues its critical pairs.
 
-        Three things spare repeated work without changing a step.
         _reduce reads only system and _widths, so a memo of its results is
         exact until a rule is added or retired, and is cleared then.  The
         left-hand sides are indexed by each proper prefix, each proper
         suffix and each factor, so a new rule finds the rules it overlaps
-        and the rules it makes stale without a scan of system.  Each rule
-        keeps the sequence number of its insertion into system; sorting
-        the stale rules by it, and the overlaps by (sequence, the new
-        rule's suffix case before its prefix case, overlap length),
-        pushes the equations in the order of a scan of system, so the
-        heap's tiebreak and every later step are those of the scan.  The
-        memo and the indexes die with the call.
+        and the rules it makes stale without a scan of system.
+
+        The order in which equations are pushed changes the steps but not
+        the result: the completed left-hand sides are the minimal reducible
+        words of the reduction order, and each word has one normal form
+        with one gathered perm (Sims 1994, ch. 2), so system's left-hand
+        sides, each right-hand side's reduction and the table are fixed.
 
         _critical_pairs drops the composite rule-rule overlaps, judged
         against system as it stands when the new rule's overlaps are
         collected.  That stays sound after later retirements: a rule c is
         retired only by a new rule r whose left-hand side lies inside c's,
         so r's lies strictly inside the overlap word too, and so on down to
-        a rule of the final system.  The equations left are a subsequence
-        of those of the scan, in the same order.
+        a rule of the final system.
         """
         identity = self._identity
         system = self.system
         heap: list = []
         tiebreak = itertools.count()
         memo: dict[Word, tuple[Images, Word]] = {}
-        sequence: dict[Word, int] = {}  # the value of added at insertion
         # proper prefix / proper suffix / factor -> left-hand sides with it
         prefixes: dict[Word, set[Word]] = {}
         suffixes: dict[Word, set[Word]] = {}
@@ -388,33 +382,26 @@ class RuleSet:
                 raise CosetLimitExceeded(self.n * self.max_cosets,
                                          "Knuth-Bendix completion", "added rules")
             memo.clear()
-            for lhs in sorted(factors.get(u, ()), key=sequence.__getitem__):
+            for lhs in list(factors.get(u, ())):  # index() shrinks the set
                 r = system.pop(lhs)
                 index(lhs, set.discard)
                 push(identity, r.pattern, r.perm.images, r.replacement)
             rule = system[u] = Rule(u, _trusted(_quotient(p, q)), v)
-            sequence[u] = added
             index(u, set.add)
             self._widths = tuple(sorted({*self._widths, len(u)}))
-            overlaps = sorted(
-                [(sequence[lhs], 0, k, rule, system[lhs])
-                 for k in range(1, len(u))
-                 for lhs in prefixes.get(u[-k:], ())]
-                + [(sequence[lhs], 1, k, system[lhs], rule)
-                   for k in range(1, len(u))
-                   for lhs in suffixes.get(u[:k], ())],
-                key=lambda o: o[:3])
-            for pair in self._critical_pairs(rule, overlaps):
+            for pair in self._critical_pairs(rule, prefixes, suffixes):
                 push(*pair)
 
-    def _critical_pairs(self, rule: Rule, overlaps):
+    def _critical_pairs(self, rule: Rule, prefixes: dict[Word, set[Word]],
+                        suffixes: dict[Word, set[Word]]):
         """The two one-step rewrites (p, u, q, v) of each word where rule
         overlaps t_c t_c = 1, a control generator g on its right, or a rule
         in system (itself too), with p and q as images.  The generator
         overlap is the conjugate rule t_(u^g) = pi^g t_(v^g): a rewrite
         moves the letters left of its window, so the rules there must also
-        join in moved form.  overlaps lists (_, _, k, a, b) where a's
-        pattern ends with the k letters that b's begins with.
+        join in moved form.  prefixes and suffixes are _complete's indexes,
+        which hold rule: a rule-rule overlap has a's pattern end with the k
+        letters that b's begins with, and rule is a or b.
 
         A rule-rule overlap w = a.pattern + b.pattern[k:] is composite, and
         yields nothing, when a left-hand side c of system lies strictly
@@ -449,24 +436,30 @@ class RuleSet:
             yield (identity, g.images_of(u),
                    _quotient(g.images, _product(pi, g.images)),
                    g.images_of(v))
-        for _, _, k, a, b in overlaps:
-            p, q = a.pattern, b.pattern
-            # most overlaps leave no room for a third left-hand side: two
-            # letters of p before q's window and two of q after p's
-            if len(p) - k > 1 and len(q) - k > 1 and _straddled(
-                    self.system, p, q, k):
-                continue
-            yield (a.perm.images, a.replacement + q[k:], b.perm.images,
-                   _gather(p[:-k], b._padded) + b.replacement)
+        system = self.system
+        for k in range(1, len(u)):
+            pairs = [(rule, system[lhs]) for lhs in prefixes.get(u[-k:], ())]
+            pairs += [(system[lhs], rule) for lhs in suffixes.get(u[:k], ())]
+            for a, b in pairs:
+                p, q = a.pattern, b.pattern
+                # most overlaps leave no room for a third left-hand side:
+                # two letters of p before q's window and two of q after p's
+                if len(p) - k > 1 and len(q) - k > 1 and _straddled(
+                        system, p, q, k):
+                    continue
+                yield (a.perm.images, a.replacement + q[k:], b.perm.images,
+                       _gather(p[:-k], b._padded) + b.replacement)
 
     @cached_property
-    def table(self) -> dict[tuple[Word, int], tuple[Perm, Word]]:
+    def table(self) -> dict[tuple[Word, int], tuple[Images | None, Word]]:
         """One breadth-first pass over least words in (length, lex) order.
 
         Least words are prefix-closed, so a coset's least word s_c is the
         first extension s + (i,) whose normal form nf_c is new, and
         t_(s_c) = eps_c t_(nf_c).  If t_s t_i = delta t_nf, the entry
-        (s, i) is (delta * eps_c^-1, s_c) for nf's coset c.
+        (s, i) is (delta * eps_c^-1, s_c) for nf's coset c, with the perm's
+        images padded behind a 0 for canonical_form's gathers, or None for
+        the identity, which needs none.
 
         Completion starts from an empty system, so an access after a
         budget error raises that error again instead of resuming from the
@@ -477,7 +470,7 @@ class RuleSet:
         identity = self._identity
         # normal form -> (least word s_c, eps_c^-1 padded behind a 0)
         least: dict[Word, tuple[Word, Images]] = {(): ((), (0,) + identity)}
-        table: dict[tuple[Word, int], tuple[Perm, Word]] = {}
+        table: dict[tuple[Word, int], tuple[Images | None, Word]] = {}
         queue: list[Word] = [()]
         for s in queue:
             for i in range(1, self.n + 1):
@@ -489,18 +482,9 @@ class RuleSet:
                     least[nf] = s + (i,), (0,) + _quotient(delta, identity)
                     queue.append(s + (i,))
                 word, eps_inverse = least[nf]
-                table[s, i] = _trusted(_gather(delta, eps_inverse)), word
+                step = _gather(delta, eps_inverse)
+                table[s, i] = None if step == identity else (0,) + step, word
         return table
-
-    @cached_property
-    def _steps(self) -> dict[tuple[Word, int], tuple[Images | None, Word]]:
-        """The table with each perm's images padded behind a 0 for
-        canonical_form's gathers, or None for the identity, which needs
-        none."""
-        identity = self._identity
-        return {key: (None if perm.images == identity else (0,) + perm.images,
-                      word)
-                for key, (perm, word) in self.table.items()}
 
     def canonical_form(self, word: Word, trace: list | None = None,
                        control: Perm | None = None) -> tuple[Perm, Word]:
@@ -511,7 +495,7 @@ class RuleSet:
         control's, building one Perm at the end.  When given, trace
         collects the (length, word) measure of the input and of the whole
         word after every step that rewrites it."""
-        steps = self._steps
+        table = self.table
         if control is None:
             images = self._identity
         elif control.degree != self.n:
@@ -522,7 +506,7 @@ class RuleSet:
         if trace is not None:
             trace.append((len(word), word))
         for k, letter in enumerate(word):
-            padded, new = steps[form, letter]
+            padded, new = table[form, letter]
             # None for the identity, so always at degree 1, where
             # itemgetter of one index would return no tuple
             if padded is not None:

@@ -54,19 +54,20 @@ def centralizer_by_enumeration(group, p):
 
 def canon_by_perms(raw, rules, trace=None):
     """symrep.canon as written before it gathered image tuples: one Perm
-    product per table entry that is no identity, tested with Perm.__eq__,
-    then one last product with the raw control."""
+    product per table entry that is no identity (whose images the table
+    holds padded behind a 0, or None for the identity), then one last
+    product with the raw control."""
     perm, word = raw
     word = normalize_tail(word, rules.n)
     table = rules.table
-    identity = delta = Perm.identity(rules.n)
+    delta = Perm.identity(rules.n)
     form: Word = ()
     if trace is not None:
         trace.append((len(word), word))
     for k, letter in enumerate(word):
-        step, new = table[form, letter]
-        if step != identity:
-            delta = delta * step
+        padded, new = table[form, letter]
+        if padded is not None:
+            delta = delta * Perm(padded[1:])
         if trace is not None and new != form + (letter,):
             current = new + word[k + 1:]
             trace.append((len(current), current))
@@ -258,9 +259,9 @@ class CompletionReference(RuleSet):
     the completion kept a memo of its reductions, indexed its left-hand
     sides and carried its perms as image tuples: each new rule scans system
     once for stale rules and once for overlaps, and the equations hold
-    Perms.  RuleSet must push the same equations, perms read as images,
-    in the same order, build the same system in the same insertion order
-    and the same letter table, and raise the same errors."""
+    Perms.  RuleSet must complete to the same left-hand sides, with the
+    same reduced right-hand sides and perms, build the same letter table
+    and raise the same errors."""
 
     def _reduce(self, word: Word) -> tuple[tuple[int, ...], Word]:
         """(delta images, nf) with t_word = delta * t_nf and nf irreducible.

@@ -1,5 +1,6 @@
 import copy
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -137,6 +138,45 @@ def test_label_dash_exit_code(tmp_path, capsys):
     assert code == 2 and out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and "label '-'" in lines[0]
+
+
+def test_label_star_exit_code(tmp_path, capsys):
+    # enumerate and graph write the empty word as "*", so a label "*" would
+    # print the identity's node and t_*'s node alike
+    src = json.loads((FIXTURE_DIR / "5sq_d6.json").read_text(encoding="utf-8"))
+    src["labels"][0] = "*"
+    src["control_generators"] = ["(*,1,2)", "(*,1)"]
+    for item in src["relators"]:
+        item["tail"] = ["*" if label == "0" else label for label in item["tail"]]
+    path = tmp_path / "star.json"
+    path.write_text(json.dumps(src), encoding="utf-8")
+    code, out, err = run_cli(capsys, "enumerate", str(path))
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and "label '*'" in lines[0]
+
+
+def test_graph_escapes_quotes_and_backslashes_in_labels(tmp_path, capsys):
+    # a bare " would end a DOT string early, and Graphviz would read the
+    # label c\n as a c and a line break
+    src = json.loads((FIXTURE_DIR / "5sq_d6.json").read_text(encoding="utf-8"))
+    rename = {"0": 'a"', "1": "b", "2": "c\\n"}
+    src["labels"] = [rename[label] for label in src["labels"]]
+    src["control_generators"] = ['(a",b,c\\n)', '(a",b)']
+    for item in src["relators"]:
+        item["tail"] = [rename[label] for label in item["tail"]]
+    path = tmp_path / "quoted.json"
+    path.write_text(json.dumps(src), encoding="utf-8")
+    code, out, _ = run_cli(capsys, "graph", str(path))
+    assert code == 0
+    nodes = [line for line in out.splitlines() if "[label=" in line
+             and " -- " not in line]
+    assert len(nodes) == 14
+    assert all(re.fullmatch(r'  n\d+ \[label="(?:[^"\\]|\\.)*"\];', line)
+               for line in nodes)
+    assert nodes[1] == '  n1 [label="[a\\"] / 3"];'
+    assert nodes[4] == '  n4 [label="[a\\".b.c\\\\n] / 6"];'
+
 
 FIXTURE_DATA = {name: json.loads((FIXTURE_DIR / f"{name}.json")
                                  .read_text(encoding="utf-8"))
