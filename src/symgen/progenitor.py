@@ -486,22 +486,20 @@ class RuleSet:
                 table[s, i] = None if step == identity else (0,) + step, word
         return table
 
-    def canonical_form(self, word: Word, trace: list | None = None,
-                       control: Perm | None = None) -> tuple[Perm, Word]:
+    def canonical_form(self, word: Word, images: Images | None = None,
+                       trace: list | None = None) -> tuple[Perm, Word]:
         """Least (length, lex) form of a word with its gathered perm,
-        control * t_word = perm * t_form, where control defaults to the
-        identity: a left-to-right scan that extends the least form of each
-        prefix by one table entry and gathers the entry's images into the
-        control's, building one Perm at the end.  When given, trace
-        collects the (length, word) measure of the input and of the whole
-        word after every step that rewrites it."""
+        control * t_word = perm * t_form, where images are the control's,
+        a degree-n perm's, and default to the identity's: a left-to-right
+        scan that extends the least form of each prefix by one table entry
+        and gathers the entry's images into the control's, building one
+        Perm at the end.  The word may hold squares t_i t_i, since the
+        table cancels them; a letter outside 1..n raises KeyError.  When
+        given, trace collects the (length, word) measure of the input and
+        of the whole word after every step that rewrites it."""
         table = self.table
-        if control is None:
+        if images is None:
             images = self._identity
-        elif control.degree != self.n:
-            raise ValueError(f"degree mismatch: {control.degree} != {self.n}")
-        else:
-            images = control.images
         form: Word = ()
         if trace is not None:
             trace.append((len(word), word))

@@ -16,9 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .perm import (IdentificationError, Perm, label_cycles_str,
+from .perm import (IdentificationError, Perm, _trusted, label_cycles_str,
                    parse_label_cycles)
-from .progenitor import ProgenitorSpec, RuleSet, Word, normalize_tail
+from .progenitor import ProgenitorSpec, RuleSet, Word, _gather, normalize_tail
 from .dcenum import SymImage
 
 
@@ -118,11 +118,13 @@ def _shared_context(a: SymElement, b: SymElement) -> SymContext:
 
 def unify(a: SymElement, b: SymElement) -> tuple[Perm, Word]:
     """Gather two elements into one raw pair: pi*u . sigma*v =
-    (pi*sigma) . u^sigma ++ v, with no reduction performed."""
+    (pi*sigma) . u^sigma ++ v, with no reduction performed.  sigma's
+    images are padded behind a 0 once, and both pi*sigma and u^sigma are
+    gathered from that one tuple, so a call builds one Perm."""
     _shared_context(a, b)
-    sigma = b.control
-    return (a.control * sigma,
-            sigma.images_of(a.word) + b.word)
+    padded = (0,) + b.control.images
+    return (_trusted(_gather(a.control.images, padded)),
+            _gather(a.word, padded) + b.word)
 
 
 def canon(raw: tuple[Perm, Word], rules: RuleSet, *,
@@ -134,13 +136,26 @@ def canon(raw: tuple[Perm, Word], rules: RuleSet, *,
     (least word, letter) table read off the completed rule system on first
     use.  The scan starts from the raw control's images and gathers each
     table entry's into them, so a call builds one Perm, its result.
-    When given, trace collects the (length, word) measure of the input and
-    of the whole word after every rewrite step; each entry is strictly
-    less than the one before.
+
+    Without a trace the word goes into the scan as it is: the table has an
+    entry (s, i) for every least word s and letter i, an s that ends in i
+    too, so the scan cancels squares t_i t_i itself.  A letter outside
+    1..n misses the table, and the range check then names it.  With a
+    trace, squares are dropped first, and trace collects the (length,
+    word) measure of that input and of the whole word after every rewrite
+    step; each entry is strictly less than the one before.
     """
     perm, word = raw
-    return rules.canonical_form(normalize_tail(word, rules.n), trace=trace,
-                                control=perm)
+    if perm.degree != rules.n:
+        raise ValueError(f"degree mismatch: {perm.degree} != {rules.n}")
+    if trace is not None:
+        return rules.canonical_form(normalize_tail(word, rules.n),
+                                    perm.images, trace)
+    try:
+        return rules.canonical_form(word, perm.images)
+    except KeyError:
+        normalize_tail(word, rules.n)  # raises for a letter out of range
+        raise
 
 
 def canon_element(ctx: SymContext, raw: tuple[Perm, Word]) -> SymElement:
@@ -185,7 +200,9 @@ def mult(a: SymElement, b: SymElement, mode: str = "auto") -> SymElement:
     ctx = _shared_context(a, b)
     mode = _pick_mode(ctx, mode)
     if mode == "pure":
-        return canon_element(ctx, unify(a, b))
+        # canon by its module global, which the benchmark's tracer wraps
+        perm, word = canon(unify(a, b), ctx.rules)
+        return SymElement(ctx, perm, word, canonical=True)
     return per2sym(ctx, sym2per(ctx, a) * sym2per(ctx, b))
 
 

@@ -75,6 +75,14 @@ def canon_by_perms(raw, rules, trace=None):
     return perm * delta, form
 
 
+def unify_two_step(a, b):
+    """symrep.unify as written before it padded sigma once: the control
+    product through Perm.__mul__, then the word moved by images_of, which
+    pads sigma a second time."""
+    sigma = b.control
+    return a.control * sigma, sigma.images_of(a.word) + b.word
+
+
 def conjugate_rule(rule, pi):
     """Map a rule through a control element: letters via pi, perm by conjugation."""
     return Rule(tuple(pi.apply(i) for i in rule.pattern),

@@ -12,9 +12,9 @@ from symgen.progenitor import (ProgenitorSpec, Rule, RuleSet,
                                build_presentation, derive_rules,
                                normalize_tail)
 from symgen.groupfile import load_bundled
-from symgen.symrep import SymContext, canon, invert_sym, mult
+from symgen.symrep import SymContext, canon, invert_sym, mult, unify
 from oracles import (CompletionReference, canon_by_perms,
-                     closed_relator_rules, conjugate_rule)
+                     closed_relator_rules, conjugate_rule, unify_two_step)
 
 FIXTURES = ["5sq_d6", "l2_19", "u3_3"]
 
@@ -670,7 +670,28 @@ def test_canon_matches_the_per_letter_oracle(all_contexts, name):
         result = canon(raw, rules, trace=trace)
         expected = canon_by_perms(raw, rules, trace=expected_trace)
         assert (result, trace) == (expected, expected_trace), raw
+        # without a trace the squares are left to the table, which products
+        # and inversions rely on
+        assert canon(raw, rules) == expected, raw
         moved += not (~raw[0] * result[0]).is_identity()
     # the words reach the entries that move letters, where there are any
     assert (moved > 0) == any(padded is not None
                               for padded, _ in rules.table.values())
+
+
+@pytest.mark.parametrize("name", FIXTURES + [
+    f"degree_one_{key}" for key in DEGREE_ONE_RELATORS])
+def test_unify_matches_the_two_step_oracle(all_contexts, name):
+    # unify pads sigma once and gathers the control product and the moved
+    # word from it; the oracle multiplies the controls and then moves the
+    # word, padding sigma twice; both give the same raw pair
+    if name in all_contexts:
+        ctx = all_contexts[name]
+    else:
+        spec = degree_one_spec(DEGREE_ONE_RELATORS[name[len("degree_one_"):]])
+        ctx = SymContext(spec, rules=derive_rules(spec))
+    rng = random.Random(name)
+    raws = _raw_pairs(ctx.spec, rng, 400)
+    for (p, u), (q, v) in zip(raws[::2], raws[1::2]):
+        a, b = ctx.element(p, u), ctx.element(q, v)
+        assert unify(a, b) == unify_two_step(a, b), (a, b)

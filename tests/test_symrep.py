@@ -1,7 +1,9 @@
 import random
+import re
 
 import pytest
 
+from symgen import symrep
 from symgen.perm import Perm
 from symgen.symrep import (ContextError, SymContext, SymElement, canon,
                            canon_element, cenelt, equal_sym,
@@ -61,6 +63,34 @@ def test_canon_deletes_squares(l2_19):
     ctx = l2_19
     perm, word = canon((Perm.identity(6), (3, 3)), ctx.rules)
     assert perm.is_identity() and word == ()
+
+
+@pytest.mark.parametrize("traced", [False, True],
+                         ids=["untraced", "traced"])
+@pytest.mark.parametrize("degree,word,message", [
+    (6, (0,), "tail letter 0 out of range 1..6"),
+    (6, (2, 0, 3), "tail letter 0 out of range 1..6"),
+    (6, (7,), "tail letter 7 out of range 1..6"),
+    (6, (3, 3, 7), "tail letter 7 out of range 1..6"),
+    (5, (2, 3), "degree mismatch: 5 != 6"),
+], ids=["zero", "zero_inside", "n_plus_one", "n_plus_one_after_square",
+        "degree_five"])
+def test_canon_rejects_raw_input(l2_19, degree, word, message, traced):
+    # raw pairs come from outside SymContext.element too: canon names the
+    # bad letter or degree whether or not it traces, before any trace entry
+    trace = [] if traced else None
+    with pytest.raises(ValueError, match=re.escape(message)):
+        canon((Perm.identity(degree), word), l2_19.rules, trace=trace)
+    assert trace == ([] if traced else None)
+
+
+@pytest.mark.parametrize("traced", [False, True],
+                         ids=["untraced", "traced"])
+def test_canon_reraises_a_table_miss_in_range(l2_19, traced):
+    # 2.5 passes the range check but is no letter of the table
+    with pytest.raises(KeyError):
+        canon((Perm.identity(6), (2.5,)), l2_19.rules,
+              trace=[] if traced else None)
 
 
 def test_canon_empties_first_relator_word(u3_3):
@@ -188,6 +218,27 @@ def test_invert_sym_cases(all_contexts):
             double = invert_sym(invert_sym(a))
             assert double.control == a.control and double.word == a.word
             assert sym2per(ctx, invert_sym(a)) == ~sym2per(ctx, a)
+
+
+def test_pure_products_and_inversions_call_canon_once(monkeypatch,
+                                                     all_contexts):
+    # the benchmark's tracer wraps symrep.canon and counts its steps, so a
+    # pure product or inversion must reach canon through that global
+    calls = []
+    original = symrep.canon
+
+    def counting_canon(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(symrep, "canon", counting_canon)
+    for ctx in all_contexts.values():
+        a, b = rand_elements(ctx, 2, seed=17)
+        for call in (lambda: mult(a, b, mode="pure"),
+                     lambda: invert_sym(a, mode="pure")):
+            calls.clear()
+            call()
+            assert len(calls) == 1
 
 
 def test_operator_sugar(u3_3):
