@@ -20,9 +20,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Sequence
 
-from .perm import Perm, PermGroup, IdentificationError, word_perm
+from .perm import (Perm, PermGroup, IdentificationError, _gather_of,
+                   word_perm)
 from .fpgroup import (CosetLimitExceeded, FreeWord, coset_action, todd_coxeter,
                       word_str)
 from .progenitor import ProgenitorSpec, Word, build_presentation, default_t_words
@@ -44,12 +46,19 @@ class SymImage:
     points.
 
     That map is one to one, so per2sym reads a permutation fixing point 1
-    back from control_action as the unique control element.  build_image
-    checks that the ts are distinct involutions and that each control
-    generator conjugates them as it permutes their indices, so the image
-    of any nu in N conjugates t_i to t_(i^nu).  If nu acts trivially on
-    the coset points, then t_i = t_i^nu = t_(i^nu) for every i, and since
-    the ts are distinct, i^nu = i for every i: nu = 1.
+    back as the unique control element.  build_image checks that the ts
+    are distinct involutions and that each control generator conjugates
+    them as it permutes their indices, so the image of any nu in N
+    conjugates t_i to t_(i^nu).  If nu acts trivially on the coset points,
+    then t_i = t_i^nu = t_(i^nu) for every i, and since the ts are
+    distinct, i^nu = i for every i: nu = 1.
+
+    The image engine (symrep's per2sym, sym2per and image-mode products)
+    runs on image tuples through tables built on first use: t_gathers and
+    control_gathers, which multiply a t_i or a control element's
+    realization onto a permutation from the left, and the map that
+    control_of_images reads a control element back from its realization's
+    images with.
     """
 
     spec: ProgenitorSpec
@@ -81,9 +90,27 @@ class SymImage:
                     queue.append(mu)
         return action
 
+    # The image engine's tables, built on first use, so enumerate and graph
+    # never pay for them.  A gather is an itemgetter of 0-based points:
+    # applied to the images of X it gives the images of g * X, for the g it
+    # was built from.  build_image rejects an identity t, so the index is at
+    # least 2 and a gather never has a single index (which would return a
+    # bare item instead of a tuple).
+
     @cached_property
-    def _control_of_action(self) -> dict[Perm, Perm]:
-        return {g: nu for nu, g in self.control_action.items()}
+    def t_gathers(self) -> tuple[itemgetter, ...]:
+        """The gather of each t_i, in index order."""
+        return tuple(_gather_of(t) for t in self.ts)
+
+    @cached_property
+    def control_gathers(self) -> dict[tuple[int, ...], itemgetter]:
+        """The gather of each control element's realization, keyed by the
+        element's images."""
+        return {nu.images: _gather_of(g) for nu, g in self.control_action.items()}
+
+    @cached_property
+    def _control_by_images(self) -> dict[tuple[int, ...], Perm]:
+        return {g.images: nu for nu, g in self.control_action.items()}
 
     def follow_word(self, word: Sequence[int]) -> int:
         point = 1
@@ -91,12 +118,18 @@ class SymImage:
             point = self.ts[letter - 1].apply(point)
         return point
 
-    def control_perm_of(self, g: Perm) -> Perm:
-        """The control element acting on the coset points as g does, read
-        off N's action table; a miss means g is not in the image of N."""
-        if g not in self._control_of_action:
+    def control_of_images(self, images: tuple[int, ...]) -> Perm:
+        """The control element whose realization on the coset points has
+        the given images, read off N's action table; a miss means they are
+        not the images of an element of N."""
+        nu = self._control_by_images.get(images)
+        if nu is None:
             raise IdentificationError("permutation is not in the group")
-        return self._control_of_action[g]
+        return nu
+
+    def control_perm_of(self, g: Perm) -> Perm:
+        """The control element acting on the coset points as g does."""
+        return self.control_of_images(g.images)
 
     def realize_control(self, nu: Perm) -> Perm:
         """Image of a control element as a permutation of coset points:

@@ -9,8 +9,8 @@ first, so ``(p * q)(k) == q(p(k))`` and conjugation is ``p.conj(q) ==
 
 Groups here are desk-scale (orders up to a few tens of thousands), so the
 stabilizer chain is the plain deterministic Schreier-Sims construction.
-Centralizers split over the chain's top level, so a call multiplies out
-only the stabilizer of the first base point, behind an explicit size
+Centralizers split over the chain's top level, so a group multiplies out
+only the stabilizer of the first base point, once, behind an explicit size
 bound.  No randomization anywhere: two builds of the same group produce
 identical transversals, orders and element sequences.
 
@@ -163,6 +163,13 @@ def _trusted(images: tuple[int, ...]) -> Perm:
     return p
 
 
+def _gather_of(p: Perm) -> itemgetter:
+    """An itemgetter of p's 0-based images: applied to the images of q it
+    gives the images of p * q.  p's degree must be at least 2, or the
+    getter returns a bare item."""
+    return itemgetter(*[k - 1 for k in p.images])
+
+
 def parse_label_cycles(text: str, labels: Sequence[str]) -> Perm:
     """Parse cycle notation whose points are labels, the k-th label naming
     point k: "(a,b,c)(d,e)" over the labels of a spec file.
@@ -264,6 +271,11 @@ class PermGroup:
         self._chain: list[_Level] | None = None
         self._order: int | None = None
         self._elements: tuple[Perm, ...] | None = None
+        # centralizer()'s top split: the first base point's stabilizer
+        # multiplied out, its elements' gathers, and the gather and the
+        # inverse's images of each top transversal element
+        self._split: tuple[list[Perm], list[itemgetter],
+                           list[tuple[itemgetter, tuple[int, ...]]]] | None = None
 
     # -- chain ---------------------------------------------------------
 
@@ -448,7 +460,13 @@ class PermGroup:
         tuples.  The matches are sorted by (index in H, index in the top
         orbit), which is their order in elements(), so the generators kept
         by the span filter are exactly those of filtering elements().
-        Raises GroupTooLarge when the group order exceeds MAX_ELEMENTS.
+
+        The split does not depend on p, so the group keeps it, as it keeps
+        elements(): H multiplied out, and for H and the top transversal
+        the gathers (_gather_of) and inverses that q_c and the comparison
+        need, built on the first call that passes the size bound.  Raises
+        GroupTooLarge when the group order exceeds MAX_ELEMENTS, before
+        anything is multiplied out.
         """
         if p not in self:
             raise IdentificationError("element is not in the group")
@@ -456,20 +474,25 @@ class PermGroup:
         if not self.chain:
             return PermGroup(self.degree)
         top = self.chain[0]
-        stab = self._multiply_out(self.chain[1:])
+        if self._split is None:
+            # a chain moves a point, so the degree is at least 2, as a
+            # gather needs
+            stab = self._multiply_out(self.chain[1:])
+            self._split = (stab, [_gather_of(e) for e in stab],
+                           [(_gather_of(top.transversal[c]),
+                             (~top.transversal[c]).images) for c in top.orbit])
+        stab, stab_gathers, tops = self._split
         pb = p.images[top.point - 1]
         by_image: dict[int, list[int]] = {}
         for i, e in enumerate(stab):
             by_image.setdefault(e.images[pb - 1], []).append(i)
-        p0 = tuple(k - 1 for k in p.images)
+        gather_p = _gather_of(p)
         matches = []
-        for j, c in enumerate(top.orbit):
-            u = top.transversal[c]
-            q1 = (0,) + (u * p * ~u).images
-            for i in by_image.get(q1[top.point], ()):
-                ei = stab[i].images
-                # k^(p e) == k^(e q) for every point k
-                if tuple(map(ei.__getitem__, p0)) == tuple(map(q1.__getitem__, ei)):
+        for j, (gather_u, inverse) in enumerate(tops):
+            q = gather_u(gather_p(inverse))  # u_c * p * ~u_c
+            for i in by_image.get(q[top.point - 1], ()):
+                # p * e == e * q
+                if gather_p(stab[i].images) == stab_gathers[i](q):
                     matches.append((i, j))
         matches.sort()
         # the matches are all of C(p), so the span stops at |C(p)|

@@ -7,8 +7,11 @@ through permutations of the small control degree plus a short word.
 
 Two independent engines are provided and must agree: a pure rewrite
 engine (unify + canon over the derived rule system, no image needed) and
-an image-backed engine (convert to a coset permutation, operate, convert
-back).  per2sym and sym2per are the two converters.
+an image-backed engine, which realizes unify's raw pair on the coset
+points and reads its canonical pair back.  per2sym and sym2per are the two
+converters.  The image engine works on image tuples through the image's
+prebuilt gathers (SymImage.t_gathers, control_gathers), so a conversion or
+an image-mode product builds no Perm product on the way.
 """
 
 from __future__ import annotations
@@ -18,7 +21,8 @@ from typing import Sequence
 
 from .perm import (IdentificationError, Perm, _trusted, label_cycles_str,
                    parse_label_cycles)
-from .progenitor import ProgenitorSpec, RuleSet, Word, _gather, normalize_tail
+from .progenitor import (Images, ProgenitorSpec, RuleSet, Word, _gather,
+                         normalize_tail)
 from .dcenum import SymImage
 
 
@@ -163,58 +167,107 @@ def canon_element(ctx: SymContext, raw: tuple[Perm, Word]) -> SymElement:
     return SymElement(ctx, perm, word, canonical=True)
 
 
+def _realized(img: SymImage, control: Images, word: Word) -> Images:
+    """The images of realize(nu) * t_word, for nu the control element with
+    the images control: the images of word's last t, then one prebuilt
+    gather per letter before it, right to left, then nu's."""
+    if word:
+        images = img.ts[word[-1] - 1].images
+        gathers = img.t_gathers
+        for letter in word[-2::-1]:
+            images = gathers[letter - 1](images)
+    else:
+        images = tuple(range(1, img.index + 1))
+    return img.control_gathers[control](images)
+
+
+def _image_canon(ctx: SymContext, raw: tuple[Perm, Word]) -> SymElement:
+    """The canonical pair of a raw pair (nu, word), read off the image:
+    the image engine's counterpart of canon.
+
+    Point 1 goes through the word to the element's coset c, whose
+    representative word w = cst[c-1] is the canonical word.  The element
+    times t_w^-1 = t_wk...t_w1 fixes point 1, and one chain of gathers,
+    realize(nu) * t_word * t_wk...t_w1, gives its images, from which the
+    control element is read.
+    """
+    img = ctx.image
+    control, word = raw
+    ts = img.ts
+    point = 1
+    for letter in word:
+        point = ts[letter - 1].images[point - 1]
+    canonical = img.cst[point - 1]
+    residue = _realized(img, control.images, word + canonical[::-1])
+    return SymElement(ctx, img.control_of_images(residue), canonical, canonical=True)
+
+
 def per2sym(ctx: SymContext, p: Perm) -> SymElement:
     """Algorithm converting a coset permutation to its canonical pair.
 
-    The image of point 1 names the coset, hence the word; stripping the
-    word off leaves a permutation fixing point 1, whose control element is
-    read off N's action table on the coset points.  A miss there means p
-    is not in the group, which raises IdentificationError.
+    The image of point 1 names the coset, hence the canonical word w;
+    stripping the word off leaves p * t_wk...t_w1, which fixes point 1 and
+    is the realization of the control element.  t_wk...t_w1 is built by
+    the image's prebuilt gathers, and one gather by p's images gives the
+    residue, looked up in N's realizations.  A miss there means p is not
+    in the group, which raises IdentificationError.
     """
     img = ctx.require_image()
     if p.degree != img.index:
         raise ValueError(f"degree {p.degree} != image degree {img.index}")
-    word = img.cst[p.apply(1) - 1]
-    residue = p
-    for letter in reversed(word):
-        residue = residue * img.ts[letter - 1]
-    control = img.control_perm_of(residue)
-    return SymElement(ctx, control, word, canonical=True)
+    word = img.cst[p.images[0] - 1]
+    residue = p.images
+    if word:
+        strip = img.ts[word[0] - 1].images
+        gathers = img.t_gathers
+        for letter in word[1:]:
+            strip = gathers[letter - 1](strip)
+        residue = _gather(residue, (0,) + strip)
+    return SymElement(ctx, img.control_of_images(residue), word, canonical=True)
 
 
 def sym2per(ctx: SymContext, e: SymElement) -> Perm:
-    """Realize an element as a permutation of the coset points."""
+    """Realize an element as a permutation of the coset points: the images
+    of realize(control) * t_word, gathered right to left by the image's
+    prebuilt gathers."""
     img = ctx.require_image()
-    p = img.realize_control(e.control)
-    for letter in e.word:
-        p = p * img.ts[letter - 1]
-    return p
+    try:
+        images = _realized(img, e.control.images, e.word)
+    except KeyError:
+        img.realize_control(e.control)  # raises for a control outside N
+        raise
+    return _trusted(images)
 
 
 def mult(a: SymElement, b: SymElement, mode: str = "auto") -> SymElement:
     """Product of two symmetrically represented elements.
 
-    mode "pure" uses unify + canon; mode "image" multiplies the realized
-    permutations and converts back; "auto" prefers pure when rules exist.
+    Both engines reduce the raw pair that unify gathers, which is where
+    the two elements' context is checked: mode "pure" by canon over the
+    rules, mode "image" by realizing it in one chain of prebuilt gathers
+    and reading its canonical pair back (_image_canon), with no Perm
+    product and no per2sym/sym2per round trip.  "auto" prefers pure when
+    rules exist.
     """
-    ctx = _shared_context(a, b)
+    raw = unify(a, b)
+    ctx = a.ctx
     mode = _pick_mode(ctx, mode)
     if mode == "pure":
         # canon by its module global, which the benchmark's tracer wraps
-        perm, word = canon(unify(a, b), ctx.rules)
+        perm, word = canon(raw, ctx.rules)
         return SymElement(ctx, perm, word, canonical=True)
-    return per2sym(ctx, sym2per(ctx, a) * sym2per(ctx, b))
+    return _image_canon(ctx, raw)
 
 
 def invert_sym(a: SymElement, mode: str = "auto") -> SymElement:
     """Inverse: (pi*w)^-1 = pi^-1 * reverse(w)^(pi^-1), then canonical form."""
     ctx = a.ctx
     inv = ~a.control
-    word = inv.images_of(a.word[::-1])
+    raw = (inv, inv.images_of(a.word[::-1]))
     mode = _pick_mode(ctx, mode)
     if mode == "pure":
-        return canon_element(ctx, (inv, word))
-    return per2sym(ctx, sym2per(ctx, SymElement(ctx, inv, word)))
+        return canon_element(ctx, raw)
+    return _image_canon(ctx, raw)
 
 
 def equal_sym(a: SymElement, b: SymElement, mode: str = "auto") -> bool:

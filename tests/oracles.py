@@ -6,9 +6,10 @@ from typing import Sequence
 
 from symgen.fpgroup import (CosetLimitExceeded, CosetTable, Presentation,
                             _check_closed, reduce_word)
-from symgen.perm import Perm, PermGroup
+from symgen.perm import IdentificationError, Perm, PermGroup
 from symgen.progenitor import (Rule, RuleSet, UnsupportedRelator, Word,
                                normalize_tail)
+from symgen.symrep import SymElement
 
 
 def product_by_generator(p, q):
@@ -369,3 +370,47 @@ class CompletionReference(RuleSet):
                     if a.pattern[-k:] == b.pattern[:k]:
                         yield (a.perm, a.replacement + b.pattern[k:], b.perm,
                                b.perm.images_of(a.pattern[:-k]) + b.replacement)
+
+
+def sym2per_by_perms(ctx, e):
+    """symrep.sym2per as written before the image engine gathered image
+    tuples: the control's realization, then one Perm product per letter."""
+    img = ctx.image
+    p = img.realize_control(e.control)
+    for letter in e.word:
+        p = p * img.ts[letter - 1]
+    return p
+
+
+def per2sym_by_perms(ctx, p):
+    """symrep.per2sym as written before the image engine gathered image
+    tuples: one Perm product per letter of the coset word strips it off,
+    and the residue is looked up, as a Perm, in N's action inverted."""
+    img = ctx.image
+    if p.degree != img.index:
+        raise ValueError(f"degree {p.degree} != image degree {img.index}")
+    word = img.cst[p.apply(1) - 1]
+    residue = p
+    for letter in reversed(word):
+        residue = residue * img.ts[letter - 1]
+    control_of = {g: nu for nu, g in img.control_action.items()}
+    if residue not in control_of:
+        raise IdentificationError("permutation is not in the group")
+    return SymElement(ctx, control_of[residue], word, canonical=True)
+
+
+def image_product_by_perms(a, b):
+    """The image-mode product as written before: both factors realized as
+    Perms, multiplied, and converted back."""
+    ctx = a.ctx
+    return per2sym_by_perms(ctx, sym2per_by_perms(ctx, a)
+                            * sym2per_by_perms(ctx, b))
+
+
+def image_inverse_by_perms(a):
+    """The image-mode inverse as written before: the raw inverse pair
+    realized as a Perm and converted back."""
+    ctx = a.ctx
+    inv = ~a.control
+    raw = SymElement(ctx, inv, inv.images_of(a.word[::-1]))
+    return per2sym_by_perms(ctx, sym2per_by_perms(ctx, raw))

@@ -335,8 +335,47 @@ def test_centralizer_edge_groups_match_enumeration(g):
 def test_centralizer_bound(monkeypatch):
     g = pgl_2_7()
     monkeypatch.setattr(perm_module, "MAX_ELEMENTS", 100)
+
+    def refuse(self, levels):
+        raise AssertionError("multiplied out past the bound")
+
+    # the bound fires before the top split is multiplied out
+    with monkeypatch.context() as patch:
+        patch.setattr(PermGroup, "_multiply_out", refuse)
+        with pytest.raises(GroupTooLarge, match="^group order 336 exceeds bound 100$"):
+            g.centralizer(Perm.identity(14))
     with pytest.raises(GroupTooLarge, match="^group order 336 exceeds bound 100$"):
         g.centralizer(Perm.identity(14))
+    # and nothing is kept: under the default bound the instance answers
+    # as the oracle does
+    monkeypatch.undo()
+    assert_centralizer_matches_oracle(g, parse_cycles(AA, 14))
+
+
+@pytest.mark.parametrize("name", ["5sq_d6", "l2_19", "u3_3"])
+def test_centralizer_keeps_its_top_split(monkeypatch, all_contexts, name):
+    # one instance multiplies out its top split on the first call only,
+    # and every later call, a repeated p too, answers as a fresh instance
+    # and as the oracle do
+    full = all_contexts[name].image.full_group
+    g, reference = (PermGroup(full.degree, full.gens) for _ in range(2))
+    rng = random.Random(10)
+    ps = [Perm.identity(g.degree)] + [g.random_element(rng) for _ in range(4)]
+    multiplied = []
+    original = PermGroup._multiply_out
+
+    def counting(self, levels):
+        multiplied.append(self)
+        return original(self, levels)
+
+    monkeypatch.setattr(PermGroup, "_multiply_out", counting)
+    for p in ps + ps[::-1]:
+        got = g.centralizer(p)
+        fresh = PermGroup(g.degree, g.gens).centralizer(p)
+        ref = centralizer_by_enumeration(reference, p)
+        assert got.gens == fresh.gens == ref.gens
+        assert got.order() == fresh.order() == ref.order()
+    assert sum(m is g for m in multiplied) == 1
 
 
 def test_associativity_randomized():

@@ -12,7 +12,9 @@ from symgen.progenitor import (ProgenitorSpec, Rule, RuleSet,
                                build_presentation, derive_rules,
                                normalize_tail)
 from symgen.groupfile import load_bundled
-from symgen.symrep import SymContext, canon, invert_sym, mult, unify
+from symgen.dcenum import ImageError, build_image
+from symgen.symrep import (SymContext, canon, cenelt, format_element,
+                           invert_sym, mult, per2sym, sym2per, unify)
 from oracles import (CompletionReference, canon_by_perms,
                      closed_relator_rules, conjugate_rule, unify_two_step)
 
@@ -588,6 +590,31 @@ def test_degree_one_progenitor(relators, words):
     product, inverse = mult(t, t), invert_sym(t)
     assert (product.control, product.word) == (identity, ())
     assert (inverse.control, inverse.word) == (identity, t1)
+    if t1 == ():
+        # t_1 = 1, which build_image rejects
+        with pytest.raises(ImageError, match="^image of generator 1 does "
+                                             "not have order 2$"):
+            build_image(spec)
+        return
+    # free, the image has index 2 and order 2: the least index at which
+    # the image engine's gathers run, each over two points
+    ctx = SymContext(spec, image=build_image(spec))
+    assert (ctx.image.index, ctx.image.full_group.order()) == (2, 2)
+    t, one = ctx.element(identity, (1,)), ctx.identity_element()
+    swap = Perm((2, 1))
+    assert sym2per(ctx, t) == swap and sym2per(ctx, one) == Perm.identity(2)
+    for p, word in ((swap, (1,)), (Perm.identity(2), ())):
+        e = per2sym(ctx, p)
+        assert (e.control, e.word) == (identity, word)
+    for e, want in ((mult(t, t, mode="image"), ()),
+                    (mult(t, one, mode="image"), (1,)),
+                    (mult(one, t, mode="image"), (1,)),
+                    (invert_sym(t, mode="image"), (1,)),
+                    (invert_sym(one, mode="image"), ())):
+        assert (e.control, e.word) == (identity, want)
+    for e in (t, one):
+        order, gens = cenelt(ctx, e)
+        assert (order, [format_element(g) for g in gens]) == (2, ["(id | 1)"])
 
 
 def _table_or_error(build):

@@ -1,14 +1,19 @@
+import math
 import random
 import re
 
 import pytest
 
 from symgen import symrep
-from symgen.perm import Perm
+from symgen.dcenum import build_image
+from symgen.perm import IdentificationError, Perm
 from symgen.symrep import (ContextError, SymContext, SymElement, canon,
                            canon_element, cenelt, equal_sym,
                            format_element, invert_sym, mult, parse_element,
                            per2sym, sym2per, unify)
+from oracles import (image_inverse_by_perms, image_product_by_perms,
+                     per2sym_by_perms, sym2per_by_perms)
+from test_progenitor import POWER_CASES, power_relator_spec
 
 
 def ix_map(ctx):
@@ -344,3 +349,101 @@ def test_parse_element_errors(u3_3):
 def test_per2sym_rejects_wrong_degree(u3_3):
     with pytest.raises(ValueError):
         per2sym(u3_3, Perm.identity(35))
+
+
+def test_sym2per_rejects_a_control_outside_n(l2_19, d6_5sq):
+    # an unchecked element whose control has another degree, or lies
+    # outside N, raises as realize_control does
+    with pytest.raises(ValueError, match="^control degree 3 != 6$"):
+        sym2per(l2_19, d6_5sq.element(Perm.identity(3), (1,)))
+    with pytest.raises(IdentificationError, match="^permutation is not in "
+                                                  "the control group$"):
+        sym2per(l2_19, SymElement(l2_19, Perm((2, 1, 3, 4, 5, 6)), (1,)))
+
+
+# the fixtures and the image of every power case that has one
+IMAGE_CASES = (["l2_19", "5sq_d6", "u3_3"]
+               + [f"{n},{word},{k}" for n, word, k, outcome in POWER_CASES
+                  if isinstance(outcome, int)])
+
+
+def image_context(all_contexts, name):
+    if name in all_contexts:
+        return all_contexts[name]
+    n, word, k = name.split(",")
+    spec = power_relator_spec(int(n), word, int(k))
+    return SymContext(spec, image=build_image(spec, max_cosets=2000))
+
+
+def pair(e):
+    return e.control, e.word, e.canonical
+
+
+@pytest.mark.parametrize("name", IMAGE_CASES)
+def test_image_engine_matches_the_perm_oracle(all_contexts, name):
+    # the prebuilt gathers give what one Perm product per letter gave, on
+    # canonical pairs
+    ctx = image_context(all_contexts, name)
+    full = ctx.image.full_group
+    rng = random.Random(18)
+    for _ in range(2000):
+        p, q = full.random_element(rng), full.random_element(rng)
+        a, b = per2sym(ctx, p), per2sym(ctx, q)
+        assert pair(a) == pair(per2sym_by_perms(ctx, p))
+        assert sym2per(ctx, a) == sym2per_by_perms(ctx, a) == p
+        assert pair(mult(a, b, mode="image")) == pair(image_product_by_perms(a, b))
+        assert pair(invert_sym(a, mode="image")) == pair(image_inverse_by_perms(a))
+
+
+@pytest.mark.parametrize("name", IMAGE_CASES)
+def test_image_engine_matches_the_perm_oracle_on_raw_words(all_contexts, name):
+    # words that are not canonical: squares, long words, any control
+    ctx = image_context(all_contexts, name)
+    full, control = ctx.image.full_group, ctx.spec.control_group
+    rng = random.Random(19)
+    for _ in range(300):
+        word = tuple(rng.randint(1, ctx.n) for _ in range(rng.randint(0, 9)))
+        raw = ctx.element(control.random_element(rng), word)
+        other = per2sym(ctx, full.random_element(rng))
+        assert sym2per(ctx, raw) == sym2per_by_perms(ctx, raw)
+        for a, b in ((raw, other), (other, raw), (raw, raw)):
+            assert pair(mult(a, b, mode="image")) == pair(
+                image_product_by_perms(a, b))
+        assert pair(invert_sym(raw, mode="image")) == pair(
+            image_inverse_by_perms(raw))
+
+
+def _outcome(convert, ctx, p):
+    try:
+        return pair(convert(ctx, p))
+    except ValueError as exc:  # IdentificationError is a ValueError
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("name", IMAGE_CASES)
+def test_per2sym_matches_the_perm_oracle_outside_the_group(all_contexts, name):
+    # a perm of the image's degree converts iff it lies in the group, and
+    # raises IdentificationError otherwise; a wrong degree raises
+    # ValueError, as the oracle does
+    ctx = image_context(all_contexts, name)
+    index, full = ctx.image.index, ctx.image.full_group
+    rng = random.Random(20)
+    outside = 0
+    for _ in range(100):
+        images = list(range(1, index + 1))
+        rng.shuffle(images)
+        p = Perm(images)
+        got = _outcome(per2sym, ctx, p)
+        assert got == _outcome(per2sym_by_perms, ctx, p)
+        if p in full:
+            assert sym2per(ctx, per2sym(ctx, p)) == p
+        else:
+            outside += 1
+            assert got == (IdentificationError, "permutation is not in the group")
+    # only a symmetric group holds every perm of its degree
+    assert outside or full.order() == math.factorial(index)
+    for degree in (index - 1, index + 1):
+        got = _outcome(per2sym, ctx, Perm.identity(degree))
+        assert got == _outcome(per2sym_by_perms, ctx, Perm.identity(degree))
+        assert got == (ValueError, f"degree {degree} != image degree {index}")
+
