@@ -113,9 +113,11 @@ class SymImage:
         return {g.images: nu for nu, g in self.control_action.items()}
 
     def follow_word(self, word: Sequence[int]) -> int:
+        """The coset point that word's t_i take point 1 to, in turn."""
         point = 1
+        ts = self.ts
         for letter in word:
-            point = self.ts[letter - 1].apply(point)
+            point = ts[letter - 1].images[point - 1]
         return point
 
     def control_of_images(self, images: tuple[int, ...]) -> Perm:

@@ -23,10 +23,9 @@ all cosets, by C-level gathers along the table's columns.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Iterable, Sequence
 
-from .perm import Perm
+from .perm import Perm, _gather
 
 FreeWord = tuple[int, ...]
 
@@ -408,17 +407,13 @@ def _check_closed(t: CosetTable, relators, subgens):
             raise RuntimeError(
                 f"coset table check failed: subgroup generator {w} "
                 f"does not fix coset 0")
-    if t.index == 1:
-        # every word fixes the only coset, and a gather of one index
-        # returns an item, not a tuple
-        return
     columns = list(zip(*t.rows))
     cosets = tuple(range(t.index))
     first = None
     for rel in relators:
         ends = cosets
         for col in _compile(rel):
-            ends = itemgetter(*ends)(columns[col])
+            ends = _gather(ends, columns[col])
         if ends != cosets:
             c = next(c for c in cosets if ends[c] != c)
             if first is None or c < first[0]:

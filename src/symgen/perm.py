@@ -23,7 +23,9 @@ the coset action read off a coset table, checks that the images form a
 permutation, and apply() range-checks its point.
 Products, inverses, conjugates and identity() are built unchecked
 from permutations already valid, the product and images_of() in one C-level
-gather (operator.itemgetter), so composing pays for no validation.
+gather (operator.itemgetter), so composing pays for no validation.  The
+modules that keep a permutation as its tuple of images (Images) gather
+with this one's _gather, _product, _quotient and _gather_of.
 
 Perm values are immutable.  A PermGroup builds its chain and caches lazily
 on first use, so share instances across threads only after forcing that
@@ -40,6 +42,8 @@ from typing import Iterable, Sequence
 
 # elements() and centralizer() refuse a group of more elements than this
 MAX_ELEMENTS = 10 ** 6
+
+Images = tuple[int, ...]  # a perm's images of 1..degree, as Perm.images
 
 
 class GroupTooLarge(RuntimeError):
@@ -86,13 +90,11 @@ class Perm:
             raise ValueError(f"point {k} out of range 1..{len(self.images)}")
         return self.images[k - 1]
 
-    def images_of(self, points: Sequence[int]) -> tuple[int, ...]:
+    def images_of(self, points: Sequence[int]) -> Images:
         """The image of each point in turn, unchecked: every point must
         lie in 1..degree (e.g. the letters of a word moved by a control
         element)."""
-        if len(points) > 1:
-            return itemgetter(*points)((0,) + self.images)
-        return tuple(self.images[k - 1] for k in points)
+        return _gather(points, (0,) + self.images)
 
     def __mul__(self, other: "Perm") -> "Perm":
         # self acts first: k^(self*other) == (k^self)^other
@@ -161,6 +163,29 @@ def _trusted(images: tuple[int, ...]) -> Perm:
     p = object.__new__(Perm)
     _set_images(p, images)
     return p
+
+
+def _gather(points: Sequence[int], padded: Sequence[int]) -> Images:
+    """padded[k] for each point k in turn: the image of each point under
+    the perm whose images padded holds behind a 0.  itemgetter of one
+    index returns no tuple, and of none fails, so those two lengths are
+    spelled out."""
+    if len(points) > 1:
+        return itemgetter(*points)(padded)
+    return (padded[points[0]],) if points else ()
+
+
+def _product(p: Images, q: Images) -> Images:
+    """The images of p * q, p acting first."""
+    return _gather(p, (0,) + q)
+
+
+def _quotient(p: Images, q: Images) -> Images:
+    """The images of ~p * q, which sends p's image of each point to q's."""
+    out = [0] * len(p)
+    for a, b in zip(p, q):
+        out[a - 1] = b
+    return tuple(out)
 
 
 def _gather_of(p: Perm) -> itemgetter:
@@ -409,22 +434,18 @@ class PermGroup:
 
         Words are over the group's own generators (signed 1-based letters);
         the list is deduplicated by permutation and filtered to a small
-        generating set, in deterministic order.
+        generating set, in deterministic order.  The filter stops at the
+        stabilizer's order |G| / |orbit of k| (Schreier's lemma), past
+        which every candidate lies in the span.
         """
         orbit, words = self.orbit(k)
-        out: list[tuple[tuple[int, ...], Perm]] = []
-        sub = PermGroup(self.degree)
-        for a in orbit:
-            wa = words[a]
-            for gi, g in enumerate(self.gens, start=1):
-                b = g.images[a - 1]
-                word = wa + (gi,) + tuple(-x for x in reversed(words[b]))
-                perm = word_perm(self.gens, word, self.degree)
-                if perm.is_identity() or perm in sub:
-                    continue
-                out.append((word, perm))
-                sub = PermGroup(self.degree, sub.gens + (perm,))
-        return out
+        schreier_words = (
+            words[a] + (gi,) + tuple(-x for x in reversed(words[g.images[a - 1]]))
+            for a in orbit for gi, g in enumerate(self.gens, start=1))
+        kept, _ = self._span_filter(
+            ((w, word_perm(self.gens, w, self.degree)) for w in schreier_words),
+            self.order() // len(orbit))
+        return kept
 
     def point_stabilizer(self, k: int) -> "PermGroup":
         if not 1 <= k <= self.degree:
@@ -434,19 +455,21 @@ class PermGroup:
         gens = tuple(p for _, p in self.schreier_generators(k))
         return PermGroup(self.degree, gens)
 
-    def _span_filter(self, perms: Iterable[Perm], order: int) -> "PermGroup":
-        """Span of perms, keeping each one outside the span of those kept,
-        until the span reaches the given order."""
-        kept: list[Perm] = []
+    def _span_filter(self, candidates: Iterable[tuple[object, Perm]],
+                     order: int) -> tuple[list, "PermGroup"]:
+        """(kept, span): each (key, perm) candidate whose perm lies outside
+        the span of those kept before it, taken in turn until the span
+        reaches the given order, and the span of the kept perms."""
+        kept: list = []
         sub = PermGroup(self.degree)
-        for q in perms:
+        for key, q in candidates:
             if sub.order() == order:
                 break
             if q.is_identity() or q in sub:
                 continue
-            kept.append(q)
-            sub = PermGroup(self.degree, tuple(kept))
-        return sub
+            kept.append((key, q))
+            sub = PermGroup(self.degree, sub.gens + (q,))
+        return kept, sub
 
     def centralizer(self, p: Perm) -> "PermGroup":
         """Centralizer of p (p must lie in the group), split over the
@@ -496,5 +519,6 @@ class PermGroup:
                     matches.append((i, j))
         matches.sort()
         # the matches are all of C(p), so the span stops at |C(p)|
-        return self._span_filter((stab[i] * top.transversal[top.orbit[j]]
-                                  for i, j in matches), len(matches))
+        _, cent = self._span_filter((((i, j), stab[i] * top.transversal[top.orbit[j]])
+                                     for i, j in matches), len(matches))
+        return cent

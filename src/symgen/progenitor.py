@@ -18,7 +18,8 @@ This module turns such a specification into
     it.
 
 Within the rewrite system a permutation travels as its tuple of images,
-and a Perm is built only for what leaves it (see RuleSet).
+and a Perm is built only for what leaves it (see RuleSet); the arithmetic
+on image tuples is perm's (Images, _gather, _product, _quotient).
 """
 
 from __future__ import annotations
@@ -30,12 +31,12 @@ from functools import cached_property
 from operator import itemgetter
 from typing import Iterable, Sequence
 
-from .perm import Perm, PermGroup, _trusted, word_perm
+from .perm import (Images, Perm, PermGroup, _gather, _product, _quotient,
+                   _trusted, word_perm)
 from .fpgroup import (CosetLimitExceeded, FreeWord, Presentation, concat,
                       invert_word, reduce_word, word_conj, word_str)
 
 Word = tuple[int, ...]  # letters are symmetric-generator indices in 1..n
-Images = tuple[int, ...]  # a perm's images of 1..n, as Perm.images
 
 
 class UnsupportedRelator(ValueError):
@@ -190,28 +191,6 @@ def derive_rules(spec: ProgenitorSpec, max_cosets: int = 10 ** 6) -> "RuleSet":
         rules.append(Rule(w[:a], ~spec.control_word_perm(control_word),
                           tuple(reversed(w[a:]))))
     return RuleSet(spec, tuple(rules), max_cosets)
-
-
-def _gather(points: Sequence[int], padded: Images) -> Images:
-    """The image of each point under the perm whose images padded holds
-    behind a 0.  itemgetter of one index returns no tuple, and of none
-    fails, so those two lengths are spelled out."""
-    if len(points) > 1:
-        return itemgetter(*points)(padded)
-    return (padded[points[0]],) if points else ()
-
-
-def _product(p: Images, q: Images) -> Images:
-    """The images of p * q, p acting first."""
-    return _gather(p, (0,) + q)
-
-
-def _quotient(p: Images, q: Images) -> Images:
-    """The images of ~p * q, which sends p's image of each point to q's."""
-    out = [0] * len(p)
-    for a, b in zip(p, q):
-        out[a - 1] = b
-    return tuple(out)
 
 
 def _straddled(system: dict[Word, Rule], p: Word, q: Word, k: int) -> bool:
@@ -486,20 +465,18 @@ class RuleSet:
                 table[s, i] = None if step == identity else (0,) + step, word
         return table
 
-    def canonical_form(self, word: Word, images: Images | None = None,
+    def canonical_form(self, word: Word, images: Images,
                        trace: list | None = None) -> tuple[Perm, Word]:
         """Least (length, lex) form of a word with its gathered perm,
         control * t_word = perm * t_form, where images are the control's,
-        a degree-n perm's, and default to the identity's: a left-to-right
-        scan that extends the least form of each prefix by one table entry
-        and gathers the entry's images into the control's, building one
-        Perm at the end.  The word may hold squares t_i t_i, since the
-        table cancels them; a letter outside 1..n raises KeyError.  When
-        given, trace collects the (length, word) measure of the input and
-        of the whole word after every step that rewrites it."""
+        a degree-n perm's: a left-to-right scan that extends the least form
+        of each prefix by one table entry and gathers the entry's images
+        into the control's, building one Perm at the end.  The word may
+        hold squares t_i t_i, since the table cancels them; a letter
+        outside 1..n raises KeyError.  When given, trace collects the
+        (length, word) measure of the input and of the whole word after
+        every step that rewrites it."""
         table = self.table
-        if images is None:
-            images = self._identity
         form: Word = ()
         if trace is not None:
             trace.append((len(word), word))

@@ -19,10 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .perm import (IdentificationError, Perm, _trusted, label_cycles_str,
-                   parse_label_cycles)
-from .progenitor import (Images, ProgenitorSpec, RuleSet, Word, _gather,
-                         normalize_tail)
+from .perm import (IdentificationError, Images, Perm, _gather, _trusted,
+                   label_cycles_str, parse_label_cycles)
+from .progenitor import ProgenitorSpec, RuleSet, Word, normalize_tail
 from .dcenum import SymImage
 
 
@@ -167,18 +166,22 @@ def canon_element(ctx: SymContext, raw: tuple[Perm, Word]) -> SymElement:
     return SymElement(ctx, perm, word, canonical=True)
 
 
+def _t_chain(img: SymImage, word: Word) -> Images:
+    """The images of t_word = t_w1 * ... * t_wk: those of word's last t,
+    then one prebuilt gather per letter before it, right to left."""
+    if not word:
+        return tuple(range(1, img.index + 1))
+    images = img.ts[word[-1] - 1].images
+    gathers = img.t_gathers
+    for letter in word[-2::-1]:
+        images = gathers[letter - 1](images)
+    return images
+
+
 def _realized(img: SymImage, control: Images, word: Word) -> Images:
     """The images of realize(nu) * t_word, for nu the control element with
-    the images control: the images of word's last t, then one prebuilt
-    gather per letter before it, right to left, then nu's."""
-    if word:
-        images = img.ts[word[-1] - 1].images
-        gathers = img.t_gathers
-        for letter in word[-2::-1]:
-            images = gathers[letter - 1](images)
-    else:
-        images = tuple(range(1, img.index + 1))
-    return img.control_gathers[control](images)
+    the images control: the t-chain of word gathered by nu's gather."""
+    return img.control_gathers[control](_t_chain(img, word))
 
 
 def _image_canon(ctx: SymContext, raw: tuple[Perm, Word]) -> SymElement:
@@ -193,11 +196,7 @@ def _image_canon(ctx: SymContext, raw: tuple[Perm, Word]) -> SymElement:
     """
     img = ctx.image
     control, word = raw
-    ts = img.ts
-    point = 1
-    for letter in word:
-        point = ts[letter - 1].images[point - 1]
-    canonical = img.cst[point - 1]
+    canonical = img.cst[img.follow_word(word) - 1]
     residue = _realized(img, control.images, word + canonical[::-1])
     return SymElement(ctx, img.control_of_images(residue), canonical, canonical=True)
 
@@ -207,22 +206,16 @@ def per2sym(ctx: SymContext, p: Perm) -> SymElement:
 
     The image of point 1 names the coset, hence the canonical word w;
     stripping the word off leaves p * t_wk...t_w1, which fixes point 1 and
-    is the realization of the control element.  t_wk...t_w1 is built by
-    the image's prebuilt gathers, and one gather by p's images gives the
-    residue, looked up in N's realizations.  A miss there means p is not
-    in the group, which raises IdentificationError.
+    is the realization of the control element.  One gather of p's images
+    by the t-chain of w reversed gives that residue, looked up in N's
+    realizations.  A miss there means p is not in the group, which raises
+    IdentificationError.
     """
     img = ctx.require_image()
     if p.degree != img.index:
         raise ValueError(f"degree {p.degree} != image degree {img.index}")
     word = img.cst[p.images[0] - 1]
-    residue = p.images
-    if word:
-        strip = img.ts[word[0] - 1].images
-        gathers = img.t_gathers
-        for letter in word[1:]:
-            strip = gathers[letter - 1](strip)
-        residue = _gather(residue, (0,) + strip)
+    residue = _gather(p.images, (0,) + _t_chain(img, word[::-1]))
     return SymElement(ctx, img.control_of_images(residue), word, canonical=True)
 
 
@@ -316,9 +309,9 @@ def parse_element(ctx: SymContext, text: str) -> SymElement:
     if not (s.startswith("(") and s.endswith(")")):
         raise ValueError(f"element must be parenthesized: {text!r}")
     body = s[1:-1]
-    if "|" not in body:
-        raise ValueError(f"element needs a '|' separator: {text!r}")
-    control_part, word_part = body.rsplit("|", 1)
+    if body.count("|") != 1:
+        raise ValueError(f"element needs exactly one '|' separator: {text!r}")
+    control_part, word_part = body.split("|")
     control_part = control_part.strip()
     word_part = word_part.strip()
     labels = ctx.spec.labels

@@ -6,7 +6,7 @@ from typing import Sequence
 
 from symgen.fpgroup import (CosetLimitExceeded, CosetTable, Presentation,
                             _check_closed, reduce_word)
-from symgen.perm import IdentificationError, Perm, PermGroup
+from symgen.perm import IdentificationError, Perm, PermGroup, word_perm
 from symgen.progenitor import (Rule, RuleSet, UnsupportedRelator, Word,
                                normalize_tail)
 from symgen.symrep import SymElement
@@ -51,6 +51,26 @@ def centralizer_by_enumeration(group, p):
             kept.append(g)
             sub = PermGroup(group.degree, tuple(kept))
     return sub
+
+
+def schreier_generators_by_scan(group, k):
+    """PermGroup.schreier_generators as written before it stopped at the
+    stabilizer's order: every Schreier generator in turn, kept when it
+    lies outside the span of those kept before it."""
+    orbit, words = group.orbit(k)
+    out = []
+    sub = PermGroup(group.degree)
+    for a in orbit:
+        wa = words[a]
+        for gi, g in enumerate(group.gens, start=1):
+            b = g.images[a - 1]
+            word = wa + (gi,) + tuple(-x for x in reversed(words[b]))
+            perm = word_perm(group.gens, word, group.degree)
+            if perm.is_identity() or perm in sub:
+                continue
+            out.append((word, perm))
+            sub = PermGroup(group.degree, sub.gens + (perm,))
+    return out
 
 
 def canon_by_perms(raw, rules, trace=None):

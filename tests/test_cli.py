@@ -440,6 +440,14 @@ def test_elt_bad_element_text(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("text", ["(id||b0)", "(id | b0 | b1)"])
+def test_elt_more_than_one_separator(capsys, text):
+    # a second '|' is named as such, not blamed on the control part
+    code, out, err = run_cli(capsys, "elt", "u3_3", "convert", text)
+    assert code == 2 and out == ""
+    assert err == f"error: element needs exactly one '|' separator: {text!r}\n"
+
+
 def test_elt_wrong_arg_count(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "elt", "5sq_d6", "mult", "(id | 0)")
     assert code == 2

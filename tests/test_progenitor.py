@@ -16,7 +16,8 @@ from symgen.dcenum import ImageError, build_image
 from symgen.symrep import (SymContext, canon, cenelt, format_element,
                            invert_sym, mult, per2sym, sym2per, unify)
 from oracles import (CompletionReference, canon_by_perms,
-                     closed_relator_rules, conjugate_rule, unify_two_step)
+                     closed_relator_rules, conjugate_rule,
+                     schreier_generators_by_scan, unify_two_step)
 
 FIXTURES = ["5sq_d6", "l2_19", "u3_3"]
 
@@ -143,7 +144,8 @@ def test_rule_shapes_u3(u3_3):
                 frontier.append(img)
     assert len(orbit) == 56
     for pair in orbit:
-        assert len(u3_3.rules.canonical_form(pair)[1]) == 1, pair
+        assert len(u3_3.rules.canonical_form(
+            pair, Perm.identity(spec.n).images)[1]) == 1, pair
 
 
 def test_rule_shapes_5sq(d6_5sq):
@@ -250,7 +252,8 @@ def test_pair_canonical_forms_match_image(all_contexts):
             for b in range(1, n + 1):
                 if a == b:
                     continue
-                delta, form = ctx.rules.canonical_form((a, b))
+                delta, form = ctx.rules.canonical_form(
+                    (a, b), Perm.identity(n).images)
                 e = per2sym(ctx, img.ts[a - 1] * img.ts[b - 1])
                 assert (delta, form) == (e.control, e.word), (name, a, b)
 
@@ -393,7 +396,7 @@ def test_rewrite_engine_without_factoring_relators_hits_the_budget():
     spec = spec_without_relators(load_bundled("5sq_d6").spec)
     rules = derive_rules(spec, max_cosets=200)
     with pytest.raises(CosetLimitExceeded):
-        rules.canonical_form((1, 2))
+        rules.canonical_form((1, 2), Perm.identity(spec.n).images)
 
 
 def collapsing_spec():
@@ -533,6 +536,24 @@ def test_completion_matches_the_reference_on_small_progenitors(n, word, k,
         assert len({s for (s, _), _ in entries}) == outcome
     else:
         assert first is outcome
+
+
+@pytest.mark.parametrize("name", FIXTURES + [
+    f"{n},{word},{k}" for n, word, k, _ in POWER_CASES])
+def test_schreier_generators_match_the_scan(all_contexts, name):
+    # stopping at the stabilizer's order keeps the words and perms that
+    # scanning every Schreier generator keeps, at every point; for the
+    # fixtures the image's full group is checked too
+    if name in FIXTURES:
+        ctx = all_contexts[name]
+        groups = [ctx.spec.control_group, ctx.image.full_group]
+    else:
+        n, word, k = name.split(",")
+        groups = [power_relator_spec(int(n), word, int(k)).control_group]
+    for group in groups:
+        for k in range(1, group.degree + 1):
+            assert (group.schreier_generators(k)
+                    == schreier_generators_by_scan(group, k)), (name, k)
 
 
 @pytest.mark.parametrize("name,max_cosets", list(INDEX.items()) + [

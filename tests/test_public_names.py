@@ -4,12 +4,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "symgen"
 
-# public names that only the tests call, each with its reason
-TEST_ONLY = {
-    # acceptance criterion 3 reads a coset off a word in the image
-    "follow_word",
-}
-
 
 def _public_definitions(tree):
     """The names of a module's public module-level functions and classes
@@ -55,5 +49,4 @@ def test_no_public_name_is_test_only():
     defined = {name for path, tree in trees.items()
                if path.is_relative_to(PACKAGE)
                for name in _public_definitions(tree)}
-    assert defined >= TEST_ONLY
-    assert sorted(defined - used) == sorted(TEST_ONLY)
+    assert sorted(defined - used) == []

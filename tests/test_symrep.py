@@ -396,6 +396,16 @@ def test_image_engine_matches_the_perm_oracle(all_contexts, name):
 
 
 @pytest.mark.parametrize("name", IMAGE_CASES)
+def test_per2sym_matches_the_perm_oracle_on_n(all_contexts, name):
+    # the realization of each element of N has the empty canonical word,
+    # the one case where the t-chain that per2sym strips is the identity
+    ctx = image_context(all_contexts, name)
+    for nu, g in ctx.image.control_action.items():
+        e = per2sym(ctx, g)
+        assert pair(e) == pair(per2sym_by_perms(ctx, g)) == (nu, (), True)
+
+
+@pytest.mark.parametrize("name", IMAGE_CASES)
 def test_image_engine_matches_the_perm_oracle_on_raw_words(all_contexts, name):
     # words that are not canonical: squares, long words, any control
     ctx = image_context(all_contexts, name)
