@@ -8,7 +8,8 @@ single cosets inside each double coset.
 
 from collections import Counter
 
-from symgen.dcenum import double_cosets, emit_graph, verify_relators_in_image
+from symgen.dcenum import (double_cosets, emit_graph, verify_relators_in_image,
+                           word_label)
 from symgen.groupfile import bundled_fixture_names, load_bundled
 
 for name in bundled_fixture_names():
@@ -21,9 +22,8 @@ for name in bundled_fixture_names():
     print("   coset representative lengths:", dict(sorted(profile.items())))
     graph = double_cosets(img)
     for node in graph.nodes:
-        rep = ".".join(gf.spec.labels[i - 1] for i in node.rep) or "*"
-        print(f"   [{rep}]  single cosets {node.size}  "
-              f"stabilizer order {node.stabilizer.order()}")
+        print(f"   [{word_label(gf.spec, node.rep)}]  single cosets "
+              f"{node.size}  stabilizer order {node.stabilizer.order()}")
     verify_relators_in_image(gf.spec, img)
     print("   factoring relators verified in the image")
     print()

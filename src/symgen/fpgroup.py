@@ -231,12 +231,9 @@ class CosetTable:
     def index(self) -> int:
         return len(self.rows)
 
-    def follow(self, coset: int, letter: int) -> int:
-        return self.rows[coset][_column(letter)]
-
     def trace(self, coset: int, word: Sequence[int]) -> int:
         for letter in word:
-            coset = self.follow(coset, letter)
+            coset = self.rows[coset][_column(letter)]
         return coset
 
 

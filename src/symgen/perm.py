@@ -40,7 +40,7 @@ from operator import itemgetter
 from typing import Iterable, Sequence
 
 
-# elements() and centralizer() refuse a group of more elements than this
+# centralizer() refuses a group of more elements than this
 MAX_ELEMENTS = 10 ** 6
 
 Images = tuple[int, ...]  # a perm's images of 1..degree, as Perm.images
@@ -266,13 +266,12 @@ def word_perm(gens: Sequence[Perm], letters: Iterable[int], degree: int | None =
 
 
 class _Level:
-    __slots__ = ("point", "orbit", "transversal", "gens")
+    __slots__ = ("point", "orbit", "transversal")
 
-    def __init__(self, point, orbit, transversal, gens):
+    def __init__(self, point, orbit, transversal):
         self.point = point            # base point
         self.orbit = orbit            # points in BFS discovery order
         self.transversal = transversal  # point -> Perm u with point^u == that point
-        self.gens = gens              # generators of this level's group
 
 
 class PermGroup:
@@ -280,8 +279,8 @@ class PermGroup:
 
     Base points are the ascending moved points of each level's generators,
     orbits are explored breadth-first with generators in their given order,
-    so orders, membership tests, transversals and element enumeration are
-    all reproducible.
+    so orders, membership tests, transversals and the generators the span
+    filter keeps are all reproducible.
     """
 
     def __init__(self, degree: int, generators: Iterable[Perm] = ()):
@@ -295,7 +294,6 @@ class PermGroup:
         self.gens = gens
         self._chain: list[_Level] | None = None
         self._order: int | None = None
-        self._elements: tuple[Perm, ...] | None = None
         # centralizer()'s top split: the first base point's stabilizer
         # multiplied out, its elements' gathers, and the gather and the
         # inverse's images of each top transversal element
@@ -341,7 +339,7 @@ class PermGroup:
             while gens:
                 point = min(min(g.moved()) for g in gens)
                 orbit, trans, nxt = PermGroup(self.degree, gens).schreier(point)
-                levels.append(_Level(point, orbit, trans, gens))
+                levels.append(_Level(point, orbit, trans))
                 gens = nxt
             self._chain = levels
         return self._chain
@@ -365,25 +363,13 @@ class PermGroup:
             r = r * ~level.transversal[b]
         return r.is_identity()
 
-    def elements(self) -> tuple[Perm, ...]:
-        """All elements in a deterministic order; the identity comes first."""
-        if self._elements is None:
-            self._check_order()
-            self._elements = tuple(self._multiply_out(self.chain))
-        return self._elements
-
-    def _check_order(self) -> None:
-        if self.order() > MAX_ELEMENTS:
-            raise GroupTooLarge(
-                f"group order {self.order()} exceeds bound {MAX_ELEMENTS}")
-
     def _multiply_out(self, levels: Sequence[_Level]) -> list[Perm]:
         """Every product u_k * ... * u_1 of transversal elements, one per
         level, the deepest level's varying slowest.
 
-        Over the whole chain this is elements(); over chain[1:] it is the
-        stabilizer of the first base point, and elements() is then
-        [e * u_c for e in those for c in the top orbit].
+        Over chain[1:] it is the stabilizer H of the first base point; over
+        the whole chain it is every element, [e * u_c for e in H for c in
+        the top orbit].
         """
         elems = [Perm.identity(self.degree)]
         for level in reversed(levels):
@@ -438,28 +424,34 @@ class PermGroup:
         stabilizer's order |G| / |orbit of k| (Schreier's lemma), past
         which every candidate lies in the span.
         """
+        return self._stabilizer_span(k)[0]
+
+    def point_stabilizer(self, k: int) -> "PermGroup":
+        """The stabilizer of k: the span that schreier_generators' filter
+        builds, chain and all, or the group itself when every generator
+        fixes k."""
+        if not 1 <= k <= self.degree:
+            raise ValueError(f"point {k} out of range 1..{self.degree}")
+        if all(g.images[k - 1] == k for g in self.gens):
+            return self
+        return self._stabilizer_span(k)[1]
+
+    def _stabilizer_span(self, k: int) -> tuple[list, "PermGroup"]:
+        """_span_filter over the Schreier generators of k's stabilizer, as
+        (word, perm) pairs."""
         orbit, words = self.orbit(k)
         schreier_words = (
             words[a] + (gi,) + tuple(-x for x in reversed(words[g.images[a - 1]]))
             for a in orbit for gi, g in enumerate(self.gens, start=1))
-        kept, _ = self._span_filter(
+        return self._span_filter(
             ((w, word_perm(self.gens, w, self.degree)) for w in schreier_words),
             self.order() // len(orbit))
-        return kept
-
-    def point_stabilizer(self, k: int) -> "PermGroup":
-        if not 1 <= k <= self.degree:
-            raise ValueError(f"point {k} out of range 1..{self.degree}")
-        if all(g.images[k - 1] == k for g in self.gens):
-            return PermGroup(self.degree, self.gens)
-        gens = tuple(p for _, p in self.schreier_generators(k))
-        return PermGroup(self.degree, gens)
 
     def _span_filter(self, candidates: Iterable[tuple[object, Perm]],
                      order: int) -> tuple[list, "PermGroup"]:
         """(kept, span): each (key, perm) candidate whose perm lies outside
         the span of those kept before it, taken in turn until the span
-        reaches the given order, and the span of the kept perms."""
+        reaches the given order, and the span of the kept perms, chain built."""
         kept: list = []
         sub = PermGroup(self.degree)
         for key, q in candidates:
@@ -469,6 +461,7 @@ class PermGroup:
                 continue
             kept.append((key, q))
             sub = PermGroup(self.degree, sub.gens + (q,))
+        sub.order()  # a span built from the last candidate has no chain yet
         return kept, sub
 
     def centralizer(self, p: Perm) -> "PermGroup":
@@ -481,19 +474,21 @@ class PermGroup:
         b, it must then send b^p to b^(q_c), so for each c only the
         elements of H with that image are compared with q_c, on image
         tuples.  The matches are sorted by (index in H, index in the top
-        orbit), which is their order in elements(), so the generators kept
-        by the span filter are exactly those of filtering elements().
+        orbit), which is their order when the whole chain is multiplied
+        out (_multiply_out), so the span filter keeps exactly the generators
+        it would keep filtering every element of the group in that order.
 
-        The split does not depend on p, so the group keeps it, as it keeps
-        elements(): H multiplied out, and for H and the top transversal
-        the gathers (_gather_of) and inverses that q_c and the comparison
-        need, built on the first call that passes the size bound.  Raises
-        GroupTooLarge when the group order exceeds MAX_ELEMENTS, before
-        anything is multiplied out.
+        The split does not depend on p, so the group keeps it: H multiplied
+        out, and for H and the top transversal the gathers (_gather_of) and
+        inverses that q_c and the comparison need, built on the first call
+        that passes the size bound.  Raises GroupTooLarge when the group
+        order exceeds MAX_ELEMENTS, before anything is multiplied out.
         """
         if p not in self:
             raise IdentificationError("element is not in the group")
-        self._check_order()
+        if self.order() > MAX_ELEMENTS:
+            raise GroupTooLarge(
+                f"group order {self.order()} exceeds bound {MAX_ELEMENTS}")
         if not self.chain:
             return PermGroup(self.degree)
         top = self.chain[0]

@@ -22,7 +22,7 @@ from typing import Sequence
 from .perm import (IdentificationError, Images, Perm, _gather, _trusted,
                    label_cycles_str, parse_label_cycles)
 from .progenitor import ProgenitorSpec, RuleSet, Word, normalize_tail
-from .dcenum import SymImage
+from .dcenum import SymImage, word_label
 
 
 class ContextError(ValueError):
@@ -299,7 +299,7 @@ def format_element(e: SymElement) -> str:
     """Render as "(control-cycles | l1.l2...)" using the group's labels."""
     labels = e.ctx.spec.labels
     control = label_cycles_str(e.control, labels) or "id"
-    word = ".".join(labels[i - 1] for i in e.word) if e.word else "-"
+    word = word_label(e.ctx.spec, e.word) if e.word else "-"
     return f"({control} | {word})"
 
 

@@ -41,12 +41,23 @@ def closure_order(gens):
     return len(seen)
 
 
+def elements_by_chain(group):
+    """Every element of the group, identity first: the products u_k * ...
+    * u_1 of one transversal element per level of its stabilizer chain,
+    the deepest level's varying slowest."""
+    elems = [Perm.identity(group.degree)]
+    for level in reversed(group.chain):
+        elems = [e * level.transversal[point]
+                 for e in elems for point in level.orbit]
+    return elems
+
+
 def centralizer_by_enumeration(group, p):
     """Centralizer of p by filtering every element of the group for the
     ones commuting with p, spanned in element order."""
     kept = []
     sub = PermGroup(group.degree)
-    for g in group.elements():
+    for g in elements_by_chain(group):
         if g * p == p * g and not g.is_identity() and g not in sub:
             kept.append(g)
             sub = PermGroup(group.degree, tuple(kept))
@@ -125,7 +136,7 @@ def closed_relator_rules(spec):
             raise UnsupportedRelator("factoring relator with empty tail")
         seeds.append((pi, tail))
 
-    elems = spec.control_group.elements()
+    elems = elements_by_chain(spec.control_group)
     pool = {}
 
     def add(pi, w):

@@ -9,7 +9,7 @@ from symgen.perm import (GroupTooLarge, IdentificationError, Perm, PermGroup,
                          parse_label_cycles, word_perm)
 
 from oracles import (centralizer_by_enumeration, closure_order,
-                     inverse_by_loop, product_by_generator)
+                     elements_by_chain, inverse_by_loop, product_by_generator)
 
 # the 14-point control group used by the largest fixture; handy here because
 # its subgroup structure is known exactly
@@ -207,16 +207,6 @@ def test_membership_negative():
     assert parse_cycles("(1,2)", 5) not in a5
 
 
-def test_elements_deterministic_and_complete():
-    g = PermGroup(4, (parse_cycles("(1,2,3,4)", 4), parse_cycles("(1,2)", 4)))
-    elems = g.elements()
-    assert len(elems) == 24
-    assert elems[0].is_identity()
-    assert len({e.images for e in elems}) == 24
-    rebuilt = PermGroup(4, g.gens)
-    assert rebuilt.elements() == elems
-
-
 def test_orbit_of_trivial_group():
     g = PermGroup(5)
     orbit, words = g.orbit(3)
@@ -253,7 +243,33 @@ def test_point_stabilizer_pgl27():
 
 def test_point_stabilizer_trivial_group():
     g = PermGroup(4)
+    assert g.point_stabilizer(2) is g
     assert g.point_stabilizer(2).order() == 1
+
+
+def fixture_groups(all_contexts):
+    for name, ctx in all_contexts.items():
+        yield f"{name} N", ctx.spec.control_group
+        yield f"{name} full", ctx.image.full_group
+
+
+def test_point_stabilizer_returns_a_built_span(all_contexts):
+    # the span that the Schreier generators' filter built comes back with
+    # its chain, so its order costs no second Schreier-Sims run
+    for name, g in fixture_groups(all_contexts):
+        for k in range(1, g.degree + 1):
+            stab = g.point_stabilizer(k)
+            assert stab._chain is not None, (name, k)
+            assert all(h.images[k - 1] == k for h in stab.gens), (name, k)
+            assert stab.order() * len(g.orbit(k)[0]) == g.order(), (name, k)
+
+
+def test_point_stabilizer_of_a_fixed_point_is_the_group(all_contexts):
+    # the stabilizer's generators all fix k, so it is its own stabilizer
+    for name, g in fixture_groups(all_contexts):
+        for k in range(1, g.degree + 1):
+            stab = g.point_stabilizer(k)
+            assert stab.point_stabilizer(k) is stab, (name, k)
 
 
 def test_orbit_stabilizer_identity_randomized():
@@ -291,7 +307,7 @@ def test_centralizer_counting_identity():
     # |class(p)| * |C(p)| == |G|, with the class found by brute force, and
     # the centralizer order matching a direct commuting-element recount
     g = PermGroup(6, (parse_cycles("(2,3,4,5,6)", 6), parse_cycles("(1,2)(3,6)", 6)))
-    elems = g.elements()
+    elems = elements_by_chain(g)
     rng = random.Random(5)
     for _ in range(8):
         p = g.random_element(rng)
@@ -312,7 +328,7 @@ def assert_centralizer_matches_oracle(g, p):
 @pytest.mark.parametrize("which", ["full", "control"])
 def test_centralizer_generators_match_enumeration(all_contexts, name, which):
     # the split over the chain's top level keeps exactly the generators
-    # that filtering elements() keeps, at the identity and at random elements
+    # that filtering every element keeps, at the identity and at random elements
     ctx = all_contexts[name]
     g = ctx.image.full_group if which == "full" else ctx.spec.control_group
     rng = random.Random(9)
@@ -328,7 +344,7 @@ def test_centralizer_generators_match_enumeration(all_contexts, name, which):
     PermGroup(5, (parse_cycles("(1,2,3,4,5)", 5),)),
 ], ids=["trivial", "intransitive", "cyclic"])
 def test_centralizer_edge_groups_match_enumeration(g):
-    for p in g.elements():
+    for p in elements_by_chain(g):
         assert_centralizer_matches_oracle(g, p)
 
 
