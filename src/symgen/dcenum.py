@@ -112,14 +112,6 @@ class SymImage:
     def _control_by_images(self) -> dict[tuple[int, ...], Perm]:
         return {g.images: nu for nu, g in self.control_action.items()}
 
-    def follow_word(self, word: Sequence[int]) -> int:
-        """The coset point that word's t_i take point 1 to, in turn."""
-        point = 1
-        ts = self.ts
-        for letter in word:
-            point = ts[letter - 1].images[point - 1]
-        return point
-
     def control_of_images(self, images: tuple[int, ...]) -> Perm:
         """The control element whose realization on the coset points has
         the given images, read off N's action table; a miss means they are
@@ -355,7 +347,7 @@ def verify_relators_in_image(spec: ProgenitorSpec, img: SymImage) -> list[str]:
     """
     report = []
     for k, (control_word, tail) in enumerate(spec.relators, start=1):
-        pi = spec.control_word_perm(control_word)
+        pi = word_perm(spec.control_gens, control_word, spec.n)
         if not (img.realize_control(pi) * word_perm(img.ts, tail)).is_identity():
             raise ImageError(f"relator {k} does not evaluate to the identity")
         report.append(

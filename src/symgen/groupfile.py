@@ -38,7 +38,6 @@ class GroupSpecFile:
     spec: ProgenitorSpec
     t_words: tuple[FreeWord, ...] | None
     expected: Expected
-    display: dict[str, str]
 
     def build_context(self, with_rules: bool = True,
                       max_cosets: int = 10 ** 6) -> SymContext:
@@ -98,14 +97,15 @@ def load_spec_data(data: dict, path: str = "<data>") -> GroupSpecFile:
         data, "relators", path, _is_relator_list,
         'a list of {"control_word": string, "tail": list of labels} objects')
     t_name = _field(data, "t_name", path, lambda v: isinstance(v, str),
-                    "a string", required=False) or "t"
+                    "a string", required=False)
     t_word_texts = _field(data, "t_words", path, _is_str_list, strings,
                           required=False)
     exp = _field(data, "expected", path, _is_expected,
                  "an object of integer index, group_order and node_sizes",
                  required=False) or {}
-    display = _field(data, "display", path, lambda v: isinstance(v, dict),
-                     "an object", required=False) or {}
+    # display is metadata for readers of the file: checked, not kept
+    _field(data, "display", path, lambda v: isinstance(v, dict), "an object",
+           required=False)
     if len(labels) != n:
         raise SpecFileError(f"{path}: expected {n} labels, got {len(labels)}")
     for label in labels:
@@ -117,6 +117,12 @@ def load_spec_data(data: dict, path: str = "<data>") -> GroupSpecFile:
             # element text writes the empty word as "-", and enumerate and
             # graph output as "*"
             raise SpecFileError(f"{path}: label {label!r} is reserved for the empty word")
+    for key, names in (("control_generator_names", gen_names),
+                       ("t_name", (t_name,))):
+        # word text would read an empty name at every position
+        if "" in names:
+            raise SpecFileError(f"{path}: field {key!r} holds the empty "
+                                "generator name ''")
     if len(gen_cycles) != len(gen_names):
         raise SpecFileError(f"{path}: generator names and cycles differ in number")
 
@@ -133,7 +139,7 @@ def load_spec_data(data: dict, path: str = "<data>") -> GroupSpecFile:
             tail = tuple(labels.index(l) + 1 for l in item["tail"])
             relators.append((cw, tail))
         spec = ProgenitorSpec(n, control_gens, presentation, tuple(relators),
-                              labels, t_name=t_name)
+                              labels, t_name=t_name or "t")
         t_words = None
         if t_word_texts is not None:
             pres_names = gen_names + (spec.t_name,)
@@ -150,7 +156,7 @@ def load_spec_data(data: dict, path: str = "<data>") -> GroupSpecFile:
         index=exp.get("index"),
         group_order=exp.get("group_order"),
         node_sizes=tuple(node_sizes) if node_sizes is not None else None)
-    return GroupSpecFile(name, spec, t_words, expected, dict(display))
+    return GroupSpecFile(name, spec, t_words, expected)
 
 
 def load_spec_file(path: str) -> GroupSpecFile:

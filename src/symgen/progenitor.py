@@ -29,7 +29,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .perm import (Images, Perm, PermGroup, _gather, _product, _quotient,
                    _trusted, word_perm)
@@ -111,9 +111,6 @@ class ProgenitorSpec:
         except ValueError:
             raise ValueError(f"unknown generator label {label!r}") from None
 
-    def control_word_perm(self, word: Sequence[int]) -> Perm:
-        return word_perm(self.control_gens, word, self.n)
-
 
 def build_presentation(spec: ProgenitorSpec) -> Presentation:
     """Presentation of the factored progenitor over N's generators plus one
@@ -188,8 +185,8 @@ def derive_rules(spec: ProgenitorSpec, max_cosets: int = 10 ** 6) -> "RuleSet":
         if not w:
             raise UnsupportedRelator("factoring relator with empty tail")
         a = (len(w) + 1) // 2
-        rules.append(Rule(w[:a], ~spec.control_word_perm(control_word),
-                          tuple(reversed(w[a:]))))
+        pi = word_perm(spec.control_gens, control_word, spec.n)
+        rules.append(Rule(w[:a], ~pi, tuple(reversed(w[a:]))))
     return RuleSet(spec, tuple(rules), max_cosets)
 
 

@@ -8,10 +8,12 @@ through permutations of the small control degree plus a short word.
 Two independent engines are provided and must agree: a pure rewrite
 engine (unify + canon over the derived rule system, no image needed) and
 an image-backed engine, which realizes unify's raw pair on the coset
-points and reads its canonical pair back.  per2sym and sym2per are the two
-converters.  The image engine works on image tuples through the image's
-prebuilt gathers (SymImage.t_gathers, control_gathers), so a conversion or
-an image-mode product builds no Perm product on the way.
+points and reads its canonical pair back with per2sym's reader.  mult,
+invert_sym and equal_sym reduce their raw pairs through one dispatch
+between the two.  per2sym and sym2per are the two converters.  The image
+engine works on image tuples through the image's prebuilt gathers
+(SymImage.t_gathers, control_gathers), so a conversion or an image-mode
+product builds no Perm product on the way.
 """
 
 from __future__ import annotations
@@ -161,11 +163,6 @@ def canon(raw: tuple[Perm, Word], rules: RuleSet, *,
         raise
 
 
-def canon_element(ctx: SymContext, raw: tuple[Perm, Word]) -> SymElement:
-    perm, word = canon(raw, ctx.require_rules())
-    return SymElement(ctx, perm, word, canonical=True)
-
-
 def _t_chain(img: SymImage, word: Word) -> Images:
     """The images of t_word = t_w1 * ... * t_wk: those of word's last t,
     then one prebuilt gather per letter before it, right to left."""
@@ -184,39 +181,29 @@ def _realized(img: SymImage, control: Images, word: Word) -> Images:
     return img.control_gathers[control](_t_chain(img, word))
 
 
-def _image_canon(ctx: SymContext, raw: tuple[Perm, Word]) -> SymElement:
-    """The canonical pair of a raw pair (nu, word), read off the image:
-    the image engine's counterpart of canon.
+def _read_pair(ctx: SymContext, images: Images) -> SymElement:
+    """The canonical pair of the element of the image with these images.
 
-    Point 1 goes through the word to the element's coset c, whose
-    representative word w = cst[c-1] is the canonical word.  The element
-    times t_w^-1 = t_wk...t_w1 fixes point 1, and one chain of gathers,
-    realize(nu) * t_word * t_wk...t_w1, gives its images, from which the
-    control element is read.
+    The image of point 1 names the coset, hence the canonical word w;
+    stripping the word off leaves g * t_wk...t_w1, which fixes point 1 and
+    is the realization of the control element.  One gather of the images
+    by the t-chain of w reversed gives that residue, looked up in N's
+    realizations.  A miss there means the images are not those of an
+    element of the group, which raises IdentificationError.
     """
     img = ctx.image
-    control, word = raw
-    canonical = img.cst[img.follow_word(word) - 1]
-    residue = _realized(img, control.images, word + canonical[::-1])
-    return SymElement(ctx, img.control_of_images(residue), canonical, canonical=True)
+    word = img.cst[images[0] - 1]
+    residue = _gather(images, (0,) + _t_chain(img, word[::-1]))
+    return SymElement(ctx, img.control_of_images(residue), word, canonical=True)
 
 
 def per2sym(ctx: SymContext, p: Perm) -> SymElement:
-    """Algorithm converting a coset permutation to its canonical pair.
-
-    The image of point 1 names the coset, hence the canonical word w;
-    stripping the word off leaves p * t_wk...t_w1, which fixes point 1 and
-    is the realization of the control element.  One gather of p's images
-    by the t-chain of w reversed gives that residue, looked up in N's
-    realizations.  A miss there means p is not in the group, which raises
-    IdentificationError.
-    """
+    """Algorithm converting a coset permutation to its canonical pair:
+    _read_pair on its images."""
     img = ctx.require_image()
     if p.degree != img.index:
         raise ValueError(f"degree {p.degree} != image degree {img.index}")
-    word = img.cst[p.images[0] - 1]
-    residue = _gather(p.images, (0,) + _t_chain(img, word[::-1]))
-    return SymElement(ctx, img.control_of_images(residue), word, canonical=True)
+    return _read_pair(ctx, p.images)
 
 
 def sym2per(ctx: SymContext, e: SymElement) -> Perm:
@@ -233,56 +220,54 @@ def sym2per(ctx: SymContext, e: SymElement) -> Perm:
 
 
 def mult(a: SymElement, b: SymElement, mode: str = "auto") -> SymElement:
-    """Product of two symmetrically represented elements.
-
-    Both engines reduce the raw pair that unify gathers, which is where
-    the two elements' context is checked: mode "pure" by canon over the
-    rules, mode "image" by realizing it in one chain of prebuilt gathers
-    and reading its canonical pair back (_image_canon), with no Perm
-    product and no per2sym/sym2per round trip.  "auto" prefers pure when
-    rules exist.
-    """
-    raw = unify(a, b)
-    ctx = a.ctx
-    mode = _pick_mode(ctx, mode)
-    if mode == "pure":
-        # canon by its module global, which the benchmark's tracer wraps
-        perm, word = canon(raw, ctx.rules)
-        return SymElement(ctx, perm, word, canonical=True)
-    return _image_canon(ctx, raw)
+    """Product of two symmetrically represented elements: the raw pair
+    that unify gathers, where the two elements' context is checked,
+    reduced by the engine mode picks (_reduce)."""
+    return _reduce(a.ctx, unify(a, b), _is_pure(a.ctx, mode))
 
 
 def invert_sym(a: SymElement, mode: str = "auto") -> SymElement:
     """Inverse: (pi*w)^-1 = pi^-1 * reverse(w)^(pi^-1), then canonical form."""
-    ctx = a.ctx
     inv = ~a.control
-    raw = (inv, inv.images_of(a.word[::-1]))
-    mode = _pick_mode(ctx, mode)
-    if mode == "pure":
-        return canon_element(ctx, raw)
-    return _image_canon(ctx, raw)
+    return _reduce(a.ctx, (inv, inv.images_of(a.word[::-1])),
+                   _is_pure(a.ctx, mode))
 
 
 def equal_sym(a: SymElement, b: SymElement, mode: str = "auto") -> bool:
+    """Whether two elements agree: their canonical pairs are equal.  An
+    element marked canonical is its own pair; the others are reduced by
+    the engine mode picks."""
     ctx = _shared_context(a, b)
-    mode = _pick_mode(ctx, mode)
-    if mode == "pure":
-        ca = a if a.canonical else canon_element(ctx, (a.control, a.word))
-        cb = b if b.canonical else canon_element(ctx, (b.control, b.word))
-        return ca.control == cb.control and ca.word == cb.word
-    return sym2per(ctx, a) == sym2per(ctx, b)
+    pure = _is_pure(ctx, mode)
+    ca = a if a.canonical else _reduce(ctx, (a.control, a.word), pure)
+    cb = b if b.canonical else _reduce(ctx, (b.control, b.word), pure)
+    return ca.control == cb.control and ca.word == cb.word
 
 
-def _pick_mode(ctx: SymContext, mode: str) -> str:
+def _is_pure(ctx: SymContext, mode: str) -> bool:
+    """Whether mode picks the rewrite engine, after checking that the
+    engine it picks exists; "auto" prefers pure when rules exist."""
     if mode == "auto":
-        return "pure" if ctx.rules is not None else "image"
+        return ctx.rules is not None
     if mode == "pure":
         ctx.require_rules()
     elif mode == "image":
         ctx.require_image()
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    return mode
+    return mode == "pure"
+
+
+def _reduce(ctx: SymContext, raw: tuple[Perm, Word], pure: bool) -> SymElement:
+    """The canonical element of a raw pair (nu, word): by canon over the
+    rules, or by realizing it in one chain of prebuilt gathers and reading
+    its canonical pair back (_read_pair), with no Perm product."""
+    if pure:
+        # canon by its module global, which the benchmark's tracer wraps
+        perm, word = canon(raw, ctx.rules)
+        return SymElement(ctx, perm, word, canonical=True)
+    control, word = raw
+    return _read_pair(ctx, _realized(ctx.image, control.images, word))
 
 
 def cenelt(ctx: SymContext, a: SymElement) -> tuple[int, list[SymElement]]:

@@ -122,6 +122,14 @@ def conjugate_rule(rule, pi):
                 tuple(pi.apply(i) for i in rule.replacement))
 
 
+def follow_word(img, word):
+    """The coset point that word's t_i take point 1 to, in turn."""
+    point = 1
+    for letter in word:
+        point = img.ts[letter - 1].images[point - 1]
+    return point
+
+
 def closed_relator_rules(spec):
     """derive_rules' base rules as built before completion was left to
     close the relators: every relator pi * t_w = 1, closed under
@@ -130,7 +138,7 @@ def closed_relator_rules(spec):
     t_u = pi^-1 * t_(reverse v) with |u| >= |v|, sorted."""
     seeds = []
     for control_word, tail in spec.relators:
-        pi = spec.control_word_perm(control_word)
+        pi = word_perm(spec.control_gens, control_word, spec.n)
         tail = normalize_tail(tail, spec.n)
         if not tail:
             raise UnsupportedRelator("factoring relator with empty tail")

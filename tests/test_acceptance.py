@@ -12,7 +12,7 @@ from symgen.groupfile import load_bundled
 from symgen.perm import Perm
 from symgen import symrep as sr
 from symgen.symrep import parse_label_cycles
-from oracles import elements_by_chain
+from oracles import elements_by_chain, follow_word
 
 
 def report(k, detail):
@@ -68,7 +68,7 @@ def test_criterion_3_5sq_d6_enumeration():
     ix = ix_map(ctx)
 
     def node_size_of(word_labels):
-        point = img.follow_word(tuple(ix[l] for l in word_labels))
+        point = follow_word(img, tuple(ix[l] for l in word_labels))
         return next(n.size for n in graph.nodes if point in n.points)
 
     narrative = {"": 1, "0": 3, "01": 6, "010": 3, "0102": 3, "01202": 6,

@@ -80,6 +80,7 @@ def test_enumerate_expectation_mismatch(tmp_path, capsys):
     ("expected", {"node_sizes": [1, "3"]}),
     ("n", True),
     ("t_words", "t"),
+    ("display", ["b0"]),
 ])
 def test_malformed_spec_field_exit_code(tmp_path, capsys, field, value):
     src = json.loads(
@@ -94,6 +95,23 @@ def test_malformed_spec_field_exit_code(tmp_path, capsys, field, value):
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert repr(field) in lines[0]
+
+
+@pytest.mark.parametrize("field,value", [
+    ("t_name", ""),
+    ("control_generator_names", ["", "y"]),
+])
+def test_empty_generator_name_exit_code(tmp_path, capsys, field, value):
+    # an empty name would match with zero width anywhere in word text
+    src = json.loads((FIXTURE_DIR / "5sq_d6.json").read_text(encoding="utf-8"))
+    src[field] = value
+    path = tmp_path / "empty_name.json"
+    path.write_text(json.dumps(src), encoding="utf-8")
+    code, out, err = run_cli(capsys, "enumerate", str(path))
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert f"field {field!r} holds the empty generator name ''" in lines[0]
 
 
 def test_unknown_tail_label_exit_code(tmp_path, capsys):

@@ -8,12 +8,12 @@ from symgen import symrep
 from symgen.dcenum import build_image
 from symgen.perm import IdentificationError, Perm
 from symgen.symrep import (ContextError, SymContext, SymElement, canon,
-                           canon_element, cenelt, equal_sym,
+                           cenelt, equal_sym,
                            format_element, invert_sym, mult, parse_element,
                            per2sym, sym2per, unify)
-from oracles import (elements_by_chain, image_inverse_by_perms,
-                     image_product_by_perms, per2sym_by_perms,
-                     sym2per_by_perms)
+from oracles import (elements_by_chain, follow_word,
+                     image_inverse_by_perms, image_product_by_perms,
+                     per2sym_by_perms, sym2per_by_perms)
 from test_progenitor import POWER_CASES, power_relator_spec
 
 
@@ -163,8 +163,8 @@ def test_sym2per_per2sym_canonicalizes(all_contexts):
         for _ in range(100):
             e = per2sym(ctx, full.random_element(rng))
             raw = ctx.element(e.control, e.word)
-            assert per2sym(ctx, sym2per(ctx, raw)).word == canon_element(
-                ctx, (raw.control, raw.word)).word
+            assert per2sym(ctx, sym2per(ctx, raw)).word == mult(
+                raw, ctx.identity_element(), mode="pure").word
 
 
 def test_word_length_bounds_sampled(all_contexts):
@@ -247,6 +247,28 @@ def test_pure_products_and_inversions_call_canon_once(monkeypatch,
             assert len(calls) == 1
 
 
+def test_auto_mode_prefers_the_rewrite_engine(monkeypatch, all_contexts):
+    # the engines agree on every result, so only the engine reached shows
+    # which one "auto" picked; elt mult and elt invert take this path
+    calls = []
+    original = symrep.canon
+
+    def counting_canon(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(symrep, "canon", counting_canon)
+    for ctx in all_contexts.values():
+        assert ctx.rules is not None and ctx.image is not None
+        a, b = rand_elements(ctx, 2, seed=18)
+        raw = ctx.element(a.control, a.word)
+        for call in (lambda: mult(a, b), lambda: invert_sym(a),
+                     lambda: equal_sym(raw, b)):
+            calls.clear()
+            call()
+            assert len(calls) == 1
+
+
 def test_operator_sugar(u3_3):
     a, b = rand_elements(u3_3, 2, seed=14)
     prod = a * b
@@ -267,7 +289,7 @@ def test_equal_sym_modes_agree(all_contexts):
                 == (p == q)
         e = rand_elements(ctx, 1, seed=16)[0]
         raw = ctx.element(e.control, e.word)
-        assert equal_sym(raw, canon_element(ctx, (e.control, e.word)))
+        assert equal_sym(raw, mult(e, ctx.identity_element(), mode="pure"))
 
 
 def test_equal_sym_specific_relation(u3_3):
@@ -323,7 +345,7 @@ def test_worked_product(u3_3):
     # the product lies in the single coset named by b2.b1 (and equivalently
     # by b1.b2, the canonical spelling)
     point = sym2per(ctx, prod).apply(1)
-    assert img.follow_word((ix["b2"], ix["b1"])) == point
+    assert follow_word(img, (ix["b2"], ix["b1"])) == point
     assert prod.word == (ix["b1"], ix["b2"])
 
 
