@@ -23,8 +23,8 @@ from functools import cached_property
 from operator import itemgetter
 from typing import Sequence
 
-from .perm import (Perm, PermGroup, IdentificationError, _gather_of,
-                   word_perm)
+from .perm import (Images, Perm, PermGroup, IdentificationError, _gather,
+                   _gather_of, word_perm)
 from .fpgroup import (CosetLimitExceeded, FreeWord, coset_action, todd_coxeter,
                       word_str)
 from .progenitor import ProgenitorSpec, Word, build_presentation, default_t_words
@@ -45,7 +45,7 @@ class SymImage:
     control_action maps each element of N to its permutation of the coset
     points.
 
-    That map is one to one, so per2sym reads a permutation fixing point 1
+    That map is one to one, so read_pair reads a permutation fixing point 1
     back as the unique control element.  build_image checks that the ts
     are distinct involutions and that each control generator conjugates
     them as it permutes their indices, so the image of any nu in N
@@ -53,12 +53,9 @@ class SymImage:
     then t_i = t_i^nu = t_(i^nu) for every i, and since the ts are
     distinct, i^nu = i for every i: nu = 1.
 
-    The image engine (symrep's per2sym, sym2per and image-mode products)
-    runs on image tuples through tables built on first use: t_gathers and
-    control_gathers, which multiply a t_i or a control element's
-    realization onto a permutation from the left, and the map that
-    control_of_images reads a control element back from its realization's
-    images with.
+    The image engine is two methods on image tuples: realized multiplies a
+    pair out on the coset points, and read_pair reads the canonical pair of
+    an element back.
     """
 
     spec: ProgenitorSpec
@@ -90,36 +87,67 @@ class SymImage:
                     queue.append(mu)
         return action
 
-    # The image engine's tables, built on first use, so enumerate and graph
-    # never pay for them.  A gather is an itemgetter of 0-based points:
-    # applied to the images of X it gives the images of g * X, for the g it
-    # was built from.  build_image rejects an identity t, so the index is at
-    # least 2 and a gather never has a single index (which would return a
-    # bare item instead of a tuple).
+    # The image engine, on image tuples.  Its tables are built on first use,
+    # so enumerate and graph never pay for them.  A gather is an itemgetter
+    # of 0-based points: applied to the images of X it gives the images of
+    # g * X, for the g it was built from.  _t_gathers holds the gather of
+    # each t_i in index order, _control_gathers that of each control
+    # element's realization keyed by the element's images, and
+    # _control_by_images reads a control element back from its
+    # realization's images.  build_image rejects an identity t, so the index
+    # is at least 2 and a gather never has a single index (which would
+    # return a bare item instead of a tuple).
 
     @cached_property
-    def t_gathers(self) -> tuple[itemgetter, ...]:
-        """The gather of each t_i, in index order."""
+    def _t_gathers(self) -> tuple[itemgetter, ...]:
         return tuple(_gather_of(t) for t in self.ts)
 
     @cached_property
-    def control_gathers(self) -> dict[tuple[int, ...], itemgetter]:
-        """The gather of each control element's realization, keyed by the
-        element's images."""
+    def _control_gathers(self) -> dict[Images, itemgetter]:
         return {nu.images: _gather_of(g) for nu, g in self.control_action.items()}
 
     @cached_property
-    def _control_by_images(self) -> dict[tuple[int, ...], Perm]:
+    def _control_by_images(self) -> dict[Images, Perm]:
         return {g.images: nu for nu, g in self.control_action.items()}
 
-    def control_of_images(self, images: tuple[int, ...]) -> Perm:
-        """The control element whose realization on the coset points has
-        the given images, read off N's action table; a miss means they are
-        not the images of an element of N."""
-        nu = self._control_by_images.get(images)
+    def _t_chain(self, word: Word) -> Images:
+        """The images of t_word = t_w1 * ... * t_wk: those of word's last t,
+        then one gather per letter before it, right to left."""
+        if not word:
+            return tuple(range(1, self.index + 1))
+        images = self.ts[word[-1] - 1].images
+        gathers = self._t_gathers
+        for letter in word[-2::-1]:
+            images = gathers[letter - 1](images)
+        return images
+
+    def realized(self, control: Perm, word: Word) -> Images:
+        """The images of realize(control) * t_word: the t-chain of word
+        gathered by control's realization.  A control of another degree, or
+        outside N, raises as realize_control does."""
+        try:
+            gather = self._control_gathers[control.images]
+        except KeyError:
+            self.realize_control(control)  # raises for a control outside N
+            raise
+        return gather(self._t_chain(word))
+
+    def read_pair(self, images: Images) -> tuple[Perm, Word]:
+        """The canonical pair (nu, w) of the element with these images.
+
+        The image of point 1 names the coset, hence the canonical word w;
+        stripping the word off leaves g * t_wk...t_w1, which fixes point 1
+        and is the realization of nu.  One gather of the images by the
+        t-chain of w reversed gives that residue.  A residue that realizes
+        no element of N means the images are not those of an element of the
+        group, which raises IdentificationError.
+        """
+        word = self.cst[images[0] - 1]
+        residue = _gather(images, (0,) + self._t_chain(word[::-1]))
+        nu = self._control_by_images.get(residue)
         if nu is None:
             raise IdentificationError("permutation is not in the group")
-        return nu
+        return nu, word
 
     def realize_control(self, nu: Perm) -> Perm:
         """Image of a control element as a permutation of coset points:

@@ -7,13 +7,9 @@ through permutations of the small control degree plus a short word.
 
 Two independent engines are provided and must agree: a pure rewrite
 engine (unify + canon over the derived rule system, no image needed) and
-an image-backed engine, which realizes unify's raw pair on the coset
-points and reads its canonical pair back with per2sym's reader.  mult,
+the image engine (SymImage.realized and SymImage.read_pair).  mult,
 invert_sym and equal_sym reduce their raw pairs through one dispatch
-between the two.  per2sym and sym2per are the two converters.  The image
-engine works on image tuples through the image's prebuilt gathers
-(SymImage.t_gathers, control_gathers), so a conversion or an image-mode
-product builds no Perm product on the way.
+between the two.  per2sym and sym2per are the two converters.
 """
 
 from __future__ import annotations
@@ -21,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .perm import (IdentificationError, Images, Perm, _gather, _trusted,
+from .perm import (IdentificationError, Perm, _gather, _trusted,
                    label_cycles_str, parse_label_cycles)
 from .progenitor import ProgenitorSpec, RuleSet, Word, normalize_tail
 from .dcenum import SymImage, word_label
@@ -64,7 +60,10 @@ class SymContext:
     def element(self, control: Perm, word: Sequence[int],
                 canonical: bool = False) -> "SymElement":
         """Checked construction from outside input: the control must be a
-        degree-n member of N and every letter must lie in 1..n."""
+        degree-n member of N and every letter must lie in 1..n.  With
+        canonical=True the pair must also be canonical, which raises
+        ValueError otherwise: its word is a coset word of the image, or,
+        without an image, canon leaves the pair as it is."""
         if control.degree != self.n:
             raise ValueError(f"control degree {control.degree} != {self.n}")
         if control not in self.spec.control_group:
@@ -73,10 +72,17 @@ class SymContext:
         for letter in word:
             if not 1 <= letter <= self.n:
                 raise ValueError(f"word letter {letter} out of range 1..{self.n}")
-        return SymElement(self, control, word, canonical)
+        if canonical:
+            if self.image is not None:
+                is_canonical = word in self.image.cst
+            else:
+                is_canonical = canon((control, word), self.rules) == (control, word)
+            if not is_canonical:
+                raise ValueError("control and word are not a canonical pair")
+        return SymElement(self, control, word)
 
     def identity_element(self) -> "SymElement":
-        return SymElement(self, Perm.identity(self.n), (), True)
+        return SymElement(self, Perm.identity(self.n), ())
 
 
 class SymElement:
@@ -86,14 +92,12 @@ class SymElement:
     the engines build results only from members of N.
     """
 
-    __slots__ = ("ctx", "control", "word", "canonical")
+    __slots__ = ("ctx", "control", "word")
 
-    def __init__(self, ctx: SymContext, control: Perm, word: Word,
-                 canonical: bool = False):
+    def __init__(self, ctx: SymContext, control: Perm, word: Word):
         self.ctx = ctx
         self.control = control
         self.word = word
-        self.canonical = canonical
 
     def __mul__(self, other: "SymElement") -> "SymElement":
         return mult(self, other)
@@ -163,60 +167,20 @@ def canon(raw: tuple[Perm, Word], rules: RuleSet, *,
         raise
 
 
-def _t_chain(img: SymImage, word: Word) -> Images:
-    """The images of t_word = t_w1 * ... * t_wk: those of word's last t,
-    then one prebuilt gather per letter before it, right to left."""
-    if not word:
-        return tuple(range(1, img.index + 1))
-    images = img.ts[word[-1] - 1].images
-    gathers = img.t_gathers
-    for letter in word[-2::-1]:
-        images = gathers[letter - 1](images)
-    return images
-
-
-def _realized(img: SymImage, control: Images, word: Word) -> Images:
-    """The images of realize(nu) * t_word, for nu the control element with
-    the images control: the t-chain of word gathered by nu's gather."""
-    return img.control_gathers[control](_t_chain(img, word))
-
-
-def _read_pair(ctx: SymContext, images: Images) -> SymElement:
-    """The canonical pair of the element of the image with these images.
-
-    The image of point 1 names the coset, hence the canonical word w;
-    stripping the word off leaves g * t_wk...t_w1, which fixes point 1 and
-    is the realization of the control element.  One gather of the images
-    by the t-chain of w reversed gives that residue, looked up in N's
-    realizations.  A miss there means the images are not those of an
-    element of the group, which raises IdentificationError.
-    """
-    img = ctx.image
-    word = img.cst[images[0] - 1]
-    residue = _gather(images, (0,) + _t_chain(img, word[::-1]))
-    return SymElement(ctx, img.control_of_images(residue), word, canonical=True)
-
-
 def per2sym(ctx: SymContext, p: Perm) -> SymElement:
-    """Algorithm converting a coset permutation to its canonical pair:
-    _read_pair on its images."""
+    """Algorithm converting a coset permutation to its canonical pair, read
+    back from its images by the image engine (SymImage.read_pair)."""
     img = ctx.require_image()
     if p.degree != img.index:
         raise ValueError(f"degree {p.degree} != image degree {img.index}")
-    return _read_pair(ctx, p.images)
+    nu, word = img.read_pair(p.images)
+    return SymElement(ctx, nu, word)
 
 
 def sym2per(ctx: SymContext, e: SymElement) -> Perm:
-    """Realize an element as a permutation of the coset points: the images
-    of realize(control) * t_word, gathered right to left by the image's
-    prebuilt gathers."""
-    img = ctx.require_image()
-    try:
-        images = _realized(img, e.control.images, e.word)
-    except KeyError:
-        img.realize_control(e.control)  # raises for a control outside N
-        raise
-    return _trusted(images)
+    """Realize an element as a permutation of the coset points, by the
+    image engine (SymImage.realized)."""
+    return _trusted(ctx.require_image().realized(e.control, e.word))
 
 
 def mult(a: SymElement, b: SymElement, mode: str = "auto") -> SymElement:
@@ -234,13 +198,12 @@ def invert_sym(a: SymElement, mode: str = "auto") -> SymElement:
 
 
 def equal_sym(a: SymElement, b: SymElement, mode: str = "auto") -> bool:
-    """Whether two elements agree: their canonical pairs are equal.  An
-    element marked canonical is its own pair; the others are reduced by
-    the engine mode picks."""
+    """Whether two elements agree: their canonical pairs, each reduced by
+    the engine mode picks, are equal."""
     ctx = _shared_context(a, b)
     pure = _is_pure(ctx, mode)
-    ca = a if a.canonical else _reduce(ctx, (a.control, a.word), pure)
-    cb = b if b.canonical else _reduce(ctx, (b.control, b.word), pure)
+    ca = _reduce(ctx, (a.control, a.word), pure)
+    cb = _reduce(ctx, (b.control, b.word), pure)
     return ca.control == cb.control and ca.word == cb.word
 
 
@@ -260,14 +223,15 @@ def _is_pure(ctx: SymContext, mode: str) -> bool:
 
 def _reduce(ctx: SymContext, raw: tuple[Perm, Word], pure: bool) -> SymElement:
     """The canonical element of a raw pair (nu, word): by canon over the
-    rules, or by realizing it in one chain of prebuilt gathers and reading
-    its canonical pair back (_read_pair), with no Perm product."""
+    rules, or by the image engine, which realizes the pair on the coset
+    points and reads its canonical pair back."""
     if pure:
         # canon by its module global, which the benchmark's tracer wraps
         perm, word = canon(raw, ctx.rules)
-        return SymElement(ctx, perm, word, canonical=True)
-    control, word = raw
-    return _read_pair(ctx, _realized(ctx.image, control.images, word))
+    else:
+        img = ctx.image
+        perm, word = img.read_pair(img.realized(*raw))
+    return SymElement(ctx, perm, word)
 
 
 def cenelt(ctx: SymContext, a: SymElement) -> tuple[int, list[SymElement]]:

@@ -435,7 +435,7 @@ def per2sym_by_perms(ctx, p):
     control_of = {g: nu for nu, g in img.control_action.items()}
     if residue not in control_of:
         raise IdentificationError("permutation is not in the group")
-    return SymElement(ctx, control_of[residue], word, canonical=True)
+    return SymElement(ctx, control_of[residue], word)
 
 
 def image_product_by_perms(a, b):

@@ -90,7 +90,7 @@ def test_criterion_4_relator_witness(l2_19):
     g = Perm.identity(img.index)
     for label in ("4", "2", "3", "4", "2"):
         g = g * img.ts[ix[label] - 1]
-    action = img.control_of_images(g.images)
+    action = img.read_pair(g.images)[0]
     expected = parse_label_cycles("(∞,0,1)(2,4,3)", l2_19.spec.labels)
     assert action == expected
     report(4, "t4.t2.t3.t4.t2 acts on the six generators as (∞,0,1)(2,4,3)")
@@ -184,7 +184,7 @@ def test_criterion_8_worked_multiplication(u3_3):
     residue = composed
     for letter in reversed(displayed_word):
         residue = residue * img.ts[letter - 1]
-    displayed = ctx.element(img.control_of_images(residue.images), displayed_word)
+    displayed = ctx.element(img.read_pair(residue.images)[0], displayed_word)
     assert sr.equal_sym(displayed, prod, mode="image")
     assert sr.equal_sym(displayed, prod, mode="pure")
     report(8, "worked product is canonically shortest on the letters "

@@ -219,7 +219,7 @@ def test_l2_19_relator_witness(l2_19):
     g = Perm.identity(img.index)
     for i in word:
         g = g * img.ts[i - 1]
-    action = img.control_of_images(g.images)
+    action = img.read_pair(g.images)[0]
     from symgen.symrep import parse_label_cycles
     assert action == parse_label_cycles("(∞,0,1)(2,4,3)", l2_19.spec.labels)
 
@@ -327,7 +327,7 @@ def test_realize_control_rejects_non_members(u3_3):
 @pytest.mark.parametrize("name", ["l2_19", "5sq_d6", "u3_3"])
 def test_control_action_table_matches_coset_words(all_contexts, name):
     # the table closed from the generators' images agrees with moving every
-    # coset word by nu, N w -> N w^nu, and control_of_images inverts it
+    # coset word by nu, N w -> N w^nu, and read_pair inverts it
     img = all_contexts[name].image
     N = all_contexts[name].spec.control_group
     for nu in elements_by_chain(N):
@@ -335,7 +335,7 @@ def test_control_action_table_matches_coset_words(all_contexts, name):
         assert g.images == tuple(
             follow_word(img, tuple(nu.apply(i) for i in img.cst[c - 1]))
             for c in range(1, img.index + 1))
-        assert img.control_of_images(g.images) == nu
+        assert img.read_pair(g.images) == (nu, ())
     assert len(set(img.control_action.values())) == N.order()
 
 

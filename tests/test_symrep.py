@@ -249,7 +249,8 @@ def test_pure_products_and_inversions_call_canon_once(monkeypatch,
 
 def test_auto_mode_prefers_the_rewrite_engine(monkeypatch, all_contexts):
     # the engines agree on every result, so only the engine reached shows
-    # which one "auto" picked; elt mult and elt invert take this path
+    # which one "auto" picked; elt mult and elt invert take this path, and
+    # equal_sym reduces each of its two sides
     calls = []
     original = symrep.canon
 
@@ -262,11 +263,11 @@ def test_auto_mode_prefers_the_rewrite_engine(monkeypatch, all_contexts):
         assert ctx.rules is not None and ctx.image is not None
         a, b = rand_elements(ctx, 2, seed=18)
         raw = ctx.element(a.control, a.word)
-        for call in (lambda: mult(a, b), lambda: invert_sym(a),
-                     lambda: equal_sym(raw, b)):
+        for call, count in ((lambda: mult(a, b), 1), (lambda: invert_sym(a), 1),
+                            (lambda: equal_sym(raw, b), 2)):
             calls.clear()
             call()
-            assert len(calls) == 1
+            assert len(calls) == count
 
 
 def test_operator_sugar(u3_3):
@@ -290,6 +291,22 @@ def test_equal_sym_modes_agree(all_contexts):
         e = rand_elements(ctx, 1, seed=16)[0]
         raw = ctx.element(e.control, e.word)
         assert equal_sym(raw, mult(e, ctx.identity_element(), mode="pure"))
+
+
+def test_canonical_claims_are_checked(d6_5sq):
+    # t1 t1 = 1: equal_sym reduces the unchecked pair (id | 1.1) in either
+    # mode, and element() rejects it as a canonical pair, with or without
+    # an image, while it accepts the identity's own pair
+    ctx = d6_5sq
+    one = Perm.identity(ctx.n)
+    square = SymElement(ctx, one, (1, 1))
+    for mode in ("pure", "image"):
+        assert equal_sym(square, ctx.identity_element(), mode=mode)
+    for c in (ctx, SymContext(ctx.spec, rules=ctx.rules)):
+        assert c.element(one, (), canonical=True).word == ()
+        with pytest.raises(ValueError, match="^control and word are not a "
+                                             "canonical pair$"):
+            c.element(one, (1, 1), canonical=True)
 
 
 def test_equal_sym_specific_relation(u3_3):
@@ -376,12 +393,16 @@ def test_per2sym_rejects_wrong_degree(u3_3):
 
 def test_sym2per_rejects_a_control_outside_n(l2_19, d6_5sq):
     # an unchecked element whose control has another degree, or lies
-    # outside N, raises as realize_control does
+    # outside N, raises as realize_control does, in image-mode products too
     with pytest.raises(ValueError, match="^control degree 3 != 6$"):
         sym2per(l2_19, d6_5sq.element(Perm.identity(3), (1,)))
-    with pytest.raises(IdentificationError, match="^permutation is not in "
-                                                  "the control group$"):
-        sym2per(l2_19, SymElement(l2_19, Perm((2, 1, 3, 4, 5, 6)), (1,)))
+    e = SymElement(l2_19, Perm((2, 1, 3, 4, 5, 6)), (1,))
+    one = l2_19.identity_element()
+    for call in (lambda: sym2per(l2_19, e), lambda: mult(e, one, mode="image"),
+                 lambda: invert_sym(e, mode="image")):
+        with pytest.raises(IdentificationError, match="^permutation is not in "
+                                                      "the control group$"):
+            call()
 
 
 # the fixtures and the image of every power case that has one
@@ -399,7 +420,7 @@ def image_context(all_contexts, name):
 
 
 def pair(e):
-    return e.control, e.word, e.canonical
+    return e.control, e.word
 
 
 @pytest.mark.parametrize("name", IMAGE_CASES)
@@ -425,7 +446,7 @@ def test_per2sym_matches_the_perm_oracle_on_n(all_contexts, name):
     ctx = image_context(all_contexts, name)
     for nu, g in ctx.image.control_action.items():
         e = per2sym(ctx, g)
-        assert pair(e) == pair(per2sym_by_perms(ctx, g)) == (nu, (), True)
+        assert pair(e) == pair(per2sym_by_perms(ctx, g)) == (nu, ())
 
 
 @pytest.mark.parametrize("name", IMAGE_CASES)
