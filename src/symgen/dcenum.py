@@ -3,12 +3,15 @@
 build_image runs the coset enumeration for a progenitor spec, realizes the
 symmetric generators as permutations on the coset points, and builds the
 table of canonical coset-representative words (breadth-first, shortest
-then lexicographically least).  double_cosets then reads the collapsed
-Cayley graph straight off the image: nodes are orbits of the control group
-on coset points, sized |N| / |N^(w)|, with one edge entry per orbit of the
-coset stabilizer N^(w) on the symmetric generators.  Orbit and N^(w) come
-from one orbit-Schreier pass of N itself (PermGroup.schreier) acting on
-the coset points, so N^(w) is found in N's own degree-n action.
+then lexicographically least).  The image engine (SymImage.realized and
+SymImage.read_pair) reads one table of the control group's action on the
+coset points, each element against its realization.  double_cosets reads
+the collapsed Cayley graph straight off the image: nodes are orbits of the
+control group on coset points, sized |N| / |N^(w)|, with one edge entry
+per orbit of the coset stabilizer N^(w) on the symmetric generators.
+Orbit and N^(w) come from one orbit-Schreier pass of N itself
+(PermGroup.schreier) acting on the coset points, so N^(w) is found in N's
+own degree-n action.
 
 Construction is single-threaded; a built SymImage is effectively immutable
 (its tables are built on first use), and distinct images can be processed
@@ -24,7 +27,7 @@ from operator import itemgetter
 from typing import Sequence
 
 from .perm import (Images, Perm, PermGroup, IdentificationError, _gather,
-                   _gather_of, word_perm)
+                   _gather_of, _product, _trusted, word_perm)
 from .fpgroup import (CosetLimitExceeded, FreeWord, coset_action, todd_coxeter,
                       word_str)
 from .progenitor import ProgenitorSpec, Word, build_presentation, default_t_words
@@ -42,20 +45,21 @@ class SymImage:
     j-th generator of the built presentation (the control generators, then
     t); ts[i-1] is the image of the i-th symmetric generator; cst[c-1] is
     the canonical generator word reaching coset point c from point 1.
-    control_action maps each element of N to its permutation of the coset
-    points.
+    Each element of N has one realization on the coset points, which
+    sends the coset of w to the coset of w^nu.
 
-    That map is one to one, so read_pair reads a permutation fixing point 1
-    back as the unique control element.  build_image checks that the ts
-    are distinct involutions and that each control generator conjugates
-    them as it permutes their indices, so the image of any nu in N
-    conjugates t_i to t_(i^nu).  If nu acts trivially on the coset points,
-    then t_i = t_i^nu = t_(i^nu) for every i, and since the ts are
+    That realization is one to one, so read_pair reads a permutation
+    fixing point 1 back as the unique control element.  build_image checks
+    that the ts are distinct involutions and that each control generator
+    conjugates them as it permutes their indices, so the image of any nu
+    in N conjugates t_i to t_(i^nu).  If nu acts trivially on the coset
+    points, then t_i = t_i^nu = t_(i^nu) for every i, and since the ts are
     distinct, i^nu = i for every i: nu = 1.
 
     The image engine is two methods on image tuples: realized multiplies a
     pair out on the coset points, and read_pair reads the canonical pair of
-    an element back.
+    an element back.  Both read one table of N's action, built breadth-first
+    on first use, in its two directions.
     """
 
     spec: ProgenitorSpec
@@ -72,43 +76,38 @@ class SymImage:
     def full_group(self) -> PermGroup:
         return PermGroup(self.index, self.gens_image)
 
-    @cached_property
-    def control_action(self) -> dict[Perm, Perm]:
-        """N's action on the coset points, closed breadth-first from the
-        control generators' images; a word trivial in N (in a cover) fixes
-        point 1 and commutes with every t_i, so the action is well defined."""
-        action = {Perm.identity(self.n): Perm.identity(self.index)}
-        queue = list(action)
-        for nu in queue:
-            for gen, gen_image in zip(self.spec.control_gens, self.gens_image):
-                mu = nu * gen
-                if mu not in action:
-                    action[mu] = action[nu] * gen_image
-                    queue.append(mu)
-        return action
-
     # The image engine, on image tuples.  Its tables are built on first use,
     # so enumerate and graph never pay for them.  A gather is an itemgetter
     # of 0-based points: applied to the images of X it gives the images of
-    # g * X, for the g it was built from.  _t_gathers holds the gather of
-    # each t_i in index order, _control_gathers that of each control
-    # element's realization keyed by the element's images, and
-    # _control_by_images reads a control element back from its
-    # realization's images.  build_image rejects an identity t, so the index
-    # is at least 2 and a gather never has a single index (which would
-    # return a bare item instead of a tuple).
+    # g * X, for the g it was built from.  build_image rejects an identity
+    # t, so the index is at least 2 and a gather never has a single index
+    # (which would return a bare item instead of a tuple).
 
     @cached_property
     def _t_gathers(self) -> tuple[itemgetter, ...]:
-        return tuple(_gather_of(t) for t in self.ts)
+        """The gather of each t_i, in index order."""
+        return tuple(_gather_of(t.images) for t in self.ts)
 
     @cached_property
-    def _control_gathers(self) -> dict[Images, itemgetter]:
-        return {nu.images: _gather_of(g) for nu, g in self.control_action.items()}
-
-    @cached_property
-    def _control_by_images(self) -> dict[Images, Perm]:
-        return {g.images: nu for nu, g in self.control_action.items()}
+    def _action(self) -> tuple[dict[Images, itemgetter], dict[Images, Perm]]:
+        """N's action on the coset points, closed breadth-first on image
+        tuples from the control generators' images, as two lookups: an
+        element's images to the gather of its realization, and the
+        realization's images back to the element.  A word trivial in N (in
+        a cover) fixes point 1 and commutes with every t_i, so the action
+        is well defined."""
+        gens = [(gen.images, gen_image.images)
+                for gen, gen_image in zip(self.spec.control_gens, self.gens_image)]
+        action = {tuple(range(1, self.n + 1)): tuple(range(1, self.index + 1))}
+        queue = list(action)
+        for nu in queue:
+            for gen, gen_image in gens:
+                mu = _product(nu, gen)
+                if mu not in action:
+                    action[mu] = _product(action[nu], gen_image)
+                    queue.append(mu)
+        return ({nu: _gather_of(g) for nu, g in action.items()},
+                {g: _trusted(nu) for nu, g in action.items()})
 
     def _t_chain(self, word: Word) -> Images:
         """The images of t_word = t_w1 * ... * t_wk: those of word's last t,
@@ -122,14 +121,15 @@ class SymImage:
         return images
 
     def realized(self, control: Perm, word: Word) -> Images:
-        """The images of realize(control) * t_word: the t-chain of word
-        gathered by control's realization.  A control of another degree, or
-        outside N, raises as realize_control does."""
-        try:
-            gather = self._control_gathers[control.images]
-        except KeyError:
-            self.realize_control(control)  # raises for a control outside N
-            raise
+        """The images of the realization of control times t_word: the
+        t-chain of word gathered by control's realization (coset of w goes
+        to the coset of w^control).  Raises ValueError for a control of
+        another degree and IdentificationError for one outside N."""
+        gather = self._action[0].get(control.images)
+        if gather is None:
+            if control.degree != self.n:
+                raise ValueError(f"control degree {control.degree} != {self.n}")
+            raise IdentificationError("permutation is not in the control group")
         return gather(self._t_chain(word))
 
     def read_pair(self, images: Images) -> tuple[Perm, Word]:
@@ -144,20 +144,10 @@ class SymImage:
         """
         word = self.cst[images[0] - 1]
         residue = _gather(images, (0,) + self._t_chain(word[::-1]))
-        nu = self._control_by_images.get(residue)
+        nu = self._action[1].get(residue)
         if nu is None:
             raise IdentificationError("permutation is not in the group")
         return nu, word
-
-    def realize_control(self, nu: Perm) -> Perm:
-        """Image of a control element as a permutation of coset points:
-        coset of word w goes to the coset of w^nu."""
-        if nu.degree != self.n:
-            raise ValueError(f"control degree {nu.degree} != {self.n}")
-        g = self.control_action.get(nu)
-        if g is None:
-            raise IdentificationError("permutation is not in the control group")
-        return g
 
 
 def build_image(spec: ProgenitorSpec, t_words: Sequence[FreeWord] | None = None,
@@ -374,9 +364,10 @@ def verify_relators_in_image(spec: ProgenitorSpec, img: SymImage) -> list[str]:
     indices.
     """
     report = []
+    identity = tuple(range(1, img.index + 1))
     for k, (control_word, tail) in enumerate(spec.relators, start=1):
         pi = word_perm(spec.control_gens, control_word, spec.n)
-        if not (img.realize_control(pi) * word_perm(img.ts, tail)).is_identity():
+        if img.realized(pi, tail) != identity:
             raise ImageError(f"relator {k} does not evaluate to the identity")
         report.append(
             f"relator {k}: control * t[{word_label(spec, tail)}] = 1; "

@@ -188,11 +188,11 @@ def _quotient(p: Images, q: Images) -> Images:
     return tuple(out)
 
 
-def _gather_of(p: Perm) -> itemgetter:
-    """An itemgetter of p's 0-based images: applied to the images of q it
-    gives the images of p * q.  p's degree must be at least 2, or the
-    getter returns a bare item."""
-    return itemgetter(*[k - 1 for k in p.images])
+def _gather_of(p: Images) -> itemgetter:
+    """An itemgetter of p's images as 0-based points: applied to the images
+    of q it gives the images of p * q.  p's degree must be at least 2, or
+    the getter returns a bare item."""
+    return itemgetter(*[k - 1 for k in p])
 
 
 def parse_label_cycles(text: str, labels: Sequence[str]) -> Perm:
@@ -496,15 +496,15 @@ class PermGroup:
             # a chain moves a point, so the degree is at least 2, as a
             # gather needs
             stab = self._multiply_out(self.chain[1:])
-            self._split = (stab, [_gather_of(e) for e in stab],
-                           [(_gather_of(top.transversal[c]),
+            self._split = (stab, [_gather_of(e.images) for e in stab],
+                           [(_gather_of(top.transversal[c].images),
                              (~top.transversal[c]).images) for c in top.orbit])
         stab, stab_gathers, tops = self._split
         pb = p.images[top.point - 1]
         by_image: dict[int, list[int]] = {}
         for i, e in enumerate(stab):
             by_image.setdefault(e.images[pb - 1], []).append(i)
-        gather_p = _gather_of(p)
+        gather_p = _gather_of(p.images)
         matches = []
         for j, (gather_u, inverse) in enumerate(tops):
             q = gather_u(gather_p(inverse))  # u_c * p * ~u_c

@@ -411,11 +411,32 @@ class CompletionReference(RuleSet):
                                b.perm.images_of(a.pattern[:-k]) + b.replacement)
 
 
+# id(img) -> (img, its action); holding img keeps its id from being reused
+_ACTIONS = {}
+
+
+def control_action_by_perms(img):
+    """N's action on the coset points as a dict from each element of N to
+    its realization, closed breadth-first with one Perm product per step,
+    as SymImage built it before its table held image tuples."""
+    if id(img) not in _ACTIONS:
+        action = {Perm.identity(img.n): Perm.identity(img.index)}
+        queue = list(action)
+        for nu in queue:
+            for gen, gen_image in zip(img.spec.control_gens, img.gens_image):
+                mu = nu * gen
+                if mu not in action:
+                    action[mu] = action[nu] * gen_image
+                    queue.append(mu)
+        _ACTIONS[id(img)] = (img, action)
+    return _ACTIONS[id(img)][1]
+
+
 def sym2per_by_perms(ctx, e):
     """symrep.sym2per as written before the image engine gathered image
     tuples: the control's realization, then one Perm product per letter."""
     img = ctx.image
-    p = img.realize_control(e.control)
+    p = control_action_by_perms(img)[e.control]
     for letter in e.word:
         p = p * img.ts[letter - 1]
     return p
@@ -432,7 +453,7 @@ def per2sym_by_perms(ctx, p):
     residue = p
     for letter in reversed(word):
         residue = residue * img.ts[letter - 1]
-    control_of = {g: nu for nu, g in img.control_action.items()}
+    control_of = {g: nu for nu, g in control_action_by_perms(img).items()}
     if residue not in control_of:
         raise IdentificationError("permutation is not in the group")
     return SymElement(ctx, control_of[residue], word)

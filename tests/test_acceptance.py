@@ -12,7 +12,7 @@ from symgen.groupfile import load_bundled
 from symgen.perm import Perm
 from symgen import symrep as sr
 from symgen.symrep import parse_label_cycles
-from oracles import elements_by_chain, follow_word
+from oracles import control_action_by_perms, elements_by_chain, follow_word
 
 
 def report(k, detail):
@@ -108,7 +108,8 @@ def test_criterion_5_relation_suite(u3_3):
         return p
 
     def realize(cycles):
-        return img.realize_control(parse_label_cycles(cycles, ctx.spec.labels))
+        return control_action_by_perms(img)[
+            parse_label_cycles(cycles, ctx.spec.labels)]
 
     assert tword("b1", "0", "b1", "0") == realize("(b3,b0)(b5,b6)(2,6)(4,5)")
     assert tword("b0", "b1", "b0", "b1") == realize("(b2,b5)(b4,b6)(0,3)(2,4)")

@@ -70,6 +70,44 @@ def test_enumerate_expectation_mismatch(tmp_path, capsys):
     assert "MISMATCH" in out
 
 
+@pytest.mark.parametrize("field,value,line", [
+    ("group_order", 1, "MISMATCH: order 12096 != expected 1"),
+    ("node_sizes", [1, 2],
+     "MISMATCH: node sizes (1, 14, 21) != expected (1, 2)"),
+])
+def test_enumerate_order_and_node_size_mismatch(tmp_path, capsys, field, value,
+                                                line):
+    # a wrong expectation prints one MISMATCH line naming both values
+    src = json.loads((FIXTURE_DIR / "u3_3.json").read_text(encoding="utf-8"))
+    src["expected"][field] = value
+    path = tmp_path / "wrong.json"
+    path.write_text(json.dumps(src), encoding="utf-8")
+    code, out, err = run_cli(capsys, "enumerate", str(path))
+    assert code == 3 and err == ""
+    assert [ln for ln in out.splitlines() if ln.startswith("MISMATCH")] == [line]
+
+
+@pytest.mark.parametrize("mutate,message", [
+    (lambda src: {**src, "t_words": src["t_words"][1::-1] + src["t_words"][2:]},
+     "error: conjugation by the control image does not permute the "
+     "generators as the control action does"),
+    (lambda src: {**src, "t_words": src["t_words"][:-1]}, "expected 14 t_words"),
+    (lambda src: {**src, "labels": src["labels"][:-1]},
+     "expected 14 labels, got 13"),
+    (lambda src: [src], "top level must be an object"),
+])
+def test_inconsistent_spec_file_exit_code(tmp_path, capsys, mutate, message):
+    # well-typed fields that disagree with each other or with the image
+    src = json.loads((FIXTURE_DIR / "u3_3.json").read_text(encoding="utf-8"))
+    path = tmp_path / "inconsistent.json"
+    path.write_text(json.dumps(mutate(src)), encoding="utf-8")
+    code, out, err = run_cli(capsys, "enumerate", str(path))
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert lines[0].endswith(message)
+
+
 @pytest.mark.parametrize("field,value", [
     ("relators", [1]),
     ("relators", [{"control_word": "x", "tail": "01"}]),

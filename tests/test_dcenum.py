@@ -7,7 +7,8 @@ from symgen.dcenum import (CollapsedGraph, DoubleCoset, ImageError,
                            build_image, double_cosets, emit_graph,
                            verify_relators_in_image)
 from symgen.perm import Perm, parse_cycles
-from oracles import elements_by_chain, follow_word
+from symgen.progenitor import default_t_words
+from oracles import control_action_by_perms, elements_by_chain, follow_word
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -26,8 +27,8 @@ def test_image_index_and_order(all_contexts, name, index, order):
     assert img.index == index
     assert img.full_group.order() == order
     # N acts faithfully on the coset points, so per2sym's read-back of
-    # control_action is exact
-    action = img.control_action
+    # the action table is exact
+    action = control_action_by_perms(img)
     assert len(set(action.values())) == len(action) == \
         all_contexts[name].spec.control_group.order()
 
@@ -233,7 +234,7 @@ def test_u3_second_relator_identity(u3_3):
     lhs = Perm.identity(img.index)
     for i in (ix["b0"], ix["1"], ix["b0"], ix["1"]):
         lhs = lhs * img.ts[i - 1]
-    assert lhs == img.realize_control(y_ctrl)
+    assert lhs == Perm(img.realized(y_ctrl, ()))
 
 
 def test_emit_graph_single_node():
@@ -302,6 +303,15 @@ def test_explicit_and_derived_t_words_realize_the_same_generators(u3_3):
     assert img_default.cst == u3_3.image.cst
 
 
+def test_build_image_rejects_a_wrong_number_of_t_words(u3_3):
+    # the library checks its caller's words itself, since only spec files
+    # pass through groupfile's check
+    words = default_t_words(u3_3.spec)
+    for k in (13, 15):
+        with pytest.raises(ValueError, match=f"^expected 14 t_words, got {k}$"):
+            build_image(u3_3.spec, (words * 2)[:k])
+
+
 def test_degenerate_image_rejected():
     # factoring by t itself collapses the symmetric generators into the
     # control group; the builder must refuse the degenerate image
@@ -314,14 +324,14 @@ def test_degenerate_image_rejected():
         build_image(spec)
 
 
-def test_realize_control_rejects_non_members(u3_3):
+def test_realized_rejects_non_members(u3_3):
     from symgen.perm import IdentificationError
     outside = Perm((2, 1) + tuple(range(3, u3_3.n + 1)))
     assert outside not in u3_3.spec.control_group
     with pytest.raises(IdentificationError):
-        u3_3.image.realize_control(outside)
+        u3_3.image.realized(outside, ())
     with pytest.raises(ValueError, match="control degree"):
-        u3_3.image.realize_control(Perm.identity(u3_3.n + 1))
+        u3_3.image.realized(Perm.identity(u3_3.n + 1), ())
 
 
 @pytest.mark.parametrize("name", ["l2_19", "5sq_d6", "u3_3"])
@@ -330,13 +340,15 @@ def test_control_action_table_matches_coset_words(all_contexts, name):
     # coset word by nu, N w -> N w^nu, and read_pair inverts it
     img = all_contexts[name].image
     N = all_contexts[name].spec.control_group
+    realizations = set()
     for nu in elements_by_chain(N):
-        g = img.realize_control(nu)
-        assert g.images == tuple(
+        g = img.realized(nu, ())
+        assert g == tuple(
             follow_word(img, tuple(nu.apply(i) for i in img.cst[c - 1]))
             for c in range(1, img.index + 1))
-        assert img.read_pair(g.images) == (nu, ())
-    assert len(set(img.control_action.values())) == N.order()
+        assert img.read_pair(g) == (nu, ())
+        realizations.add(g)
+    assert len(realizations) == N.order()
 
 
 @pytest.mark.parametrize("name", ["l2_19", "5sq_d6", "u3_3"])

@@ -17,6 +17,7 @@ from symgen.symrep import (SymContext, canon, cenelt, format_element,
                            invert_sym, mult, per2sym, sym2per, unify)
 from oracles import (CompletionReference, canon_by_perms,
                      closed_relator_rules, conjugate_rule,
+                     control_action_by_perms,
                      schreier_generators_by_scan, unify_two_step)
 
 FIXTURES = ["5sq_d6", "l2_19", "u3_3"]
@@ -101,7 +102,7 @@ def test_derived_rules_valid_in_image(all_contexts):
             lhs = Perm.identity(img.index)
             for i in rule.pattern:
                 lhs = lhs * img.ts[i - 1]
-            rhs = img.realize_control(rule.perm)
+            rhs = control_action_by_perms(img)[rule.perm]
             for i in rule.replacement:
                 rhs = rhs * img.ts[i - 1]
             assert lhs == rhs, (name, rule)
@@ -175,7 +176,7 @@ def test_conjugate_rule_transports_valid_relations(u3_3):
     gamma = parse_label_cycles("(b1,b3,b0)(b4,b5,b6)(2,0,6)(3,5,4)", spec.labels)
 
     def realize(word, perm):
-        p = img.realize_control(perm)
+        p = control_action_by_perms(img)[perm]
         for letter in word:
             p = p * img.ts[letter - 1]
         return p
@@ -208,7 +209,7 @@ def test_conjugate_rule_second_transport(u3_3):
     assert conj.replacement == (ix["b3"], ix["1"])
     assert conj.perm == sigma  # the conjugator centralizes sigma
     lhs = img.ts[ix["b0"] - 1] * img.ts[ix["b1"] - 1]
-    rhs = img.realize_control(conj.perm)
+    rhs = control_action_by_perms(img)[conj.perm]
     for letter in conj.replacement:
         rhs = rhs * img.ts[letter - 1]
     assert lhs == rhs
@@ -259,7 +260,7 @@ def test_pair_canonical_forms_match_image(all_contexts):
 
 
 def _realize(img, perm, word):
-    p = img.realize_control(perm)
+    p = control_action_by_perms(img)[perm]
     for letter in word:
         p = p * img.ts[letter - 1]
     return p

@@ -11,7 +11,7 @@ from symgen.symrep import (ContextError, SymContext, SymElement, canon,
                            cenelt, equal_sym,
                            format_element, invert_sym, mult, parse_element,
                            per2sym, sym2per, unify)
-from oracles import (elements_by_chain, follow_word,
+from oracles import (control_action_by_perms, elements_by_chain, follow_word,
                      image_inverse_by_perms, image_product_by_perms,
                      per2sym_by_perms, sym2per_by_perms)
 from test_progenitor import POWER_CASES, power_relator_spec
@@ -393,7 +393,7 @@ def test_per2sym_rejects_wrong_degree(u3_3):
 
 def test_sym2per_rejects_a_control_outside_n(l2_19, d6_5sq):
     # an unchecked element whose control has another degree, or lies
-    # outside N, raises as realize_control does, in image-mode products too
+    # outside N, raises as SymImage.realized does, in image-mode products too
     with pytest.raises(ValueError, match="^control degree 3 != 6$"):
         sym2per(l2_19, d6_5sq.element(Perm.identity(3), (1,)))
     e = SymElement(l2_19, Perm((2, 1, 3, 4, 5, 6)), (1,))
@@ -444,9 +444,27 @@ def test_per2sym_matches_the_perm_oracle_on_n(all_contexts, name):
     # the realization of each element of N has the empty canonical word,
     # the one case where the t-chain that per2sym strips is the identity
     ctx = image_context(all_contexts, name)
-    for nu, g in ctx.image.control_action.items():
+    for nu, g in control_action_by_perms(ctx.image).items():
         e = per2sym(ctx, g)
         assert pair(e) == pair(per2sym_by_perms(ctx, g)) == (nu, ())
+
+
+@pytest.mark.parametrize("name", IMAGE_CASES)
+def test_action_table_matches_the_perm_oracle(all_contexts, name):
+    # one entry per element of N in each direction: an element's images
+    # give the gather of its realization, and the realization's images
+    # give the element back
+    ctx = image_context(all_contexts, name)
+    img = ctx.image
+    gathers, elements = img._action
+    oracle = control_action_by_perms(img)
+    assert len(gathers) == len(elements) == len(oracle) == \
+        ctx.spec.control_group.order()
+    identity = Perm.identity(img.index).images
+    assert {Perm(images): Perm(gather(identity))
+            for images, gather in gathers.items()} == oracle
+    assert elements == {g.images: nu for nu, g in oracle.items()}
+    assert all(type(nu) is Perm for nu in elements.values())
 
 
 @pytest.mark.parametrize("name", IMAGE_CASES)
