@@ -5,19 +5,3 @@ enumerates double cosets into collapsed Cayley graphs, and does arithmetic
 on elements written in the short form (control permutation, word in the
 symmetric generators).
 """
-
-from .perm import Perm, PermGroup, parse_cycles, cycles_str
-from .fpgroup import Presentation, todd_coxeter, coset_action
-from .progenitor import ProgenitorSpec, build_presentation, derive_rules
-from .dcenum import build_image, double_cosets, emit_graph
-from .symrep import SymContext, SymElement
-from .groupfile import load_bundled, load_spec_file
-
-__all__ = [
-    "Perm", "PermGroup", "parse_cycles", "cycles_str",
-    "Presentation", "todd_coxeter", "coset_action",
-    "ProgenitorSpec", "build_presentation", "derive_rules",
-    "build_image", "double_cosets", "emit_graph",
-    "SymContext", "SymElement",
-    "load_bundled", "load_spec_file",
-]

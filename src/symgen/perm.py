@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 import re
+from functools import cached_property
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -292,13 +293,6 @@ class PermGroup:
             if g.degree != degree:
                 raise ValueError(f"generator degree {g.degree} != group degree {degree}")
         self.gens = gens
-        self._chain: list[_Level] | None = None
-        self._order: int | None = None
-        # centralizer()'s top split: the first base point's stabilizer
-        # multiplied out, its elements' gathers, and the gather and the
-        # inverse's images of each top transversal element
-        self._split: tuple[list[Perm], list[itemgetter],
-                           list[tuple[itemgetter, tuple[int, ...]]]] | None = None
 
     # -- chain ---------------------------------------------------------
 
@@ -331,37 +325,30 @@ class PermGroup:
                     stab.setdefault(sg.images, sg)
         return orbit, trans, list(stab.values())
 
-    @property
+    @cached_property
     def chain(self) -> list[_Level]:
-        if self._chain is None:
-            levels = []
-            gens = [g for g in self.gens if not g.is_identity()]
-            while gens:
-                point = min(min(g.moved()) for g in gens)
-                orbit, trans, nxt = PermGroup(self.degree, gens).schreier(point)
-                levels.append(_Level(point, orbit, trans))
-                gens = nxt
-            self._chain = levels
-        return self._chain
+        levels = []
+        gens = [g for g in self.gens if not g.is_identity()]
+        while gens:
+            point = min(min(g.moved()) for g in gens)
+            orbit, trans, nxt = PermGroup(self.degree, gens).schreier(point)
+            levels.append(_Level(point, orbit, trans))
+            gens = nxt
+        return levels
 
     def order(self) -> int:
-        if self._order is None:
-            n = 1
-            for level in self.chain:
-                n *= len(level.orbit)
-            self._order = n
-        return self._order
+        return math.prod(len(level.orbit) for level in self.chain)
 
     def __contains__(self, p: Perm) -> bool:
         if p.degree != self.degree:
             raise ValueError(f"degree mismatch: {p.degree} != {self.degree}")
-        r = p
+        s = (~p).images  # sift ~p from the left: s is the residue's inverse
         for level in self.chain:
-            b = r.images[level.point - 1]
+            b = s.index(level.point) + 1  # the residue's image of the point
             if b not in level.transversal:
                 return False
-            r = r * ~level.transversal[b]
-        return r.is_identity()
+            s = _product(level.transversal[b].images, s)
+        return s == tuple(range(1, self.degree + 1))
 
     def _multiply_out(self, levels: Sequence[_Level]) -> list[Perm]:
         """Every product u_k * ... * u_1 of transversal elements, one per
@@ -492,13 +479,6 @@ class PermGroup:
         if not self.chain:
             return PermGroup(self.degree)
         top = self.chain[0]
-        if self._split is None:
-            # a chain moves a point, so the degree is at least 2, as a
-            # gather needs
-            stab = self._multiply_out(self.chain[1:])
-            self._split = (stab, [_gather_of(e.images) for e in stab],
-                           [(_gather_of(top.transversal[c].images),
-                             (~top.transversal[c]).images) for c in top.orbit])
         stab, stab_gathers, tops = self._split
         pb = p.images[top.point - 1]
         by_image: dict[int, list[int]] = {}
@@ -517,3 +497,17 @@ class PermGroup:
         _, cent = self._span_filter((((i, j), stab[i] * top.transversal[top.orbit[j]])
                                      for i, j in matches), len(matches))
         return cent
+
+    @cached_property
+    def _split(self) -> tuple[list[Perm], list[itemgetter],
+                              list[tuple[itemgetter, Images]]]:
+        """centralizer()'s top split: the first base point's stabilizer
+        multiplied out, its elements' gathers, and the gather and the
+        inverse's images of each top transversal element.  Read only past
+        the size bound, on a chain that moves a point, so the degree is at
+        least 2, as a gather needs."""
+        top = self.chain[0]
+        stab = self._multiply_out(self.chain[1:])
+        return (stab, [_gather_of(e.images) for e in stab],
+                [(_gather_of(top.transversal[c].images),
+                  (~top.transversal[c]).images) for c in top.orbit])

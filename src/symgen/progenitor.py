@@ -33,8 +33,8 @@ from typing import Iterable
 
 from .perm import (Images, Perm, PermGroup, _gather, _product, _quotient,
                    _trusted, word_perm)
-from .fpgroup import (CosetLimitExceeded, FreeWord, Presentation, concat,
-                      invert_word, reduce_word, word_conj, word_str)
+from .fpgroup import (CosetLimitExceeded, FreeWord, Presentation, commutator,
+                      concat, reduce_word, word_conj, word_str)
 
 Word = tuple[int, ...]  # letters are symmetric-generator indices in 1..n
 
@@ -95,15 +95,13 @@ class ProgenitorSpec:
         object.__setattr__(self, "relators", tuple(
             (reduce_word(cw), normalize_tail(tail, self.n))
             for cw, tail in self.relators))
-        group = PermGroup(self.n, self.control_gens)
-        orbit, _ = group.orbit(1)
+        orbit, _ = self.control_group.orbit(1)
         if len(orbit) != self.n:
             raise ValueError("control group is not transitive on 1..n")
-        object.__setattr__(self, "_control_group", group)
 
-    @property
+    @cached_property
     def control_group(self) -> PermGroup:
-        return self._control_group
+        return PermGroup(self.n, self.control_gens)
 
     def label_index(self, label: str) -> int:
         try:
@@ -128,8 +126,7 @@ def build_presentation(spec: ProgenitorSpec) -> Presentation:
     relators.append((t, t))
 
     for stab_word, _ in spec.control_group.schreier_generators(1):
-        relators.append(concat(invert_word((t,)), invert_word(stab_word),
-                               (t,), stab_word))
+        relators.append(commutator((t,), stab_word))
     t_words = default_t_words(spec)
     for control_word, tail in spec.relators:
         rel = control_word

@@ -110,9 +110,6 @@ class SymElement:
             return NotImplemented
         return equal_sym(self, other)
 
-    def __hash__(self):
-        raise TypeError("SymElement is unhashable; compare via equal_sym")
-
     def __repr__(self) -> str:
         return f"SymElement({format_element(self)!r})"
 
