@@ -175,8 +175,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# parsing leaves the parser as it was, so every call shares one
+_PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     out = sys.stdout
     try:
         if args.command == "enumerate":

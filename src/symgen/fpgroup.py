@@ -13,11 +13,16 @@ a^-1*b^-1*a*b.
 The enumerator is the relator-scanning (HLT) strategy with row filling and
 immediate coincidence processing via union-find.  Coset numbering is the
 definition order, compacted ascending when the table closes, so enumeration
-output is reproducible run to run.  Each relator and subgroup generator is
-compiled once per enumeration to a tuple of table columns, and a relator
-walk at a coset that meets no undefined entry only compares its end with
-the start; the closed table is then checked one relator at a time over
-all cosets, by C-level gathers along the table's columns.
+output is reproducible run to run.  A generator k with a relator k^2 or
+k^-2 is an involution: while enumerating, k and k^-1 share one column that
+is its own inverse, so the squares hold by construction and are not
+scanned, and the closed rows are expanded back to a column for k and one
+for k^-1.  Each relator and subgroup generator is compiled once per
+enumeration to a tuple of working columns, and a relator walk at a coset
+that meets no undefined entry only compares its end with the start; the
+closed table is then checked against every relator, squares included, one
+relator at a time over all cosets, by C-level gathers along the table's
+columns.
 """
 
 from __future__ import annotations
@@ -251,17 +256,43 @@ def todd_coxeter(pres: Presentation, subgroup_gens: Sequence[Sequence[int]] = ()
         for letter in w:
             if abs(letter) > m:
                 raise ValueError(f"subgroup generator letter {letter} out of range")
+    # an involution k (a relator k^2 or k^-2) works in one column for k and
+    # k^-1, which makes its square hold by construction
+    squares = [r for r in relators if len(r) == 2 and r[0] == r[1]]
+    involutions = {abs(r[0]) for r in squares}
+    column: dict[int, int] = {}
+    inv: list[int] = []
+    for k in range(1, m + 1):
+        c = len(inv)
+        if k in involutions:
+            column[k] = column[-k] = c
+            inv.append(c)
+        else:
+            column[k], column[-k] = c, c + 1
+            inv += [c + 1, c]
+
+    def compile_word(word: FreeWord) -> tuple[int, ...]:
+        return tuple(map(column.__getitem__, word))
+
+    scanned = [r for r in relators if r and r not in squares]
     # the working table is freed on return, before the check builds columns
-    rows = _hlt(2 * m, [_compile(r) for r in relators if r],
-                [_compile(w) for w in subgens if w], max_cosets)
+    rows = _hlt(inv, [compile_word(r) for r in scanned],
+                [compile_word(w) for w in subgens if w], max_cosets)
     result = CosetTable(m, rows)
     _check_closed(result, relators, subgens)
     return result
 
 
-def _hlt(ncols: int, relators: list[tuple[int, ...]],
+def _hlt(inv: list[int], relators: list[tuple[int, ...]],
          subgens: list[tuple[int, ...]], max_cosets: int) -> tuple[tuple[int, ...], ...]:
-    """HLT over compiled, non-empty words; returns the compacted rows."""
+    """HLT over compiled, non-empty words; returns the compacted rows.
+
+    The working columns follow the generators in order: two columns, k
+    then k^-1, for a generator that is no involution, and one column that
+    is its own inverse (inv[c] == c) for an involution.  The returned rows
+    are expanded to CosetTable's layout of two columns per generator.
+    """
+    ncols = len(inv)
     table: list[list[int | None]] = [[None] * ncols]
     parent = [0]
 
@@ -278,7 +309,7 @@ def _hlt(ncols: int, relators: list[tuple[int, ...]],
             raise CosetLimitExceeded(max_cosets)
         b = len(table)
         row = [None] * ncols
-        row[col ^ 1] = a
+        row[inv[col]] = a
         table.append(row)
         parent.append(b)
         table[a][col] = b
@@ -299,18 +330,18 @@ def _hlt(ncols: int, relators: list[tuple[int, ...]],
                 target = row[col]
                 if target is None:
                     continue
-                inv = col ^ 1
-                table[target][inv] = None
+                back = inv[col]
+                table[target][back] = None
                 u = find(dead)
                 v = target if parent[target] == target else find(target)
                 row_u = table[u]
                 w = row_u[col]
                 if w is None:
                     row_v = table[v]
-                    w = row_v[inv]
+                    w = row_v[back]
                     if w is None:
                         row_u[col] = v
-                        row_v[inv] = u
+                        row_v[back] = u
                         continue
                     v = u
                 # merge v with w
@@ -342,7 +373,7 @@ def _hlt(ncols: int, relators: list[tuple[int, ...]],
                 return
             # scan backward
             while j >= i:
-                nxt = table[b][word[j] ^ 1]
+                nxt = table[b][inv[word[j]]]
                 if nxt is None:
                     break
                 b = nxt
@@ -353,7 +384,7 @@ def _hlt(ncols: int, relators: list[tuple[int, ...]],
             if j == i:
                 # deduction closes the gap
                 table[f][word[i]] = b
-                table[b][word[i] ^ 1] = f
+                table[b][inv[word[i]]] = f
                 return
             define(f, word[i])
 
@@ -382,12 +413,17 @@ def _hlt(ncols: int, relators: list[tuple[int, ...]],
         a += 1
 
     # a finished coincidence clears every entry that pointed at a dead
-    # coset, so live rows only name live cosets
+    # coset, so live rows only name live cosets; each row is renumbered
+    # and expanded to the columns k, k^-1 of every generator in one pass
+    expand = []
+    for c, d in enumerate(inv):
+        if c <= d:
+            expand += [c, d]
     live = [c for c in range(len(table)) if parent[c] == c]
     renumber: list[int | None] = [None] * len(table)
     for i, c in enumerate(live):
         renumber[c] = i
-    return tuple(tuple(map(renumber.__getitem__, table[c])) for c in live)
+    return tuple(_gather(_gather(expand, table[c]), renumber) for c in live)
 
 
 def _check_closed(t: CosetTable, relators, subgens):

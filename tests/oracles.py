@@ -177,23 +177,42 @@ def todd_coxeter_reference(pres: Presentation,
                            max_cosets: int = 10 ** 6) -> CosetTable:
     """Enumerate cosets of the subgroup generated by the given words by
     HLT as written before relators were compiled to column tuples, one
-    col_of and find call at a time; fpgroup.todd_coxeter must define the
-    same cosets in the same order and trip max_cosets at the same count.
+    col_of, inv_of and find call at a time; fpgroup.todd_coxeter must
+    define the same cosets in the same order and trip max_cosets at the
+    same count.
+
+    A generator k with a relator k^2 or k^-2 is an involution: k and k^-1
+    share one column, and the squares are not scanned.  The other
+    generators keep a column for k and one for k^-1, in generator order.
 
     Raises CosetLimitExceeded if more than max_cosets cosets get defined;
     that is a resource verdict, not a proof the index is infinite.
     """
     m = len(pres.names)
-    ncols = 2 * m
     relators = [reduce_word(r) for r in pres.relators]
     subgens = [reduce_word(w) for w in subgroup_gens]
     for w in subgens:
         for letter in w:
             if abs(letter) > m:
                 raise ValueError(f"subgroup generator letter {letter} out of range")
+    squares = [r for r in relators if len(r) == 2 and r[0] == r[1]]
+    involutions = {abs(r[0]) for r in squares}
+    scanned = [r for r in relators if r not in squares]
 
     def col_of(letter: int) -> int:
-        return 2 * (letter - 1) if letter > 0 else 2 * (-letter - 1) + 1
+        col = 0
+        for k in range(1, abs(letter)):
+            col += 1 if k in involutions else 2
+        if letter < 0 and -letter not in involutions:
+            col += 1
+        return col
+
+    ncols = col_of(m + 1)
+    letter_of = {col_of(letter): letter
+                 for k in range(1, m + 1) for letter in (k, -k)}
+
+    def inv_of(col: int) -> int:
+        return col_of(-letter_of[col])
 
     table: list[list[int | None]] = [[None] * ncols]
     parent = [0]
@@ -213,7 +232,7 @@ def todd_coxeter_reference(pres: Presentation,
         table.append([None] * ncols)
         parent.append(b)
         table[a][col] = b
-        table[b][col ^ 1] = a
+        table[b][inv_of(col)] = a
         return b
 
     def merge(a: int, b: int, queue: list[int]):
@@ -234,15 +253,15 @@ def todd_coxeter_reference(pres: Presentation,
                 target = table[dead][col]
                 if target is None:
                     continue
-                table[target][col ^ 1] = None
+                table[target][inv_of(col)] = None
                 u, v = find(dead), find(target)
                 if table[u][col] is not None:
                     merge(v, table[u][col], queue)
-                elif table[v][col ^ 1] is not None:
-                    merge(u, table[v][col ^ 1], queue)
+                elif table[v][inv_of(col)] is not None:
+                    merge(u, table[v][inv_of(col)], queue)
                 else:
                     table[u][col] = v
-                    table[v][col ^ 1] = u
+                    table[v][inv_of(col)] = u
 
     def scan_and_fill(a: int, word: Sequence[int]):
         if not word:
@@ -263,7 +282,7 @@ def todd_coxeter_reference(pres: Presentation,
                 return
             # scan backward
             while j >= i:
-                nxt = table[b][col_of(word[j]) ^ 1]
+                nxt = table[b][col_of(-word[j])]
                 if nxt is None:
                     break
                 b = nxt
@@ -274,7 +293,7 @@ def todd_coxeter_reference(pres: Presentation,
             if j == i:
                 # deduction closes the gap
                 table[f][col_of(word[i])] = b
-                table[b][col_of(word[i]) ^ 1] = f
+                table[b][col_of(-word[i])] = f
                 return
             define(f, col_of(word[i]))
 
@@ -283,7 +302,7 @@ def todd_coxeter_reference(pres: Presentation,
     a = 0
     while a < len(table):
         if find(a) == a:
-            for rel in relators:
+            for rel in scanned:
                 scan_and_fill(a, rel)
                 if find(a) != a:
                     break
@@ -295,7 +314,8 @@ def todd_coxeter_reference(pres: Presentation,
 
     live = [c for c in range(len(table)) if find(c) == c]
     renumber = {c: i for i, c in enumerate(live)}
-    rows = tuple(tuple(renumber[find(table[c][col])] for col in range(ncols))
+    rows = tuple(tuple(renumber[find(table[c][col_of(letter)])]
+                       for k in range(1, m + 1) for letter in (k, -k))
                  for c in live)
     result = CosetTable(m, rows)
     _check_closed(result, relators, subgens)

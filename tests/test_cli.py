@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from symgen import perm
-from symgen.cli import main
+from symgen.cli import build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
 FIXTURE_DIR = Path(__file__).parents[1] / "src/symgen/fixtures"
@@ -512,6 +512,26 @@ def test_elt_wrong_arg_count(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "elt", "5sq_d6", "mult", "(id | 0)")
     assert code == 2 and out == ""
     assert err == "error: mult takes 2 element argument(s)\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["bogus"], ["graph", "5sq_d6", "--format", "xml"], [],
+])
+def test_bad_arguments_exit_2_with_usage(capsys, argv):
+    # main shares one parser across calls: a bad call prints what a fresh
+    # parser prints, twice in a row, and a good call after it is unharmed
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(argv)
+    fresh = capsys.readouterr()
+    assert fresh.out == "" and fresh.err.startswith("usage: symgen")
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr() == fresh
+    code, out, _ = run_cli(capsys, "graph", "5sq_d6")
+    assert code == 0
+    assert out == (GOLDEN / "5sq_d6.dot").read_text(encoding="utf-8")
 
 
 def test_selftest(capsys):

@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 from pathlib import Path
 
@@ -31,6 +32,18 @@ def test_image_index_and_order(all_contexts, name, index, order):
     action = control_action_by_perms(img)
     assert len(set(action.values())) == len(action) == \
         all_contexts[name].spec.control_group.order()
+
+
+@pytest.mark.parametrize("name,digest", [
+    ("l2_19", "ccca97ccfa83c23be34f94e746519ecbb8da48f633240896d4956cdce2405b35"),
+    ("u3_3", "9e221ec8399bad7cc1fba719697964050af04d1013922637551776d86ce485a8"),
+    ("5sq_d6", "1a76a0d00684b70e9470541ab39273a750b3caa3650c1375cef882cc210ffcf8"),
+])
+def test_coset_point_numbering_is_pinned(all_contexts, name, digest):
+    # the points are numbered in Todd-Coxeter's definition order, which
+    # elt convert prints; an enumerator that renumbers them fails here
+    images = tuple(g.images for g in all_contexts[name].image.gens_image)
+    assert hashlib.sha256(repr(images).encode()).hexdigest() == digest
 
 
 def test_image_invariants(all_contexts):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from symgen import fpgroup
 from symgen.fpgroup import (CosetLimitExceeded, Presentation, _check_closed,
                             coset_action, commutator, concat, invert_word,
                             parse_word, reduce_word, todd_coxeter, word_str)
@@ -173,28 +174,31 @@ def small_subgroups(pres):
 
 
 def reference_cases():
-    """(id, presentation, subgroup generators) on which the enumerator must
-    define the same cosets in the same order as the reference."""
-    for name in bundled_fixture_names():
-        yield (f"{name} over N",) + fixture_over_control_group(name)
-    yield "5sq_d6 over 1", fixture_over_control_group("5sq_d6")[0], []
+    """(id, presentation, subgroup generators, index) on which the
+    enumerator must define the same cosets in the same order as the
+    reference; the indices are pinned apart from both enumerators."""
+    for name, index in (("5sq_d6", 50), ("l2_19", 57), ("u3_3", 36)):
+        yield (f"{name} over N",) + fixture_over_control_group(name) + (index,)
+    yield "5sq_d6 over 1", fixture_over_control_group("5sq_d6")[0], [], 300
     rng = random.Random(5)
     for k in range(5):
         rels = list(PGL27.relators)
         rng.shuffle(rels)
         shuffled = Presentation(PGL27.names, tuple(rels))
-        for label, subgens in small_subgroups(shuffled):
-            yield f"PGL(2,7) shuffle {k} over {label}", shuffled, subgens
-    for group, pres in (("A5", A5), ("Q8", Q8)):
-        for label, subgens in small_subgroups(pres):
-            yield f"{group} over {label}", pres, subgens
+        for (label, subgens), index in zip(small_subgroups(shuffled),
+                                           (48, 168, 336)):
+            yield f"PGL(2,7) shuffle {k} over {label}", shuffled, subgens, index
+    for group, pres, indices in (("A5", A5, (12, 30, 60)), ("Q8", Q8, (2, 2, 8))):
+        for (label, subgens), index in zip(small_subgroups(pres), indices):
+            yield f"{group} over {label}", pres, subgens, index
 
 
 @pytest.mark.parametrize("case", list(reference_cases()), ids=lambda case: case[0])
 def test_definition_order_matches_reference(case):
-    _, pres, subgens = case
-    assert (todd_coxeter(pres, subgens).rows
-            == todd_coxeter_reference(pres, subgens).rows)
+    _, pres, subgens, index = case
+    table = todd_coxeter(pres, subgens)
+    assert table.index == index
+    assert table.rows == todd_coxeter_reference(pres, subgens).rows
 
 
 @pytest.mark.parametrize("case", ["u3_3 over N", "PGL(2,7) over 1"])
@@ -217,6 +221,96 @@ def test_coset_limit_trips_at_reference_count(case):
             == todd_coxeter_reference(pres, subgens).rows)
     with pytest.raises(CosetLimitExceeded):
         todd_coxeter(pres, subgens, hi - 1)
+
+
+def least_closing_limit(pres, subgens, limit):
+    """Assert that limit is the least max_cosets at which the enumeration
+    closes, that is, the number of cosets it defines."""
+    todd_coxeter(pres, subgens, limit)
+    with pytest.raises(CosetLimitExceeded):
+        todd_coxeter(pres, subgens, limit - 1)
+
+
+def working_columns(monkeypatch, pres, subgens=()):
+    """The inverse table of the working columns that the enumeration of
+    pres hands _hlt."""
+    seen = []
+
+    def spy(inv, *args):
+        seen.append(list(inv))
+        return hlt(inv, *args)
+
+    hlt = fpgroup._hlt
+    monkeypatch.setattr(fpgroup, "_hlt", spy)
+    todd_coxeter(pres, subgens)
+    monkeypatch.undo()
+    return seen[0]
+
+
+def test_an_inverse_square_makes_an_involution(monkeypatch):
+    # y^-2 gives y one column, as y^2 does, and neither square is scanned
+    squared = Presentation.parse(["x", "y"], "x^3, y^2, (x*y)^2")
+    inverse_squared = Presentation.parse(["x", "y"], "x^3, y^-2, (x*y)^2")
+    assert working_columns(monkeypatch, squared) == [1, 0, 2]
+    assert working_columns(monkeypatch, inverse_squared) == [1, 0, 2]
+    table = todd_coxeter(inverse_squared)
+    assert table.index == 6
+    assert (table.rows == todd_coxeter(squared).rows
+            == todd_coxeter_reference(inverse_squared).rows)
+
+
+@pytest.mark.parametrize("texts", [
+    ["y^-1"],
+    ["y^-1*x*y"],
+    ["x*y^-1*x^-1*y"],
+    ["y^-1", "x*y^-1*x^-1"],
+    ["y^-1*x^2*y^-1*x^-2"],
+])
+def test_subgroup_words_with_an_inverse_involution(texts):
+    # y is an involution of A5, so y^-1 reads y's one column; the index is
+    # checked against the subgroup's order in A5 on five points
+    gens = (parse_cycles("(1,2,3,4,5)", 5), parse_cycles("(1,2)(3,4)", 5))
+    assert all(word_perm(gens, rel).is_identity() for rel in A5.relators)
+    words = [parse_word(text, A5.names) for text in texts]
+    table = todd_coxeter(A5, words)
+    assert table.index * closure_order(
+        tuple(word_perm(gens, w) for w in words)) == 60
+    assert all(table.trace(0, w) == 0 for w in words)
+    assert table.rows == todd_coxeter_reference(A5, words).rows
+
+
+def test_a_square_inside_a_conjugate_keeps_two_columns(monkeypatch):
+    # x*y*y*x^-1 says y^2 = 1 but is no square after free reduction
+    pres = Presentation.parse(["x", "y"], "x^3, x*y*y*x^-1, (x*y)^2")
+    assert working_columns(monkeypatch, pres) == [1, 0, 3, 2]
+    table = todd_coxeter(pres)
+    assert table.index == 6
+    assert table.rows == todd_coxeter_reference(pres).rows
+    for c in range(table.index):
+        assert table.trace(c, (2, 2)) == c
+
+
+@pytest.mark.parametrize("subgens,rows,defined", [
+    ([(1,)], ((0, 0, 1, 1), (1, 1, 0, 0)), 2),
+    ([(2,)], ((1, 1, 0, 0), (0, 0, 1, 1)), 4),
+    ([], ((1, 3, 4, 5), (2, 0, 6, 7), (3, 1, 5, 4), (0, 2, 7, 6),
+          (7, 6, 2, 0), (6, 7, 0, 2), (4, 5, 3, 1), (5, 4, 1, 3)), 8),
+])
+def test_q8_without_involutions_enumerates_as_before(monkeypatch, subgens,
+                                                     rows, defined):
+    # no relator of Q8 is a square, so every generator keeps two columns
+    # and the tables and coset counts are those of two columns throughout
+    assert working_columns(monkeypatch, Q8, subgens) == [1, 0, 3, 2]
+    assert todd_coxeter(Q8, subgens).rows == rows
+    least_closing_limit(Q8, subgens, defined)
+
+
+@pytest.mark.parametrize("name,defined", [
+    ("5sq_d6", 889), ("l2_19", 43700), ("u3_3", 40304),
+])
+def test_fixture_cosets_defined_over_1(name, defined):
+    # two columns per generator defined 1,305, 71,711 and 70,230 cosets
+    least_closing_limit(fixture_over_control_group(name)[0], [], defined)
 
 
 def test_max_cosets_limit():
