@@ -12,10 +12,11 @@ This module turns such a specification into
     Knuth-Bendix completion under reverse shortlex makes them confluent,
     deriving the relators' control-group conjugates, cyclic rotations and
     inverses on the way, so every word reduces to one normal form per
-    coset of N.  The least (length, lex) form of (least word) * t_i is
-    then read off the completed system for every least word and letter
-    into one table, and a word is canonicalized letter by letter through
-    it.
+    coset of N.  The letter table, the normal-form automaton of the
+    completed system, is then read off it: one state per coset of N, and
+    per state a row holding, for each letter t_i, the least (length, lex)
+    form of (least word) * t_i as a perm and a next state.  A word is
+    canonicalized letter by letter through the rows, from state to state.
 
 Within the rewrite system a permutation travels as its tuple of images,
 and a Perm is built only for what leaves it (see RuleSet); the arithmetic
@@ -37,6 +38,8 @@ from .fpgroup import (CosetLimitExceeded, FreeWord, Presentation, commutator,
                       concat, reduce_word, word_conj, word_str)
 
 Word = tuple[int, ...]  # letters are symmetric-generator indices in 1..n
+# a state's row of the letter table: letter -> (padded images or None, state)
+Row = dict[int, tuple[Images | None, int]]
 
 
 class UnsupportedRelator(ValueError):
@@ -201,15 +204,16 @@ def _straddled(system: dict[Word, Rule], p: Word, q: Word, k: int) -> bool:
 
 
 class RuleSet:
-    """The base rules, their Knuth-Bendix completion and the letter table.
+    """The base rules, their Knuth-Bendix completion and the letter table,
+    an automaton whose states are the cosets of N (see table).
 
     A rule t_u = pi * t_v rewrites x u y to x^pi v y and gathers pi into
     the control part (t_x pi = pi t_(x^pi)).  Letters right of the window
     stay put, so under reverse shortlex (length, then lex from the right)
     a rule with v below u lowers every word it rewrites.  The completed
     rules in system are confluent: _reduce maps each word to the one
-    irreducible word of its coset N t_w.  max_cosets bounds the least
-    words, and n * max_cosets the rules that completion adds; past either,
+    irreducible word of its coset N t_w.  max_cosets bounds the table's
+    states, and n * max_cosets the rules that completion adds; past either,
     building the table raises CosetLimitExceeded, and so does every later
     access, since each one completes afresh from the base rules.
 
@@ -218,12 +222,12 @@ class RuleSet:
     while _complete runs, and system, _widths and the table outlive it.
 
     Inside, perms travel as image tuples (Images): the completion's
-    equations, reductions and conjugates, the table's entries and
-    canonical_form's running control.  A product is one gather of the left
-    factor's images from the right factor's padded behind a 0; each rule
-    is padded once, on first rewrite, and each table entry when it is
-    built.  A Perm is built only where a result leaves: a rule's perm and
-    canonical_form's.
+    equations, reductions and conjugates, the entries of the table's rows
+    and canonical_form's running control, which steps through the states
+    as integers.  A product is one gather of the left factor's images from
+    the right factor's padded behind a 0; each rule is padded once, on
+    first rewrite, and each row entry when it is built.  A Perm is built
+    only where a result leaves: a rule's perm and canonical_form's.
     """
 
     def __init__(self, spec: ProgenitorSpec, rules: tuple[Rule, ...],
@@ -255,13 +259,17 @@ class RuleSet:
                 out.pop()
                 continue
             out.append(letter)
-            # shortest first: a slice longer than out is all of out, and
-            # out's own length was probed before it
+            # shortest first, and no longer than out: a key of length k
+            # cannot equal out[-k:] once k > len(out), since that slice is
+            # all of out
+            rule = None
             for k in widths:
+                if k > len(out):
+                    break
                 rule = system.get(tuple(out[-k:]))
                 if rule is not None:
                     break
-            else:
+            if rule is None:
                 continue
             del out[-k:]
             # itemgetter of one index returns no tuple, and at degree 1
@@ -424,15 +432,20 @@ class RuleSet:
                        _gather(p[:-k], b._padded) + b.replacement)
 
     @cached_property
-    def table(self) -> dict[tuple[Word, int], tuple[Images | None, Word]]:
-        """One breadth-first pass over least words in (length, lex) order.
+    def table(self) -> tuple[tuple[Row, ...], tuple[Word, ...]]:
+        """The letter table, the normal-form automaton of the completed
+        system: (rows, words), whose states are the cosets of N.
 
+        One breadth-first pass over least words in (length, lex) order.
         Least words are prefix-closed, so a coset's least word s_c is the
-        first extension s + (i,) whose normal form nf_c is new, and
-        t_(s_c) = eps_c t_(nf_c).  If t_s t_i = delta t_nf, the entry
-        (s, i) is (delta * eps_c^-1, s_c) for nf's coset c, with the perm's
-        images padded behind a 0 for canonical_form's gathers, or None for
-        the identity, which needs none.
+        first extension s + (i,) whose normal form nf_c is new; c is its
+        state, its place in that order, and words[c] is s_c, with
+        t_(s_c) = eps_c t_(nf_c).  If t_s t_i = delta t_nf for the least
+        word s of state k, rows[k][i] is (delta * eps_c^-1, c) for nf's
+        coset c, with the perm's images padded behind a 0 for
+        canonical_form's gathers, or None for the identity, which needs
+        none.  Each row is a dict on the letters 1..n, so any other key
+        raises KeyError.
 
         Completion starts from an empty system, so an access after a
         budget error raises that error again instead of resuming from the
@@ -441,47 +454,53 @@ class RuleSet:
         self.system, self._widths = {}, ()
         self._complete()
         identity = self._identity
-        # normal form -> (least word s_c, eps_c^-1 padded behind a 0)
-        least: dict[Word, tuple[Word, Images]] = {(): ((), (0,) + identity)}
-        table: dict[tuple[Word, int], tuple[Images | None, Word]] = {}
+        # normal form -> (state c, eps_c^-1 padded behind a 0)
+        least: dict[Word, tuple[int, Images]] = {(): (0, (0,) + identity)}
+        rows: list[Row] = []
         queue: list[Word] = [()]
         for s in queue:
+            row: Row = {}
             for i in range(1, self.n + 1):
                 delta, nf = self._reduce(s + (i,))
                 if nf not in least:
                     if len(least) >= self.max_cosets:
                         raise CosetLimitExceeded(self.max_cosets,
                                                  "rewrite letter table", "least words")
-                    least[nf] = s + (i,), (0,) + _quotient(delta, identity)
+                    least[nf] = len(queue), (0,) + _quotient(delta, identity)
                     queue.append(s + (i,))
-                word, eps_inverse = least[nf]
+                state, eps_inverse = least[nf]
                 step = _gather(delta, eps_inverse)
-                table[s, i] = None if step == identity else (0,) + step, word
-        return table
+                row[i] = None if step == identity else (0,) + step, state
+            rows.append(row)
+        return tuple(rows), tuple(queue)
 
     def canonical_form(self, word: Word, images: Images,
                        trace: list | None = None) -> tuple[Perm, Word]:
         """Least (length, lex) form of a word with its gathered perm,
         control * t_word = perm * t_form, where images are the control's,
-        a degree-n perm's: a left-to-right scan that extends the least form
-        of each prefix by one table entry and gathers the entry's images
-        into the control's, building one Perm at the end.  The word may
-        hold squares t_i t_i, since the table cancels them; a letter
-        outside 1..n raises KeyError.  When given, trace collects the
-        (length, word) measure of the input and of the whole word after
-        every step that rewrites it."""
-        table = self.table
-        form: Word = ()
+        a degree-n perm's: a left-to-right run of the table's automaton
+        from state 0, the coset of (), that takes one row entry per letter
+        and gathers the entry's images into the control's, building one
+        Perm and reading the form's word at the end.  The word may hold
+        squares t_i t_i, since the table cancels them; a letter outside
+        1..n raises KeyError.  When given, trace collects the (length,
+        word) measure of the input and of the whole word after every step
+        that rewrites it."""
+        rows, words = self.table
+        state = 0
         if trace is not None:
             trace.append((len(word), word))
-        for k, letter in enumerate(word):
-            padded, new = table[form, letter]
+            read = 0  # letters read, counted only for the trace
+        for letter in word:
+            padded, new = rows[state][letter]
             # None for the identity, so always at degree 1, where
             # itemgetter of one index would return no tuple
             if padded is not None:
                 images = itemgetter(*images)(padded)
-            if trace is not None and new != form + (letter,):
-                current = new + word[k + 1:]
-                trace.append((len(current), current))
-            form = new
-        return _trusted(images), form
+            if trace is not None:
+                read += 1
+                if words[new] != words[state] + (letter,):
+                    current = words[new] + word[read:]
+                    trace.append((len(current), current))
+            state = new
+        return _trusted(images), words[state]

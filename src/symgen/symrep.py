@@ -139,14 +139,15 @@ def canon(raw: tuple[Perm, Word], rules: RuleSet, *,
 
     One left-to-right pass over the word (RuleSet.canonical_form): each
     letter extends the least form of the prefix before it, through the
-    (least word, letter) table read off the completed rule system on first
-    use.  The scan starts from the raw control's images and gathers each
-    table entry's into them, so a call builds one Perm, its result.
+    letter table read off the completed rule system on first use, an
+    automaton whose states are the cosets of N.  The scan starts from the
+    raw control's images and gathers each row entry's into them, so a call
+    builds one Perm, its result.
 
-    Without a trace the word goes into the scan as it is: the table has an
-    entry (s, i) for every least word s and letter i, an s that ends in i
-    too, so the scan cancels squares t_i t_i itself.  A letter outside
-    1..n misses the table, and the range check then names it.  With a
+    Without a trace the word goes into the scan as it is: every state's
+    row has an entry for every letter i, a state whose least word ends in
+    i too, so the scan cancels squares t_i t_i itself.  A letter outside
+    1..n misses the row, and the range check then names it.  With a
     trace, squares are dropped first, and trace collects the (length,
     word) measure of that input and of the whole word after every rewrite
     step; each entry is strictly less than the one before.

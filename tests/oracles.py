@@ -84,14 +84,26 @@ def schreier_generators_by_scan(group, k):
     return out
 
 
+def table_view(rules):
+    """The letter table keyed by (least word, letter), as RuleSet.table was
+    before its rows were indexed by integer states: each state's row,
+    state by state and letter by letter, with every state named by its
+    least word."""
+    rows, words = rules.table
+    return {(words[k], i): (padded, words[state])
+            for k, row in enumerate(rows)
+            for i, (padded, state) in row.items()}
+
+
 def canon_by_perms(raw, rules, trace=None):
     """symrep.canon as written before it gathered image tuples: one Perm
     product per table entry that is no identity (whose images the table
     holds padded behind a 0, or None for the identity), then one last
-    product with the raw control."""
+    product with the raw control.  It walks the table's (least word,
+    letter) view."""
     perm, word = raw
     word = normalize_tail(word, rules.n)
-    table = rules.table
+    table = table_view(rules)
     delta = Perm.identity(rules.n)
     form: Word = ()
     if trace is not None:

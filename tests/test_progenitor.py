@@ -1,3 +1,4 @@
+import hashlib
 import heapq
 import random
 from types import SimpleNamespace
@@ -18,7 +19,8 @@ from symgen.symrep import (SymContext, canon, cenelt, format_element,
 from oracles import (CompletionReference, canon_by_perms,
                      closed_relator_rules, conjugate_rule,
                      control_action_by_perms,
-                     schreier_generators_by_scan, unify_two_step)
+                     schreier_generators_by_scan, table_view,
+                     unify_two_step)
 
 FIXTURES = ["5sq_d6", "l2_19", "u3_3"]
 
@@ -312,18 +314,19 @@ def test_completed_system_is_confluent(all_contexts, name):
                                                 ("u3_3", 36, 504)])
 def test_letter_table_closes_on_coset_representatives(all_contexts, name,
                                                       words, entries):
-    # the table's least words are exactly the image's coset representatives,
-    # and every entry is the image engine's form of t_s t_i, its perm's
-    # images padded behind a 0, or None for the identity
+    # the table's states, named by their least words, are exactly the
+    # image's coset representatives, and every entry of their rows is the
+    # image engine's form of t_s t_i, its perm's images padded behind a 0,
+    # or None for the identity
     from symgen.symrep import per2sym
     ctx = all_contexts[name]
     img = ctx.image
-    table = ctx.rules.table
-    assert {s for s, _ in table} == set(img.cst)
-    assert len(set(img.cst)) == words
-    assert len(table) == entries
+    rows, states = ctx.rules.table
+    assert set(states) == set(img.cst)
+    assert len(set(states)) == len(rows) == words
+    assert sum(map(len, rows)) == entries
     identity = Perm.identity(ctx.n)
-    for (s, i), (padded, word) in table.items():
+    for (s, i), (padded, word) in table_view(ctx.rules).items():
         e = per2sym(ctx, _realize(img, identity, s + (i,)))
         perm = identity if padded is None else Perm(padded[1:])
         assert padded is None or (padded[0] == 0 and perm != identity)
@@ -359,7 +362,7 @@ def test_products_read_the_table_without_reducing(monkeypatch, all_contexts,
 def test_rewrite_table_is_bounded_by_max_cosets(max_cosets, fits):
     rules = derive_rules(load_bundled("u3_3").spec, max_cosets)
     if fits:
-        assert len({s for s, _ in rules.table}) == 36
+        assert len({s for s, _ in table_view(rules)}) == 36
     else:
         with pytest.raises(CosetLimitExceeded):
             rules.table
@@ -422,7 +425,7 @@ def _outcome(rules):
     way, then the letter table's entries in order; or the type and message
     of the error that building them raised."""
     try:
-        table = rules.table
+        table = table_view(rules)
     except (CosetLimitExceeded, ValueError) as exc:
         return type(exc), str(exc)
     system = []
@@ -643,7 +646,7 @@ def _table_or_error(build):
     """The letter table's entries in order, or the type and message of the
     error that building the rules or their table raised."""
     try:
-        return list(build().table.items())
+        return list(table_view(build()).items())
     except (CosetLimitExceeded, ValueError) as exc:
         return type(exc), str(exc)
 
@@ -657,6 +660,22 @@ CLOSED_RELATOR_CASES = (
        ("empty_tail", 10 ** 6)])
 
 
+def _case_spec(name):
+    """The spec of a case named as in CLOSED_RELATOR_CASES."""
+    if name in INDEX:
+        return load_bundled(name).spec
+    if name.startswith("degree_one_"):
+        return degree_one_spec(DEGREE_ONE_RELATORS[name[len("degree_one_"):]])
+    if name == "5sq_d6_without_relators":
+        return spec_without_relators(load_bundled("5sq_d6").spec)
+    if name == "collapsing":
+        return collapsing_spec()
+    if name == "empty_tail":
+        return empty_tail_spec()
+    n, word, k = name.split(",")
+    return power_relator_spec(int(n), word, int(k))
+
+
 @pytest.mark.parametrize("name,max_cosets", CLOSED_RELATOR_CASES)
 def test_relators_as_written_give_the_closed_relators_table(name,
                                                             max_cosets):
@@ -664,25 +683,67 @@ def test_relators_as_written_give_the_closed_relators_table(name,
     # itself: the base of one rule per relator gives the same letter table,
     # entry by entry in order, or the same error, as the base that closed
     # every relator over the elements of N before completing
-    if name in INDEX:
-        spec = load_bundled(name).spec
-    elif name.startswith("degree_one_"):
-        spec = degree_one_spec(
-            DEGREE_ONE_RELATORS[name[len("degree_one_"):]])
-    elif name == "5sq_d6_without_relators":
-        spec = spec_without_relators(load_bundled("5sq_d6").spec)
-    elif name == "collapsing":
-        spec = collapsing_spec()
-    elif name == "empty_tail":
-        spec = empty_tail_spec()
-    else:
-        n, word, k = name.split(",")
-        spec = power_relator_spec(int(n), word, int(k))
+    spec = _case_spec(name)
     reference = _table_or_error(lambda: RuleSet(
         spec, closed_relator_rules(spec), max_cosets))
     assert _table_or_error(lambda: derive_rules(spec, max_cosets)) == reference
     if name in INDEX and max_cosets == INDEX[name]:
         assert len(reference) == INDEX[name] * spec.n
+
+
+# sha256 of repr(list(table_view(rules).items())): the letter table as
+# the dict keyed by (least word, letter) that it was before its rows were
+# indexed by states, entry by entry in order
+TABLE_SHA256 = {
+    "5sq_d6": "cbe56a500baaeb52e6339a9085e4260e5135ad0f1aa84fb82c694c76b6d3c349",
+    "l2_19": "f7d6ce35b7f9d383403c60c15e5451cbfba1c14ed8e1db3540920ed688d6a707",
+    "u3_3": "bacd7b0fd7b6dab18dfd6e28ed1beda60da801f4c2951d198fb93bca382a89c2",
+    "3,x,5": "63cc3623c9d420cc5100e73b35d3aa9ecc70916092500114cbb5e9c9c59b3b1d",
+    "3,y,5": "96c241db45835e458b338b80c65cbc8c955d0ec2fe482f0d0c8d985fa7d0c552",
+    "3,x^2*y,4":
+        "8b8160a0635fa1ded20af81cb3f3e08ea556fdc586ec4173664d89b7aa0be9a6",
+    "4,x*y*x^-1*y,4":
+        "b4c1f5889739c38fe1946e2be8ea14bf28e4e456621b9b2038871f4f6114d82b",
+    "4,y,4": "f90de9c617384b2aeba8fa5ac9e3a02cb386e20ec164bd7d5439aa83c887fdb8",
+    "4,x,5": "de5e2562a174f10e554070739450c5115beacced6fd730023f922191af16050d",
+    "4,x,6": "9fea4066836d56ea1508001f5101aff1ce670f3bcd42ea60838f0e9dfe702392",
+    "4,x*y*x^-1*y,7":
+        "a3253ae50c2f4f836eda0828402135b21aab5ffc8edfe592963d9d30c115d45f",
+    "degree_one_t1_is_1":
+        "d9748395defe497a1a26f5c4e4e8683ddc99338a6826aab0a14fc045e64358a8",
+    "degree_one_free":
+        "d0a8127b1777f51e35e535e0fc7ed760cf51cc1b5678484c619ba9441e4b9c2a",
+}
+
+
+# every case that builds a table, with its budget
+TABLE_CASES = (
+    [(name, 10 ** 6) for name in INDEX]
+    + [(f"{n},{word},{k}", 2000) for n, word, k, outcome in POWER_CASES
+       if isinstance(outcome, int)]
+    + [(f"degree_one_{key}", 10 ** 6) for key in DEGREE_ONE_RELATORS])
+
+
+@pytest.mark.parametrize("name,max_cosets", TABLE_CASES)
+def test_letter_table_automaton(name, max_cosets):
+    # the states are the least words in (length, lex) order from (), each
+    # with one row on exactly the letters 1..n; any other key misses a row,
+    # a negative letter too; read by least word, the rows are the table
+    # that the (least word, letter) dict held
+    rules = derive_rules(_case_spec(name), max_cosets)
+    rows, words = rules.table
+    n = rules.n
+    assert words[0] == ()
+    assert list(words) == sorted(set(words), key=lambda w: (len(w), w))
+    assert len(rows) == len(words)
+    for row in rows:
+        assert list(row) == list(range(1, n + 1))
+        assert all(0 <= state < len(words) for _, state in row.values())
+        for letter in (0, -1, -n, n + 1, 2.5):
+            with pytest.raises(KeyError):
+                row[letter]
+    view = repr(list(table_view(rules).items())).encode()
+    assert hashlib.sha256(view).hexdigest() == TABLE_SHA256[name]
 
 
 def _raw_pairs(spec, rng, count):
@@ -725,7 +786,7 @@ def test_canon_matches_the_per_letter_oracle(all_contexts, name):
         moved += not (~raw[0] * result[0]).is_identity()
     # the words reach the entries that move letters, where there are any
     assert (moved > 0) == any(padded is not None
-                              for padded, _ in rules.table.values())
+                              for padded, _ in table_view(rules).values())
 
 
 @pytest.mark.parametrize("name", FIXTURES + [

@@ -78,9 +78,11 @@ def test_canon_deletes_squares(l2_19):
     (6, (2, 0, 3), "tail letter 0 out of range 1..6"),
     (6, (7,), "tail letter 7 out of range 1..6"),
     (6, (3, 3, 7), "tail letter 7 out of range 1..6"),
+    (6, (-1,), "tail letter -1 out of range 1..6"),
+    (6, (2, -6), "tail letter -6 out of range 1..6"),
     (5, (2, 3), "degree mismatch: 5 != 6"),
 ], ids=["zero", "zero_inside", "n_plus_one", "n_plus_one_after_square",
-        "degree_five"])
+        "negative", "negative_after_letter", "degree_five"])
 def test_canon_rejects_raw_input(l2_19, degree, word, message, traced):
     # raw pairs come from outside SymContext.element too: canon names the
     # bad letter or degree whether or not it traces, before any trace entry
