@@ -3,9 +3,12 @@
 build_image runs the coset enumeration for a progenitor spec, realizes the
 symmetric generators as permutations on the coset points, and builds the
 table of canonical coset-representative words (breadth-first, shortest
-then lexicographically least).  The image engine (SymImage.realized and
-SymImage.read_pair) reads one table of the control group's action on the
-coset points, each element against its realization.  double_cosets reads
+then lexicographically least).  The image engine (SymImage.realized,
+SymImage.realized_inverse and SymImage.read_pair) reads two tables: the
+control group's action on the coset points, each element against its
+realization, and the t-chain of each coset word with its inverse, so an
+element with a coset word is realized, inverted or read back with one
+gather per table.  double_cosets reads
 the collapsed Cayley graph straight off the image: nodes are orbits of the
 control group on coset points, sized |N| / |N^(w)|, with one edge entry
 per orbit of the coset stabilizer N^(w) on the symmetric generators.
@@ -56,10 +59,13 @@ class SymImage:
     points, then t_i = t_i^nu = t_(i^nu) for every i, and since the ts are
     distinct, i^nu = i for every i: nu = 1.
 
-    The image engine is two methods on image tuples: realized multiplies a
-    pair out on the coset points, and read_pair reads the canonical pair of
-    an element back.  Both read one table of N's action, built breadth-first
-    on first use, in its two directions.
+    The image engine is three methods on image tuples: realized multiplies
+    a pair out on the coset points, realized_inverse does so for the
+    pair's inverse, and read_pair reads the canonical pair of an element
+    back.  They read two tables, each built breadth-first on first use:
+    N's action, in its two directions, and the t-chain of each coset word
+    with its inverse.  A word that is no coset word is chained letter by
+    letter.
     """
 
     spec: ProgenitorSpec
@@ -76,12 +82,14 @@ class SymImage:
     def full_group(self) -> PermGroup:
         return PermGroup(self.index, self.gens_image)
 
-    # The image engine, on image tuples.  Its tables are built on first use,
-    # so enumerate and graph never pay for them.  A gather is an itemgetter
-    # of 0-based points: applied to the images of X it gives the images of
-    # g * X, for the g it was built from.  build_image rejects an identity
-    # t, so the index is at least 2 and a gather never has a single index
-    # (which would return a bare item instead of a tuple).
+    # The image engine, on image tuples.  Its tables, N's action and the
+    # coset words' t-chains, are built on first use, so enumerate and graph
+    # never pay for them; the chains hold 2 * index^2 references.  A gather
+    # is an itemgetter of 0-based points: applied to the images of X it
+    # gives the images of g * X, for the g it was built from.  build_image
+    # rejects an identity t, so the index is at least 2 and a gather never
+    # has a single index (which would return a bare item instead of a
+    # tuple).
 
     @cached_property
     def _t_gathers(self) -> tuple[itemgetter, ...]:
@@ -109,11 +117,29 @@ class SymImage:
         return ({nu: _gather_of(g) for nu, g in action.items()},
                 {g: _trusted(nu) for nu, g in action.items()})
 
+    @cached_property
+    def _chains(self) -> dict[Word, tuple[Images, Images]]:
+        """Each coset word w against the images of t_w and those of its
+        inverse padded behind a 0.  Built breadth-first along cst, whose
+        words extend their parents' by one letter i: t_(w i) is t_w * t_i
+        and its inverse t_i * t_w^-1, one gather each from the parent's
+        entry."""
+        identity = tuple(range(1, self.index + 1))
+        padded_ts = [(0,) + t.images for t in self.ts]
+        # the gather of each t_i on tuples padded behind a 0, keeping the 0
+        padded_gathers = [itemgetter(0, *t.images) for t in self.ts]
+        chains = {(): (identity, (0,) + identity)}
+        for word in sorted(self.cst, key=len)[1:]:
+            images, inverse = chains[word[:-1]]
+            chains[word] = (_gather(images, padded_ts[word[-1] - 1]),
+                            padded_gathers[word[-1] - 1](inverse))
+        return chains
+
     def _t_chain(self, word: Word) -> Images:
         """The images of t_word = t_w1 * ... * t_wk: those of word's last t,
-        then one gather per letter before it, right to left."""
-        if not word:
-            return tuple(range(1, self.index + 1))
+        then one gather per letter before it, right to left.  The one path
+        that chains a word letter by letter, for a word that is no coset
+        word (and so not empty)."""
         images = self.ts[word[-1] - 1].images
         gathers = self._t_gathers
         for letter in word[-2::-1]:
@@ -122,28 +148,43 @@ class SymImage:
 
     def realized(self, control: Perm, word: Word) -> Images:
         """The images of the realization of control times t_word: the
-        t-chain of word gathered by control's realization (coset of w goes
-        to the coset of w^control).  Raises ValueError for a control of
-        another degree and IdentificationError for one outside N."""
+        t-chain of word, read from the table for a coset word, gathered by
+        control's realization (coset of w goes to the coset of
+        w^control).  Raises ValueError for a control of another degree and
+        IdentificationError for one outside N."""
         gather = self._action[0].get(control.images)
         if gather is None:
             if control.degree != self.n:
                 raise ValueError(f"control degree {control.degree} != {self.n}")
             raise IdentificationError("permutation is not in the control group")
-        return gather(self._t_chain(word))
+        entry = self._chains.get(word)
+        return gather(self._t_chain(word) if entry is None else entry[0])
+
+    def realized_inverse(self, control: Perm, word: Word) -> Images:
+        """The images of the realization of (control * t_word)^-1, that is
+        of t_word^-1 * control^-1: for a coset word, its inverse entry
+        gathers the realization of control^-1.  Any other word is inverted
+        as a pair, control^-1 * t_(reverse(word)^(control^-1)), and
+        realized.  Raises as realized does."""
+        inv = ~control
+        entry = self._chains.get(word)
+        if entry is None:
+            return self.realized(inv, inv.images_of(word[::-1]))
+        # the padded entry keeps its 0 in front of the product's images
+        return _gather(entry[1], (0,) + self.realized(inv, ()))[1:]
 
     def read_pair(self, images: Images) -> tuple[Perm, Word]:
         """The canonical pair (nu, w) of the element with these images.
 
         The image of point 1 names the coset, hence the canonical word w;
         stripping the word off leaves g * t_wk...t_w1, which fixes point 1
-        and is the realization of nu.  One gather of the images by the
-        t-chain of w reversed gives that residue.  A residue that realizes
-        no element of N means the images are not those of an element of the
+        and is the realization of nu.  One gather of the images by w's
+        inverse entry gives that residue.  A residue that realizes no
+        element of N means the images are not those of an element of the
         group, which raises IdentificationError.
         """
         word = self.cst[images[0] - 1]
-        residue = _gather(images, (0,) + self._t_chain(word[::-1]))
+        residue = _gather(images, self._chains[word][1])
         nu = self._action[1].get(residue)
         if nu is None:
             raise IdentificationError("permutation is not in the group")

@@ -7,9 +7,12 @@ through permutations of the small control degree plus a short word.
 
 Two independent engines are provided and must agree: a pure rewrite
 engine (unify + canon over the derived rule system, no image needed) and
-the image engine (SymImage.realized and SymImage.read_pair).  mult,
-invert_sym and equal_sym reduce their raw pairs through one dispatch
-between the two.  per2sym and sym2per are the two converters.
+the image engine (SymImage.realized, SymImage.realized_inverse and
+SymImage.read_pair).  mult, invert_sym and equal_sym pick one by mode
+(_is_pure), after checking that their elements share a context; the
+rewrite engine reduces a raw pair, and the image engine realizes the
+factors, multiplies the realizations and reads the result back.  per2sym
+and sym2per are the two converters.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .perm import (IdentificationError, Perm, _gather, _trusted,
+from .perm import (IdentificationError, Perm, _gather, _product, _trusted,
                    label_cycles_str, parse_label_cycles)
 from .progenitor import ProgenitorSpec, RuleSet, Word, normalize_tail
 from .dcenum import SymImage, word_label
@@ -114,20 +117,21 @@ class SymElement:
         return f"SymElement({format_element(self)!r})"
 
 
-def _shared_context(a: SymElement, b: SymElement) -> SymContext:
-    """a's context, once b is known to come from a context of the same
-    spec: elements of two specs never mix, whatever their degrees."""
-    if a.ctx is not b.ctx and a.ctx.spec is not b.ctx.spec:
+def _shared_context(ctx: SymContext, other: SymContext) -> SymContext:
+    """ctx, once other is known to be a context of the same spec: elements
+    of two specs never mix, whatever their degrees."""
+    if ctx is not other and ctx.spec is not other.spec:
         raise ValueError("elements come from different contexts")
-    return a.ctx
+    return ctx
 
 
 def unify(a: SymElement, b: SymElement) -> tuple[Perm, Word]:
     """Gather two elements into one raw pair: pi*u . sigma*v =
     (pi*sigma) . u^sigma ++ v, with no reduction performed.  sigma's
     images are padded behind a 0 once, and both pi*sigma and u^sigma are
-    gathered from that one tuple, so a call builds one Perm."""
-    _shared_context(a, b)
+    gathered from that one tuple, so a call builds one Perm.  The two
+    elements must come from one spec, which mult checks before it calls
+    this."""
     padded = (0,) + b.control.images
     return (_trusted(_gather(a.control.images, padded)),
             _gather(a.word, padded) + b.word)
@@ -176,29 +180,41 @@ def per2sym(ctx: SymContext, p: Perm) -> SymElement:
 
 
 def sym2per(ctx: SymContext, e: SymElement) -> Perm:
-    """Realize an element as a permutation of the coset points, by the
-    image engine (SymImage.realized)."""
+    """Realize an element of ctx's spec as a permutation of the coset
+    points, by the image engine (SymImage.realized)."""
+    _shared_context(ctx, e.ctx)
     return _trusted(ctx.require_image().realized(e.control, e.word))
 
 
 def mult(a: SymElement, b: SymElement, mode: str = "auto") -> SymElement:
-    """Product of two symmetrically represented elements: the raw pair
-    that unify gathers, where the two elements' context is checked,
-    reduced by the engine mode picks (_reduce)."""
-    return _reduce(a.ctx, unify(a, b), _is_pure(a.ctx, mode))
+    """Product of two symmetrically represented elements of one context,
+    by the engine mode picks: canon reduces the raw pair that unify
+    gathers, or the image engine multiplies the two factors' realizations
+    and reads the product back."""
+    ctx = _shared_context(a.ctx, b.ctx)
+    if _is_pure(ctx, mode):
+        return _reduce(ctx, unify(a, b), True)
+    img = ctx.image
+    return SymElement(ctx, *img.read_pair(_product(
+        img.realized(a.control, a.word), img.realized(b.control, b.word))))
 
 
 def invert_sym(a: SymElement, mode: str = "auto") -> SymElement:
-    """Inverse: (pi*w)^-1 = pi^-1 * reverse(w)^(pi^-1), then canonical form."""
-    inv = ~a.control
-    return _reduce(a.ctx, (inv, inv.images_of(a.word[::-1])),
-                   _is_pure(a.ctx, mode))
+    """Inverse: (pi*w)^-1 = pi^-1 * reverse(w)^(pi^-1), which canon
+    reduces, or the image engine's realization of it
+    (SymImage.realized_inverse), read back."""
+    ctx = a.ctx
+    if _is_pure(ctx, mode):
+        inv = ~a.control
+        return _reduce(ctx, (inv, inv.images_of(a.word[::-1])), True)
+    img = ctx.image
+    return SymElement(ctx, *img.read_pair(img.realized_inverse(a.control, a.word)))
 
 
 def equal_sym(a: SymElement, b: SymElement, mode: str = "auto") -> bool:
     """Whether two elements agree: their canonical pairs, each reduced by
     the engine mode picks, are equal."""
-    ctx = _shared_context(a, b)
+    ctx = _shared_context(a.ctx, b.ctx)
     pure = _is_pure(ctx, mode)
     ca = _reduce(ctx, (a.control, a.word), pure)
     cb = _reduce(ctx, (b.control, b.word), pure)
@@ -233,10 +249,10 @@ def _reduce(ctx: SymContext, raw: tuple[Perm, Word], pure: bool) -> SymElement:
 
 
 def cenelt(ctx: SymContext, a: SymElement) -> tuple[int, list[SymElement]]:
-    """Centralizer of a symmetrically represented element, computed in the
-    image and returned symmetrically represented."""
-    img = ctx.require_image()
-    cent = img.full_group.centralizer(sym2per(ctx, a))
+    """Centralizer of a symmetrically represented element of ctx's spec,
+    computed in the image and returned symmetrically represented."""
+    p = sym2per(ctx, a)  # checks a's context, then that ctx has an image
+    cent = ctx.image.full_group.centralizer(p)
     return cent.order(), [per2sym(ctx, g) for g in cent.gens]
 
 

@@ -1,8 +1,9 @@
 import pytest
 
+from symgen.dcenum import build_image
 from symgen.perm import Perm
 from symgen.progenitor import derive_rules
-from symgen.symrep import (ContextError, SymContext, equal_sym, mult,
+from symgen.symrep import (ContextError, SymContext, cenelt, equal_sym, mult,
                            per2sym, sym2per)
 from test_progenitor import power_relator_spec
 
@@ -54,3 +55,19 @@ def test_elements_of_different_contexts_do_not_mix(d6_5sq, u3_3):
                 with pytest.raises(ValueError, match="^elements come from "
                                                      "different contexts$"):
                     equal_sym(x, y, mode=mode)
+
+
+def test_conversions_refuse_an_element_of_another_context(d6_5sq, u3_3):
+    # both contexts have an image, of 50 and of 20 points; an element of
+    # one realized in the other would give a perm of the wrong group
+    spec = power_relator_spec(3, "x", 5)
+    other = SymContext(spec, image=build_image(spec))
+    a = d6_5sq.element(Perm.identity(3), (1,))
+    for b in (other.element(Perm.identity(3), (1,)), u3_3.identity_element()):
+        for ctx, e in ((d6_5sq, b), (b.ctx, a)):
+            with pytest.raises(ValueError, match="^elements come from "
+                                                 "different contexts$"):
+                sym2per(ctx, e)
+            with pytest.raises(ValueError, match="^elements come from "
+                                                 "different contexts$"):
+                cenelt(ctx, e)

@@ -7,9 +7,12 @@ import pytest
 from symgen.dcenum import (CollapsedGraph, DoubleCoset, ImageError,
                            build_image, double_cosets, emit_graph,
                            verify_relators_in_image)
+from symgen.groupfile import load_bundled
 from symgen.perm import Perm, parse_cycles
 from symgen.progenitor import default_t_words
-from oracles import control_action_by_perms, elements_by_chain, follow_word
+from symgen.symrep import SymElement
+from oracles import (control_action_by_perms, elements_by_chain, follow_word,
+                     sym2per_by_perms)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -362,6 +365,35 @@ def test_control_action_table_matches_coset_words(all_contexts, name):
         assert img.read_pair(g) == (nu, ())
         realizations.add(g)
     assert len(realizations) == N.order()
+
+
+@pytest.mark.parametrize("name", ["l2_19", "5sq_d6", "u3_3"])
+def test_chain_table_matches_the_perm_oracle(all_contexts, name):
+    # one entry per coset word: the images of its t-chain, as one Perm
+    # product per letter gives them, and those of the chain's inverse
+    # padded behind a 0
+    ctx = all_contexts[name]
+    img = ctx.image
+    identity = Perm.identity(img.index)
+    assert len(img._chains) == img.index
+    for word in img.cst:
+        images, inverse = img._chains[word]
+        chain = sym2per_by_perms(ctx, SymElement(ctx, Perm.identity(ctx.n), word))
+        assert images == chain.images
+        assert inverse[0] == 0
+        assert Perm(inverse[1:]) * chain == identity
+
+
+@pytest.mark.parametrize("name", ["l2_19", "5sq_d6", "u3_3"])
+def test_enumerate_and_graph_build_no_engine_table(name):
+    # the image engine's tables are built on first use, and building the
+    # image and its collapsed graph never uses them
+    img = load_bundled(name).build_context(with_rules=False).image
+    graph = double_cosets(img)
+    emit_graph(graph, "dot")
+    emit_graph(graph, "json")
+    assert "_chains" not in img.__dict__
+    assert "_action" not in img.__dict__
 
 
 @pytest.mark.parametrize("name", ["l2_19", "5sq_d6", "u3_3"])

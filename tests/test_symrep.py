@@ -393,11 +393,11 @@ def test_per2sym_rejects_wrong_degree(u3_3):
         per2sym(u3_3, Perm.identity(35))
 
 
-def test_sym2per_rejects_a_control_outside_n(l2_19, d6_5sq):
+def test_sym2per_rejects_a_control_outside_n(l2_19):
     # an unchecked element whose control has another degree, or lies
     # outside N, raises as SymImage.realized does, in image-mode products too
     with pytest.raises(ValueError, match="^control degree 3 != 6$"):
-        sym2per(l2_19, d6_5sq.element(Perm.identity(3), (1,)))
+        sym2per(l2_19, SymElement(l2_19, Perm.identity(3), (1,)))
     e = SymElement(l2_19, Perm((2, 1, 3, 4, 5, 6)), (1,))
     one = l2_19.identity_element()
     for call in (lambda: sym2per(l2_19, e), lambda: mult(e, one, mode="image"),
@@ -485,6 +485,23 @@ def test_image_engine_matches_the_perm_oracle_on_raw_words(all_contexts, name):
                 image_product_by_perms(a, b))
         assert pair(invert_sym(raw, mode="image")) == pair(
             image_inverse_by_perms(raw))
+
+
+def test_image_engine_matches_the_perm_oracle_at_index_1015():
+    # 2^{*4}:S_4 / (x t_1)^7, where each table holds 1,015 entries of
+    # 1,015 points: the tables give what one Perm product per letter gives
+    spec = power_relator_spec(4, "x", 7)
+    ctx = SymContext(spec, image=build_image(spec))
+    assert ctx.image.index == 1015
+    full = ctx.image.full_group
+    rng = random.Random(21)
+    perms = [full.random_element(rng) for _ in range(50)]
+    elements = [per2sym(ctx, p) for p in perms]
+    for p, a, b in zip(perms, elements, elements[1:] + elements[:1]):
+        assert pair(a) == pair(per2sym_by_perms(ctx, p))
+        assert sym2per(ctx, a) == sym2per_by_perms(ctx, a) == p
+        assert pair(mult(a, b, mode="image")) == pair(image_product_by_perms(a, b))
+        assert pair(invert_sym(a, mode="image")) == pair(image_inverse_by_perms(a))
 
 
 def _outcome(convert, ctx, p):
