@@ -1,9 +1,10 @@
 """Finite image construction and double coset enumeration.
 
 build_image runs the coset enumeration for a progenitor spec, realizes the
-symmetric generators as permutations on the coset points, and builds the
-table of canonical coset-representative words (breadth-first, shortest
-then lexicographically least).  The image engine (SymImage.realized,
+symmetric generators as permutations on the coset points, and numbers the
+points by their canonical coset-representative words (breadth-first,
+shortest then lexicographically least), so the image does not depend on
+the enumerator's definition order.  The image engine (SymImage.realized,
 SymImage.realized_inverse and SymImage.read_pair) reads two tables: the
 control group's action on the coset points, each element against its
 realization, and the t-chain of each coset word with its inverse, so an
@@ -47,9 +48,13 @@ class SymImage:
     gens_image[j-1] is the action on the coset points {1..index} of the
     j-th generator of the built presentation (the control generators, then
     t); ts[i-1] is the image of the i-th symmetric generator; cst[c-1] is
-    the canonical generator word reaching coset point c from point 1.
-    Each element of N has one realization on the coset points, which
-    sends the coset of w to the coset of w^nu.
+    the canonical generator word reaching coset point c from point 1, the
+    shortest and then lexicographically least.  The points are numbered
+    in that (length, lex) order of their words, so cst is strictly
+    increasing in it, and the image is the same whatever order the
+    enumeration defined its cosets in.  Each element of N has one
+    realization on the coset points, which sends the coset of w to the
+    coset of w^nu.
 
     That realization is one to one, so read_pair reads a permutation
     fixing point 1 back as the unique control element.  build_image checks
@@ -81,6 +86,11 @@ class SymImage:
     @cached_property
     def full_group(self) -> PermGroup:
         return PermGroup(self.index, self.gens_image)
+
+    @cached_property
+    def point_of(self) -> dict[Word, int]:
+        """Each coset word against its coset point."""
+        return {word: c for c, word in enumerate(self.cst, start=1)}
 
     # The image engine, on image tuples.  Its tables, N's action and the
     # coset words' t-chains, are built on first use, so enumerate and graph
@@ -121,15 +131,15 @@ class SymImage:
     def _chains(self) -> dict[Word, tuple[Images, Images]]:
         """Each coset word w against the images of t_w and those of its
         inverse padded behind a 0.  Built breadth-first along cst, whose
-        words extend their parents' by one letter i: t_(w i) is t_w * t_i
-        and its inverse t_i * t_w^-1, one gather each from the parent's
-        entry."""
+        (length, lex) order puts each word after its parent, the word
+        without its last letter i: t_(w i) is t_w * t_i and its inverse
+        t_i * t_w^-1, one gather each from the parent's entry."""
         identity = tuple(range(1, self.index + 1))
         padded_ts = [(0,) + t.images for t in self.ts]
         # the gather of each t_i on tuples padded behind a 0, keeping the 0
         padded_gathers = [itemgetter(0, *t.images) for t in self.ts]
         chains = {(): (identity, (0,) + identity)}
-        for word in sorted(self.cst, key=len)[1:]:
+        for word in self.cst[1:]:
             images, inverse = chains[word[:-1]]
             chains[word] = (_gather(images, padded_ts[word[-1] - 1]),
                             padded_gathers[word[-1] - 1](inverse))
@@ -137,9 +147,10 @@ class SymImage:
 
     def _t_chain(self, word: Word) -> Images:
         """The images of t_word = t_w1 * ... * t_wk: those of word's last t,
-        then one gather per letter before it, right to left.  The one path
-        that chains a word letter by letter, for a word that is no coset
-        word (and so not empty)."""
+        then one gather per letter before it, right to left, for a
+        non-empty word.  The one path that chains a word letter by letter:
+        for a word that is no coset word, and for verify_relators_in_image,
+        which leaves the coset-word table unbuilt."""
         images = self.ts[word[-1] - 1].images
         gathers = self._t_gathers
         for letter in word[-2::-1]:
@@ -225,8 +236,7 @@ def build_image(spec: ProgenitorSpec, t_words: Sequence[FreeWord] | None = None,
                     "conjugation by the control image does not permute the "
                     "generators as the control action does")
 
-    return SymImage(spec, table.index, gens_image, ts,
-                    _build_cst(ts, table.index))
+    return _standard_numbering(spec, table.index, gens_image, ts)
 
 
 def _check_control_presentation(spec: ProgenitorSpec):
@@ -247,16 +257,30 @@ def _check_control_presentation(spec: ProgenitorSpec):
                          f"the control group of order {order}")
 
 
-def _build_cst(ts: Sequence[Perm], index: int) -> tuple[Word, ...]:
-    """Canonical word per coset point: the orbit's witness words, found
-    breadth-first over the generators in ascending index order, so each
-    coset gets its shortest, lexicographically least reaching word."""
-    _, cst = PermGroup(index, ts).orbit(1)
-    if len(cst) != index:
+def _standard_numbering(spec: ProgenitorSpec, index: int,
+                        gens_image: Sequence[Perm],
+                        ts: Sequence[Perm]) -> SymImage:
+    """The image with its points renumbered in (length, lex) order of their
+    canonical words.  A breadth-first orbit of point 1 under the ts, taken
+    in ascending index order, finds each point first through its shortest,
+    lexicographically least word, and in that order; the orbit's k-th
+    point becomes point k, and gens_image and ts are relabeled through
+    it, two gathers each."""
+    orbit, words = PermGroup(index, ts).orbit(1)
+    if len(orbit) != index:
         raise ImageError(
             "symmetric generators do not reach every coset: "
-            f"{len(cst)} of {index}")
-    return tuple(cst[c] for c in range(1, index + 1))
+            f"{len(orbit)} of {index}")
+    new = [0] * (index + 1)  # old point -> new point, padded behind a 0
+    for k, point in enumerate(orbit, start=1):
+        new[point] = k
+
+    def relabel(p: Perm) -> Perm:
+        return _trusted(_gather(_gather(orbit, (0,) + p.images), new))
+
+    return SymImage(spec, index, tuple(map(relabel, gens_image)),
+                    tuple(map(relabel, ts)),
+                    tuple(words[point] for point in orbit))
 
 
 @dataclass
@@ -399,9 +423,12 @@ def verify_relators_in_image(spec: ProgenitorSpec, img: SymImage) -> list[str]:
     """
     report = []
     identity = tuple(range(1, img.index + 1))
+    realize = img._action[0]
     for k, (control_word, tail) in enumerate(spec.relators, start=1):
         pi = word_perm(spec.control_gens, control_word, spec.n)
-        if img.realized(pi, tail) != identity:
+        # letter by letter, leaving the coset-word table unbuilt
+        chain = img._t_chain(tail) if tail else identity
+        if realize[pi.images](chain) != identity:
             raise ImageError(f"relator {k} does not evaluate to the identity")
         report.append(
             f"relator {k}: control * t[{word_label(spec, tail)}] = 1; "

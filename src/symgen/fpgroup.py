@@ -13,7 +13,9 @@ a^-1*b^-1*a*b.
 The enumerator is the relator-scanning (HLT) strategy with row filling and
 immediate coincidence processing via union-find.  Coset numbering is the
 definition order, compacted ascending when the table closes, so enumeration
-output is reproducible run to run.  A generator k with a relator k^2 or
+output is reproducible run to run; dcenum.build_image renumbers the points
+of an image in (length, lex) order of their coset words, so no output
+depends on this order.  A generator k with a relator k^2 or
 k^-2 is an involution: while enumerating, k and k^-1 share one column that
 is its own inverse, so the squares hold by construction and are not
 scanned, and the closed rows are expanded back to a column for k and one

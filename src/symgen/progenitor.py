@@ -5,7 +5,8 @@ This module turns such a specification into
 
   * a finite presentation suitable for coset enumeration (one extra symbol
     for the first symmetric generator, commutators encoding its stabilizer,
-    and the factoring relators rewritten through orbit witness words), and
+    and the factoring relators rewritten through orbit witness words, with
+    a shortest control word between each two t's), and
 
   * a rewrite-rule system over generator words.  Each relator, as
     written, is split into one rule t_pattern = perm * t_replacement.
@@ -30,12 +31,12 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
-from typing import Iterable
+from typing import Iterable, Sequence
 
-from .perm import (Images, Perm, PermGroup, _gather, _product, _quotient,
-                   _trusted, word_perm)
+from .perm import (MAX_ELEMENTS, Images, Perm, PermGroup, _gather, _product,
+                   _quotient, _trusted, word_perm)
 from .fpgroup import (CosetLimitExceeded, FreeWord, Presentation, commutator,
-                      concat, reduce_word, word_conj, word_str)
+                      concat, invert_word, reduce_word, word_conj, word_str)
 
 Word = tuple[int, ...]  # letters are symmetric-generator indices in 1..n
 # a state's row of the letter table: letter -> (padded images or None, state)
@@ -120,6 +121,7 @@ def build_presentation(spec: ProgenitorSpec) -> Presentation:
     Consists of N's relators, t^2, commutators of t with Schreier-word
     generators of the stabilizer of index 1, and the factoring relators
     with tail letters replaced by conjugates of t along orbit witness
+    words, each shortened where _shortest_segments finds shorter control
     words.
     """
     m = len(spec.control_gens)
@@ -130,12 +132,7 @@ def build_presentation(spec: ProgenitorSpec) -> Presentation:
 
     for stab_word, _ in spec.control_group.schreier_generators(1):
         relators.append(commutator((t,), stab_word))
-    t_words = default_t_words(spec)
-    for control_word, tail in spec.relators:
-        rel = control_word
-        for i in tail:
-            rel = concat(rel, t_words[i - 1])
-        relators.append(rel)
+    relators += _shortest_segments(spec)
     return Presentation(names, tuple(relators))
 
 
@@ -145,6 +142,77 @@ def default_t_words(spec: ProgenitorSpec) -> list[FreeWord]:
     t = len(spec.control_gens) + 1
     _, witness = spec.control_group.orbit(1)
     return [word_conj((t,), witness[i]) for i in range(1, spec.n + 1)]
+
+
+def _shortest_segments(spec: ProgenitorSpec) -> list[FreeWord]:
+    """The factoring relators over the built presentation's generators,
+    with shortest control words between the t's.
+
+    With w_i the orbit witness word of index i (default_t_words), the
+    relator pi * t_i1 ... t_ik is written pi * w_i1^-1 t w_i1 ... w_ik^-1 t
+    w_ik.  Read cyclically, it is S_0 t S_1 t ... S_(k-1) t with the
+    control words S_0 = w_ik pi w_i1^-1 and S_j = w_ij w_i(j+1)^-1.  Each
+    segment is replaced by a shortest word for the same element of N,
+    which the control relators make equal to it when they present N, and
+    the cyclic reading is a conjugate of the relator, so the
+    presentation's group is unchanged.  (Over a presentation of a proper
+    cover of N the two words may differ by a kernel element, and the
+    group with them.)  A relator is kept as written unless the rebuilt
+    one is strictly shorter, since a mere rotation can make Todd-Coxeter
+    define more cosets.  A relator with an empty tail has no t to read
+    from and stays as written.
+    """
+    t = len(spec.control_gens) + 1
+    _, witness = spec.control_group.orbit(1)
+    written: list[FreeWord] = []
+    segments: list[list[FreeWord]] = []
+    for control_word, tail in spec.relators:
+        w = [witness[i] for i in tail]
+        written.append(concat(control_word, *(word_conj((t,), v) for v in w)))
+        segments.append([concat(w[j - 1], control_word if j == 0 else (),
+                                invert_word(w[j])) for j in range(len(w))])
+    elements = {seg: word_perm(spec.control_gens, seg, spec.n).images
+                for segs in segments for seg in segs}
+    shortest = _shortest_words(spec.control_gens, spec.n,
+                               set(elements.values()),
+                               max(map(len, elements), default=0))
+    relators = []
+    for rel, segs in zip(written, segments):
+        rebuilt = concat(*(shortest.get(elements[seg], seg) + (t,)
+                           for seg in segs))
+        relators.append(rebuilt if segs and len(rebuilt) < len(rel) else rel)
+    return relators
+
+
+def _shortest_words(gens: Sequence[Perm], degree: int, targets: set[Images],
+                    depth: int) -> dict[Images, FreeWord]:
+    """A shortest word over gens for each target found, by one breadth-first
+    search over image tuples from the identity, the generators taken in
+    order, each followed by its inverse unless it is an involution.  The
+    search stops once every target is found, at words of length depth, or
+    once it has visited perm.MAX_ELEMENTS elements; a target it does not
+    reach is left out."""
+    letters = []
+    for k, g in enumerate(gens, start=1):
+        letters.append((k, (0,) + g.images))
+        inverse = (~g).images
+        if inverse != g.images:
+            letters.append((-k, (0,) + inverse))
+    identity = tuple(range(1, degree + 1))
+    words: dict[Images, FreeWord] = {identity: ()}
+    level = [identity]
+    for _ in range(depth):
+        following = []
+        for p in level:
+            if targets <= words.keys() or len(words) >= MAX_ELEMENTS:
+                break
+            for letter, padded in letters:
+                q = _gather(p, padded)  # p * g
+                if q not in words:
+                    words[q] = words[p] + (letter,)
+                    following.append(q)
+        level = following
+    return {p: words[p] for p in targets & words.keys()}
 
 
 # -- rewrite rules ---------------------------------------------------------

@@ -77,7 +77,7 @@ class SymContext:
                 raise ValueError(f"word letter {letter} out of range 1..{self.n}")
         if canonical:
             if self.image is not None:
-                is_canonical = word in self.image.cst
+                is_canonical = word in self.image.point_of
             else:
                 is_canonical = canon((control, word), self.rules) == (control, word)
             if not is_canonical:

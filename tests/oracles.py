@@ -5,10 +5,10 @@ import itertools
 from typing import Sequence
 
 from symgen.fpgroup import (CosetLimitExceeded, CosetTable, Presentation,
-                            _check_closed, reduce_word)
+                            _check_closed, commutator, concat, reduce_word)
 from symgen.perm import IdentificationError, Perm, PermGroup, word_perm
 from symgen.progenitor import (Rule, RuleSet, UnsupportedRelator, Word,
-                               normalize_tail)
+                               default_t_words, normalize_tail)
 from symgen.symrep import SymElement
 
 
@@ -506,3 +506,19 @@ def image_inverse_by_perms(a):
     inv = ~a.control
     raw = SymElement(ctx, inv, inv.images_of(a.word[::-1]))
     return per2sym_by_perms(ctx, sym2per_by_perms(ctx, raw))
+
+
+def build_presentation_as_written(spec):
+    """progenitor.build_presentation as written before it shortened the
+    factoring relators: each is the control word followed by the t_words
+    of its tail, conjugates of t along orbit witness words, as concat
+    reduces them."""
+    t = len(spec.control_gens) + 1
+    relators = list(spec.control_presentation.relators) + [(t, t)]
+    for stab_word, _ in spec.control_group.schreier_generators(1):
+        relators.append(commutator((t,), stab_word))
+    t_words = default_t_words(spec)
+    for control_word, tail in spec.relators:
+        relators.append(concat(control_word, *(t_words[i - 1] for i in tail)))
+    return Presentation(spec.control_presentation.names + (spec.t_name,),
+                        tuple(relators))

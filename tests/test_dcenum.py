@@ -1,9 +1,9 @@
-import hashlib
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from symgen import dcenum
 from symgen.dcenum import (CollapsedGraph, DoubleCoset, ImageError,
                            build_image, double_cosets, emit_graph,
                            verify_relators_in_image)
@@ -11,8 +11,9 @@ from symgen.groupfile import load_bundled
 from symgen.perm import Perm, parse_cycles
 from symgen.progenitor import default_t_words
 from symgen.symrep import SymElement
-from oracles import (control_action_by_perms, elements_by_chain, follow_word,
-                     sym2per_by_perms)
+from oracles import (build_presentation_as_written, control_action_by_perms,
+                     elements_by_chain, follow_word, sym2per_by_perms)
+from test_progenitor import POWER_CASES, _case_spec
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -37,16 +38,28 @@ def test_image_index_and_order(all_contexts, name, index, order):
         all_contexts[name].spec.control_group.order()
 
 
-@pytest.mark.parametrize("name,digest", [
-    ("l2_19", "ccca97ccfa83c23be34f94e746519ecbb8da48f633240896d4956cdce2405b35"),
-    ("u3_3", "9e221ec8399bad7cc1fba719697964050af04d1013922637551776d86ce485a8"),
-    ("5sq_d6", "1a76a0d00684b70e9470541ab39273a750b3caa3650c1375cef882cc210ffcf8"),
-])
-def test_coset_point_numbering_is_pinned(all_contexts, name, digest):
-    # the points are numbered in Todd-Coxeter's definition order, which
-    # elt convert prints; an enumerator that renumbers them fails here
-    images = tuple(g.images for g in all_contexts[name].image.gens_image)
-    assert hashlib.sha256(repr(images).encode()).hexdigest() == digest
+# the fixtures, the power cases whose image closes, and the index-1,015
+# member 2^{*4}:S_4 / (x t_1)^7
+NUMBERING_CASES = (["l2_19", "5sq_d6", "u3_3"]
+                   + [f"{n},{word},{k}" for n, word, k, outcome in POWER_CASES
+                      if isinstance(outcome, int)]
+                   + ["4,x,7"])
+
+
+@pytest.mark.parametrize("name", NUMBERING_CASES)
+def test_coset_points_are_numbered_by_their_words(monkeypatch, name):
+    # the points are numbered in (length, lex) order of their coset words,
+    # so the image built from the shortened relators equals, field by
+    # field, the one built from the relators as written, though
+    # Todd-Coxeter defines their cosets in other orders
+    spec = _case_spec(name)
+    img = build_image(spec)
+    keys = [(len(w), w) for w in img.cst]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    assert img.point_of == {w: c for c, w in enumerate(img.cst, start=1)}
+    monkeypatch.setattr(dcenum, "build_presentation",
+                        build_presentation_as_written)
+    assert build_image(spec) == img
 
 
 def test_image_invariants(all_contexts):
@@ -227,6 +240,24 @@ def test_verify_relators_vacuous_without_relators(l2_19):
     assert verify_relators_in_image(bare, l2_19.image) == []
 
 
+@pytest.mark.parametrize("relator,passes", [
+    (((), (1, 2)), False),      # t_1 t_2 != 1
+    (((1,), ()), False),        # x != 1 in N
+    (((1, 1, 1, 1, 1), ()), True),  # x^5 = 1 in N
+])
+def test_verify_relators_checks_each_relator(l2_19, relator, passes):
+    from symgen.progenitor import ProgenitorSpec
+    spec = l2_19.spec
+    one = ProgenitorSpec(spec.n, spec.control_gens, spec.control_presentation,
+                         (relator,), spec.labels, t_name=spec.t_name)
+    if passes:
+        assert len(verify_relators_in_image(one, l2_19.image)) == 1
+    else:
+        with pytest.raises(ImageError, match="^relator 1 does not evaluate "
+                                             "to the identity$"):
+            verify_relators_in_image(one, l2_19.image)
+
+
 def test_l2_19_relator_witness(l2_19):
     # the tail product acts by conjugation on the six generators exactly as
     # the displayed 3+3 cycle permutation
@@ -387,13 +418,17 @@ def test_chain_table_matches_the_perm_oracle(all_contexts, name):
 @pytest.mark.parametrize("name", ["l2_19", "5sq_d6", "u3_3"])
 def test_enumerate_and_graph_build_no_engine_table(name):
     # the image engine's tables are built on first use, and building the
-    # image and its collapsed graph never uses them
-    img = load_bundled(name).build_context(with_rules=False).image
+    # image and its collapsed graph never uses them; checking the relators
+    # reads N's action but leaves the coset-word table unbuilt
+    ctx = load_bundled(name).build_context(with_rules=False)
+    img = ctx.image
     graph = double_cosets(img)
     emit_graph(graph, "dot")
     emit_graph(graph, "json")
     assert "_chains" not in img.__dict__
     assert "_action" not in img.__dict__
+    verify_relators_in_image(ctx.spec, img)
+    assert "_chains" not in img.__dict__
 
 
 @pytest.mark.parametrize("name", ["l2_19", "5sq_d6", "u3_3"])

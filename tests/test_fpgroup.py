@@ -306,11 +306,21 @@ def test_q8_without_involutions_enumerates_as_before(monkeypatch, subgens,
 
 
 @pytest.mark.parametrize("name,defined", [
-    ("5sq_d6", 889), ("l2_19", 43700), ("u3_3", 40304),
+    ("5sq_d6", 693), ("l2_19", 19607), ("u3_3", 40304),
 ])
 def test_fixture_cosets_defined_over_1(name, defined):
-    # two columns per generator defined 1,305, 71,711 and 70,230 cosets
+    # two columns per generator defined 1,305, 71,711 and 70,230 cosets,
+    # and the factoring relators as written, with one column per
+    # involution, 889, 43,700 and 40,304
     least_closing_limit(fixture_over_control_group(name)[0], [], defined)
+
+
+@pytest.mark.parametrize("name,defined", [
+    ("5sq_d6", 131), ("l2_19", 317), ("u3_3", 134),
+])
+def test_fixture_cosets_defined_over_n(name, defined):
+    # the factoring relators as written defined 145, 902 and 134 cosets
+    least_closing_limit(*fixture_over_control_group(name), defined)
 
 
 def test_max_cosets_limit():

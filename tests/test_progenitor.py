@@ -5,8 +5,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from symgen.fpgroup import (CosetLimitExceeded, Presentation, parse_word,
-                            todd_coxeter, coset_action)
+from symgen.fpgroup import (CosetLimitExceeded, Presentation, invert_word,
+                            parse_word, todd_coxeter, coset_action)
 from symgen import progenitor
 from symgen.perm import Perm, PermGroup, parse_cycles, word_perm
 from symgen.progenitor import (ProgenitorSpec, Rule, RuleSet,
@@ -16,8 +16,8 @@ from symgen.groupfile import load_bundled
 from symgen.dcenum import ImageError, build_image
 from symgen.symrep import (SymContext, canon, cenelt, format_element,
                            invert_sym, mult, per2sym, sym2per, unify)
-from oracles import (CompletionReference, canon_by_perms,
-                     closed_relator_rules, conjugate_rule,
+from oracles import (CompletionReference, build_presentation_as_written,
+                     canon_by_perms, closed_relator_rules, conjugate_rule,
                      control_action_by_perms,
                      schreier_generators_by_scan, table_view,
                      unify_two_step)
@@ -529,6 +529,28 @@ POWER_CASES = [
     (4, "x*y*x^-1*y", 7, 91), (4, "x", 3, ValueError)]
 
 
+def test_shortest_words_stop_at_depth_and_at_the_element_bound(monkeypatch):
+    # S_4 on x = (1,2,3,4), y = (1,2): the letters are x, x^-1 and y
+    x, y = parse_cycles("(1,2,3,4)", 4), parse_cycles("(1,2)", 4)
+    lengths = word_lengths_in((x, y), 4)
+    targets = {p.images for p in lengths}
+    found = progenitor._shortest_words((x, y), 4, targets, 10)
+    assert len(found) == 24
+    for images, word in found.items():
+        assert word_perm((x, y), word, 4).images == images
+        assert len(word) == lengths[Perm(images)]
+    assert found[(x * y).images] == (1, 2)
+    assert found[(~x).images] == (-1,)
+    # depth 2 finds the elements of length at most 2
+    near = progenitor._shortest_words((x, y), 4, targets, 2)
+    assert sorted(map(len, near.values())) == sorted(
+        k for k in lengths.values() if k <= 2)
+    # the search stops once it has visited MAX_ELEMENTS elements
+    monkeypatch.setattr(progenitor, "MAX_ELEMENTS", 1)
+    assert progenitor._shortest_words((x, y), 4, targets, 10) == {
+        Perm.identity(4).images: ()}
+
+
 @pytest.mark.parametrize("n,word,k,outcome", POWER_CASES)
 def test_completion_matches_the_reference_on_small_progenitors(n, word, k,
                                                                outcome):
@@ -674,6 +696,74 @@ def _case_spec(name):
         return empty_tail_spec()
     n, word, k = name.split(",")
     return power_relator_spec(int(n), word, int(k))
+
+
+def factoring_relators(spec, pres):
+    return pres.relators[len(pres.relators) - len(spec.relators):]
+
+
+def word_lengths_in(gens, degree):
+    """Each element of the group gens generate against the length of its
+    shortest word over gens and their inverses, by one Perm product per
+    step."""
+    steps = list(gens) + [~g for g in gens]
+    lengths = {Perm.identity(degree): 0}
+    queue = list(lengths)
+    for p in queue:
+        for g in steps:
+            if p * g not in lengths:
+                lengths[p * g] = lengths[p] + 1
+                queue.append(p * g)
+    return lengths
+
+
+# factoring relator lengths, as written and as built
+RELATOR_LENGTHS = {"5sq_d6": ((32, 18), (20, 12)), "l2_19": ((55,), (27,)),
+                   "u3_3": ((6, 13), (6, 13))}
+
+
+@pytest.mark.parametrize("name", list(dict.fromkeys(
+    name for name, _ in CLOSED_RELATOR_CASES)))
+def test_factoring_relators_use_shortest_control_words(name):
+    # read cyclically, a built relator is S_0 t S_1 t ... S_(k-1) t, whose
+    # control words multiply out in N to those of the relator as written,
+    # S_0 = w_ik pi w_i1^-1 and S_j = w_ij w_i(j+1)^-1 along the orbit
+    # witness words w_i, each at the least length a word for its element
+    # has; a relator that would not get strictly shorter, or has no t,
+    # stays as written
+    spec = _case_spec(name)
+    gens, n = spec.control_gens, spec.n
+    t = len(gens) + 1
+    lengths = word_lengths_in(gens, n)
+    _, witness = spec.control_group.orbit(1)
+    written = factoring_relators(spec, build_presentation_as_written(spec))
+    built = factoring_relators(spec, build_presentation(spec))
+    if name in RELATOR_LENGTHS:
+        assert RELATOR_LENGTHS[name] == (tuple(map(len, written)),
+                                         tuple(map(len, built)))
+    for (control_word, tail), old, new in zip(spec.relators, written, built):
+        if not tail:
+            assert new == old
+            continue
+        w = [witness[i] for i in tail]
+        segments = [w[-1] + control_word + invert_word(w[0])] + [
+            w[j - 1] + invert_word(w[j]) for j in range(1, len(w))]
+        shortest = [lengths[word_perm(gens, seg, n)] for seg in segments]
+        if new == old:
+            assert len(old) <= sum(shortest) + len(tail)
+            continue
+        assert len(new) < len(old)
+        assert new[-1] == t and new.count(t) == len(tail)
+        pieces, piece = [], []  # the control words before each t
+        for letter in new:
+            if letter == t:
+                pieces.append(tuple(piece))
+                piece = []
+            else:
+                piece.append(letter)
+        assert [word_perm(gens, p, n) for p in pieces] == [
+            word_perm(gens, seg, n) for seg in segments]
+        assert list(map(len, pieces)) == shortest
 
 
 @pytest.mark.parametrize("name,max_cosets", CLOSED_RELATOR_CASES)
