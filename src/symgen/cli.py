@@ -9,8 +9,9 @@ Spec files are the JSON format of groupfile; bundled fixture names
 (l2_19, 5sq_d6, u3_3) are accepted wherever a path is.  Exit codes:
 0 ok, 2 parse/validation error or unwritable --out file, 3 expectation
 mismatch, 4 resource limit (cosets, or a group too large to list),
-5 membership failure.  SYMGEN_MAX_COSETS overrides the coset limit, which
-bounds both the enumeration and the rewrite table.
+5 membership failure; a reader that closes stdout early gets 0.
+SYMGEN_MAX_COSETS overrides the coset limit, which bounds both the
+enumeration and the rewrite table.
 """
 
 from __future__ import annotations
@@ -184,12 +185,22 @@ def main(argv: list[str] | None = None) -> int:
     out = sys.stdout
     try:
         if args.command == "enumerate":
-            return _enumerate(_load(args.spec), out)
-        if args.command == "graph":
-            return _graph(_load(args.spec), args.format, args.out, out)
-        if args.command == "elt":
-            return _elt(_load(args.spec), args.action, args.elements, out)
-        return _selftest(out)
+            code = _enumerate(_load(args.spec), out)
+        elif args.command == "graph":
+            code = _graph(_load(args.spec), args.format, args.out, out)
+        elif args.command == "elt":
+            code = _elt(_load(args.spec), args.action, args.elements, out)
+        else:
+            code = _selftest(out)
+        out.flush()  # a closed reader shows here, not at shutdown
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early: what is left goes to devnull, so
+        # the flush at shutdown is silent too
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, out.fileno())
+        os.close(devnull)
+        return EXIT_OK
     except (CosetLimitExceeded, GroupTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_LIMIT

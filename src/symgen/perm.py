@@ -25,7 +25,7 @@ Products, inverses, conjugates and identity() are built unchecked
 from permutations already valid, the product and images_of() in one C-level
 gather (operator.itemgetter), so composing pays for no validation.  The
 modules that keep a permutation as its tuple of images (Images) gather
-with this one's _gather, _product, _quotient and _gather_of.
+with this one's _gather, _product, _inverse, _quotient and _gather_of.
 
 Perm values are immutable.  A PermGroup builds its chain and caches lazily
 on first use, so share instances across threads only after forcing that
@@ -107,10 +107,7 @@ class Perm:
         return _trusted(itemgetter(*si)((0,) + oi))
 
     def __invert__(self) -> "Perm":
-        inv = [0] * len(self.images)
-        for k, i in enumerate(self.images, start=1):
-            inv[i - 1] = k
-        return _trusted(tuple(inv))
+        return _trusted(_inverse(self.images))
 
     def conj(self, other: "Perm") -> "Perm":
         """Conjugate self by other: ~other * self * other."""
@@ -179,6 +176,14 @@ def _gather(points: Sequence[int], padded: Sequence[int]) -> Images:
 def _product(p: Images, q: Images) -> Images:
     """The images of p * q, p acting first."""
     return _gather(p, (0,) + q)
+
+
+def _inverse(p: Images) -> Images:
+    """The images of ~p."""
+    out = [0] * len(p)
+    for k, i in enumerate(p, start=1):
+        out[i - 1] = k
+    return tuple(out)
 
 
 def _quotient(p: Images, q: Images) -> Images:

@@ -16,12 +16,13 @@ This module turns such a specification into
     coset of N.  The letter table, the normal-form automaton of the
     completed system, is then read off it: one state per coset of N, and
     per state a row holding, for each letter t_i, the least (length, lex)
-    form of (least word) * t_i as a perm and a next state.  A word is
-    canonicalized letter by letter through the rows, from state to state.
+    form of (least word) * t_i as a perm and a next state.  symrep.canon
+    reduces a word letter by letter through the rows, from state to state.
 
 Within the rewrite system a permutation travels as its tuple of images,
 and a Perm is built only for what leaves it (see RuleSet); the arithmetic
-on image tuples is perm's (Images, _gather, _product, _quotient).
+on image tuples is perm's (Images, _gather, _product, _inverse,
+_quotient).
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ from functools import cached_property
 from operator import itemgetter
 from typing import Iterable, Sequence
 
-from .perm import (MAX_ELEMENTS, Images, Perm, PermGroup, _gather, _product,
-                   _quotient, _trusted, word_perm)
+from .perm import (MAX_ELEMENTS, Images, Perm, PermGroup, _gather, _inverse,
+                   _product, _quotient, _trusted, word_perm)
 from .fpgroup import (CosetLimitExceeded, FreeWord, Presentation, commutator,
                       concat, invert_word, reduce_word, word_conj, word_str)
 
@@ -291,11 +292,12 @@ class RuleSet:
 
     Inside, perms travel as image tuples (Images): the completion's
     equations, reductions and conjugates, the entries of the table's rows
-    and canonical_form's running control, which steps through the states
-    as integers.  A product is one gather of the left factor's images from
-    the right factor's padded behind a 0; each rule is padded once, on
-    first rewrite, and each row entry when it is built.  A Perm is built
-    only where a result leaves: a rule's perm and canonical_form's.
+    and the running control of symrep.canon's walk, which steps through
+    the states as integers and takes its raw control as images too.  A
+    product is one gather of the left factor's images from the right
+    factor's padded behind a 0; each rule is padded once, on first
+    rewrite, and each row entry when it is built.  A Perm is built only
+    where a result leaves: a rule's perm and canon's result.
     """
 
     def __init__(self, spec: ProgenitorSpec, rules: tuple[Rule, ...],
@@ -511,7 +513,7 @@ class RuleSet:
         t_(s_c) = eps_c t_(nf_c).  If t_s t_i = delta t_nf for the least
         word s of state k, rows[k][i] is (delta * eps_c^-1, c) for nf's
         coset c, with the perm's images padded behind a 0 for
-        canonical_form's gathers, or None for the identity, which needs
+        symrep.canon's gathers, or None for the identity, which needs
         none.  Each row is a dict on the letters 1..n, so any other key
         raises KeyError.
 
@@ -534,41 +536,10 @@ class RuleSet:
                     if len(least) >= self.max_cosets:
                         raise CosetLimitExceeded(self.max_cosets,
                                                  "rewrite letter table", "least words")
-                    least[nf] = len(queue), (0,) + _quotient(delta, identity)
+                    least[nf] = len(queue), (0,) + _inverse(delta)
                     queue.append(s + (i,))
                 state, eps_inverse = least[nf]
                 step = _gather(delta, eps_inverse)
                 row[i] = None if step == identity else (0,) + step, state
             rows.append(row)
         return tuple(rows), tuple(queue)
-
-    def canonical_form(self, word: Word, images: Images,
-                       trace: list | None = None) -> tuple[Perm, Word]:
-        """Least (length, lex) form of a word with its gathered perm,
-        control * t_word = perm * t_form, where images are the control's,
-        a degree-n perm's: a left-to-right run of the table's automaton
-        from state 0, the coset of (), that takes one row entry per letter
-        and gathers the entry's images into the control's, building one
-        Perm and reading the form's word at the end.  The word may hold
-        squares t_i t_i, since the table cancels them; a letter outside
-        1..n raises KeyError.  When given, trace collects the (length,
-        word) measure of the input and of the whole word after every step
-        that rewrites it."""
-        rows, words = self.table
-        state = 0
-        if trace is not None:
-            trace.append((len(word), word))
-            read = 0  # letters read, counted only for the trace
-        for letter in word:
-            padded, new = rows[state][letter]
-            # None for the identity, so always at degree 1, where
-            # itemgetter of one index would return no tuple
-            if padded is not None:
-                images = itemgetter(*images)(padded)
-            if trace is not None:
-                read += 1
-                if words[new] != words[state] + (letter,):
-                    current = words[new] + word[read:]
-                    trace.append((len(current), current))
-            state = new
-        return _trusted(images), words[state]

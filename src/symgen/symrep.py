@@ -13,15 +13,20 @@ SymImage.read_pair).  mult, invert_sym and equal_sym pick one by mode
 rewrite engine reduces a raw pair, and the image engine realizes the
 factors, multiplies the realizations and reads the result back.  per2sym
 and sym2per are the two converters.
+
+A raw pair is (control images, word): the control travels as its tuple
+of images, as inside RuleSet, so a pure product or inversion builds one
+Perm, canon's result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Sequence
 
-from .perm import (IdentificationError, Perm, _gather, _product, _trusted,
-                   label_cycles_str, parse_label_cycles)
+from .perm import (IdentificationError, Images, Perm, _gather, _inverse,
+                   _product, _trusted, label_cycles_str, parse_label_cycles)
 from .progenitor import ProgenitorSpec, RuleSet, Word, normalize_tail
 from .dcenum import SymImage, word_label
 
@@ -79,7 +84,8 @@ class SymContext:
             if self.image is not None:
                 is_canonical = word in self.image.point_of
             else:
-                is_canonical = canon((control, word), self.rules) == (control, word)
+                is_canonical = (canon((control.images, word), self.rules)
+                                == (control, word))
             if not is_canonical:
                 raise ValueError("control and word are not a canonical pair")
         return SymElement(self, control, word)
@@ -125,48 +131,64 @@ def _shared_context(ctx: SymContext, other: SymContext) -> SymContext:
     return ctx
 
 
-def unify(a: SymElement, b: SymElement) -> tuple[Perm, Word]:
+def unify(a: SymElement, b: SymElement) -> tuple[Images, Word]:
     """Gather two elements into one raw pair: pi*u . sigma*v =
-    (pi*sigma) . u^sigma ++ v, with no reduction performed.  sigma's
-    images are padded behind a 0 once, and both pi*sigma and u^sigma are
-    gathered from that one tuple, so a call builds one Perm.  The two
-    elements must come from one spec, which mult checks before it calls
-    this."""
+    (pi*sigma) . u^sigma ++ v, with no reduction performed, the control
+    as its tuple of images.  sigma's images are padded behind a 0 once,
+    and both pi*sigma and u^sigma are gathered from that one tuple, so a
+    call builds no Perm.  The two elements must come from one spec, which
+    mult checks before it calls this."""
     padded = (0,) + b.control.images
-    return (_trusted(_gather(a.control.images, padded)),
+    return (_gather(a.control.images, padded),
             _gather(a.word, padded) + b.word)
 
 
-def canon(raw: tuple[Perm, Word], rules: RuleSet, *,
+def canon(raw: tuple[Images, Word], rules: RuleSet, *,
           trace: list | None = None) -> tuple[Perm, Word]:
-    """Reduce a raw pair to canonically shortest form.
+    """Reduce a raw pair (control images, word) to its canonically
+    shortest form (perm, least word), with control * t_word = perm * t_form.
 
-    One left-to-right pass over the word (RuleSet.canonical_form): each
-    letter extends the least form of the prefix before it, through the
-    letter table read off the completed rule system on first use, an
-    automaton whose states are the cosets of N.  The scan starts from the
-    raw control's images and gathers each row entry's into them, so a call
+    One left-to-right run of the letter table's automaton, whose states
+    are the cosets of N (RuleSet.table), from state 0, the coset of ():
+    each letter takes one row entry, whose images are gathered into the
+    control's, and the form is the least word of the last state.  A call
     builds one Perm, its result.
 
-    Without a trace the word goes into the scan as it is: every state's
+    Without a trace the word goes into the walk as it is: every state's
     row has an entry for every letter i, a state whose least word ends in
-    i too, so the scan cancels squares t_i t_i itself.  A letter outside
+    i too, so the walk cancels squares t_i t_i itself.  A letter outside
     1..n misses the row, and the range check then names it.  With a
     trace, squares are dropped first, and trace collects the (length,
     word) measure of that input and of the whole word after every rewrite
     step; each entry is strictly less than the one before.
     """
-    perm, word = raw
-    if perm.degree != rules.n:
-        raise ValueError(f"degree mismatch: {perm.degree} != {rules.n}")
+    images, word = raw
+    if len(images) != rules.n:
+        raise ValueError(f"degree mismatch: {len(images)} != {rules.n}")
     if trace is not None:
-        return rules.canonical_form(normalize_tail(word, rules.n),
-                                    perm.images, trace)
+        word = normalize_tail(word, rules.n)
+    rows, words = rules.table
+    if trace is not None:
+        trace.append((len(word), word))
+        read = 0  # letters read, counted only for the trace
+    state = 0
     try:
-        return rules.canonical_form(word, perm.images)
+        for letter in word:
+            padded, new = rows[state][letter]
+            # None for the identity, so always at degree 1, where
+            # itemgetter of one index would return no tuple
+            if padded is not None:
+                images = itemgetter(*images)(padded)
+            if trace is not None:
+                read += 1
+                if words[new] != words[state] + (letter,):
+                    current = words[new] + word[read:]
+                    trace.append((len(current), current))
+            state = new
     except KeyError:
         normalize_tail(word, rules.n)  # raises for a letter out of range
         raise
+    return _trusted(images), words[state]
 
 
 def per2sym(ctx: SymContext, p: Perm) -> SymElement:
@@ -191,9 +213,16 @@ def mult(a: SymElement, b: SymElement, mode: str = "auto") -> SymElement:
     by the engine mode picks: canon reduces the raw pair that unify
     gathers, or the image engine multiplies the two factors' realizations
     and reads the product back."""
-    ctx = _shared_context(a.ctx, b.ctx)
-    if _is_pure(ctx, mode):
-        return _reduce(ctx, unify(a, b), True)
+    ctx = a.ctx
+    if b.ctx is not ctx:
+        _shared_context(ctx, b.ctx)
+    # "auto" and "pure" need no further check when rules exist; _is_pure
+    # checks every other case
+    pure = ctx.rules is not None and mode in ("auto", "pure")
+    if pure or _is_pure(ctx, mode):
+        # canon by its module global, which the benchmark's tracer wraps
+        perm, word = canon(unify(a, b), ctx.rules)
+        return SymElement(ctx, perm, word)
     img = ctx.image
     return SymElement(ctx, *img.read_pair(_product(
         img.realized(a.control, a.word), img.realized(b.control, b.word))))
@@ -205,8 +234,9 @@ def invert_sym(a: SymElement, mode: str = "auto") -> SymElement:
     (SymImage.realized_inverse), read back."""
     ctx = a.ctx
     if _is_pure(ctx, mode):
-        inv = ~a.control
-        return _reduce(ctx, (inv, inv.images_of(a.word[::-1])), True)
+        inv = _inverse(a.control.images)
+        perm, word = canon((inv, _gather(a.word[::-1], (0,) + inv)), ctx.rules)
+        return SymElement(ctx, perm, word)
     img = ctx.image
     return SymElement(ctx, *img.read_pair(img.realized_inverse(a.control, a.word)))
 
@@ -216,9 +246,7 @@ def equal_sym(a: SymElement, b: SymElement, mode: str = "auto") -> bool:
     the engine mode picks, are equal."""
     ctx = _shared_context(a.ctx, b.ctx)
     pure = _is_pure(ctx, mode)
-    ca = _reduce(ctx, (a.control, a.word), pure)
-    cb = _reduce(ctx, (b.control, b.word), pure)
-    return ca.control == cb.control and ca.word == cb.word
+    return _canonical_pair(ctx, a, pure) == _canonical_pair(ctx, b, pure)
 
 
 def _is_pure(ctx: SymContext, mode: str) -> bool:
@@ -235,17 +263,15 @@ def _is_pure(ctx: SymContext, mode: str) -> bool:
     return mode == "pure"
 
 
-def _reduce(ctx: SymContext, raw: tuple[Perm, Word], pure: bool) -> SymElement:
-    """The canonical element of a raw pair (nu, word): by canon over the
-    rules, or by the image engine, which realizes the pair on the coset
-    points and reads its canonical pair back."""
+def _canonical_pair(ctx: SymContext, e: SymElement,
+                    pure: bool) -> tuple[Perm, Word]:
+    """The canonical pair of an element of ctx: by canon over the rules,
+    or by the image engine, which realizes the element on the coset points
+    and reads its canonical pair back."""
     if pure:
-        # canon by its module global, which the benchmark's tracer wraps
-        perm, word = canon(raw, ctx.rules)
-    else:
-        img = ctx.image
-        perm, word = img.read_pair(img.realized(*raw))
-    return SymElement(ctx, perm, word)
+        return canon((e.control.images, e.word), ctx.rules)
+    img = ctx.image
+    return img.read_pair(img.realized(e.control, e.word))
 
 
 def cenelt(ctx: SymContext, a: SymElement) -> tuple[int, list[SymElement]]:

@@ -1,5 +1,6 @@
 import copy
 import json
+import os
 import re
 import subprocess
 import sys
@@ -546,3 +547,28 @@ def test_console_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "index: 50" in proc.stdout
+
+
+@pytest.mark.parametrize("buffered", [True, False],
+                         ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("args", [
+    ["enumerate", "u3_3"],
+    ["graph", "u3_3", "--format", "json"],
+    ["elt", "l2_19", "centralize", "(id | -)"],
+], ids=["enumerate", "graph", "centralize"])
+def test_reader_closed_before_any_write_exits_cleanly(args, buffered):
+    # the read end of the pipe is closed before the CLI starts, as when a
+    # reader such as head exits early: exit 0 and no traceback, whether the
+    # pipe breaks at a print (unbuffered) or at the last flush (buffered)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "symgen.cli", *args],
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              env=env)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, b"")

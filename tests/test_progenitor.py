@@ -147,8 +147,8 @@ def test_rule_shapes_u3(u3_3):
                 frontier.append(img)
     assert len(orbit) == 56
     for pair in orbit:
-        assert len(u3_3.rules.canonical_form(
-            pair, Perm.identity(spec.n).images)[1]) == 1, pair
+        assert len(canon((Perm.identity(spec.n).images, pair),
+                         u3_3.rules)[1]) == 1, pair
 
 
 def test_rule_shapes_5sq(d6_5sq):
@@ -255,8 +255,8 @@ def test_pair_canonical_forms_match_image(all_contexts):
             for b in range(1, n + 1):
                 if a == b:
                     continue
-                delta, form = ctx.rules.canonical_form(
-                    (a, b), Perm.identity(n).images)
+                delta, form = canon((Perm.identity(n).images, (a, b)),
+                                    ctx.rules)
                 e = per2sym(ctx, img.ts[a - 1] * img.ts[b - 1])
                 assert (delta, form) == (e.control, e.word), (name, a, b)
 
@@ -400,7 +400,7 @@ def test_rewrite_engine_without_factoring_relators_hits_the_budget():
     spec = spec_without_relators(load_bundled("5sq_d6").spec)
     rules = derive_rules(spec, max_cosets=200)
     with pytest.raises(CosetLimitExceeded):
-        rules.canonical_form((1, 2), Perm.identity(spec.n).images)
+        canon((Perm.identity(spec.n).images, (1, 2)), rules)
 
 
 def collapsing_spec():
@@ -630,7 +630,8 @@ def test_degree_one_progenitor(relators, words):
     t1 = words[(), 1]
     for word in ((1,), (1, 1, 1)):
         trace = []
-        assert canon((identity, word), rules, trace=trace) == (identity, t1)
+        assert canon((identity.images, word), rules,
+                     trace=trace) == (identity, t1)
         assert trace == [(1, (1,))] + [(0, ())] * (t1 == ())
     ctx = SymContext(spec, rules=rules)
     t = ctx.element(identity, (1,))
@@ -867,12 +868,13 @@ def test_canon_matches_the_per_letter_oracle(all_contexts, name):
     moved = 0
     for raw in _raw_pairs(rules.spec, rng, 2000):
         trace, expected_trace = [], []
-        result = canon(raw, rules, trace=trace)
+        pair = (raw[0].images, raw[1])
+        result = canon(pair, rules, trace=trace)
         expected = canon_by_perms(raw, rules, trace=expected_trace)
         assert (result, trace) == (expected, expected_trace), raw
         # without a trace the squares are left to the table, which products
         # and inversions rely on
-        assert canon(raw, rules) == expected, raw
+        assert canon(pair, rules) == expected, raw
         moved += not (~raw[0] * result[0]).is_identity()
     # the words reach the entries that move letters, where there are any
     assert (moved > 0) == any(padded is not None
@@ -894,4 +896,24 @@ def test_unify_matches_the_two_step_oracle(all_contexts, name):
     raws = _raw_pairs(ctx.spec, rng, 400)
     for (p, u), (q, v) in zip(raws[::2], raws[1::2]):
         a, b = ctx.element(p, u), ctx.element(q, v)
-        assert unify(a, b) == unify_two_step(a, b), (a, b)
+        perm, word = unify_two_step(a, b)
+        assert unify(a, b) == (perm.images, word), (a, b)
+
+
+@pytest.mark.parametrize("key", list(DEGREE_ONE_RELATORS))
+def test_degree_one_pure_products_and_inversions_match_the_oracle(key):
+    # at degree 1 the controls' images are one item each, and a gather of
+    # one index returns no tuple; mult and invert_sym gather image tuples
+    # for canon, and the oracle multiplies Perms and reduces per letter
+    spec = degree_one_spec(DEGREE_ONE_RELATORS[key])
+    rules = derive_rules(spec)
+    ctx = SymContext(spec, rules=rules)
+    elements = [ctx.element(p, u)
+                for p, u in _raw_pairs(spec, random.Random(key), 200)]
+    for a, b in zip(elements[::2], elements[1::2]):
+        product = mult(a, b, mode="pure")
+        assert ((product.control, product.word)
+                == canon_by_perms(unify_two_step(a, b), rules)), (a, b)
+        inverse, inv = invert_sym(a, mode="pure"), ~a.control
+        assert ((inverse.control, inverse.word) == canon_by_perms(
+            (inv, inv.images_of(a.word[::-1])), rules)), a

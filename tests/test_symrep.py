@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from symgen import symrep
+from symgen import perm, symrep
 from symgen.dcenum import build_image
 from symgen.perm import IdentificationError, Perm
 from symgen.symrep import (ContextError, SymContext, SymElement, canon,
@@ -46,28 +46,28 @@ def test_unify_identity_cases(l2_19):
     ctx = l2_19
     e = ctx.identity_element()
     b = rand_elements(ctx, 1, seed=1)[0]
-    perm, word = unify(e, b)
-    assert perm == b.control and word == b.word
+    images, word = unify(e, b)
+    assert images == b.control.images and word == b.word
     # one-letter conjugation
     a = ctx.element(Perm.identity(6), (3,))
     sigma = b.control
-    perm, word = unify(a, ctx.element(sigma, ()))
-    assert perm == sigma and word == (sigma.apply(3),)
+    images, word = unify(a, ctx.element(sigma, ()))
+    assert images == sigma.images and word == (sigma.apply(3),)
 
 
 def test_unify_flatten_length(u3_3):
     ctx = u3_3
     a, b = rand_elements(ctx, 2, seed=2)
-    perm, word = unify(a, b)
+    images, word = unify(a, b)
     # unify only concatenates: the raw word keeps every letter of both
     assert len(word) == len(a.word) + len(b.word)
-    assert perm == a.control * b.control
+    assert images == (a.control * b.control).images
     assert word[len(a.word):] == b.word
 
 
 def test_canon_deletes_squares(l2_19):
     ctx = l2_19
-    perm, word = canon((Perm.identity(6), (3, 3)), ctx.rules)
+    perm, word = canon((Perm.identity(6).images, (3, 3)), ctx.rules)
     assert perm.is_identity() and word == ()
 
 
@@ -88,7 +88,8 @@ def test_canon_rejects_raw_input(l2_19, degree, word, message, traced):
     # bad letter or degree whether or not it traces, before any trace entry
     trace = [] if traced else None
     with pytest.raises(ValueError, match=re.escape(message)):
-        canon((Perm.identity(degree), word), l2_19.rules, trace=trace)
+        canon((Perm.identity(degree).images, word), l2_19.rules,
+              trace=trace)
     assert trace == ([] if traced else None)
 
 
@@ -97,7 +98,7 @@ def test_canon_rejects_raw_input(l2_19, degree, word, message, traced):
 def test_canon_reraises_a_table_miss_in_range(l2_19, traced):
     # 2.5 passes the range check but is no letter of the table
     with pytest.raises(KeyError):
-        canon((Perm.identity(6), (2.5,)), l2_19.rules,
+        canon((Perm.identity(6).images, (2.5,)), l2_19.rules,
               trace=[] if traced else None)
 
 
@@ -106,8 +107,8 @@ def test_canon_empties_first_relator_word(u3_3):
     # empty word and the control part acts like the paired swap
     ctx = u3_3
     ix = ix_map(ctx)
-    perm, word = canon((Perm.identity(14), (ix["b0"], ix["0"], ix["b0"])),
-                       ctx.rules)
+    perm, word = canon((Perm.identity(14).images,
+                        (ix["b0"], ix["0"], ix["b0"])), ctx.rules)
     assert word == ()
     assert perm == ctx.spec.control_gens[2]
 
@@ -127,8 +128,8 @@ def test_canon_measure_strictly_decreases(all_contexts):
 def test_canon_idempotent(all_contexts):
     for ctx in all_contexts.values():
         for e in rand_elements(ctx, 30, seed=5):
-            c1 = canon((e.control, e.word), ctx.rules)
-            assert canon(c1, ctx.rules) == c1
+            c1 = canon((e.control.images, e.word), ctx.rules)
+            assert canon((c1[0].images, c1[1]), ctx.rules) == c1
 
 
 def test_per2sym_trivial_cases(all_contexts):
@@ -247,6 +248,30 @@ def test_pure_products_and_inversions_call_canon_once(monkeypatch,
             calls.clear()
             call()
             assert len(calls) == 1
+
+
+def test_pure_products_and_inversions_build_one_perm(monkeypatch,
+                                                    all_contexts):
+    # a raw pair carries its control as images, so the one Perm a pure
+    # product or inversion builds is canon's result; every Perm, checked
+    # or not, sets its images through perm._set_images
+    built = []
+    original = perm._set_images
+
+    def counting_set_images(p, images):
+        built.append(images)
+        original(p, images)
+
+    monkeypatch.setattr(perm, "_set_images", counting_set_images)
+    for ctx in all_contexts.values():
+        ctx.rules.table  # completion, on first use, builds the rules' Perms
+        for seed in range(5):
+            a, b = rand_elements(ctx, 2, seed=30 + seed)
+            for call in (lambda: mult(a, b, mode="pure"),
+                         lambda: invert_sym(a, mode="pure")):
+                built.clear()
+                result = call()
+                assert built == [result.control.images]
 
 
 def test_auto_mode_prefers_the_rewrite_engine(monkeypatch, all_contexts):
