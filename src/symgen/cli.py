@@ -10,8 +10,9 @@ Spec files are the JSON format of groupfile; bundled fixture names
 0 ok, 2 parse/validation error or unwritable --out file, 3 expectation
 mismatch, 4 resource limit (cosets, or a group too large to list),
 5 membership failure; a reader that closes stdout early gets 0.
-SYMGEN_MAX_COSETS overrides the coset limit, which bounds both the
-enumeration and the rewrite table.
+SYMGEN_MAX_COSETS overrides the coset limit, which bounds the cosets that
+each of the two enumerations defines: the image route's Todd-Coxeter and
+the rewrite engine's letter table.
 """
 
 from __future__ import annotations

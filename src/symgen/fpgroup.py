@@ -38,9 +38,10 @@ FreeWord = tuple[int, ...]
 
 
 class CosetLimitExceeded(RuntimeError):
-    """A search abandoned at its budget before closure: Todd-Coxeter's
-    cosets by default; stage and unit name another search the coset limit
-    bounds, such as the rewrite engine's letter table."""
+    """A search abandoned at its budget before closure.  The coset limit
+    bounds the cosets that each of two enumerations defines: Todd-Coxeter
+    here, the default stage, and the rewrite engine's letter table, which
+    names its own stage."""
 
     def __init__(self, limit: int, stage: str = "coset enumeration",
                  unit: str = "cosets"):

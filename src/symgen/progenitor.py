@@ -8,18 +8,16 @@ This module turns such a specification into
     and the factoring relators rewritten through orbit witness words, with
     a shortest control word between each two t's), and
 
-  * a rewrite-rule system over generator words.  Each relator, as
-    written, is split into one rule t_pattern = perm * t_replacement.
-    Knuth-Bendix completion under reverse shortlex makes them confluent,
-    deriving the relators' control-group conjugates, cyclic rotations and
-    inverses on the way, so every word reduces to one normal form per
-    coset of N.  The letter table, the normal-form automaton of the
-    completed system, is then read off it: one state per coset of N, and
-    per state a row holding, for each letter t_i, the least (length, lex)
-    form of (least word) * t_i as a perm and a next state.  symrep.canon
-    reduces a word letter by letter through the rows, from state to state.
+  * the rewrite engine's letter table, an automaton whose states are the
+    cosets of N: per state a row holding, for each letter t_i, the least
+    (length, lex) form of (least word) * t_i as a perm and a next state.
+    It is read straight off one coset enumeration of G over N whose
+    entries carry elements of N, run on the factoring relators as written
+    and the conjugation relators t_i^g = t_(i^g) (see RuleSet.table).
+    symrep.canon reduces a word letter by letter through the rows, from
+    state to state.
 
-Within the rewrite system a permutation travels as its tuple of images,
+Within the rewrite engine a permutation travels as its tuple of images,
 and a Perm is built only for what leaves it (see RuleSet); the arithmetic
 on image tuples is perm's (Images, _gather, _product, _inverse,
 _quotient).
@@ -27,25 +25,18 @@ _quotient).
 
 from __future__ import annotations
 
-import heapq
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .perm import (MAX_ELEMENTS, Images, Perm, PermGroup, _gather, _inverse,
-                   _product, _quotient, _trusted, word_perm)
+                   _product, _quotient, word_perm)
 from .fpgroup import (CosetLimitExceeded, FreeWord, Presentation, commutator,
                       concat, invert_word, reduce_word, word_conj, word_str)
 
 Word = tuple[int, ...]  # letters are symmetric-generator indices in 1..n
 # a state's row of the letter table: letter -> (padded images or None, state)
 Row = dict[int, tuple[Images | None, int]]
-
-
-class UnsupportedRelator(ValueError):
-    """A factoring relator whose shape the rule deriver cannot use."""
 
 
 def normalize_tail(tail: Iterable[int], n: int) -> Word:
@@ -216,330 +207,253 @@ def _shortest_words(gens: Sequence[Perm], degree: int, targets: set[Images],
     return {p: words[p] for p in targets & words.keys()}
 
 
-# -- rewrite rules ---------------------------------------------------------
-
-@dataclass(frozen=True)
-class Rule:
-    """t_pattern = perm * t_replacement, as an identity in the image."""
-
-    pattern: Word
-    perm: Perm
-    replacement: Word
-
-    @cached_property
-    def _padded(self) -> Images:
-        """perm's images behind a 0, so that a gather by points reads the
-        image of each; built on the rule's first rewrite."""
-        return (0,) + self.perm.images
-
+# -- the letter table --------------------------------------------------------
 
 def derive_rules(spec: ProgenitorSpec, max_cosets: int = 10 ** 6) -> "RuleSet":
-    """Base rewrite rules from the factoring relators as written.
+    """The rewrite engine of spec: its factoring relators as written, each
+    as a word over the letter table's enumeration columns (see RuleSet),
+    and the table, enumerated on first use within the max_cosets budget.
 
-    Each relator pi * t_w = 1 is split at the middle into one rule
-    t_u = pi^-1 * t_(reverse v), with w = u v and |u| >= |v|.  Its
-    conjugates, cyclic rotations and inverse need no rules of their own,
-    since completion derives them.  A rotation or the inverse is the
-    relator multiplied through by letters that t_c t_c = 1 cancels, and
-    completion joins every rule's overlaps with t_c t_c at both ends.  The
-    conjugate by an element of N follows from conjugates by the control
-    generators, and completion joins every rule's conjugate by each of
-    them.  So the completed system decides the congruence that the closed
-    relators generate, and the letter table, which depends only on that
-    congruence, is theirs.  RuleSet completes the rules on first use,
-    within the max_cosets budget.
+    A relator pi * t_w = 1 is its control word followed by its tail.  One
+    with an empty tail reads pi = 1, which the enumeration checks at the
+    coset of N itself.
     """
-    rules = []
-    for control_word, w in spec.relators:
-        if not w:
-            raise UnsupportedRelator("factoring relator with empty tail")
-        a = (len(w) + 1) // 2
-        pi = word_perm(spec.control_gens, control_word, spec.n)
-        rules.append(Rule(w[:a], ~pi, tuple(reversed(w[a:]))))
-    return RuleSet(spec, tuple(rules), max_cosets)
+    n = spec.n
+    relators = tuple(
+        tuple(_control_column(n, letter) for letter in control_word)
+        + tuple(i - 1 for i in tail)
+        for control_word, tail in spec.relators)
+    return RuleSet(spec, relators, max_cosets)
 
 
-def _straddled(system: dict[Word, Rule], p: Word, q: Word, k: int) -> bool:
-    """Whether a left-hand side of system lies strictly inside the overlap
-    w = p + q[k:] of left-hand sides p and q.  No left-hand side contains
-    another, so such an occurrence starts after w's first letter and before
-    q's window, and ends after p's window and before w's last letter."""
-    w = p + q[k:]
-    for i in range(1, len(p) - k):
-        for j in range(len(p) + 1, len(w)):
-            if w[i:j] in system:
-                return True
-    return False
+def _control_column(n: int, letter: int) -> int:
+    """The column of control generator k (letter k) or of its inverse
+    (letter -k): n + 2k - 2 and n + 2k - 1, after the n columns of the
+    t_i."""
+    return n + 2 * abs(letter) - 2 + (letter < 0)
+
+
+_COLLAPSE = ("the factoring relators identify a non-identity element of N "
+             "with 1")
 
 
 class RuleSet:
-    """The base rules, their Knuth-Bendix completion and the letter table,
-    an automaton whose states are the cosets of N (see table).
+    """The rewrite engine's letter table over a progenitor spec, built by
+    one enumeration of the cosets of the control group N whose entries
+    carry elements of N (see table).
 
-    A rule t_u = pi * t_v rewrites x u y to x^pi v y and gathers pi into
-    the control part (t_x pi = pi t_(x^pi)).  Letters right of the window
-    stay put, so under reverse shortlex (length, then lex from the right)
-    a rule with v below u lowers every word it rewrites.  The completed
-    rules in system are confluent: _reduce maps each word to the one
-    irreducible word of its coset N t_w.  max_cosets bounds the table's
-    states, and n * max_cosets the rules that completion adds; past either,
-    building the table raises CosetLimitExceeded, and so does every later
-    access, since each one completes afresh from the base rules.
+    The letter table is an automaton whose states are the cosets of N: a
+    state k stands for its coset N t_(words[k]), and the entry of letter i
+    in rows[k] is the least form of t_(words[k]) t_i.  symrep.canon reduces
+    a word letter by letter through the rows, from state to state.
 
-    Completion keeps a memo of _reduce and indexes the left-hand sides by
-    proper prefix, proper suffix and factor (see _complete); both live only
-    while _complete runs, and system, _widths and the table outlive it.
+    rules holds the factoring relators as written, one word of columns
+    each (derive_rules), and max_cosets bounds the cosets that the
+    enumeration defines; past it, building the table raises
+    CosetLimitExceeded, and so does every later access, since each one
+    enumerates afresh.
 
-    Inside, perms travel as image tuples (Images): the completion's
-    equations, reductions and conjugates, the entries of the table's rows
-    and the running control of symrep.canon's walk, which steps through
-    the states as integers and takes its raw control as images too.  A
-    product is one gather of the left factor's images from the right
-    factor's padded behind a 0; each rule is padded once, on first
-    rewrite, and each row entry when it is built.  A Perm is built only
-    where a result leaves: a rule's perm and canon's result.
+    Inside, perms travel as image tuples (Images): the enumeration's
+    labels, the entries of the table's rows and the running control of
+    symrep.canon's walk, which steps through the states as integers and
+    takes its raw control as images too.  A product is one gather of the
+    left factor's images from the right factor's padded behind a 0, and
+    each row entry is padded when it is built.  The engine builds a Perm
+    only for canon's result.
     """
 
-    def __init__(self, spec: ProgenitorSpec, rules: tuple[Rule, ...],
-                 max_cosets: int):
+    def __init__(self, spec: ProgenitorSpec,
+                 rules: tuple[tuple[int, ...], ...], max_cosets: int):
         self.spec = spec
         self.rules = rules
         self.n = spec.n
         self.max_cosets = max_cosets
-        self._identity: Images = tuple(range(1, spec.n + 1))
-        self.system: dict[Word, Rule] = {}  # filled by the table's build
-        self._widths: tuple[int, ...] = ()  # left-hand side lengths, ascending
-
-    def _reduce(self, word: Word) -> tuple[Images, Word]:
-        """(delta, nf) with t_word = delta * t_nf, nf irreducible and delta
-        as its images.
-
-        Letters go one at a time onto an irreducible stack, so a redex can
-        only end at the letter just pushed.  A rule applied there moves the
-        stack below its window by its perm; the moved part is scanned
-        again, ahead of the replacement and the rest of the word.
-        """
-        system, widths = self.system, self._widths
-        delta = self._identity
-        out: list[int] = []
-        todo = list(reversed(word))
-        while todo:
-            letter = todo.pop()
-            if out and out[-1] == letter:
-                out.pop()
-                continue
-            out.append(letter)
-            # shortest first, and no longer than out: a key of length k
-            # cannot equal out[-k:] once k > len(out), since that slice is
-            # all of out
-            rule = None
-            for k in widths:
-                if k > len(out):
-                    break
-                rule = system.get(tuple(out[-k:]))
-                if rule is not None:
-                    break
-            if rule is None:
-                continue
-            del out[-k:]
-            # itemgetter of one index returns no tuple, and at degree 1
-            # every perm is the identity
-            images = rule._padded
-            if len(delta) > 1:
-                delta = itemgetter(*delta)(images)
-            todo += reversed(rule.replacement)
-            if len(out) > 1:
-                todo += reversed(itemgetter(*out)(images))
-            elif out:
-                todo.append(images[out[0]])
-            out.clear()
-        return delta, tuple(out)
-
-    def _complete(self):
-        """Knuth-Bendix completion of the base rules under reverse shortlex.
-
-        Equations p t_u = q t_v wait in a heap, shortest first, with p and
-        q as images.  Each one popped is reduced on both sides and, unless
-        they meet, oriented into a new rule; equal words under unequal
-        perms mean the relators collapse N.  A new rule sends back as
-        equations the rules whose left-hand side contains its own, then
-        queues its critical pairs.
-
-        _reduce reads only system and _widths, so a memo of its results is
-        exact until a rule is added or retired, and is cleared then.  The
-        left-hand sides are indexed by each proper prefix, each proper
-        suffix and each factor, so a new rule finds the rules it overlaps
-        and the rules it makes stale without a scan of system.
-
-        The order in which equations are pushed changes the steps but not
-        the result: the completed left-hand sides are the minimal reducible
-        words of the reduction order, and each word has one normal form
-        with one gathered perm (Sims 1994, ch. 2), so system's left-hand
-        sides, each right-hand side's reduction and the table are fixed.
-
-        _critical_pairs drops the composite rule-rule overlaps, judged
-        against system as it stands when the new rule's overlaps are
-        collected.  That stays sound after later retirements: a rule c is
-        retired only by a new rule r whose left-hand side lies inside c's,
-        so r's lies strictly inside the overlap word too, and so on down to
-        a rule of the final system.
-        """
-        identity = self._identity
-        system = self.system
-        heap: list = []
-        tiebreak = itertools.count()
-        memo: dict[Word, tuple[Images, Word]] = {}
-        # proper prefix / proper suffix / factor -> left-hand sides with it
-        prefixes: dict[Word, set[Word]] = {}
-        suffixes: dict[Word, set[Word]] = {}
-        factors: dict[Word, set[Word]] = {}
-
-        def index(lhs: Word, update) -> None:
-            k = len(lhs)
-            for i in range(1, k):
-                update(prefixes.setdefault(lhs[:i], set()), lhs)
-                update(suffixes.setdefault(lhs[i:], set()), lhs)
-            for i in range(k):
-                for j in range(i + 1, k + 1):
-                    update(factors.setdefault(lhs[i:j], set()), lhs)
-
-        def push(p: Images, u: Word, q: Images, v: Word):
-            key = max((len(u), u[::-1]), (len(v), v[::-1]))
-            heapq.heappush(heap, (key, next(tiebreak), p, u, q, v))
-
-        def reduce(word: Word) -> tuple[Images, Word]:
-            hit = memo.get(word)
-            if hit is None:
-                hit = memo[word] = self._reduce(word)
-            return hit
-
-        for r in self.rules:
-            push(identity, r.pattern, r.perm.images, r.replacement)
-        added = 0
-        while heap:
-            _, _, p, u, q, v = heapq.heappop(heap)
-            d, u = reduce(u)
-            e, v = reduce(v)
-            p, q = _product(p, d), _product(q, e)
-            if u == v:
-                if p != q:
-                    raise ValueError("the factoring relators identify a "
-                                     "non-identity element of N with 1")
-                continue
-            if (len(u), u[::-1]) < (len(v), v[::-1]):
-                p, u, q, v = q, v, p, u
-            added += 1
-            if added > self.n * self.max_cosets:
-                raise CosetLimitExceeded(self.n * self.max_cosets,
-                                         "Knuth-Bendix completion", "added rules")
-            memo.clear()
-            for lhs in list(factors.get(u, ())):  # index() shrinks the set
-                r = system.pop(lhs)
-                index(lhs, set.discard)
-                push(identity, r.pattern, r.perm.images, r.replacement)
-            rule = system[u] = Rule(u, _trusted(_quotient(p, q)), v)
-            index(u, set.add)
-            self._widths = tuple(sorted({*self._widths, len(u)}))
-            for pair in self._critical_pairs(rule, prefixes, suffixes):
-                push(*pair)
-
-    def _critical_pairs(self, rule: Rule, prefixes: dict[Word, set[Word]],
-                        suffixes: dict[Word, set[Word]]):
-        """The two one-step rewrites (p, u, q, v) of each word where rule
-        overlaps t_c t_c = 1, a control generator g on its right, or a rule
-        in system (itself too), with p and q as images.  The generator
-        overlap is the conjugate rule t_(u^g) = pi^g t_(v^g): a rewrite
-        moves the letters left of its window, so the rules there must also
-        join in moved form.  prefixes and suffixes are _complete's indexes,
-        which hold rule: a rule-rule overlap has a's pattern end with the k
-        letters that b's begins with, and rule is a or b.
-
-        A rule-rule overlap w = a.pattern + b.pattern[k:] is composite, and
-        yields nothing, when a left-hand side c of system lies strictly
-        inside w: after its first letter and before its last (Kapur,
-        Musser & Narendran 1988).  Its two sides still join:
-
-        * system is interreduced, so that occurrence of c is no factor of
-          a or b: it starts left of b's window and ends right of a's.  The
-          prefix w1 of w that ends with c holds the windows of a and c, and
-          the suffix w2 that starts with c holds those of c and b.  Both
-          are shorter than w, and so is the rewrite of w by c.
-        * Words below w in reverse shortlex are confluent (induct on w, as
-          in Newman's lemma), so the two sides of w1 and those of w2 each
-          reduce to one (delta, nf).
-        * A right extension w1 y is untouched: a rewrite leaves the letters
-          right of its window in place, so the steps that join w1's sides
-          join the sides of w1 y by a and by c.
-        * A left extension x w2 joins too.  A step at a window inside s
-          gathers its perm pi and moves x to x^pi, so a reduction of s to
-          delta t_nf reduces x s to delta t_(x^delta nf).  Both sides of w2
-          gather the same delta, so the moved prefix x^delta is the same on
-          both, and the sides of x w2 by c and by b meet.
-        * The rewrite of w by c is below w, hence confluent, and joins both
-          a's side and b's side; so those two join.
-        """
-        identity = self._identity
-        u, pi, v = rule.pattern, rule.perm.images, rule.replacement
-        yield identity, u[:-1], pi, v + u[-1:]
-        yield identity, u[1:], pi, (rule._padded[u[0]],) + v
-        for g in self.spec.control_gens:
-            # pi^g = ~g * (pi * g)
-            yield (identity, g.images_of(u),
-                   _quotient(g.images, _product(pi, g.images)),
-                   g.images_of(v))
-        system = self.system
-        for k in range(1, len(u)):
-            pairs = [(rule, system[lhs]) for lhs in prefixes.get(u[-k:], ())]
-            pairs += [(system[lhs], rule) for lhs in suffixes.get(u[:k], ())]
-            for a, b in pairs:
-                p, q = a.pattern, b.pattern
-                # most overlaps leave no room for a third left-hand side:
-                # two letters of p before q's window and two of q after p's
-                if len(p) - k > 1 and len(q) - k > 1 and _straddled(
-                        system, p, q, k):
-                    continue
-                yield (a.perm.images, a.replacement + q[k:], b.perm.images,
-                       _gather(p[:-k], b._padded) + b.replacement)
 
     @cached_property
     def table(self) -> tuple[tuple[Row, ...], tuple[Word, ...]]:
-        """The letter table, the normal-form automaton of the completed
-        system: (rows, words), whose states are the cosets of N.
+        """The letter table (rows, words), whose states are the cosets of N.
 
-        One breadth-first pass over least words in (length, lex) order.
-        Least words are prefix-closed, so a coset's least word s_c is the
-        first extension s + (i,) whose normal form nf_c is new; c is its
-        state, its place in that order, and words[c] is s_c, with
-        t_(s_c) = eps_c t_(nf_c).  If t_s t_i = delta t_nf for the least
-        word s of state k, rows[k][i] is (delta * eps_c^-1, c) for nf's
-        coset c, with the perm's images padded behind a 0 for
+        The enumeration is HLT over N (Neubueser 1982; Holt, Eick &
+        O'Brien 2005, ch. 5) with an element of N on each entry: coset x_a
+        has one column per t_i, which is its own inverse, and two per
+        control generator g, for g and g^-1, and the entry (b, lambda) of
+        column c says x_a c = lambda x_b.  Coset 0 is N itself, x_0 = 1,
+        so its control entries are preset to (0, g).  Every live coset
+        scans t_i g t_(i^g) g^-1 for each control generator g and letter
+        i, and then the factoring relators as written; N's own relations
+        hold in the labels, so its presentation is not needed.  A
+        coincidence x_a = tau x_b moves a's row onto b, multiplying the
+        labels through.  The factoring relators identify a non-identity
+        element of N with 1, and ValueError is raised, when a scan closes
+        a loop at one coset with a label other than the identity, a coset
+        merges with itself under such a label, or a t column's self-loop
+        gets a label whose square is not the identity.
+
+        Once the table closes, one breadth-first pass over the t columns,
+        in letter order from coset 0, renumbers the cosets by their least
+        words in (length, lex) order: a state's place in that order,
+        words[k] its least word, with t_(words[k]) = mu_k x_k.  An entry
+        x_k t_i = lambda x_j becomes rows[k][i] = (mu_k lambda mu_j^-1,
+        state of j): the perm's images padded behind a 0 for
         symrep.canon's gathers, or None for the identity, which needs
         none.  Each row is a dict on the letters 1..n, so any other key
         raises KeyError.
-
-        Completion starts from an empty system, so an access after a
-        budget error raises that error again instead of resuming from the
-        rules the failed one left.
         """
-        self.system, self._widths = {}, ()
-        self._complete()
-        identity = self._identity
-        # normal form -> (state c, eps_c^-1 padded behind a 0)
-        least: dict[Word, tuple[int, Images]] = {(): (0, (0,) + identity)}
+        n = self.n
+        table = _labelled_cosets(self.spec, self.rules, self.max_cosets)
+        identity = tuple(range(1, n + 1))
+        # coset -> (state, mu^-1 padded behind a 0)
+        states: dict[int, tuple[int, Images]] = {0: (0, (0,) + identity)}
+        cosets, words, mus = [0], [()], [identity]
         rows: list[Row] = []
-        queue: list[Word] = [()]
-        for s in queue:
+        for k, coset in enumerate(cosets):
             row: Row = {}
-            for i in range(1, self.n + 1):
-                delta, nf = self._reduce(s + (i,))
-                if nf not in least:
-                    if len(least) >= self.max_cosets:
-                        raise CosetLimitExceeded(self.max_cosets,
-                                                 "rewrite letter table", "least words")
-                    least[nf] = len(queue), (0,) + _inverse(delta)
-                    queue.append(s + (i,))
-                state, eps_inverse = least[nf]
-                step = _gather(delta, eps_inverse)
+            entries = table[coset]
+            for i in range(1, n + 1):
+                target, label = entries[i - 1]
+                nu = _product(mus[k], label)  # t_(words[k]) t_i = nu x_target
+                if target not in states:
+                    states[target] = len(cosets), (0,) + _inverse(nu)
+                    cosets.append(target)
+                    words.append(words[k] + (i,))
+                    mus.append(nu)
+                state, mu_inverse = states[target]
+                step = _gather(nu, mu_inverse)
                 row[i] = None if step == identity else (0,) + step, state
             rows.append(row)
-        return tuple(rows), tuple(queue)
+        return tuple(rows), tuple(words)
+
+
+def _labelled_cosets(spec: ProgenitorSpec,
+                     relators: Sequence[tuple[int, ...]],
+                     max_cosets: int) -> list:
+    """The closed HLT table of RuleSet.table: row a holds, per column c,
+    the entry (b, lambda) with x_a c = lambda x_b, lambda as images; rows of
+    dead cosets are None, and live rows name only live cosets."""
+    n = spec.n
+    identity = tuple(range(1, n + 1))
+    gens = [g.images for g in spec.control_gens]
+    inv = list(range(n)) + [n + (c ^ 1) for c in range(2 * len(gens))]
+    ncols = len(inv)
+    first: list = [None] * n
+    for g in gens:
+        first += [(0, g), (0, _inverse(g))]
+    table: list = [first]
+    # x_a = link[a] x_parent[a]; a live coset is its own parent
+    parent, link = [0], [identity]
+    # t_i g t_(i^g) g^-1 for each control generator g and letter i
+    scanned = [(i, _control_column(n, k), g[i] - 1, _control_column(n, -k))
+               for k, g in enumerate(gens, start=1) for i in range(n)]
+    scanned += relators
+
+    def find(a: int) -> tuple[int, Images]:
+        """a's root r and the label with x_a = label x_r; compresses."""
+        path = []
+        while parent[a] != a:
+            path.append(a)
+            a = parent[a]
+        label = identity
+        for b in reversed(path):
+            label = _product(link[b], label)
+            parent[b], link[b] = a, label
+        return a, label
+
+    def connect(a: int, col: int, b: int, label: Images):
+        """Set x_a c = label x_b in both directions."""
+        back, label_inverse = inv[col], _inverse(label)
+        if a == b and back == col and label_inverse != label:
+            raise ValueError(_COLLAPSE)
+        table[a][col] = b, label
+        table[b][back] = a, label_inverse
+
+    def define(a: int, col: int):
+        if len(table) >= max_cosets:
+            raise CosetLimitExceeded(max_cosets, "rewrite letter table",
+                                     "cosets")
+        b = len(table)
+        table.append([None] * ncols)
+        parent.append(b)
+        link.append(identity)
+        connect(a, col, b, identity)
+
+    def merge(a: int, b: int, tau: Images, queue: list[int]):
+        """Record x_a = tau x_b: the greater root dies onto the lesser."""
+        a, alpha = find(a)
+        b, beta = find(b)
+        tau = _product(_quotient(alpha, tau), beta)  # x_a = tau x_b, roots
+        if a == b:
+            if tau != identity:
+                raise ValueError(_COLLAPSE)
+            return
+        if a < b:
+            a, b, tau = b, a, _inverse(tau)
+        parent[a], link[a] = b, tau
+        queue.append(a)
+
+    def coincidence(a: int, b: int, tau: Images):
+        queue: list[int] = []
+        merge(a, b, tau, queue)
+        for dead in queue:
+            for col, entry in enumerate(table[dead]):
+                if entry is None:
+                    continue
+                target, label = entry
+                back = inv[col]
+                table[target][back] = None
+                u, delta = find(dead)
+                v, epsilon = find(target)
+                # x_u c = label x_v
+                label = _product(_quotient(delta, label), epsilon)
+                here, there = table[u][col], table[v][back]
+                if here is not None:
+                    merge(v, here[0], _quotient(label, here[1]), queue)
+                elif there is not None:
+                    merge(u, there[0], _product(label, there[1]), queue)
+                else:
+                    connect(u, col, v, label)
+            # every entry that named dead is cleared, so its row is garbage
+            table[dead] = None
+
+    def scan_and_fill(a: int, word: tuple[int, ...]):
+        f, forward, i = a, identity, 0
+        b, backward, j = a, identity, len(word) - 1
+        while True:
+            while i <= j:
+                entry = table[f][word[i]]
+                if entry is None:
+                    break
+                f, label = entry
+                forward = _product(forward, label)
+                i += 1
+            if i > j:
+                break
+            while j >= i:
+                entry = table[b][inv[word[j]]]
+                if entry is None:
+                    break
+                b, label = entry
+                backward = _product(backward, label)
+                j -= 1
+            if j < i:
+                break
+            if j == i:  # one letter left: the gap closes by deduction
+                connect(f, word[i], b, _quotient(forward, backward))
+                return
+            define(f, word[i])
+        # forward x_f = backward x_b
+        if f != b or forward != backward:
+            coincidence(f, b, _quotient(forward, backward))
+
+    a = 0
+    while a < len(table):
+        if parent[a] == a:
+            for word in scanned:
+                scan_and_fill(a, word)
+                if parent[a] != a:
+                    break
+            else:
+                for col in range(ncols):
+                    if table[a][col] is None:
+                        define(a, col)
+        a += 1
+    return table

@@ -6,7 +6,7 @@ element's control-group coset, so a group of order thousands is handled
 through permutations of the small control degree plus a short word.
 
 Two independent engines are provided and must agree: a pure rewrite
-engine (unify + canon over the derived rule system, no image needed) and
+engine (unify + canon over the letter table, no image needed) and
 the image engine (SymImage.realized, SymImage.realized_inverse and
 SymImage.read_pair).  mult, invert_sym and equal_sym pick one by mode
 (_is_pure), after checking that their elements share a context; the

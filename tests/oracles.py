@@ -2,13 +2,14 @@
 
 import heapq
 import itertools
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from symgen.fpgroup import (CosetLimitExceeded, CosetTable, Presentation,
                             _check_closed, commutator, concat, reduce_word)
 from symgen.perm import IdentificationError, Perm, PermGroup, word_perm
-from symgen.progenitor import (Rule, RuleSet, UnsupportedRelator, Word,
-                               default_t_words, normalize_tail)
+from symgen.progenitor import Word, default_t_words, normalize_tail
 from symgen.symrep import SymElement
 
 
@@ -127,6 +128,36 @@ def unify_two_step(a, b):
     return a.control * sigma, sigma.images_of(a.word) + b.word
 
 
+@dataclass(frozen=True)
+class Rule:
+    """t_pattern = perm * t_replacement, as an identity in the image."""
+
+    pattern: Word
+    perm: Perm
+    replacement: Word
+
+
+def _split_rule(pi, w):
+    """The rule of the relator pi * t_w = 1 split at the middle:
+    t_u = pi^-1 * t_(reverse v), with w = u v and |u| >= |v|."""
+    a = (len(w) + 1) // 2
+    return Rule(w[:a], ~pi, tuple(reversed(w[a:])))
+
+
+def completion_rules(spec):
+    """The completion's base rules as derive_rules built them before the
+    letter table came from a coset enumeration: one rule per factoring
+    relator as written, split at the middle.  A relator with an empty tail
+    gives no rule and is refused."""
+    rules = []
+    for control_word, tail in spec.relators:
+        if not tail:
+            raise ValueError("factoring relator with empty tail")
+        rules.append(_split_rule(
+            word_perm(spec.control_gens, control_word, spec.n), tail))
+    return tuple(rules)
+
+
 def conjugate_rule(rule, pi):
     """Map a rule through a control element: letters via pi, perm by conjugation."""
     return Rule(tuple(pi.apply(i) for i in rule.pattern),
@@ -143,8 +174,8 @@ def follow_word(img, word):
 
 
 def closed_relator_rules(spec):
-    """derive_rules' base rules as built before completion was left to
-    close the relators: every relator pi * t_w = 1, closed under
+    """completion_rules as built before completion was left to close the
+    relators: every relator pi * t_w = 1, closed under
     control-group conjugation, cyclic rotation and inversion by
     enumerating N, each variant split at the middle into
     t_u = pi^-1 * t_(reverse v) with |u| >= |v|, sorted."""
@@ -153,7 +184,7 @@ def closed_relator_rules(spec):
         pi = word_perm(spec.control_gens, control_word, spec.n)
         tail = normalize_tail(tail, spec.n)
         if not tail:
-            raise UnsupportedRelator("factoring relator with empty tail")
+            raise ValueError("factoring relator with empty tail")
         seeds.append((pi, tail))
 
     elems = elements_by_chain(spec.control_group)
@@ -176,10 +207,7 @@ def closed_relator_rules(spec):
     for pi, tail in seeds:
         for nu in elems:
             add(pi.conj(nu), nu.images_of(tail))
-    rules = []
-    for pi, w in pool.values():
-        a = (len(w) + 1) // 2
-        rules.append(Rule(w[:a], ~pi, tuple(reversed(w[a:]))))
+    rules = [_split_rule(pi, w) for pi, w in pool.values()]
     return tuple(sorted(rules, key=lambda r: (len(r.pattern), r.pattern,
                                               r.replacement, r.perm.images)))
 
@@ -334,14 +362,27 @@ def todd_coxeter_reference(pres: Presentation,
     return result
 
 
-class CompletionReference(RuleSet):
-    """RuleSet with _reduce, _complete and _critical_pairs as written before
-    the completion kept a memo of its reductions, indexed its left-hand
-    sides and carried its perms as image tuples: each new rule scans system
-    once for stale rules and once for overlaps, and the equations hold
-    Perms.  RuleSet must complete to the same left-hand sides, with the
-    same reduced right-hand sides and perms, build the same letter table
-    and raise the same errors."""
+class CompletionReference:
+    """The letter table as RuleSet built it before it came from a coset
+    enumeration: a Knuth-Bendix completion of the base rules under reverse
+    shortlex, then one breadth-first pass over least words.  Each new rule
+    scans system once for stale rules and once for overlaps, and the
+    equations hold Perms.
+
+    The completed system is confluent: every word reduces to one normal
+    form per coset of N, so its table is the one that the relators
+    determine.  max_cosets bounds the table's least words, and n *
+    max_cosets the rules that completion adds; past either, the table
+    raises CosetLimitExceeded.
+    """
+
+    def __init__(self, spec, rules, max_cosets: int = 10 ** 6):
+        self.spec = spec
+        self.rules = rules
+        self.n = spec.n
+        self.max_cosets = max_cosets
+        self.system: dict[Word, Rule] = {}
+        self._widths: tuple[int, ...] = ()  # left-hand side lengths, ascending
 
     def _reduce(self, word: Word) -> tuple[tuple[int, ...], Word]:
         """(delta images, nf) with t_word = delta * t_nf and nf irreducible.
@@ -441,6 +482,39 @@ class CompletionReference(RuleSet):
                     if a.pattern[-k:] == b.pattern[:k]:
                         yield (a.perm, a.replacement + b.pattern[k:], b.perm,
                                b.perm.images_of(a.pattern[:-k]) + b.replacement)
+
+    @cached_property
+    def table(self):
+        """(rows, words) in RuleSet.table's format, read off the completed
+        system: one breadth-first pass over least words in (length, lex)
+        order.  Least words are prefix-closed, so a coset's least word s_c
+        is the first extension s + (i,) whose normal form nf_c is new, with
+        t_(s_c) = eps_c t_(nf_c); if t_s t_i = delta t_nf for the least word
+        s of state k, rows[k][i] is delta * eps_c^-1 for nf's coset c, as
+        images padded behind a 0 or None for the identity, and c."""
+        self.system, self._widths = {}, ()
+        self._complete()
+        identity = Perm.identity(self.n)
+        least = {(): (0, identity)}  # normal form -> (state, eps^-1)
+        rows, queue = [], [()]
+        for s in queue:
+            row = {}
+            for i in range(1, self.n + 1):
+                delta, nf = self._reduce(s + (i,))
+                delta = Perm(delta)
+                if nf not in least:
+                    if len(least) >= self.max_cosets:
+                        raise CosetLimitExceeded(
+                            self.max_cosets, "rewrite letter table",
+                            "least words")
+                    least[nf] = len(queue), ~delta
+                    queue.append(s + (i,))
+                state, eps_inverse = least[nf]
+                step = delta * eps_inverse
+                row[i] = (None if step == identity else (0,) + step.images,
+                          state)
+            rows.append(row)
+        return tuple(rows), tuple(queue)
 
 
 # id(img) -> (img, its action); holding img keeps its id from being reused

@@ -439,6 +439,22 @@ def test_elt_invert_involution(capsys):
     assert out.strip() == "(id | b0)"
 
 
+@pytest.mark.parametrize("limit,code", [(209, 4), (210, 0)])
+def test_elt_letter_table_budget(capsys, monkeypatch, limit, code):
+    # the letter table's enumeration defines 210 cosets of N in u3_3, more
+    # than the image route's 134: one fewer is a resource limit, named by
+    # its stage on one line
+    monkeypatch.setenv("SYMGEN_MAX_COSETS", str(limit))
+    got, out, err = run_cli(capsys, "elt", "u3_3", "invert", "(id | b0.1)")
+    assert got == code
+    if code:
+        assert out == ""
+        assert err == ("error: rewrite letter table exceeded the limit of "
+                       "209 cosets\n")
+    else:
+        assert (out, err) == ("((b2,b6)(b4,b5)(0,3)(5,6) | b0.1)\n", "")
+
+
 def test_elt_mult(capsys):
     code, out, _ = run_cli(capsys, "elt", "5sq_d6", "mult",
                            "(id | 0.1)", "(id | 1.2)")

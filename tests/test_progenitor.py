@@ -1,6 +1,8 @@
+import functools
 import hashlib
-import heapq
 import random
+import signal
+from contextlib import contextmanager
 from types import SimpleNamespace
 
 import pytest
@@ -9,20 +11,37 @@ from symgen.fpgroup import (CosetLimitExceeded, Presentation, invert_word,
                             parse_word, todd_coxeter, coset_action)
 from symgen import progenitor
 from symgen.perm import Perm, PermGroup, parse_cycles, word_perm
-from symgen.progenitor import (ProgenitorSpec, Rule, RuleSet,
-                               build_presentation, derive_rules,
-                               normalize_tail)
+from symgen.progenitor import (ProgenitorSpec, build_presentation,
+                               derive_rules, normalize_tail)
 from symgen.groupfile import load_bundled
 from symgen.dcenum import ImageError, build_image
 from symgen.symrep import (SymContext, canon, cenelt, format_element,
                            invert_sym, mult, per2sym, sym2per, unify)
-from oracles import (CompletionReference, build_presentation_as_written,
-                     canon_by_perms, closed_relator_rules, conjugate_rule,
-                     control_action_by_perms,
+import oracles
+from oracles import (CompletionReference, Rule, build_presentation_as_written,
+                     canon_by_perms, closed_relator_rules, completion_rules,
+                     conjugate_rule, control_action_by_perms,
                      schreier_generators_by_scan, table_view,
                      unify_two_step)
 
 FIXTURES = ["5sq_d6", "l2_19", "u3_3"]
+
+COLLAPSE = ("the factoring relators identify a non-identity element of N "
+            "with 1")
+
+
+def completion_reference(spec, max_cosets=10 ** 6):
+    """The completion reference of spec's base rules."""
+    return CompletionReference(spec, completion_rules(spec), max_cosets)
+
+
+@functools.cache
+def reference(name):
+    """A fixture's completion reference, completed and with its table
+    built."""
+    rules = completion_reference(load_bundled(name).spec)
+    rules.table
+    return rules
 
 
 def test_normalize_tail():
@@ -97,9 +116,11 @@ def test_progenitor_without_factoring_relators_does_not_close():
 
 
 def test_derived_rules_valid_in_image(all_contexts):
+    # the completion reference's base and completed rules hold in the image
     for name, ctx in all_contexts.items():
         img = ctx.image
-        for rule in ctx.rules.rules:
+        rules = reference(name)
+        for rule in rules.rules + tuple(rules.system.values()):
             assert len(rule.replacement) <= len(rule.pattern)
             lhs = Perm.identity(img.index)
             for i in rule.pattern:
@@ -114,8 +135,9 @@ def test_derived_rules_valid_in_image(all_contexts):
                                         ("u3_3", 2)])
 def test_one_base_rule_per_relator_without_enumerating_n(monkeypatch, name,
                                                          count):
-    # each factoring relator as written gives one rule, and neither the
-    # split nor its completion lists the elements of N
+    # each factoring relator as written gives one word of columns, and
+    # neither derive_rules nor the table's enumeration lists the elements
+    # of N
     def refuse(self, levels):
         raise AssertionError("N enumerated")
 
@@ -132,11 +154,12 @@ def test_rule_shapes_u3(u3_3):
     # the length-3 relator gives the shortening rule (b0, 0) -> one letter,
     # the length-4 relator the swap rule (b0, 1) -> two letters
     t_perm, y_perm = spec.control_gens[2], spec.control_gens[1]
-    assert [(r.pattern, r.perm, r.replacement) for r in u3_3.rules.rules] == [
+    assert [(r.pattern, r.perm, r.replacement)
+            for r in completion_rules(spec)] == [
         ((ix["b0"], ix["0"]), t_perm, (ix["b0"],)),
         ((ix["b0"], ix["1"]), y_perm, (ix["1"], ix["b0"]))]
-    # completion carries the shortening to the whole control orbit of the
-    # pair: each of its 56 pairs has a one-letter least form
+    # the letter table carries the shortening to the whole control orbit
+    # of the pair: each of its 56 pairs has a one-letter least form
     orbit = {(ix["b0"], ix["0"])}
     frontier = [(ix["b0"], ix["0"])]
     for pair in frontier:
@@ -157,7 +180,8 @@ def test_rule_shapes_5sq(d6_5sq):
     target = Rule((ix["1"], ix["0"], ix["1"]), Perm.identity(3),
                   (ix["0"], ix["1"], ix["0"]))
     assert any(r.pattern == target.pattern and r.replacement == target.replacement
-               and r.perm == target.perm for r in d6_5sq.rules.rules)
+               and r.perm == target.perm
+               for r in completion_rules(d6_5sq.spec))
 
 
 def test_conjugate_rule_by_identity():
@@ -225,10 +249,17 @@ def empty_tail_spec():
 
 
 def test_unsupported_relator_shape():
-    # an empty tail is normalized away and cannot produce rules
-    from symgen.progenitor import UnsupportedRelator
-    with pytest.raises(UnsupportedRelator):
-        derive_rules(empty_tail_spec())
+    # a relator with an empty tail reads pi = 1: x = (1,2) is no identity,
+    # so N collapses, while the completion's base rules refuse the shape
+    with pytest.raises(ValueError, match=f"^{COLLAPSE}$"):
+        derive_rules(empty_tail_spec()).table
+    with pytest.raises(ValueError, match="empty tail"):
+        completion_rules(empty_tail_spec())
+    # at degree 1 the control word x is the identity, and the relator
+    # changes nothing
+    relators = DEGREE_ONE_RELATORS["t1_is_1"]
+    assert (derive_rules(degree_one_spec(relators + (((1,), ()),))).table
+            == derive_rules(degree_one_spec(relators)).table)
 
 
 def test_default_t_words_reach_all_generators(l2_19):
@@ -270,13 +301,13 @@ def _realize(img, perm, word):
 
 @pytest.mark.parametrize("name", FIXTURES)
 def test_completed_system_is_confluent(all_contexts, name):
-    # every rule holds in the image and lowers its word in reverse shortlex;
-    # every critical pair joins: the overlaps of two left-hand sides, the
-    # overlaps with t_c t_c = 1 at either end and the conjugates by the
-    # control generators; no left-hand side contains another
+    # the completion reference's system: every rule holds in the image and
+    # lowers its word in reverse shortlex; every critical pair joins: the
+    # overlaps of two left-hand sides, the overlaps with t_c t_c = 1 at
+    # either end and the conjugates by the control generators; no
+    # left-hand side contains another
     ctx = all_contexts[name]
-    rules = ctx.rules
-    rules.table
+    rules = reference(name)
     system = list(rules.system.values())
     identity = Perm.identity(rules.n)
 
@@ -311,15 +342,22 @@ def test_completed_system_is_confluent(all_contexts, name):
 
 @pytest.mark.parametrize("name,words,entries", [("5sq_d6", 50, 150),
                                                 ("l2_19", 57, 342),
-                                                ("u3_3", 36, 504)])
+                                                ("u3_3", 36, 504),
+                                                ("4,x,7", 1015, 4060)])
 def test_letter_table_closes_on_coset_representatives(all_contexts, name,
                                                       words, entries):
     # the table's states, named by their least words, are exactly the
     # image's coset representatives, and every entry of their rows is the
     # image engine's form of t_s t_i, its perm's images padded behind a 0,
-    # or None for the identity
+    # or None for the identity; "4,x,7" is 2^{*4} : S_4 / (x t_1)^7, where
+    # the completion reference takes seconds and is not run
     from symgen.symrep import per2sym
-    ctx = all_contexts[name]
+    if name in all_contexts:
+        ctx = all_contexts[name]
+    else:
+        spec = _case_spec(name)
+        ctx = SymContext(spec, rules=derive_rules(spec, 5000),
+                         image=build_image(spec))
     img = ctx.image
     rows, states = ctx.rules.table
     assert set(states) == set(img.cst)
@@ -336,17 +374,19 @@ def test_letter_table_closes_on_coset_representatives(all_contexts, name,
 @pytest.mark.parametrize("name", FIXTURES)
 def test_products_read_the_table_without_reducing(monkeypatch, all_contexts,
                                                   name):
+    # products never rebuild the table: the enumeration runs once, on the
+    # first access, and canon only reads its rows
     from symgen.symrep import canon, per2sym, sym2per, unify
     ctx = all_contexts[name]
     ctx.rules.table
-    reduced = []
-    reduce = RuleSet._reduce  # what completion and the table call
+    built = []
+    enumerate_cosets = progenitor._labelled_cosets
 
-    def counting_reduce(self, word):
-        reduced.append(word)
-        return reduce(self, word)
+    def counting_enumeration(*args):
+        built.append(args)
+        return enumerate_cosets(*args)
 
-    monkeypatch.setattr(RuleSet, "_reduce", counting_reduce)
+    monkeypatch.setattr(progenitor, "_labelled_cosets", counting_enumeration)
     rng = random.Random(11)
     full = ctx.image.full_group
     for _ in range(200):
@@ -355,45 +395,72 @@ def test_products_read_the_table_without_reducing(monkeypatch, all_contexts,
         perm, word = canon(unify(a, b), ctx.rules)
         e = per2sym(ctx, sym2per(ctx, a) * sym2per(ctx, b))
         assert (perm, word) == (e.control, e.word)
-    assert reduced == []
+    assert built == []
 
 
-@pytest.mark.parametrize("max_cosets,fits", [(36, True), (35, False)])
-def test_rewrite_table_is_bounded_by_max_cosets(max_cosets, fits):
-    rules = derive_rules(load_bundled("u3_3").spec, max_cosets)
+# the least max_cosets at which each fixture's letter table closes: the
+# cosets its enumeration defines, above the index, as bisected
+LEAST = {"5sq_d6": 215, "l2_19": 199, "u3_3": 210}
+
+
+@pytest.mark.parametrize("name,max_cosets,fits", [
+    (name, least, True) for name, least in LEAST.items()] + [
+    (name, least - 1, False) for name, least in LEAST.items()])
+def test_rewrite_table_is_bounded_by_max_cosets(name, max_cosets, fits):
+    rules = derive_rules(load_bundled(name).spec, max_cosets)
     if fits:
-        assert len({s for s, _ in table_view(rules)}) == 36
+        assert len(rules.table[0]) == INDEX[name]
     else:
         with pytest.raises(CosetLimitExceeded):
             rules.table
 
 
 def test_rewrite_budget_names_its_stage():
-    with pytest.raises(CosetLimitExceeded) as exc:
-        derive_rules(load_bundled("u3_3").spec, 35).table
-    assert "letter table" in str(exc.value)
-    assert "coset enumeration" not in str(exc.value)
-    # a budget of one coset lets the completion add n = 14 rules, too few
-    with pytest.raises(CosetLimitExceeded,
-                       match="^Knuth-Bendix completion exceeded the limit "
-                             "of 14 added rules$"):
-        derive_rules(load_bundled("u3_3").spec, 1).table
+    for max_cosets in (1, 36, 209):
+        with pytest.raises(CosetLimitExceeded) as exc:
+            derive_rules(load_bundled("u3_3").spec, max_cosets).table
+        assert str(exc.value) == ("rewrite letter table exceeded the limit "
+                                  f"of {max_cosets} cosets")
 
 
 @pytest.mark.parametrize("max_cosets", [1, 2])
 def test_table_access_after_a_budget_error_raises_it_again(max_cosets):
-    # every access completes from the base rules: a retry neither grows the
-    # system nor gets past the completion's budget to the table's
+    # every access enumerates afresh and trips the same budget; no table
+    # is cached
     rules = derive_rules(load_bundled("u3_3").spec, max_cosets)
-    seen = []
     for _ in range(3):
-        with pytest.raises(CosetLimitExceeded) as exc:
+        with pytest.raises(CosetLimitExceeded,
+                           match="^rewrite letter table exceeded the limit "
+                                 f"of {max_cosets} cosets$"):
             rules.table
-        seen.append((str(exc.value), list(rules.system.items())))
-    assert seen[0][0] == ("Knuth-Bendix completion exceeded the limit of "
-                          f"{14 * max_cosets} added rules")
-    assert len(seen[0][1]) == 14 * max_cosets
-    assert seen[1:] == seen[:1] * 2
+        assert "table" not in vars(rules)
+
+
+@contextmanager
+def time_bound(seconds):
+    """Raise TimeoutError in the main thread past seconds of wall time."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("n,word,k,max_cosets", [(3, "x", 6, 100),
+                                                 (4, "x", 8, 2000)])
+def test_unclosed_letter_table_stops_at_its_budget(n, word, k, max_cosets):
+    # the enumeration defines at most max_cosets cosets, so a member that
+    # does not close within them ends at once; a completion on the first
+    # ran past 120 s at the same budget
+    rules = derive_rules(power_relator_spec(n, word, k), max_cosets)
+    with time_bound(5), pytest.raises(CosetLimitExceeded,
+                                      match="^rewrite letter table "):
+        rules.table
 
 
 def test_rewrite_engine_without_factoring_relators_hits_the_budget():
@@ -419,8 +486,8 @@ def test_relator_that_collapses_the_control_group_raises():
 
 
 def _outcome(rules):
-    """What the completion's result is, whatever order it pushed its
-    equations in: the completed left-hand sides, sorted, each with its
+    """What the completion reference's result is, whatever order it pushed
+    its equations in: the completed left-hand sides, sorted, each with its
     right-hand side reduced and the images of the perm gathered on the
     way, then the letter table's entries in order; or the type and message
     of the error that building them raised."""
@@ -436,70 +503,39 @@ def _outcome(rules):
     return system, list(table.items())
 
 
-def _completion(rules):
-    """The number of equations pushed onto the completion's heap, counted
-    by wrapping heapq.heappush, and the outcome."""
-    pushed = 0
-    heappush = heapq.heappush
-
-    def counting_push(heap, item):
-        nonlocal pushed
-        pushed += 1
-        heappush(heap, item)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(heapq, "heappush", counting_push)
-        outcome = _outcome(rules)
-    return pushed, outcome
-
-
-def _assert_completion_pinned(rules):
-    """The completion's outcome, which must be the scanning reference's, and
-    the numbers of equations pushed by the completion and the reference."""
-    reference = CompletionReference(rules.spec, rules.rules, rules.max_cosets)
-    pushed, outcome = _completion(rules)
-    reference_pushed, reference_outcome = _completion(reference)
-    assert outcome == reference_outcome
-    return outcome, (pushed, reference_pushed)
-
-
 def test_completion_matches_the_reference_without_relators():
     spec = spec_without_relators(load_bundled("5sq_d6").spec)
-    # no rule to complete: both trip the letter-table budget at one word
-    outcome, _ = _assert_completion_pinned(derive_rules(spec, 200))
-    assert outcome[0] is CosetLimitExceeded
+    # no relator to close: both trip their budgets, the enumeration at 200
+    # defined cosets and the reference at 200 least words
+    assert _table_or_error(lambda: derive_rules(spec, 200)) == (
+        CosetLimitExceeded,
+        "rewrite letter table exceeded the limit of 200 cosets")
+    assert _outcome(completion_reference(spec, 200))[0] is CosetLimitExceeded
 
 
 def test_completion_matches_the_reference_on_a_collapse():
-    outcome, _ = _assert_completion_pinned(derive_rules(collapsing_spec()))
-    assert outcome[0] is ValueError
+    spec = collapsing_spec()
+    assert (_table_or_error(lambda: derive_rules(spec))
+            == _outcome(completion_reference(spec)) == (ValueError, COLLAPSE))
 
 
-# the least max_cosets at which each fixture's letter table fits
+# the number of states of each fixture's letter table, the least
+# max_cosets at which the completion reference builds it
 INDEX = {"5sq_d6": 50, "l2_19": 57, "u3_3": 36}
-
-# equations pushed by the completion and by the scanning reference; the
-# completion skips the composite critical pairs
-PUSHES = {"5sq_d6": (129, 204), "l2_19": (2546, 4846), "u3_3": (3194, 3197)}
 
 
 @pytest.mark.parametrize("name,index,rules", [("5sq_d6", 50, 14),
                                               ("l2_19", 57, 143),
                                               ("u3_3", 36, 179)])
 def test_completion_matches_the_scanning_reference(name, index, rules):
-    # each budget either builds the reference's system and table or raises
-    # its error; index is the least budget that fits, so the last case is
-    # the fixture's whole completion, where the skipped composite pairs are
-    # pinned so that a criterion that stops firing fails here
-    spec = load_bundled(name).spec
-    outcomes = [_assert_completion_pinned(derive_rules(spec, m))
-                for m in (1, 2, index - 1, index)]
-    assert outcomes[0][0][0] is CosetLimitExceeded
-    assert outcomes[2][0][0] is CosetLimitExceeded
-    (system, entries), pushes = outcomes[3]
-    assert len(system) == rules
-    assert len({s for (s, _), _ in entries}) == index
-    assert pushes == PUSHES[name]
+    # the enumeration's table equals the reference's, entry by entry in
+    # order, at the least budget where it closes; the reference completes
+    # to rules rules, and its table has index states
+    reference_rules = reference(name)
+    assert len(reference_rules.system) == rules
+    table = derive_rules(load_bundled(name).spec, LEAST[name]).table
+    assert table == reference_rules.table
+    assert len(table[0]) == len(table[1]) == index
 
 
 # 2^{*3} : S_3 and 2^{*4} : S_4 on x = (1,...,n), y = (1,2)
@@ -554,14 +590,22 @@ def test_shortest_words_stop_at_depth_and_at_the_element_bound(monkeypatch):
 @pytest.mark.parametrize("n,word,k,outcome", POWER_CASES)
 def test_completion_matches_the_reference_on_small_progenitors(n, word, k,
                                                                outcome):
-    # outcome is the number of least words, or the error raised: N
-    # collapses, or the budget of 2000 least words runs out
-    (first, entries), _ = _assert_completion_pinned(
-        derive_rules(power_relator_spec(n, word, k), 2000))
+    # outcome is the number of states, or the error raised: N collapses,
+    # with the reference's message, or the budget of 2000 runs out, 2000
+    # defined cosets here and 2000 least words in the reference
+    spec = power_relator_spec(n, word, k)
+    rules = derive_rules(spec, 2000)
+    table = _table_or_error(lambda: rules)
+    expected = _outcome(completion_reference(spec, 2000))
     if isinstance(outcome, int):
-        assert len({s for (s, _), _ in entries}) == outcome
+        assert table == expected[1]
+        assert len(rules.table[0]) == outcome
+    elif outcome is CosetLimitExceeded:
+        assert table == (outcome, "rewrite letter table exceeded the limit "
+                                  "of 2000 cosets")
+        assert expected[0] is outcome
     else:
-        assert first is outcome
+        assert table == expected == (outcome, COLLAPSE)
 
 
 @pytest.mark.parametrize("name", FIXTURES + [
@@ -586,23 +630,21 @@ def test_schreier_generators_match_the_scan(all_contexts, name):
     (f"{n},{word},{k}", 2000) for n, word, k, outcome in POWER_CASES
     if isinstance(outcome, int)])
 def test_completion_outcome_does_not_depend_on_push_order(name, max_cosets):
-    # equations of equal size leave the heap in the order of a random
-    # tiebreak instead of their push order, which reorders the completion's
-    # steps but must not change its outcome; only whole completions are
+    # in the completion reference, equations of equal size leave the heap
+    # in the order of a random tiebreak instead of their push order, which
+    # reorders its steps but must not change its outcome, the system and
+    # the table it is a reference for; only whole completions are
     # compared, since a budget can trip at another count in another order
-    if name in INDEX:
-        spec = load_bundled(name).spec
-    else:
-        n, word, k = name.split(",")
-        spec = power_relator_spec(int(n), word, int(k))
-    expected = _outcome(derive_rules(spec, max_cosets))
+    spec = _case_spec(name)
+    expected = _outcome(completion_reference(spec, max_cosets))
     assert isinstance(expected[0], list)
     for seed in range(3):
         rng = random.Random(seed)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(progenitor, "itertools", SimpleNamespace(
+            patch.setattr(oracles, "itertools", SimpleNamespace(
                 count=lambda: iter(rng.random, None)))
-            assert _outcome(derive_rules(spec, max_cosets)) == expected, seed
+            assert (_outcome(completion_reference(spec, max_cosets))
+                    == expected), seed
 
 
 def degree_one_spec(relators):
@@ -624,7 +666,8 @@ def test_degree_one_progenitor(relators, words):
     identity = Perm.identity(1)
     spec = degree_one_spec(relators)
     rules = derive_rules(spec)
-    (_, entries), _ = _assert_completion_pinned(rules)
+    entries = _outcome(completion_reference(spec))[1]
+    assert list(table_view(rules).items()) == entries
     assert dict(entries) == {key: (None, word) for key, word in words.items()}
     # products: t_1 is words[(), 1], and t_1 t_1 t_1 is t_1
     t1 = words[(), 1]
@@ -676,11 +719,15 @@ def _table_or_error(build):
 
 CLOSED_RELATOR_CASES = (
     [(name, m) for name, index in INDEX.items()
-     for m in (1, 2, index - 1, index)]
+     for m in (1, 2, index - 1, index, LEAST[name] - 1, LEAST[name])]
     + [(f"{n},{word},{k}", 2000) for n, word, k, _ in POWER_CASES]
     + [(f"degree_one_{key}", 10 ** 6) for key in DEGREE_ONE_RELATORS]
     + [("5sq_d6_without_relators", 200), ("collapsing", 10 ** 6),
        ("empty_tail", 10 ** 6)])
+
+# the cases whose letter table does not close within any budget they run at
+UNCLOSED = {f"{n},{word},{k}" for n, word, k, outcome in POWER_CASES
+            if outcome is CosetLimitExceeded} | {"5sq_d6_without_relators"}
 
 
 def _case_spec(name):
@@ -770,16 +817,26 @@ def test_factoring_relators_use_shortest_control_words(name):
 @pytest.mark.parametrize("name,max_cosets", CLOSED_RELATOR_CASES)
 def test_relators_as_written_give_the_closed_relators_table(name,
                                                             max_cosets):
-    # completion closes the relators under N, rotation and inversion
-    # itself: the base of one rule per relator gives the same letter table,
-    # entry by entry in order, or the same error, as the base that closed
-    # every relator over the elements of N before completing
+    # the enumeration closes the relators under N, rotation and inversion
+    # itself: on the relators as written it gives the letter table, entry
+    # by entry in order, or the collapse of N, that the completion
+    # reference gives on every relator closed over the elements of N;
+    # below the cosets it defines, it stops at its budget; and it reads a
+    # relator with an empty tail, which the closed base refuses, as pi = 1
     spec = _case_spec(name)
-    reference = _table_or_error(lambda: RuleSet(
-        spec, closed_relator_rules(spec), max_cosets))
-    assert _table_or_error(lambda: derive_rules(spec, max_cosets)) == reference
-    if name in INDEX and max_cosets == INDEX[name]:
-        assert len(reference) == INDEX[name] * spec.n
+    table = _table_or_error(lambda: derive_rules(spec, max_cosets))
+    if max_cosets < LEAST.get(name, 0) or name in UNCLOSED:
+        assert table == (CosetLimitExceeded, "rewrite letter table "
+                         f"exceeded the limit of {max_cosets} cosets")
+    elif name == "empty_tail":
+        assert table == (ValueError, COLLAPSE)
+        with pytest.raises(ValueError, match="empty tail"):
+            closed_relator_rules(spec)
+    else:
+        assert table == _table_or_error(lambda: CompletionReference(
+            spec, closed_relator_rules(spec), max_cosets))
+        if name in LEAST:
+            assert len(table) == INDEX[name] * spec.n
 
 
 # sha256 of repr(list(table_view(rules).items())): the letter table as

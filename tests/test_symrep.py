@@ -264,7 +264,7 @@ def test_pure_products_and_inversions_build_one_perm(monkeypatch,
 
     monkeypatch.setattr(perm, "_set_images", counting_set_images)
     for ctx in all_contexts.values():
-        ctx.rules.table  # completion, on first use, builds the rules' Perms
+        ctx.rules.table  # built on first use, before the count starts
         for seed in range(5):
             a, b = rand_elements(ctx, 2, seed=30 + seed)
             for call in (lambda: mult(a, b, mode="pure"),
