@@ -4,15 +4,16 @@ build_image runs the coset enumeration for a progenitor spec, realizes the
 symmetric generators as permutations on the coset points, and numbers the
 points by their canonical coset-representative words (breadth-first,
 shortest then lexicographically least), so the image does not depend on
-the enumerator's definition order.  The image engine (SymImage.realized,
-SymImage.realized_inverse and SymImage.read_pair) reads two tables: the
-control group's action on the coset points, each element against its
+the enumerator's definition order.  The symmetric generators are always
+the N-conjugates of the one t symbol (default_t_words).  The image engine
+(SymImage.realized and SymImage.read_pair) reads two tables: the control
+group's action on the coset points, each element against its
 realization, and the t-chain of each coset word with its inverse, so an
-element with a coset word is realized, inverted or read back with one
-gather per table.  double_cosets reads
-the collapsed Cayley graph straight off the image: nodes are orbits of the
-control group on coset points, sized |N| / |N^(w)|, with one edge entry
-per orbit of the coset stabilizer N^(w) on the symmetric generators.
+element with a coset word is realized or read back with one gather per
+table.  double_cosets reads the collapsed Cayley graph straight off the
+image: nodes are orbits of the control group on coset points, sized
+|N| / |N^(w)|, with one edge entry per orbit of the coset stabilizer
+N^(w) on the symmetric generators.
 Orbit and N^(w) come from one orbit-Schreier pass of N itself
 (PermGroup.schreier) acting on the coset points, so N^(w) is found in N's
 own degree-n action.
@@ -32,8 +33,7 @@ from typing import Sequence
 
 from .perm import (Images, Perm, PermGroup, IdentificationError, _gather,
                    _gather_of, _product, _trusted, word_perm)
-from .fpgroup import (CosetLimitExceeded, FreeWord, coset_action, todd_coxeter,
-                      word_str)
+from .fpgroup import CosetLimitExceeded, coset_action, todd_coxeter, word_str
 from .progenitor import ProgenitorSpec, Word, build_presentation, default_t_words
 
 
@@ -64,13 +64,12 @@ class SymImage:
     points, then t_i = t_i^nu = t_(i^nu) for every i, and since the ts are
     distinct, i^nu = i for every i: nu = 1.
 
-    The image engine is three methods on image tuples: realized multiplies
-    a pair out on the coset points, realized_inverse does so for the
-    pair's inverse, and read_pair reads the canonical pair of an element
-    back.  They read two tables, each built breadth-first on first use:
-    N's action, in its two directions, and the t-chain of each coset word
-    with its inverse.  A word that is no coset word is chained letter by
-    letter.
+    The image engine is two methods on image tuples: realized multiplies
+    a pair out on the coset points, and read_pair reads the canonical pair
+    of an element back.  They read two tables, each built breadth-first
+    on first use: N's action, in its two directions, and the t-chain of
+    each coset word with its inverse.  A word that is no coset word is
+    multiplied out by word_perm.
     """
 
     spec: ProgenitorSpec
@@ -100,11 +99,6 @@ class SymImage:
     # rejects an identity t, so the index is at least 2 and a gather never
     # has a single index (which would return a bare item instead of a
     # tuple).
-
-    @cached_property
-    def _t_gathers(self) -> tuple[itemgetter, ...]:
-        """The gather of each t_i, in index order."""
-        return tuple(_gather_of(t.images) for t in self.ts)
 
     @cached_property
     def _action(self) -> tuple[dict[Images, itemgetter], dict[Images, Perm]]:
@@ -145,44 +139,22 @@ class SymImage:
                             padded_gathers[word[-1] - 1](inverse))
         return chains
 
-    def _t_chain(self, word: Word) -> Images:
-        """The images of t_word = t_w1 * ... * t_wk: those of word's last t,
-        then one gather per letter before it, right to left, for a
-        non-empty word.  The one path that chains a word letter by letter:
-        for a word that is no coset word, and for verify_relators_in_image,
-        which leaves the coset-word table unbuilt."""
-        images = self.ts[word[-1] - 1].images
-        gathers = self._t_gathers
-        for letter in word[-2::-1]:
-            images = gathers[letter - 1](images)
-        return images
-
     def realized(self, control: Perm, word: Word) -> Images:
         """The images of the realization of control times t_word: the
-        t-chain of word, read from the table for a coset word, gathered by
-        control's realization (coset of w goes to the coset of
-        w^control).  Raises ValueError for a control of another degree and
-        IdentificationError for one outside N."""
+        t-chain of word, read from the table for a coset word and
+        multiplied out by word_perm for any other, gathered by control's
+        realization (coset of w goes to the coset of w^control).  Raises
+        ValueError for a control of another degree and IdentificationError
+        for one outside N."""
         gather = self._action[0].get(control.images)
         if gather is None:
             if control.degree != self.n:
                 raise ValueError(f"control degree {control.degree} != {self.n}")
             raise IdentificationError("permutation is not in the control group")
         entry = self._chains.get(word)
-        return gather(self._t_chain(word) if entry is None else entry[0])
-
-    def realized_inverse(self, control: Perm, word: Word) -> Images:
-        """The images of the realization of (control * t_word)^-1, that is
-        of t_word^-1 * control^-1: for a coset word, its inverse entry
-        gathers the realization of control^-1.  Any other word is inverted
-        as a pair, control^-1 * t_(reverse(word)^(control^-1)), and
-        realized.  Raises as realized does."""
-        inv = ~control
-        entry = self._chains.get(word)
         if entry is None:
-            return self.realized(inv, inv.images_of(word[::-1]))
-        # the padded entry keeps its 0 in front of the product's images
-        return _gather(entry[1], (0,) + self.realized(inv, ()))[1:]
+            return gather(word_perm(self.ts, word, self.index).images)
+        return gather(entry[0])
 
     def read_pair(self, images: Images) -> tuple[Perm, Word]:
         """The canonical pair (nu, w) of the element with these images.
@@ -202,13 +174,13 @@ class SymImage:
         return nu, word
 
 
-def build_image(spec: ProgenitorSpec, t_words: Sequence[FreeWord] | None = None,
-                max_cosets: int = 10 ** 6) -> SymImage:
+def build_image(spec: ProgenitorSpec, max_cosets: int = 10 ** 6) -> SymImage:
     """Enumerate the image and realize the symmetric generators.
 
-    t_words may give explicit words (over the built presentation's
-    generators) realizing each symmetric generator; by default they are
-    conjugates of the t symbol along orbit witness words.
+    Each t_i is realized along its word in default_t_words, the conjugate
+    of the t symbol by an orbit witness word sending 1 to i.  The ts must
+    be distinct involutions that each control generator conjugates as it
+    permutes their indices, or ImageError is raised.
     """
     pres = build_presentation(spec)
     m = len(spec.control_gens)
@@ -218,11 +190,7 @@ def build_image(spec: ProgenitorSpec, t_words: Sequence[FreeWord] | None = None,
         _check_control_presentation(spec)
         raise
     gens_image = tuple(coset_action(table))
-    if t_words is None:
-        t_words = default_t_words(spec)
-    if len(t_words) != spec.n:
-        raise ValueError(f"expected {spec.n} t_words, got {len(t_words)}")
-    ts = tuple(word_perm(gens_image, w) for w in t_words)
+    ts = tuple(word_perm(gens_image, w) for w in default_t_words(spec))
 
     for i, t in enumerate(ts, start=1):
         if t.is_identity() or not (t * t).is_identity():
@@ -426,8 +394,8 @@ def verify_relators_in_image(spec: ProgenitorSpec, img: SymImage) -> list[str]:
     realize = img._action[0]
     for k, (control_word, tail) in enumerate(spec.relators, start=1):
         pi = word_perm(spec.control_gens, control_word, spec.n)
-        # letter by letter, leaving the coset-word table unbuilt
-        chain = img._t_chain(tail) if tail else identity
+        # by word_perm, leaving the coset-word table unbuilt
+        chain = word_perm(img.ts, tail, img.index).images
         if realize[pi.images](chain) != identity:
             raise ImageError(f"relator {k} does not evaluate to the identity")
         report.append(

@@ -2,11 +2,13 @@
 
 A spec file carries the control action (cycle strings over arbitrary
 string labels), the control presentation, the factoring relators, and
-optionally explicit realizing words for the symmetric generators plus
-expected enumeration results for self-testing.  Labels are free-form
-strings so symbols like "∞" survive; glyph-heavy alphabets should use
-plain encodings (the bundled fixtures write b0..b6) with a display table
-kept alongside as metadata.
+optionally expected enumeration results for self-testing.  The symmetric
+generators are always N's conjugates of one t (build_image), so a spec
+file names no word for them; any other key is ignored, such as the keys
+in which older files named the t symbol and gave a word for each t_i.
+Labels are free-form strings so symbols like "∞" survive; glyph-heavy
+alphabets should use plain encodings (the bundled fixtures write b0..b6)
+with a display table kept alongside as metadata.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from importlib import resources
-from .fpgroup import FreeWord, Presentation, parse_word
+from .fpgroup import Presentation, parse_word
 from .progenitor import ProgenitorSpec, derive_rules
 from .dcenum import build_image
 from .perm import parse_label_cycles
@@ -36,12 +38,11 @@ class Expected:
 class GroupSpecFile:
     name: str
     spec: ProgenitorSpec
-    t_words: tuple[FreeWord, ...] | None
     expected: Expected
 
     def build_context(self, with_rules: bool = True,
                       max_cosets: int = 10 ** 6) -> SymContext:
-        image = build_image(self.spec, self.t_words, max_cosets=max_cosets)
+        image = build_image(self.spec, max_cosets=max_cosets)
         rules = derive_rules(self.spec, max_cosets) if with_rules else None
         return SymContext(self.spec, rules=rules, image=image)
 
@@ -96,10 +97,6 @@ def load_spec_data(data: dict, path: str = "<data>") -> GroupSpecFile:
     relator_items = _field(
         data, "relators", path, _is_relator_list,
         'a list of {"control_word": string, "tail": list of labels} objects')
-    t_name = _field(data, "t_name", path, lambda v: isinstance(v, str),
-                    "a string", required=False)
-    t_word_texts = _field(data, "t_words", path, _is_str_list, strings,
-                          required=False)
     exp = _field(data, "expected", path, _is_expected,
                  "an object of integer index, group_order and node_sizes",
                  required=False) or {}
@@ -117,12 +114,10 @@ def load_spec_data(data: dict, path: str = "<data>") -> GroupSpecFile:
             # element text writes the empty word as "-", and enumerate and
             # graph output as "*"
             raise SpecFileError(f"{path}: label {label!r} is reserved for the empty word")
-    for key, names in (("control_generator_names", gen_names),
-                       ("t_name", (t_name,))):
+    if "" in gen_names:
         # word text would read an empty name at every position
-        if "" in names:
-            raise SpecFileError(f"{path}: field {key!r} holds the empty "
-                                "generator name ''")
+        raise SpecFileError(f"{path}: field 'control_generator_names' holds "
+                            "the empty generator name ''")
     if len(gen_cycles) != len(gen_names):
         raise SpecFileError(f"{path}: generator names and cycles differ in number")
 
@@ -139,13 +134,7 @@ def load_spec_data(data: dict, path: str = "<data>") -> GroupSpecFile:
             tail = tuple(labels.index(l) + 1 for l in item["tail"])
             relators.append((cw, tail))
         spec = ProgenitorSpec(n, control_gens, presentation, tuple(relators),
-                              labels, t_name=t_name or "t")
-        t_words = None
-        if t_word_texts is not None:
-            pres_names = gen_names + (spec.t_name,)
-            t_words = tuple(parse_word(w, pres_names) for w in t_word_texts)
-            if len(t_words) != n:
-                raise SpecFileError(f"{path}: expected {n} t_words")
+                              labels)
     except SpecFileError:
         raise
     except ValueError as exc:
@@ -156,7 +145,7 @@ def load_spec_data(data: dict, path: str = "<data>") -> GroupSpecFile:
         index=exp.get("index"),
         group_order=exp.get("group_order"),
         node_sizes=tuple(node_sizes) if node_sizes is not None else None)
-    return GroupSpecFile(name, spec, t_words, expected)
+    return GroupSpecFile(name, spec, expected)
 
 
 def load_spec_file(path: str) -> GroupSpecFile:

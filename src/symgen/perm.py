@@ -22,8 +22,8 @@ Only outside input is validated: Perm(images), and so the cycle parser and
 the coset action read off a coset table, checks that the images form a
 permutation, and apply() range-checks its point.
 Products, inverses, conjugates and identity() are built unchecked
-from permutations already valid, the product and images_of() in one C-level
-gather (operator.itemgetter), so composing pays for no validation.  The
+from permutations already valid, the product in one C-level gather
+(operator.itemgetter), so composing pays for no validation.  The
 modules that keep a permutation as its tuple of images (Images) gather
 with this one's _gather, _product, _inverse, _quotient and _gather_of.
 
@@ -90,12 +90,6 @@ class Perm:
         if not 1 <= k <= len(self.images):
             raise ValueError(f"point {k} out of range 1..{len(self.images)}")
         return self.images[k - 1]
-
-    def images_of(self, points: Sequence[int]) -> Images:
-        """The image of each point in turn, unchecked: every point must
-        lie in 1..degree (e.g. the letters of a word moved by a control
-        element)."""
-        return _gather(points, (0,) + self.images)
 
     def __mul__(self, other: "Perm") -> "Perm":
         # self acts first: k^(self*other) == (k^self)^other

@@ -67,7 +67,6 @@ class ProgenitorSpec:
     control_presentation: Presentation
     relators: tuple[tuple[FreeWord, Word], ...]
     labels: tuple[str, ...] = ()
-    t_name: str = "t"
 
     def __post_init__(self):
         if self.n < 1:
@@ -82,8 +81,6 @@ class ProgenitorSpec:
                 raise ValueError(
                     "control generators do not satisfy control relator "
                     + word_str(rel, self.control_presentation.names))
-        if self.t_name in self.control_presentation.names:
-            raise ValueError(f"symbol {self.t_name!r} collides with a control generator name")
         labels = self.labels or tuple(str(i) for i in range(1, self.n + 1))
         if len(labels) != self.n or len(set(labels)) != self.n:
             raise ValueError("labels must be n distinct strings")
@@ -108,7 +105,8 @@ class ProgenitorSpec:
 
 def build_presentation(spec: ProgenitorSpec) -> Presentation:
     """Presentation of the factored progenitor over N's generators plus one
-    symbol for t_1.
+    symbol for t_1, named by "t" repeated once more than the longest
+    control generator name, so that it names no control generator.
 
     Consists of N's relators, t^2, commutators of t with Schreier-word
     generators of the stabilizer of index 1, and the factoring relators
@@ -118,7 +116,8 @@ def build_presentation(spec: ProgenitorSpec) -> Presentation:
     """
     m = len(spec.control_gens)
     t = m + 1
-    names = spec.control_presentation.names + (spec.t_name,)
+    names = spec.control_presentation.names
+    names += ("t" * (1 + max(map(len, names), default=0)),)
     relators: list[FreeWord] = list(spec.control_presentation.relators)
     relators.append((t, t))
 

@@ -7,12 +7,12 @@ through permutations of the small control degree plus a short word.
 
 Two independent engines are provided and must agree: a pure rewrite
 engine (unify + canon over the letter table, no image needed) and
-the image engine (SymImage.realized, SymImage.realized_inverse and
-SymImage.read_pair).  mult, invert_sym and equal_sym pick one by mode
-(_is_pure), after checking that their elements share a context; the
-rewrite engine reduces a raw pair, and the image engine realizes the
-factors, multiplies the realizations and reads the result back.  per2sym
-and sym2per are the two converters.
+the image engine (SymImage.realized and SymImage.read_pair).  mult,
+invert_sym and equal_sym pick one by mode (_is_pure), after checking that
+their elements share a context; the rewrite engine reduces a raw pair,
+and the image engine realizes the factors, multiplies or inverts the
+realizations and reads the result back.  per2sym and sym2per are the two
+converters.
 
 A raw pair is (control images, word): the control travels as its tuple
 of images, as inside RuleSet, so a pure product or inversion builds one
@@ -230,15 +230,15 @@ def mult(a: SymElement, b: SymElement, mode: str = "auto") -> SymElement:
 
 def invert_sym(a: SymElement, mode: str = "auto") -> SymElement:
     """Inverse: (pi*w)^-1 = pi^-1 * reverse(w)^(pi^-1), which canon
-    reduces, or the image engine's realization of it
-    (SymImage.realized_inverse), read back."""
+    reduces, or the inverse of the image engine's realization of a, read
+    back."""
     ctx = a.ctx
     if _is_pure(ctx, mode):
         inv = _inverse(a.control.images)
         perm, word = canon((inv, _gather(a.word[::-1], (0,) + inv)), ctx.rules)
         return SymElement(ctx, perm, word)
     img = ctx.image
-    return SymElement(ctx, *img.read_pair(img.realized_inverse(a.control, a.word)))
+    return SymElement(ctx, *img.read_pair(_inverse(img.realized(a.control, a.word))))
 
 
 def equal_sym(a: SymElement, b: SymElement, mode: str = "auto") -> bool:

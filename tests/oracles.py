@@ -13,6 +13,11 @@ from symgen.progenitor import Word, default_t_words, normalize_tail
 from symgen.symrep import SymElement
 
 
+def images_of(p, points):
+    """The image under p of each point in turn."""
+    return tuple(p.images[k - 1] for k in points)
+
+
 def product_by_generator(p, q):
     """p * q (p acts first) gathered by a generator and checked by Perm."""
     return Perm(tuple(q.images[i - 1] for i in p.images))
@@ -122,10 +127,10 @@ def canon_by_perms(raw, rules, trace=None):
 
 def unify_two_step(a, b):
     """symrep.unify as written before it padded sigma once: the control
-    product through Perm.__mul__, then the word moved by images_of, which
-    pads sigma a second time."""
+    product through Perm.__mul__, then the word moved by sigma's images,
+    padded a second time."""
     sigma = b.control
-    return a.control * sigma, sigma.images_of(a.word) + b.word
+    return a.control * sigma, images_of(sigma, a.word) + b.word
 
 
 @dataclass(frozen=True)
@@ -199,14 +204,14 @@ def closed_relator_rules(spec):
         # cyclic rotation: conjugating pi*t_a*u = 1 by pi*t_a gives
         # u*pi*t_a = pi * u^pi * t_a
         a, rest = w[0], w[1:]
-        add(pi, pi.images_of(rest) + (a,))
+        add(pi, images_of(pi, rest) + (a,))
         # inversion: (pi*w)^-1 = pi^-1 * reverse(w)^(pi^-1)
         inv = ~pi
-        add(inv, inv.images_of(w[::-1]))
+        add(inv, images_of(inv, w[::-1]))
 
     for pi, tail in seeds:
         for nu in elems:
-            add(pi.conj(nu), nu.images_of(tail))
+            add(pi.conj(nu), images_of(nu, tail))
     rules = [_split_rule(pi, w) for pi, w in pool.values()]
     return tuple(sorted(rules, key=lambda r: (len(r.pattern), r.pattern,
                                               r.replacement, r.perm.images)))
@@ -411,9 +416,9 @@ class CompletionReference:
             else:
                 continue
             del out[-k:]
-            delta = rule.perm.images_of(delta)
+            delta = images_of(rule.perm, delta)
             todo += reversed(rule.replacement)
-            todo += reversed(rule.perm.images_of(out))
+            todo += reversed(images_of(rule.perm, out))
             out.clear()
         return delta, tuple(out)
 
@@ -472,16 +477,16 @@ class CompletionReference:
         identity = Perm.identity(self.n)
         u, pi, v = rule.pattern, rule.perm, rule.replacement
         yield identity, u[:-1], pi, v + u[-1:]
-        yield identity, u[1:], pi, pi.images_of(u[:1]) + v
+        yield identity, u[1:], pi, images_of(pi, u[:1]) + v
         for g in self.spec.control_gens:
-            yield identity, g.images_of(u), pi.conj(g), g.images_of(v)
+            yield identity, images_of(g, u), pi.conj(g), images_of(g, v)
         for other in list(self.system.values()):
             for a, b in ((rule, other), (other, rule)):
                 # a's pattern ends with the k letters that b's begins with
                 for k in range(1, min(len(a.pattern), len(b.pattern))):
                     if a.pattern[-k:] == b.pattern[:k]:
                         yield (a.perm, a.replacement + b.pattern[k:], b.perm,
-                               b.perm.images_of(a.pattern[:-k]) + b.replacement)
+                               images_of(b.perm, a.pattern[:-k]) + b.replacement)
 
     @cached_property
     def table(self):
@@ -578,7 +583,7 @@ def image_inverse_by_perms(a):
     realized as a Perm and converted back."""
     ctx = a.ctx
     inv = ~a.control
-    raw = SymElement(ctx, inv, inv.images_of(a.word[::-1]))
+    raw = SymElement(ctx, inv, images_of(inv, a.word[::-1]))
     return per2sym_by_perms(ctx, sym2per_by_perms(ctx, raw))
 
 
@@ -594,5 +599,6 @@ def build_presentation_as_written(spec):
     t_words = default_t_words(spec)
     for control_word, tail in spec.relators:
         relators.append(concat(control_word, *(t_words[i - 1] for i in tail)))
-    return Presentation(spec.control_presentation.names + (spec.t_name,),
+    names = spec.control_presentation.names
+    return Presentation(names + ("t" * (1 + max(map(len, names), default=0)),),
                         tuple(relators))

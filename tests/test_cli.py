@@ -59,6 +59,25 @@ def test_enumerate_spec_file_path(tmp_path, capsys):
     assert code == 0 and "index: 50" in out
 
 
+def test_spec_file_with_t_words_and_t_name_still_loads(tmp_path, capsys):
+    # spec files once named the symbol for t_1 and gave a word realizing
+    # each t_i; both keys are now ignored like any other unknown key, and
+    # u3_3 as it was written with them gives the bundled fixture's graph
+    src = json.loads((FIXTURE_DIR / "u3_3.json").read_text(encoding="utf-8"))
+    src["t_name"] = "s"
+    src["t_words"] = [
+        "s", "s^x", "s^(x^2)", "s^(x^3)", "s^(x^4)", "s^(x^5)", "s^(x^6)",
+        "s^t", "(s^t)^(x^6)", "(s^t)^(x^5)", "(s^t)^(x^4)", "(s^t)^(x^3)",
+        "(s^t)^(x^2)", "(s^t)^x"]
+    path = tmp_path / "u3_3_with_t_words.json"
+    path.write_text(json.dumps(src), encoding="utf-8")
+    code, out, err = run_cli(capsys, "enumerate", str(path))
+    assert code == 0 and err == "" and "index: 36" in out
+    for fmt in ("dot", "json"):
+        assert (run_cli(capsys, "graph", str(path), "--format", fmt)
+                == run_cli(capsys, "graph", "u3_3", "--format", fmt))
+
+
 def test_enumerate_expectation_mismatch(tmp_path, capsys):
     src = json.loads(
         (Path(__file__).parents[1] / "src/symgen/fixtures/5sq_d6.json")
@@ -88,11 +107,21 @@ def test_enumerate_order_and_node_size_mismatch(tmp_path, capsys, field, value,
     assert [ln for ln in out.splitlines() if ln.startswith("MISMATCH")] == [line]
 
 
+# N = <(1,2)> presented by x^4 is a cover of C2: x^2 fixes both generator
+# indices, but no relator makes it commute with t_1, and in this image it
+# does not, so x conjugates t_2 to t_1^(x^2), not to t_1
+COVER_SPEC = {
+    "name": "cover", "n": 2, "labels": ["1", "2"],
+    "control_generator_names": ["x"], "control_generators": ["(1,2)"],
+    "control_presentation": "x^4",
+    "relators": [{"control_word": "x^3", "tail": ["1", "2", "1"]}],
+}
+
+
 @pytest.mark.parametrize("mutate,message", [
-    (lambda src: {**src, "t_words": src["t_words"][1::-1] + src["t_words"][2:]},
+    (lambda src: COVER_SPEC,
      "error: conjugation by the control image does not permute the "
      "generators as the control action does"),
-    (lambda src: {**src, "t_words": src["t_words"][:-1]}, "expected 14 t_words"),
     (lambda src: {**src, "labels": src["labels"][:-1]},
      "expected 14 labels, got 13"),
     (lambda src: [src], "top level must be an object"),
@@ -118,7 +147,7 @@ def test_inconsistent_spec_file_exit_code(tmp_path, capsys, mutate, message):
     ("expected", "abc"),
     ("expected", {"node_sizes": [1, "3"]}),
     ("n", True),
-    ("t_words", "t"),
+    ("name", 7),
     ("display", ["b0"]),
 ])
 def test_malformed_spec_field_exit_code(tmp_path, capsys, field, value):
@@ -137,7 +166,7 @@ def test_malformed_spec_field_exit_code(tmp_path, capsys, field, value):
 
 
 @pytest.mark.parametrize("field,value", [
-    ("t_name", ""),
+    ("control_generator_names", ["x", ""]),
     ("control_generator_names", ["", "y"]),
 ])
 def test_empty_generator_name_exit_code(tmp_path, capsys, field, value):
@@ -247,11 +276,10 @@ JUNK = st.one_of(
 
 @st.composite
 def mutated_spec(draw):
-    """A bundled fixture with one field, label, tail entry, cycle string or
-    t_words entry replaced by junk or by a near-valid value."""
-    kind = draw(st.sampled_from(["field", "label", "tail", "cycle", "t_word"]))
-    name = "u3_3" if kind == "t_word" else draw(st.sampled_from(sorted(FIXTURE_DATA)))
-    data = copy.deepcopy(FIXTURE_DATA[name])
+    """A bundled fixture with one field, label, tail entry or cycle string
+    replaced by junk or by a near-valid value."""
+    kind = draw(st.sampled_from(["field", "label", "tail", "cycle"]))
+    data = copy.deepcopy(FIXTURE_DATA[draw(st.sampled_from(sorted(FIXTURE_DATA)))])
     labels = data["labels"]
 
     def pick(items):
@@ -265,19 +293,11 @@ def mutated_spec(draw):
         tail = data["relators"][pick(data["relators"])]["tail"]
         tail[pick(tail)] = draw(st.one_of(st.sampled_from(labels),
                                           st.text(max_size=3)))
-    elif kind == "cycle":
+    else:
         cycle = draw(st.lists(st.sampled_from(labels), unique=True, max_size=4))
         gens = data["control_generators"]
         gens[pick(gens)] = draw(st.one_of(
             st.text(max_size=8), st.just("(" + ",".join(cycle) + ")")))
-    else:
-        names = data["control_generator_names"] + [data["t_name"]]
-        letter = st.tuples(st.sampled_from(names),
-                           st.sampled_from(["", "^-1", "^2"])).map("".join)
-        words = data["t_words"]
-        words[pick(words)] = draw(st.one_of(
-            st.text(max_size=6),
-            st.lists(letter, min_size=1, max_size=4).map("*".join)))
     return data
 
 

@@ -9,7 +9,6 @@ from symgen.dcenum import (CollapsedGraph, DoubleCoset, ImageError,
                            verify_relators_in_image)
 from symgen.groupfile import load_bundled
 from symgen.perm import Perm, parse_cycles
-from symgen.progenitor import default_t_words
 from symgen.symrep import SymElement
 from oracles import (build_presentation_as_written, control_action_by_perms,
                      elements_by_chain, follow_word, sym2per_by_perms)
@@ -236,7 +235,7 @@ def test_verify_relators_vacuous_without_relators(l2_19):
     from symgen.progenitor import ProgenitorSpec
     spec = l2_19.spec
     bare = ProgenitorSpec(spec.n, spec.control_gens, spec.control_presentation,
-                          (), spec.labels, t_name=spec.t_name)
+                          (), spec.labels)
     assert verify_relators_in_image(bare, l2_19.image) == []
 
 
@@ -249,7 +248,7 @@ def test_verify_relators_checks_each_relator(l2_19, relator, passes):
     from symgen.progenitor import ProgenitorSpec
     spec = l2_19.spec
     one = ProgenitorSpec(spec.n, spec.control_gens, spec.control_presentation,
-                         (relator,), spec.labels, t_name=spec.t_name)
+                         (relator,), spec.labels)
     if passes:
         assert len(verify_relators_in_image(one, l2_19.image)) == 1
     else:
@@ -340,23 +339,6 @@ def test_golden_graphs(all_contexts, name, fmt):
     text = emit_graph(double_cosets(all_contexts[name].image), fmt)
     golden = (GOLDEN / f"{name}.{fmt}").read_text(encoding="utf-8")
     assert text == golden
-
-
-def test_explicit_and_derived_t_words_realize_the_same_generators(u3_3):
-    # the fixture pins explicit realizing words; the default construction
-    # (conjugates along orbit witness words) must produce the same images
-    img_default = build_image(u3_3.spec, t_words=None)
-    assert img_default.ts == u3_3.image.ts
-    assert img_default.cst == u3_3.image.cst
-
-
-def test_build_image_rejects_a_wrong_number_of_t_words(u3_3):
-    # the library checks its caller's words itself, since only spec files
-    # pass through groupfile's check
-    words = default_t_words(u3_3.spec)
-    for k in (13, 15):
-        with pytest.raises(ValueError, match=f"^expected 14 t_words, got {k}$"):
-            build_image(u3_3.spec, (words * 2)[:k])
 
 
 def test_degenerate_image_rejected():

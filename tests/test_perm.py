@@ -66,15 +66,6 @@ def test_unchecked_arithmetic_matches_checked_formulas(degree):
         Perm.identity(degree) * Perm.identity(degree + 1)
 
 
-def test_images_of_moves_words_like_apply():
-    rng = random.Random(3)
-    p = random_perm(rng, 14)
-    for length in (0, 1, 2, 7):
-        word = tuple(rng.randint(1, 14) for _ in range(length))
-        assert p.images_of(word) == tuple(p.apply(i) for i in word)
-        assert p.images_of(list(word)) == p.images_of(word)
-
-
 def test_composition_convention_right_action():
     # p acts first: k^(p*q) == (k^p)^q
     p = parse_cycles("(1,2)", 3)

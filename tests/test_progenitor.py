@@ -20,7 +20,7 @@ from symgen.symrep import (SymContext, canon, cenelt, format_element,
 import oracles
 from oracles import (CompletionReference, Rule, build_presentation_as_written,
                      canon_by_perms, closed_relator_rules, completion_rules,
-                     conjugate_rule, control_action_by_perms,
+                     conjugate_rule, control_action_by_perms, images_of,
                      schreier_generators_by_scan, table_view,
                      unify_two_step)
 
@@ -53,7 +53,7 @@ def test_normalize_tail():
 
 def spec_without_relators(spec):
     return ProgenitorSpec(spec.n, spec.control_gens, spec.control_presentation,
-                          (), spec.labels, t_name=spec.t_name)
+                          (), spec.labels)
 
 
 def test_spec_validation():
@@ -61,9 +61,6 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         # intransitive control action
         ProgenitorSpec(3, (parse_cycles("(1,2)", 3),), pres, ())
-    with pytest.raises(ValueError):
-        # symbol collision
-        ProgenitorSpec(2, (parse_cycles("(1,2)", 2),), pres, (), t_name="x")
     with pytest.raises(ValueError):
         # wrong number of labels
         ProgenitorSpec(2, (parse_cycles("(1,2)", 2),), pres, (), labels=("a",))
@@ -86,7 +83,8 @@ def test_build_presentation_structure():
     pres = build_presentation(spec)
     m = len(spec.control_gens)
     t = m + 1
-    assert pres.names == spec.control_presentation.names + ("s",)
+    # one letter longer than every control name, so it names none of them
+    assert pres.names == spec.control_presentation.names + ("tt",)
     # the involution relator for the added symbol is present
     assert (t, t) in pres.relators
     # control relators come through unchanged
@@ -477,12 +475,23 @@ def collapsing_spec():
     names = spec.control_presentation.names
     return ProgenitorSpec(spec.n, spec.control_gens, spec.control_presentation,
                           ((parse_word("x", names), (1,)),),
-                          spec.labels, t_name=spec.t_name)
+                          spec.labels)
 
 
 def test_relator_that_collapses_the_control_group_raises():
     with pytest.raises(ValueError, match="non-identity element of N"):
         derive_rules(collapsing_spec()).table
+
+
+def test_t_self_loop_with_a_non_involution_label_collapses():
+    # x * t_1 = 1 over N = <(1,2,3)> makes t_1 = x^-1, so x^2 = 1 and N
+    # collapses; the enumeration finds it only as coset 0's t_1 column
+    # looping back to itself under the label x^-1, whose square is not 1,
+    # and without that check it closes at one state
+    spec = ProgenitorSpec(3, (parse_cycles("(1,2,3)", 3),),
+                          Presentation.parse(["x"], "x^3"), (((1,), (1,)),))
+    with pytest.raises(ValueError, match=f"^{COLLAPSE}$"):
+        derive_rules(spec).table
 
 
 def _outcome(rules):
@@ -973,4 +982,4 @@ def test_degree_one_pure_products_and_inversions_match_the_oracle(key):
                 == canon_by_perms(unify_two_step(a, b), rules)), (a, b)
         inverse, inv = invert_sym(a, mode="pure"), ~a.control
         assert ((inverse.control, inverse.word) == canon_by_perms(
-            (inv, inv.images_of(a.word[::-1])), rules)), a
+            (inv, images_of(inv, a.word[::-1])), rules)), a

@@ -1,22 +1,31 @@
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "symgen"
 
 
-def _public_definitions(tree):
-    """The names of a module's public module-level functions and classes
-    and of its classes' public methods."""
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def _definitions(tree, private):
+    """A module's module-level functions and classes and its classes'
+    methods, as (name, def node): the public ones, or the private ones
+    other than dunders."""
+    def wanted(node):
+        return (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and node.name.startswith("_") == private
+                and not _is_dunder(node.name))
+
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            if not node.name.startswith("_"):
-                yield node.name
-            if isinstance(node, ast.ClassDef):
-                for item in node.body:
-                    if (isinstance(item, ast.FunctionDef)
-                            and not item.name.startswith("_")):
-                        yield item.name
+        if wanted(node):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if wanted(item) and isinstance(item, ast.FunctionDef):
+                    yield item.name, item
 
 
 def _references(tree):
@@ -34,19 +43,31 @@ def _references(tree):
             yield node.value
 
 
-def test_no_public_name_is_test_only():
-    # each public function, class and method of the package is named in
-    # the package, the demos or the benchmark outside its own def; a name
-    # that only the tests call is library API to delete
+def _unused(private):
+    """The package's definitions that src, the demos and the benchmark
+    never name outside their own def."""
     sources = [path for folder in ("src", "demos", "perfbench")
                for path in sorted((ROOT / folder).rglob("*.py"))
                if not path.name.startswith("test_")]
     trees = {path: ast.parse(path.read_text(encoding="utf-8"))
              for path in sources}
-    used = set()
+    used = Counter()
     for tree in trees.values():
         used.update(_references(tree))
-    defined = {name for path, tree in trees.items()
-               if path.is_relative_to(PACKAGE)
-               for name in _public_definitions(tree)}
-    assert sorted(defined - used) == []
+    return sorted(name for path, tree in trees.items()
+                  if path.is_relative_to(PACKAGE)
+                  for name, node in _definitions(tree, private)
+                  if used[name] == Counter(_references(node))[name])
+
+
+def test_no_public_name_is_test_only():
+    # each public function, class and method of the package is named in
+    # the package, the demos or the benchmark outside its own def; a name
+    # that only the tests call is library API to delete
+    assert _unused(private=False) == []
+
+
+def test_no_private_name_is_dead():
+    # the same for private functions, classes and methods other than
+    # dunders: one that nothing outside its own def names is dead code
+    assert _unused(private=True) == []
