@@ -25,7 +25,7 @@ Products, inverses, conjugates and identity() are built unchecked
 from permutations already valid, the product in one C-level gather
 (operator.itemgetter), so composing pays for no validation.  The
 modules that keep a permutation as its tuple of images (Images) gather
-with this one's _gather, _product, _inverse, _quotient and _gather_of.
+with this one's _gather, _product, _inverse and _gather_of.
 
 Perm values are immutable.  A PermGroup builds its chain and caches lazily
 on first use, so share instances across threads only after forcing that
@@ -177,14 +177,6 @@ def _inverse(p: Images) -> Images:
     out = [0] * len(p)
     for k, i in enumerate(p, start=1):
         out[i - 1] = k
-    return tuple(out)
-
-
-def _quotient(p: Images, q: Images) -> Images:
-    """The images of ~p * q, which sends p's image of each point to q's."""
-    out = [0] * len(p)
-    for a, b in zip(p, q):
-        out[a - 1] = b
     return tuple(out)
 
 

@@ -19,8 +19,9 @@ This module turns such a specification into
 
 Within the rewrite engine a permutation travels as its tuple of images,
 and a Perm is built only for what leaves it (see RuleSet); the arithmetic
-on image tuples is perm's (Images, _gather, _product, _inverse,
-_quotient).
+on image tuples is perm's (Images, _gather, _product, _inverse).  Only the
+table's enumeration goes further: its labels are numbers for the elements
+of N (_Labels), each product of two of them gathered once.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .perm import (MAX_ELEMENTS, Images, Perm, PermGroup, _gather, _inverse,
-                   _product, _quotient, word_perm)
+                   _product, word_perm)
 from .fpgroup import (CosetLimitExceeded, FreeWord, Presentation, commutator,
                       concat, invert_word, reduce_word, word_conj, word_str)
 
@@ -252,13 +253,14 @@ class RuleSet:
     CosetLimitExceeded, and so does every later access, since each one
     enumerates afresh.
 
-    Inside, perms travel as image tuples (Images): the enumeration's
-    labels, the entries of the table's rows and the running control of
-    symrep.canon's walk, which steps through the states as integers and
-    takes its raw control as images too.  A product is one gather of the
-    left factor's images from the right factor's padded behind a 0, and
-    each row entry is padded when it is built.  The engine builds a Perm
-    only for canon's result.
+    Inside, perms travel as image tuples (Images): the entries of the
+    table's rows and the running control of symrep.canon's walk, which
+    steps through the states as integers and takes its raw control as
+    images too.  A product is one gather of the left factor's images from
+    the right factor's padded behind a 0, and each row entry is padded
+    when it is built.  The engine builds a Perm only for canon's result.
+    The enumeration's labels are numbers for the elements of N (_Labels),
+    which never leave the table's build.
     """
 
     def __init__(self, spec: ProgenitorSpec,
@@ -286,80 +288,135 @@ class RuleSet:
         element of N with 1, and ValueError is raised, when a scan closes
         a loop at one coset with a label other than the identity, a coset
         merges with itself under such a label, or a t column's self-loop
-        gets a label whose square is not the identity.
+        gets a label whose square is not the identity.  Each label is the
+        number of its element of N (_Labels): 0 for the identity, so those
+        checks compare numbers, and each product of two labels is gathered
+        once however often the scans meet it.
 
         Once the table closes, one breadth-first pass over the t columns,
         in letter order from coset 0, renumbers the cosets by their least
         words in (length, lex) order: a state's place in that order,
         words[k] its least word, with t_(words[k]) = mu_k x_k.  An entry
         x_k t_i = lambda x_j becomes rows[k][i] = (mu_k lambda mu_j^-1,
-        state of j): the perm's images padded behind a 0 for
-        symrep.canon's gathers, or None for the identity, which needs
-        none.  Each row is a dict on the letters 1..n, so any other key
-        raises KeyError.
+        state of j), multiplied out on the same numbers: the perm's images
+        padded behind a 0 for symrep.canon's gathers, or None for the
+        identity, which needs none.  Each row is a dict on the letters
+        1..n, so any other key raises KeyError.
         """
         n = self.n
-        table = _labelled_cosets(self.spec, self.rules, self.max_cosets)
-        identity = tuple(range(1, n + 1))
-        # coset -> (state, mu^-1 padded behind a 0)
-        states: dict[int, tuple[int, Images]] = {0: (0, (0,) + identity)}
-        cosets, words, mus = [0], [()], [identity]
+        table, labels = _labelled_cosets(self.spec, self.rules,
+                                         self.max_cosets)
+        product, inverse = labels.product, labels.inverse
+        # coset -> (state, mu^-1), labels as numbers
+        states: dict[int, tuple[int, int]] = {0: (0, 0)}
+        cosets, words, mus = [0], [()], [0]
         rows: list[Row] = []
         for k, coset in enumerate(cosets):
             row: Row = {}
             entries = table[coset]
             for i in range(1, n + 1):
                 target, label = entries[i - 1]
-                nu = _product(mus[k], label)  # t_(words[k]) t_i = nu x_target
+                nu = product(mus[k], label)  # t_(words[k]) t_i = nu x_target
                 if target not in states:
-                    states[target] = len(cosets), (0,) + _inverse(nu)
+                    states[target] = len(cosets), inverse(nu)
                     cosets.append(target)
                     words.append(words[k] + (i,))
                     mus.append(nu)
                 state, mu_inverse = states[target]
-                step = _gather(nu, mu_inverse)
-                row[i] = None if step == identity else (0,) + step, state
+                step = product(nu, mu_inverse)
+                row[i] = (0,) + labels.images[step] if step else None, state
             rows.append(row)
         return tuple(rows), tuple(words)
 
 
+class _Labels:
+    """The elements of N that the letter table's enumeration meets, each
+    numbered the first time it is seen: images[a] holds element a's
+    images and number maps them back.  0 is the identity, so a label is
+    the identity exactly when it is falsy.  Each product of two numbers
+    is gathered once, by _product, and each inverse computed once; both
+    are memoized per number."""
+
+    def __init__(self, identity: Images):
+        self.images: list[Images] = [identity]
+        self.number: dict[Images, int] = {identity: 0}
+        self.products: list[dict[int, int]] = [{}]
+        self.inverses: list[int | None] = [0]
+
+    def of(self, images: Images) -> int:
+        """The number of the element with these images."""
+        a = self.number.get(images)
+        if a is None:
+            a = self.number[images] = len(self.images)
+            self.images.append(images)
+            self.products.append({})
+            self.inverses.append(None)
+        return a
+
+    def product(self, a: int, b: int) -> int:
+        """a * b, a acting first."""
+        if not (a and b):
+            return a or b
+        c = self.products[a].get(b)
+        if c is None:
+            c = self.products[a][b] = self.of(
+                _product(self.images[a], self.images[b]))
+        return c
+
+    def inverse(self, a: int) -> int:
+        """~a."""
+        b = self.inverses[a]
+        if b is None:
+            b = self.of(_inverse(self.images[a]))
+            self.inverses[a], self.inverses[b] = b, a
+        return b
+
+    def quotient(self, a: int, b: int) -> int:
+        """~a * b."""
+        return self.product(self.inverse(a), b)
+
+
 def _labelled_cosets(spec: ProgenitorSpec,
                      relators: Sequence[tuple[int, ...]],
-                     max_cosets: int) -> list:
-    """The closed HLT table of RuleSet.table: row a holds, per column c,
-    the entry (b, lambda) with x_a c = lambda x_b, lambda as images; rows of
-    dead cosets are None, and live rows name only live cosets."""
+                     max_cosets: int) -> tuple[list, _Labels]:
+    """The closed HLT table of RuleSet.table and the numbering of its
+    labels: row a holds, per column c, the entry (b, lambda) with
+    x_a c = lambda x_b, lambda an element of N as its number in labels;
+    rows of dead cosets are None, and live rows name only live cosets."""
     n = spec.n
-    identity = tuple(range(1, n + 1))
+    labels = _Labels(tuple(range(1, n + 1)))
+    product, inverse = labels.product, labels.inverse
+    quotient = labels.quotient
     gens = [g.images for g in spec.control_gens]
     inv = list(range(n)) + [n + (c ^ 1) for c in range(2 * len(gens))]
     ncols = len(inv)
     first: list = [None] * n
     for g in gens:
-        first += [(0, g), (0, _inverse(g))]
+        g = labels.of(g)
+        first += [(0, g), (0, inverse(g))]
     table: list = [first]
     # x_a = link[a] x_parent[a]; a live coset is its own parent
-    parent, link = [0], [identity]
+    parent, link = [0], [0]
     # t_i g t_(i^g) g^-1 for each control generator g and letter i
     scanned = [(i, _control_column(n, k), g[i] - 1, _control_column(n, -k))
                for k, g in enumerate(gens, start=1) for i in range(n)]
     scanned += relators
 
-    def find(a: int) -> tuple[int, Images]:
+    def find(a: int) -> tuple[int, int]:
         """a's root r and the label with x_a = label x_r; compresses."""
         path = []
         while parent[a] != a:
             path.append(a)
             a = parent[a]
-        label = identity
+        label = 0
         for b in reversed(path):
-            label = _product(link[b], label)
+            label = product(link[b], label)
             parent[b], link[b] = a, label
         return a, label
 
-    def connect(a: int, col: int, b: int, label: Images):
+    def connect(a: int, col: int, b: int, label: int):
         """Set x_a c = label x_b in both directions."""
-        back, label_inverse = inv[col], _inverse(label)
+        back, label_inverse = inv[col], inverse(label)
         if a == b and back == col and label_inverse != label:
             raise ValueError(_COLLAPSE)
         table[a][col] = b, label
@@ -372,24 +429,24 @@ def _labelled_cosets(spec: ProgenitorSpec,
         b = len(table)
         table.append([None] * ncols)
         parent.append(b)
-        link.append(identity)
-        connect(a, col, b, identity)
+        link.append(0)
+        connect(a, col, b, 0)
 
-    def merge(a: int, b: int, tau: Images, queue: list[int]):
+    def merge(a: int, b: int, tau: int, queue: list[int]):
         """Record x_a = tau x_b: the greater root dies onto the lesser."""
         a, alpha = find(a)
         b, beta = find(b)
-        tau = _product(_quotient(alpha, tau), beta)  # x_a = tau x_b, roots
+        tau = product(quotient(alpha, tau), beta)  # x_a = tau x_b, roots
         if a == b:
-            if tau != identity:
+            if tau:
                 raise ValueError(_COLLAPSE)
             return
         if a < b:
-            a, b, tau = b, a, _inverse(tau)
+            a, b, tau = b, a, inverse(tau)
         parent[a], link[a] = b, tau
         queue.append(a)
 
-    def coincidence(a: int, b: int, tau: Images):
+    def coincidence(a: int, b: int, tau: int):
         queue: list[int] = []
         merge(a, b, tau, queue)
         for dead in queue:
@@ -402,27 +459,28 @@ def _labelled_cosets(spec: ProgenitorSpec,
                 u, delta = find(dead)
                 v, epsilon = find(target)
                 # x_u c = label x_v
-                label = _product(_quotient(delta, label), epsilon)
+                label = product(quotient(delta, label), epsilon)
                 here, there = table[u][col], table[v][back]
                 if here is not None:
-                    merge(v, here[0], _quotient(label, here[1]), queue)
+                    merge(v, here[0], quotient(label, here[1]), queue)
                 elif there is not None:
-                    merge(u, there[0], _product(label, there[1]), queue)
+                    merge(u, there[0], product(label, there[1]), queue)
                 else:
                     connect(u, col, v, label)
             # every entry that named dead is cleared, so its row is garbage
             table[dead] = None
 
     def scan_and_fill(a: int, word: tuple[int, ...]):
-        f, forward, i = a, identity, 0
-        b, backward, j = a, identity, len(word) - 1
+        f, forward, i = a, 0, 0
+        b, backward, j = a, 0, len(word) - 1
         while True:
             while i <= j:
                 entry = table[f][word[i]]
                 if entry is None:
                     break
                 f, label = entry
-                forward = _product(forward, label)
+                if label:
+                    forward = product(forward, label)
                 i += 1
             if i > j:
                 break
@@ -431,17 +489,18 @@ def _labelled_cosets(spec: ProgenitorSpec,
                 if entry is None:
                     break
                 b, label = entry
-                backward = _product(backward, label)
+                if label:
+                    backward = product(backward, label)
                 j -= 1
             if j < i:
                 break
             if j == i:  # one letter left: the gap closes by deduction
-                connect(f, word[i], b, _quotient(forward, backward))
+                connect(f, word[i], b, quotient(forward, backward))
                 return
             define(f, word[i])
         # forward x_f = backward x_b
         if f != b or forward != backward:
-            coincidence(f, b, _quotient(forward, backward))
+            coincidence(f, b, quotient(forward, backward))
 
     a = 0
     while a < len(table):
@@ -455,4 +514,4 @@ def _labelled_cosets(spec: ProgenitorSpec,
                     if table[a][col] is None:
                         define(a, col)
         a += 1
-    return table
+    return table, labels

@@ -507,6 +507,35 @@ def test_elt_centralize(capsys, name, element, expected):
     assert out == expected
 
 
+U3_3_B0_1 = ("(1,22)(2,10)(3,5)(4,21,8,17)(6,20,7,19)(9,30,12,29)(11,13)"
+             "(14,32,15,36)(16,18)(23,24)(25,34,28,33)(26,31,27,35)")
+
+
+@pytest.mark.parametrize("args,builds", [
+    (["convert", "(id | b0.1)"], 1),
+    (["mult", "(id | b0)", "(id | b1)"], 1),
+    (["convert", U3_3_B0_1], 0),
+    (["centralize", "(id | b0)"], 0),
+], ids=["convert-pair", "mult", "convert-perm", "centralize"])
+def test_one_shot_elt_builds_the_letter_table_at_most_once(
+        capsys, monkeypatch, args, builds):
+    # a pure operation enumerates the letter table on first use and reads
+    # it after that; converting a coset permutation and centralizing go
+    # through the image alone and never build it
+    from symgen import progenitor
+    calls = []
+    enumerate_cosets = progenitor._labelled_cosets
+
+    def counting_enumeration(*a):
+        calls.append(a)
+        return enumerate_cosets(*a)
+
+    monkeypatch.setattr(progenitor, "_labelled_cosets", counting_enumeration)
+    code, out, _ = run_cli(capsys, "elt", "u3_3", *args)
+    assert code == 0 and out
+    assert len(calls) == builds
+
+
 def test_elt_membership_failure(capsys):
     # a permutation of the generator indices that is not in the control group
     code, _, err = run_cli(capsys, "elt", "u3_3", "convert", "((b0,b1) | -)")
@@ -580,7 +609,7 @@ def test_selftest(capsys):
 
 def test_console_entry_point():
     proc = subprocess.run([sys.executable, "-m", "symgen.cli", "enumerate", "5sq_d6"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, encoding="utf-8")
     assert proc.returncode == 0
     assert "index: 50" in proc.stdout
 

@@ -33,7 +33,7 @@ def test_readme_python_block_prints_its_comment():
     expected = block.rstrip().splitlines()[-1].split("# ", 1)[1]
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, "-c", block], cwd=ROOT, env=env,
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, encoding="utf-8")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == expected + "\n"
 

@@ -413,6 +413,44 @@ def test_rewrite_table_is_bounded_by_max_cosets(name, max_cosets, fits):
             rules.table
 
 
+@pytest.mark.parametrize("word,least", [("x", 3781), ("x^2*y", 6572)])
+def test_index_1015_members_close_at_their_least_budgets(word, least):
+    # the enumeration defines the same cosets at scale: 2^{*4}:S_4 /
+    # (pi t_1)^7 closes with 1,015 states at these budgets and no lower
+    spec = power_relator_spec(4, word, 7)
+    assert len(derive_rules(spec, least).table[0]) == 1015
+    with pytest.raises(CosetLimitExceeded,
+                       match=f"of {least - 1} cosets$"):
+        derive_rules(spec, least - 1).table
+
+
+def test_each_product_of_two_labels_is_gathered_once(monkeypatch):
+    # the enumeration numbers the elements of N as it meets them, 0 the
+    # identity, and memoizes products: one table build gathers no pair of
+    # label images twice
+    spec = load_bundled("u3_3").spec
+    gathered = []
+    product = progenitor._product
+
+    def recording_product(p, q):
+        gathered.append((p, q))
+        return product(p, q)
+
+    monkeypatch.setattr(progenitor, "_product", recording_product)
+    rules = derive_rules(spec)
+    rules.table
+    assert gathered and len(set(gathered)) == len(gathered)
+    table, labels = progenitor._labelled_cosets(spec, rules.rules,
+                                                LEAST["u3_3"])
+    images = labels.images
+    assert images[0] == Perm.identity(spec.n).images
+    assert len(set(images)) == len(images) <= spec.control_group.order()
+    assert all(Perm(p) in spec.control_group for p in images)
+    assert labels.number == {p: a for a, p in enumerate(images)}
+    assert {entry[1] for row in table if row is not None
+            for entry in row if entry is not None} <= set(range(len(images)))
+
+
 def test_rewrite_budget_names_its_stage():
     for max_cosets in (1, 36, 209):
         with pytest.raises(CosetLimitExceeded) as exc:
