@@ -17,7 +17,7 @@ img = ctx.image
 print("image degree:", img.index, "| group order:", img.full_group.order())
 
 e = sr.parse_element(ctx, "(id | b0.0.b0)")
-canonical = sr.mult(e, ctx.identity_element())
+canonical = sr.canonical_form(e)
 print("\nthe word b0.0.b0 names a control element:")
 print("   raw:      ", sr.format_element(e))
 print("   canonical:", sr.format_element(canonical))

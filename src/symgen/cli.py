@@ -22,7 +22,7 @@ import io
 import os
 import sys
 
-from .fpgroup import CosetLimitExceeded
+from .fpgroup import MAX_COSETS, CosetLimitExceeded
 from .perm import GroupTooLarge, IdentificationError, parse_cycles, cycles_str
 from .dcenum import CollapsedGraph, double_cosets, emit_graph, word_label
 from .groupfile import (GroupSpecFile, SpecFileError, bundled_fixture_names,
@@ -47,7 +47,7 @@ def _load(spec_arg: str) -> GroupSpecFile:
 def _max_cosets() -> int:
     value = os.environ.get("SYMGEN_MAX_COSETS")
     if not value:
-        return 10 ** 6
+        return MAX_COSETS
     if not value.isdecimal() or int(value) < 1:
         raise ValueError(
             f"SYMGEN_MAX_COSETS must be a positive integer, got {value!r}")
@@ -124,7 +124,7 @@ def _elt(gf: GroupSpecFile, action: str, element_args: list[str], out) -> int:
         e = elements[0]
         if "|" in element_args[0]:
             print(cycles_str(symrep.sym2per(ctx, e)), file=out)
-            canonical = symrep.mult(e, ctx.identity_element(), mode="pure")
+            canonical = symrep.canonical_form(e, mode="pure")
             print(symrep.format_element(canonical), file=out)
         else:
             print(symrep.format_element(e), file=out)

@@ -33,7 +33,8 @@ from typing import Sequence
 
 from .perm import (Images, Perm, PermGroup, IdentificationError, _gather,
                    _gather_of, _product, _trusted, word_perm)
-from .fpgroup import CosetLimitExceeded, coset_action, todd_coxeter, word_str
+from .fpgroup import (MAX_COSETS, CosetLimitExceeded, coset_action,
+                      todd_coxeter, word_str)
 from .progenitor import ProgenitorSpec, Word, build_presentation, default_t_words
 
 
@@ -85,11 +86,6 @@ class SymImage:
     @cached_property
     def full_group(self) -> PermGroup:
         return PermGroup(self.index, self.gens_image)
-
-    @cached_property
-    def point_of(self) -> dict[Word, int]:
-        """Each coset word against its coset point."""
-        return {word: c for c, word in enumerate(self.cst, start=1)}
 
     # The image engine, on image tuples.  Its tables, N's action and the
     # coset words' t-chains, are built on first use, so enumerate and graph
@@ -174,7 +170,7 @@ class SymImage:
         return nu, word
 
 
-def build_image(spec: ProgenitorSpec, max_cosets: int = 10 ** 6) -> SymImage:
+def build_image(spec: ProgenitorSpec, max_cosets: int = MAX_COSETS) -> SymImage:
     """Enumerate the image and realize the symmetric generators.
 
     Each t_i is realized along its word in default_t_words, the conjugate

@@ -36,6 +36,9 @@ from .perm import Perm, _gather
 
 FreeWord = tuple[int, ...]
 
+# the default limit on the cosets that each of the two enumerations defines
+MAX_COSETS = 10 ** 6
+
 
 class CosetLimitExceeded(RuntimeError):
     """A search abandoned at its budget before closure.  The coset limit
@@ -246,7 +249,7 @@ class CosetTable:
 
 
 def todd_coxeter(pres: Presentation, subgroup_gens: Sequence[Sequence[int]] = (),
-                 max_cosets: int = 10 ** 6) -> CosetTable:
+                 max_cosets: int = MAX_COSETS) -> CosetTable:
     """Enumerate cosets of the subgroup generated by the given words.
 
     Raises CosetLimitExceeded if more than max_cosets cosets get defined;

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from importlib import resources
-from .fpgroup import Presentation, parse_word
+from .fpgroup import MAX_COSETS, Presentation, parse_word
 from .progenitor import ProgenitorSpec, derive_rules
 from .dcenum import build_image
 from .perm import parse_label_cycles
@@ -41,7 +41,7 @@ class GroupSpecFile:
     expected: Expected
 
     def build_context(self, with_rules: bool = True,
-                      max_cosets: int = 10 ** 6) -> SymContext:
+                      max_cosets: int = MAX_COSETS) -> SymContext:
         image = build_image(self.spec, max_cosets=max_cosets)
         rules = derive_rules(self.spec, max_cosets) if with_rules else None
         return SymContext(self.spec, rules=rules, image=image)
@@ -118,8 +118,6 @@ def load_spec_data(data: dict, path: str = "<data>") -> GroupSpecFile:
         # word text would read an empty name at every position
         raise SpecFileError(f"{path}: field 'control_generator_names' holds "
                             "the empty generator name ''")
-    if len(gen_cycles) != len(gen_names):
-        raise SpecFileError(f"{path}: generator names and cycles differ in number")
 
     try:
         control_gens = tuple(parse_label_cycles(c, labels) for c in gen_cycles)

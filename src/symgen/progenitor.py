@@ -32,8 +32,9 @@ from typing import Iterable, Sequence
 
 from .perm import (MAX_ELEMENTS, Images, Perm, PermGroup, _gather, _inverse,
                    _product, word_perm)
-from .fpgroup import (CosetLimitExceeded, FreeWord, Presentation, commutator,
-                      concat, invert_word, reduce_word, word_conj, word_str)
+from .fpgroup import (MAX_COSETS, CosetLimitExceeded, FreeWord, Presentation,
+                      commutator, concat, invert_word, reduce_word, word_conj,
+                      word_str)
 
 Word = tuple[int, ...]  # letters are symmetric-generator indices in 1..n
 # a state's row of the letter table: letter -> (padded images or None, state)
@@ -209,7 +210,7 @@ def _shortest_words(gens: Sequence[Perm], degree: int, targets: set[Images],
 
 # -- the letter table --------------------------------------------------------
 
-def derive_rules(spec: ProgenitorSpec, max_cosets: int = 10 ** 6) -> "RuleSet":
+def derive_rules(spec: ProgenitorSpec, max_cosets: int = MAX_COSETS) -> "RuleSet":
     """The rewrite engine of spec: its factoring relators as written, each
     as a word over the letter table's enumeration columns (see RuleSet),
     and the table, enumerated on first use within the max_cosets budget.

@@ -8,11 +8,15 @@ through permutations of the small control degree plus a short word.
 Two independent engines are provided and must agree: a pure rewrite
 engine (unify + canon over the letter table, no image needed) and
 the image engine (SymImage.realized and SymImage.read_pair).  mult,
-invert_sym and equal_sym pick one by mode (_is_pure), after checking that
-their elements share a context; the rewrite engine reduces a raw pair,
-and the image engine realizes the factors, multiplies or inverts the
-realizations and reads the result back.  per2sym and sym2per are the two
-converters.
+invert_sym, canonical_form and equal_sym pick one by mode (_is_pure),
+after checking that their elements share a context; the rewrite engine
+reduces a raw pair, and the image engine realizes the factors, multiplies
+or inverts the realizations and reads the result back.  canonical_form is
+the one way to ask for an element's canonical pair outside a product or
+an inversion: equal_sym compares two of them, and
+SymContext.element(..., canonical=True) compares a pair with its own, by
+the image engine when the context has one.  per2sym and sym2per are the
+two converters.
 
 A raw pair is (control images, word): the control travels as its tuple
 of images, as inside RuleSet, so a pure product or inversion builds one
@@ -60,18 +64,14 @@ class SymContext:
             raise ContextError("operation requires the image engine")
         return self.image
 
-    def require_rules(self) -> RuleSet:
-        if self.rules is None:
-            raise ContextError("operation requires the rewrite engine")
-        return self.rules
-
     def element(self, control: Perm, word: Sequence[int],
                 canonical: bool = False) -> "SymElement":
         """Checked construction from outside input: the control must be a
         degree-n member of N and every letter must lie in 1..n.  With
-        canonical=True the pair must also be canonical, which raises
-        ValueError otherwise: its word is a coset word of the image, or,
-        without an image, canon leaves the pair as it is."""
+        canonical=True the pair must also be its own canonical_form, which
+        raises ValueError otherwise; the image engine decides when the
+        context has an image, so the check builds no letter table, and
+        canon decides without one."""
         if control.degree != self.n:
             raise ValueError(f"control degree {control.degree} != {self.n}")
         if control not in self.spec.control_group:
@@ -80,18 +80,12 @@ class SymContext:
         for letter in word:
             if not 1 <= letter <= self.n:
                 raise ValueError(f"word letter {letter} out of range 1..{self.n}")
+        e = SymElement(self, control, word)
         if canonical:
-            if self.image is not None:
-                is_canonical = word in self.image.point_of
-            else:
-                is_canonical = (canon((control.images, word), self.rules)
-                                == (control, word))
-            if not is_canonical:
+            form = canonical_form(e, "pure" if self.image is None else "image")
+            if (form.control, form.word) != (control, word):
                 raise ValueError("control and word are not a canonical pair")
-        return SymElement(self, control, word)
-
-    def identity_element(self) -> "SymElement":
-        return SymElement(self, Perm.identity(self.n), ())
+        return e
 
 
 class SymElement:
@@ -241,12 +235,23 @@ def invert_sym(a: SymElement, mode: str = "auto") -> SymElement:
     return SymElement(ctx, *img.read_pair(_inverse(img.realized(a.control, a.word))))
 
 
+def canonical_form(e: SymElement, mode: str = "auto") -> SymElement:
+    """The canonical form of an element, by the engine mode picks: canon
+    reduces its pair, or the image engine realizes it on the coset points
+    and reads its canonical pair back."""
+    ctx = e.ctx
+    if _is_pure(ctx, mode):
+        return SymElement(ctx, *canon((e.control.images, e.word), ctx.rules))
+    img = ctx.image
+    return SymElement(ctx, *img.read_pair(img.realized(e.control, e.word)))
+
+
 def equal_sym(a: SymElement, b: SymElement, mode: str = "auto") -> bool:
-    """Whether two elements agree: their canonical pairs, each reduced by
-    the engine mode picks, are equal."""
-    ctx = _shared_context(a.ctx, b.ctx)
-    pure = _is_pure(ctx, mode)
-    return _canonical_pair(ctx, a, pure) == _canonical_pair(ctx, b, pure)
+    """Whether two elements agree: their canonical forms, each by the
+    engine mode picks, are equal."""
+    _shared_context(a.ctx, b.ctx)
+    x, y = canonical_form(a, mode), canonical_form(b, mode)
+    return (x.control, x.word) == (y.control, y.word)
 
 
 def _is_pure(ctx: SymContext, mode: str) -> bool:
@@ -255,23 +260,13 @@ def _is_pure(ctx: SymContext, mode: str) -> bool:
     if mode == "auto":
         return ctx.rules is not None
     if mode == "pure":
-        ctx.require_rules()
+        if ctx.rules is None:
+            raise ContextError("operation requires the rewrite engine")
     elif mode == "image":
         ctx.require_image()
     else:
         raise ValueError(f"unknown mode {mode!r}")
     return mode == "pure"
-
-
-def _canonical_pair(ctx: SymContext, e: SymElement,
-                    pure: bool) -> tuple[Perm, Word]:
-    """The canonical pair of an element of ctx: by canon over the rules,
-    or by the image engine, which realizes the element on the coset points
-    and reads its canonical pair back."""
-    if pure:
-        return canon((e.control.images, e.word), ctx.rules)
-    img = ctx.image
-    return img.read_pair(img.realized(e.control, e.word))
 
 
 def cenelt(ctx: SymContext, a: SymElement) -> tuple[int, list[SymElement]]:

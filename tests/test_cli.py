@@ -118,10 +118,25 @@ COVER_SPEC = {
 }
 
 
+# t_1 t_2 = 1 identifies the three symmetric generators of 2^{*3} : S_3
+IDENTIFIED_SPEC = {
+    "name": "identified", "n": 3, "labels": ["1", "2", "3"],
+    "control_generator_names": ["x", "y"],
+    "control_generators": ["(1,2,3)", "(1,2)"],
+    "control_presentation": "x^3, y^2, (x*y)^2",
+    "relators": [{"control_word": "x^3", "tail": ["1", "2"]}],
+}
+
+
 @pytest.mark.parametrize("mutate,message", [
     (lambda src: COVER_SPEC,
      "error: conjugation by the control image does not permute the "
      "generators as the control action does"),
+    (lambda src: IDENTIFIED_SPEC,
+     "error: images of the symmetric generators are not distinct"),
+    (lambda src: {**src, "control_generators": src["control_generators"][:-1]},
+     "inconsistent.json: control generators and presentation names differ "
+     "in number"),
     (lambda src: {**src, "labels": src["labels"][:-1]},
      "expected 14 labels, got 13"),
     (lambda src: [src], "top level must be an object"),

@@ -35,7 +35,7 @@ def test_image_only_context(l2_19):
 
 
 def test_mode_validation(l2_19):
-    a = l2_19.identity_element()
+    a = l2_19.element(Perm.identity(l2_19.n), ())
     with pytest.raises(ValueError):
         mult(a, a, mode="sideways")
 
@@ -46,7 +46,8 @@ def test_elements_of_different_contexts_do_not_mix(d6_5sq, u3_3):
     spec = power_relator_spec(3, "x", 5)
     other = SymContext(spec, rules=derive_rules(spec))
     a = d6_5sq.element(Perm.identity(3), (1,))
-    for b in (other.element(Perm.identity(3), (1,)), u3_3.identity_element()):
+    for b in (other.element(Perm.identity(3), (1,)),
+              u3_3.element(Perm.identity(u3_3.n), ())):
         for x, y in ((a, b), (b, a)):
             for mode in ("auto", "pure", "image"):
                 with pytest.raises(ValueError, match="^elements come from "
@@ -63,7 +64,8 @@ def test_conversions_refuse_an_element_of_another_context(d6_5sq, u3_3):
     spec = power_relator_spec(3, "x", 5)
     other = SymContext(spec, image=build_image(spec))
     a = d6_5sq.element(Perm.identity(3), (1,))
-    for b in (other.element(Perm.identity(3), (1,)), u3_3.identity_element()):
+    for b in (other.element(Perm.identity(3), (1,)),
+              u3_3.element(Perm.identity(u3_3.n), ())):
         for ctx, e in ((d6_5sq, b), (b.ctx, a)):
             with pytest.raises(ValueError, match="^elements come from "
                                                  "different contexts$"):

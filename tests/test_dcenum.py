@@ -55,7 +55,6 @@ def test_coset_points_are_numbered_by_their_words(monkeypatch, name):
     img = build_image(spec)
     keys = [(len(w), w) for w in img.cst]
     assert all(a < b for a, b in zip(keys, keys[1:]))
-    assert img.point_of == {w: c for c, w in enumerate(img.cst, start=1)}
     monkeypatch.setattr(dcenum, "build_presentation",
                         build_presentation_as_written)
     assert build_image(spec) == img
@@ -350,6 +349,15 @@ def test_degenerate_image_rejected():
     spec = ProgenitorSpec(2, (parse_cycles("(1,2)", 2),), pres,
                           (((), (1,)),))
     with pytest.raises(ImageError):
+        build_image(spec)
+    # t_1 t_2 = 1 in 2^{*3} : S_3 makes t_1 = t_2 = t_3, one involution
+    # that N centralizes: the order-2 and conjugation checks pass, and the
+    # builder must refuse the image for its repeated generators
+    pres = Presentation.parse(["x", "y"], "x^3, y^2, (x*y)^2")
+    gens = (parse_cycles("(1,2,3)", 3), parse_cycles("(1,2)", 3))
+    spec = ProgenitorSpec(3, gens, pres, (((1, 1, 1), (1, 2)),))
+    with pytest.raises(ImageError, match="^images of the symmetric "
+                                         "generators are not distinct$"):
         build_image(spec)
 
 

@@ -738,7 +738,7 @@ def test_degree_one_progenitor(relators, words):
     # the image engine's gathers run, each over two points
     ctx = SymContext(spec, image=build_image(spec))
     assert (ctx.image.index, ctx.image.full_group.order()) == (2, 2)
-    t, one = ctx.element(identity, (1,)), ctx.identity_element()
+    t, one = ctx.element(identity, (1,)), ctx.element(identity, ())
     swap = Perm((2, 1))
     assert sym2per(ctx, t) == swap and sym2per(ctx, one) == Perm.identity(2)
     for p, word in ((swap, (1,)), (Perm.identity(2), ())):

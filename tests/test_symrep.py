@@ -6,9 +6,10 @@ import pytest
 
 from symgen import perm, symrep
 from symgen.dcenum import build_image
+from symgen.groupfile import load_bundled
 from symgen.perm import IdentificationError, Perm
 from symgen.symrep import (ContextError, SymContext, SymElement, canon,
-                           cenelt, equal_sym,
+                           canonical_form, cenelt, equal_sym,
                            format_element, invert_sym, mult, parse_element,
                            per2sym, sym2per, unify)
 from oracles import (control_action_by_perms, elements_by_chain, follow_word,
@@ -44,7 +45,7 @@ def test_element_validation(l2_19):
 
 def test_unify_identity_cases(l2_19):
     ctx = l2_19
-    e = ctx.identity_element()
+    e = ctx.element(Perm.identity(ctx.n), ())
     b = rand_elements(ctx, 1, seed=1)[0]
     images, word = unify(e, b)
     assert images == b.control.images and word == b.word
@@ -145,7 +146,8 @@ def test_per2sym_trivial_cases(all_contexts):
 def test_sym2per_trivial_cases(all_contexts):
     for ctx in all_contexts.values():
         img = ctx.image
-        assert sym2per(ctx, ctx.identity_element()) == Perm.identity(img.index)
+        one = ctx.element(Perm.identity(ctx.n), ())
+        assert sym2per(ctx, one) == Perm.identity(img.index)
         e = ctx.element(Perm.identity(ctx.n), (2,))
         assert sym2per(ctx, e) == img.ts[1]
 
@@ -167,7 +169,7 @@ def test_sym2per_per2sym_canonicalizes(all_contexts):
             e = per2sym(ctx, full.random_element(rng))
             raw = ctx.element(e.control, e.word)
             assert per2sym(ctx, sym2per(ctx, raw)).word == mult(
-                raw, ctx.identity_element(), mode="pure").word
+                raw, ctx.element(Perm.identity(ctx.n), ()), mode="pure").word
 
 
 def test_word_length_bounds_sampled(all_contexts):
@@ -315,12 +317,32 @@ def test_equal_sym_modes_agree(all_contexts):
             a, b = per2sym(ctx, p), per2sym(ctx, q)
             assert equal_sym(a, b, mode="pure") == equal_sym(a, b, mode="image") \
                 == (p == q)
-        e = rand_elements(ctx, 1, seed=16)[0]
-        raw = ctx.element(e.control, e.word)
-        assert equal_sym(raw, mult(e, ctx.identity_element(), mode="pure"))
+        # raw pairs: any control, squares, words longer than any canonical
+        # word; both engines' canonical forms are the product with 1
+        one = ctx.element(Perm.identity(ctx.n), ())
+        group = ctx.spec.control_group
+        for length in range(8):
+            word = tuple(rng.randint(1, ctx.n) for _ in range(length))
+            i = rng.randint(1, ctx.n)
+            for w in (word, word + (i, i), (i, i) + word):
+                raw = ctx.element(group.random_element(rng), w)
+                forms = [canonical_form(raw, mode) for mode in ("pure", "image")]
+                forms.append(mult(raw, one, mode="pure"))
+                assert len({(f.control, f.word) for f in forms}) == 1
+                assert equal_sym(raw, forms[0])
 
 
-def test_canonical_claims_are_checked(d6_5sq):
+def _accepts(ctx, control, word):
+    """Whether ctx.element takes (control, word) as a canonical pair."""
+    try:
+        ctx.element(control, word, canonical=True)
+    except ValueError as exc:
+        assert str(exc) == "control and word are not a canonical pair"
+        return False
+    return True
+
+
+def test_canonical_claims_are_checked(d6_5sq, u3_3):
     # t1 t1 = 1: equal_sym reduces the unchecked pair (id | 1.1) in either
     # mode, and element() rejects it as a canonical pair, with or without
     # an image, while it accepts the identity's own pair
@@ -328,12 +350,26 @@ def test_canonical_claims_are_checked(d6_5sq):
     one = Perm.identity(ctx.n)
     square = SymElement(ctx, one, (1, 1))
     for mode in ("pure", "image"):
-        assert equal_sym(square, ctx.identity_element(), mode=mode)
+        assert equal_sym(square, ctx.element(one, ()), mode=mode)
     for c in (ctx, SymContext(ctx.spec, rules=ctx.rules)):
         assert c.element(one, (), canonical=True).word == ()
         with pytest.raises(ValueError, match="^control and word are not a "
                                              "canonical pair$"):
             c.element(one, (1, 1), canonical=True)
+    # with an image, the image engine decides, so checking a claim builds
+    # no letter table; each verdict is the one canon gives without an image
+    fresh = load_bundled("u3_3").build_context()
+    rules_only = SymContext(u3_3.spec, rules=u3_3.rules)
+    rng = random.Random(19)
+    pairs = []
+    for e in rand_elements(fresh, 6, seed=19):
+        i = rng.randint(1, fresh.n)
+        pairs += [(e.control, e.word), (e.control, e.word + (i, i)),
+                  (e.control, tuple(rng.randint(1, fresh.n) for _ in range(4)))]
+    verdicts = [_accepts(fresh, *pair) for pair in pairs]
+    assert "table" not in vars(fresh.rules)
+    assert verdicts == [_accepts(rules_only, *pair) for pair in pairs]
+    assert verdicts.count(True) == 6
 
 
 def test_equal_sym_specific_relation(u3_3):
@@ -348,7 +384,7 @@ def test_equal_sym_specific_relation(u3_3):
 
 
 def test_cenelt_identity_is_whole_group(d6_5sq):
-    order, gens = cenelt(d6_5sq, d6_5sq.identity_element())
+    order, gens = cenelt(d6_5sq, d6_5sq.element(Perm.identity(d6_5sq.n), ()))
     assert order == d6_5sq.image.full_group.order() == 300
     for g in gens:
         assert isinstance(g, SymElement)
@@ -399,7 +435,8 @@ def test_format_parse_roundtrip(all_contexts):
             text = format_element(e)
             back = parse_element(ctx, text)
             assert back.control == e.control and back.word == e.word
-        assert format_element(ctx.identity_element()).endswith("| -)")
+        one = ctx.element(Perm.identity(ctx.n), ())
+        assert format_element(one).endswith("| -)")
 
 
 def test_parse_element_errors(u3_3):
@@ -424,7 +461,7 @@ def test_sym2per_rejects_a_control_outside_n(l2_19):
     with pytest.raises(ValueError, match="^control degree 3 != 6$"):
         sym2per(l2_19, SymElement(l2_19, Perm.identity(3), (1,)))
     e = SymElement(l2_19, Perm((2, 1, 3, 4, 5, 6)), (1,))
-    one = l2_19.identity_element()
+    one = l2_19.element(Perm.identity(l2_19.n), ())
     for call in (lambda: sym2per(l2_19, e), lambda: mult(e, one, mode="image"),
                  lambda: invert_sym(e, mode="image")):
         with pytest.raises(IdentificationError, match="^permutation is not in "
