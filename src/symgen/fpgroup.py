@@ -18,13 +18,16 @@ of an image in (length, lex) order of their coset words, so no output
 depends on this order.  A generator k with a relator k^2 or
 k^-2 is an involution: while enumerating, k and k^-1 share one column that
 is its own inverse, so the squares hold by construction and are not
-scanned, and the closed rows are expanded back to a column for k and one
-for k^-1.  Each relator and subgroup generator is compiled once per
-enumeration to a tuple of working columns, and a relator walk at a coset
-that meets no undefined entry only compares its end with the start; the
-closed table is then checked against every relator, squares included, one
-relator at a time over all cosets, by C-level gathers along the table's
-columns.
+scanned, and the closed table lists that column once for k and once for
+k^-1.  The table is column-major, one list per column indexed by coset
+(Holt, Eick & O'Brien, Handbook of Computational Group Theory, 2005,
+ch. 5), so defining a coset fills entries of lists that grow a chunk at a
+time.  Each relator and subgroup generator is compiled once per
+enumeration to the tuple of its working column lists, and a relator walk
+at a coset that meets no undefined entry only compares its end with the
+start; the closed table is then checked against every relator, squares
+included, one relator at a time over all cosets, by C-level gathers along
+its columns.
 """
 
 from __future__ import annotations
@@ -229,22 +232,21 @@ def _compile(word: Sequence[int]) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class CosetTable:
-    """Closed coset table: rows[c][col] is the 0-based target coset.
+    """Closed coset table: columns[col][c] is the 0-based target of coset c.
 
     Columns alternate generator and inverse: generator k (1-based) acts via
-    column 2k-2 and its inverse via column 2k-1.  Coset 0 is the subgroup.
+    column 2k-2 and its inverse via column 2k-1, and an involution's two
+    columns are one tuple.  Coset 0 is the subgroup.  The index is kept
+    apart from the columns, since a presentation with no generators has
+    one coset and no column.
     """
 
-    n_gens: int
-    rows: tuple[tuple[int, ...], ...]
-
-    @property
-    def index(self) -> int:
-        return len(self.rows)
+    index: int
+    columns: tuple[tuple[int, ...], ...]
 
     def trace(self, coset: int, word: Sequence[int]) -> int:
         for letter in word:
-            coset = self.rows[coset][_column(letter)]
+            coset = self.columns[_column(letter)][coset]
         return coset
 
 
@@ -281,25 +283,37 @@ def todd_coxeter(pres: Presentation, subgroup_gens: Sequence[Sequence[int]] = ()
         return tuple(map(column.__getitem__, word))
 
     scanned = [r for r in relators if r and r not in squares]
-    # the working table is freed on return, before the check builds columns
-    rows = _hlt(inv, [compile_word(r) for r in scanned],
-                [compile_word(w) for w in subgens if w], max_cosets)
-    result = CosetTable(m, rows)
+    # the working table is freed on return, before the check reads columns
+    result = CosetTable(*_hlt(inv, [compile_word(r) for r in scanned],
+                              [compile_word(w) for w in subgens if w],
+                              max_cosets))
     _check_closed(result, relators, subgens)
     return result
 
 
+# the working table grows by this many cosets when a definition reaches
+# its end
+_CHUNK = 1024
+
+
 def _hlt(inv: list[int], relators: list[tuple[int, ...]],
-         subgens: list[tuple[int, ...]], max_cosets: int) -> tuple[tuple[int, ...], ...]:
-    """HLT over compiled, non-empty words; returns the compacted rows.
+         subgens: list[tuple[int, ...]], max_cosets: int
+         ) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """HLT over compiled, non-empty words; returns the index and the
+    compacted columns in CosetTable's layout.
 
     The working columns follow the generators in order: two columns, k
     then k^-1, for a generator that is no involution, and one column that
-    is its own inverse (inv[c] == c) for an involution.  The returned rows
-    are expanded to CosetTable's layout of two columns per generator.
+    is its own inverse (inv[c] == c) for an involution.  Each working
+    column is one list indexed by coset, grown by _CHUNK Nones at a time,
+    so a definition allocates no container.  A word is compiled to the
+    tuple of its column lists, walked forward, and the tuple of their
+    inverse columns, walked backward.  Dead cosets keep stale entries,
+    which nothing reads: walks start at live cosets, and a finished
+    coincidence has cleared every entry that named a dead coset.
     """
-    ncols = len(inv)
-    table: list[list[int | None]] = [[None] * ncols]
+    columns: list[list[int | None]] = [[None] * _CHUNK for _ in inv]
+    pairs = [(column, columns[d]) for column, d in zip(columns, inv)]
     parent = [0]
 
     def find(a: int) -> int:
@@ -311,14 +325,16 @@ def _hlt(inv: list[int], relators: list[tuple[int, ...]],
         return root
 
     def define(a: int, col: int):
-        if len(table) >= max_cosets:
+        b = len(parent)
+        if b >= max_cosets:
             raise CosetLimitExceeded(max_cosets)
-        b = len(table)
-        row = [None] * ncols
-        row[inv[col]] = a
-        table.append(row)
+        column = columns[col]
+        if b == len(column):
+            for grown in columns:
+                grown += [None] * _CHUNK
         parent.append(b)
-        table[a][col] = b
+        column[a] = b
+        columns[inv[col]][b] = a
 
     def coincidence(a: int, b: int):
         # merges keep the lesser root; the queue lists dead cosets in
@@ -331,23 +347,19 @@ def _hlt(inv: list[int], relators: list[tuple[int, ...]],
         parent[b] = a
         queue = [b]
         for dead in queue:
-            row = table[dead]
-            for col in range(ncols):
-                target = row[col]
+            for column, back in pairs:
+                target = column[dead]
                 if target is None:
                     continue
-                back = inv[col]
-                table[target][back] = None
+                back[target] = None
                 u = find(dead)
                 v = target if parent[target] == target else find(target)
-                row_u = table[u]
-                w = row_u[col]
+                w = column[u]
                 if w is None:
-                    row_v = table[v]
-                    w = row_v[back]
+                    w = back[v]
                     if w is None:
-                        row_u[col] = v
-                        row_v[back] = u
+                        column[u] = v
+                        back[v] = u
                         continue
                     v = u
                 # merge v with w
@@ -359,16 +371,16 @@ def _hlt(inv: list[int], relators: list[tuple[int, ...]],
                 elif w < v:
                     parent[v] = w
                     queue.append(v)
-            # every entry that named dead is cleared, so its row is garbage
-            table[dead] = None
 
-    def scan_and_fill(a: int, word: tuple[int, ...]):
+    def scan_and_fill(a: int, word: tuple[int, ...],
+                      forward: tuple[list[int | None], ...],
+                      backward: tuple[list[int | None], ...]):
         f, i = a, 0
         b, j = a, len(word) - 1
         while True:
             # scan forward
             while i <= j:
-                nxt = table[f][word[i]]
+                nxt = forward[i][f]
                 if nxt is None:
                     break
                 f = nxt
@@ -379,7 +391,7 @@ def _hlt(inv: list[int], relators: list[tuple[int, ...]],
                 return
             # scan backward
             while j >= i:
-                nxt = table[b][inv[word[j]]]
+                nxt = backward[j][b]
                 if nxt is None:
                     break
                 b = nxt
@@ -389,23 +401,28 @@ def _hlt(inv: list[int], relators: list[tuple[int, ...]],
                 return
             if j == i:
                 # deduction closes the gap
-                table[f][word[i]] = b
-                table[b][inv[word[i]]] = f
+                forward[i][f] = b
+                backward[i][b] = f
                 return
             define(f, word[i])
 
-    for w in subgens:
-        scan_and_fill(0, w)
+    def walks(words: list[tuple[int, ...]]):
+        return [(word, tuple(columns[c] for c in word),
+                 tuple(columns[inv[c]] for c in word)) for word in words]
+
+    for walk in walks(subgens):
+        scan_and_fill(0, *walk)
+    relator_walks = walks(relators)
     a = 0
-    while a < len(table):
+    while a < len(parent):
         if parent[a] == a:
-            for rel in relators:
+            for word, forward, backward in relator_walks:
                 # a walk that meets no gap only compares its end with a
                 f = a
-                for col in rel:
-                    f = table[f][col]
+                for column in forward:
+                    f = column[f]
                     if f is None:
-                        scan_and_fill(a, rel)
+                        scan_and_fill(a, word, forward, backward)
                         break
                 else:
                     if f != a:
@@ -413,23 +430,26 @@ def _hlt(inv: list[int], relators: list[tuple[int, ...]],
                 if parent[a] != a:
                     break
             else:
-                for col in range(ncols):
-                    if table[a][col] is None:
+                for col, column in enumerate(columns):
+                    if column[a] is None:
                         define(a, col)
         a += 1
 
-    # a finished coincidence clears every entry that pointed at a dead
-    # coset, so live rows only name live cosets; each row is renumbered
-    # and expanded to the columns k, k^-1 of every generator in one pass
-    expand = []
-    for c, d in enumerate(inv):
-        if c <= d:
-            expand += [c, d]
-    live = [c for c in range(len(table)) if parent[c] == c]
-    renumber: list[int | None] = [None] * len(table)
+    # live cosets only name live cosets, so each working column is
+    # gathered once over them, renumbered, and emptied
+    live = [c for c in range(len(parent)) if parent[c] == c]
+    renumber: list[int | None] = [None] * len(parent)
     for i, c in enumerate(live):
         renumber[c] = i
-    return tuple(_gather(_gather(expand, table[c]), renumber) for c in live)
+    closed = []
+    for column in columns:
+        closed.append(_gather(_gather(live, column), renumber))
+        column.clear()
+    expanded = []
+    for c, d in enumerate(inv):
+        if c <= d:
+            expanded += [closed[c], closed[d]]
+    return len(live), tuple(expanded)
 
 
 def _check_closed(t: CosetTable, relators, subgens):
@@ -446,13 +466,12 @@ def _check_closed(t: CosetTable, relators, subgens):
             raise RuntimeError(
                 f"coset table check failed: subgroup generator {w} "
                 f"does not fix coset 0")
-    columns = list(zip(*t.rows))
     cosets = tuple(range(t.index))
     first = None
     for rel in relators:
         ends = cosets
         for col in _compile(rel):
-            ends = _gather(ends, columns[col])
+            ends = _gather(ends, t.columns[col])
         if ends != cosets:
             c = next(c for c in cosets if ends[c] != c)
             if first is None or c < first[0]:
@@ -466,7 +485,6 @@ def _check_closed(t: CosetTable, relators, subgens):
 
 def coset_action(t: CosetTable) -> list[Perm]:
     """One permutation of {1..index} per presentation generator."""
-    columns = list(zip(*t.rows))
-    return [Perm(tuple(target + 1 for target in columns[_column(g)]))
-            for g in range(1, t.n_gens + 1)]
+    return [Perm(tuple(target + 1 for target in column))
+            for column in t.columns[::2]]
 

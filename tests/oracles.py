@@ -362,7 +362,7 @@ def todd_coxeter_reference(pres: Presentation,
     rows = tuple(tuple(renumber[find(table[c][col_of(letter)])]
                        for k in range(1, m + 1) for letter in (k, -k))
                  for c in live)
-    result = CosetTable(m, rows)
+    result = CosetTable(len(rows), tuple(zip(*rows)))
     _check_closed(result, relators, subgens)
     return result
 

@@ -198,7 +198,7 @@ def test_definition_order_matches_reference(case):
     _, pres, subgens, index = case
     table = todd_coxeter(pres, subgens)
     assert table.index == index
-    assert table.rows == todd_coxeter_reference(pres, subgens).rows
+    assert table.columns == todd_coxeter_reference(pres, subgens).columns
 
 
 @pytest.mark.parametrize("case", ["u3_3 over N", "PGL(2,7) over 1"])
@@ -217,8 +217,8 @@ def test_coset_limit_trips_at_reference_count(case):
     while hi - lo > 1:
         mid = (lo + hi) // 2
         lo, hi = (lo, mid) if reference_closes(mid) else (mid, hi)
-    assert (todd_coxeter(pres, subgens, hi).rows
-            == todd_coxeter_reference(pres, subgens).rows)
+    assert (todd_coxeter(pres, subgens, hi).columns
+            == todd_coxeter_reference(pres, subgens).columns)
     with pytest.raises(CosetLimitExceeded):
         todd_coxeter(pres, subgens, hi - 1)
 
@@ -255,8 +255,8 @@ def test_an_inverse_square_makes_an_involution(monkeypatch):
     assert working_columns(monkeypatch, inverse_squared) == [1, 0, 2]
     table = todd_coxeter(inverse_squared)
     assert table.index == 6
-    assert (table.rows == todd_coxeter(squared).rows
-            == todd_coxeter_reference(inverse_squared).rows)
+    assert (table.columns == todd_coxeter(squared).columns
+            == todd_coxeter_reference(inverse_squared).columns)
 
 
 @pytest.mark.parametrize("texts", [
@@ -276,7 +276,7 @@ def test_subgroup_words_with_an_inverse_involution(texts):
     assert table.index * closure_order(
         tuple(word_perm(gens, w) for w in words)) == 60
     assert all(table.trace(0, w) == 0 for w in words)
-    assert table.rows == todd_coxeter_reference(A5, words).rows
+    assert table.columns == todd_coxeter_reference(A5, words).columns
 
 
 def test_a_square_inside_a_conjugate_keeps_two_columns(monkeypatch):
@@ -285,7 +285,7 @@ def test_a_square_inside_a_conjugate_keeps_two_columns(monkeypatch):
     assert working_columns(monkeypatch, pres) == [1, 0, 3, 2]
     table = todd_coxeter(pres)
     assert table.index == 6
-    assert table.rows == todd_coxeter_reference(pres).rows
+    assert table.columns == todd_coxeter_reference(pres).columns
     for c in range(table.index):
         assert table.trace(c, (2, 2)) == c
 
@@ -301,7 +301,7 @@ def test_q8_without_involutions_enumerates_as_before(monkeypatch, subgens,
     # no relator of Q8 is a square, so every generator keeps two columns
     # and the tables and coset counts are those of two columns throughout
     assert working_columns(monkeypatch, Q8, subgens) == [1, 0, 3, 2]
-    assert todd_coxeter(Q8, subgens).rows == rows
+    assert todd_coxeter(Q8, subgens).columns == tuple(zip(*rows))
     least_closing_limit(Q8, subgens, defined)
 
 
@@ -321,6 +321,45 @@ def test_fixture_cosets_defined_over_1(name, defined):
 def test_fixture_cosets_defined_over_n(name, defined):
     # the factoring relators as written defined 145, 902 and 134 cosets
     least_closing_limit(*fixture_over_control_group(name), defined)
+
+
+def closed_table_cases():
+    """(id, presentation, subgroup generators) whose closed columns are
+    checked: the fixtures over N and over 1, and small subgroups of A5,
+    which has an involution, and Q8, which has none."""
+    for name in ("5sq_d6", "l2_19", "u3_3"):
+        pres, subgens = fixture_over_control_group(name)
+        yield f"{name} over N", pres, subgens
+        yield f"{name} over 1", pres, []
+    for group, pres in (("A5", A5), ("Q8", Q8)):
+        for label, subgens in small_subgroups(pres):
+            yield f"{group} over {label}", pres, subgens
+
+
+@pytest.mark.parametrize("case", list(closed_table_cases()),
+                         ids=lambda case: case[0])
+def test_closed_columns_are_inverse_permutations(case):
+    # the working columns expand to a column for each generator and one
+    # for its inverse, and an involution's one working column fills both
+    _, pres, subgens = case
+    table = todd_coxeter(pres, subgens)
+    cosets = list(range(table.index))
+    assert len(table.columns) == 2 * len(pres.names)
+    for k in range(1, len(pres.names) + 1):
+        forward = table.columns[2 * k - 2]
+        backward = table.columns[2 * k - 1]
+        assert sorted(forward) == sorted(backward) == cosets
+        assert [forward[c] for c in backward] == cosets
+        if (k, k) in pres.relators or (-k, -k) in pres.relators:
+            assert forward == backward
+
+
+def test_a_presentation_without_generators_has_one_coset():
+    # the one coset has no column to be counted in, so the index is kept
+    table = todd_coxeter(Presentation((), ()))
+    assert table.index == 1
+    assert table.columns == ()
+    assert coset_action(table) == []
 
 
 def test_max_cosets_limit():
@@ -386,4 +425,4 @@ def test_enumeration_deterministic():
     pres = A5
     t1 = todd_coxeter(pres, [(2,)])
     t2 = todd_coxeter(pres, [(2,)])
-    assert t1.rows == t2.rows
+    assert t1.columns == t2.columns
