@@ -4,8 +4,8 @@ build_image runs the coset enumeration for a progenitor spec, realizes the
 symmetric generators as permutations on the coset points, and numbers the
 points by their canonical coset-representative words (breadth-first,
 shortest then lexicographically least), so the image does not depend on
-the enumerator's definition order.  The symmetric generators are always
-the N-conjugates of the one t symbol (default_t_words).  The image engine
+the enumerator's definition order.  The symmetric generators are the
+N-conjugates of the one t symbol, certified by build_image.  The image engine
 (SymImage.realized and SymImage.read_pair) reads two tables: the control
 group's action on the coset points, each element against its
 realization, and the t-chain of each coset word with its inverse, so an
@@ -32,10 +32,10 @@ from operator import itemgetter
 from typing import Sequence
 
 from .perm import (Images, Perm, PermGroup, IdentificationError, _gather,
-                   _gather_of, _product, _trusted, word_perm)
+                   _gather_of, _inverse, _product, _trusted, word_perm)
 from .fpgroup import (MAX_COSETS, CosetLimitExceeded, coset_action,
                       todd_coxeter, word_str)
-from .progenitor import ProgenitorSpec, Word, build_presentation, default_t_words
+from .progenitor import ProgenitorSpec, Word, build_presentation
 
 
 class ImageError(ValueError):
@@ -59,9 +59,9 @@ class SymImage:
 
     That realization is one to one, so read_pair reads a permutation
     fixing point 1 back as the unique control element.  build_image checks
-    that the ts are distinct involutions and that each control generator
-    conjugates them as it permutes their indices, so the image of any nu
-    in N conjugates t_i to t_(i^nu).  If nu acts trivially on the coset
+    that the ts are distinct and that each control generator conjugates
+    them as it permutes their indices, so the image of any nu in N
+    conjugates t_i to t_(i^nu).  If nu acts trivially on the coset
     points, then t_i = t_i^nu = t_(i^nu) for every i, and since the ts are
     distinct, i^nu = i for every i: nu = 1.
 
@@ -173,10 +173,15 @@ class SymImage:
 def build_image(spec: ProgenitorSpec, max_cosets: int = MAX_COSETS) -> SymImage:
     """Enumerate the image and realize the symmetric generators.
 
-    Each t_i is realized along its word in default_t_words, the conjugate
-    of the t symbol by an orbit witness word sending 1 to i.  The ts must
-    be distinct involutions that each control generator conjugates as it
-    permutes their indices, or ImageError is raised.
+    One breadth-first pass over N's orbit of 1 realizes and certifies the
+    ts: t_1 is the t symbol's action, the edge (a, g) that first reaches
+    a^g sets t_(a^g) = t_a^g, and every other edge must agree.  So t
+    commutes with every Schreier word of point 1, which generate the
+    preimage of N_1, kernel and all, in the group the control relators
+    present (Seress 2003, ch. 4): an image that passes is the spec's
+    group.  Over N itself the stabilizer commutators give [t, N_1] = 1,
+    so a failing edge raises _not_presenting's ValueError; an identity t
+    or repeated ts raise ImageError.
     """
     pres = build_presentation(spec)
     m = len(spec.control_gens)
@@ -185,26 +190,33 @@ def build_image(spec: ProgenitorSpec, max_cosets: int = MAX_COSETS) -> SymImage:
     except CosetLimitExceeded:
         _check_control_presentation(spec)
         raise
-    gens_image = tuple(coset_action(table))
-    ts = tuple(word_perm(gens_image, w) for w in default_t_words(spec))
-
-    for i, t in enumerate(ts, start=1):
-        if t.is_identity() or not (t * t).is_identity():
-            raise ImageError(f"image of generator {i} does not have order 2")
-    if len(set(ts)) != spec.n:
+    gens_image = coset_action(table)
+    t = gens_image[m]
+    if t.is_identity():
+        raise ImageError("image of generator 1 does not have order 2")
+    # per control generator: its index action, its image's inverse, and
+    # its image padded behind a 0
+    steps = [(g.images, _inverse(image.images), (0,) + image.images)
+             for g, image in zip(spec.control_gens, gens_image)]
+    ts, orbit = {1: t.images}, [1]
+    for a in orbit:
+        padded = (0,) + ts[a]
+        for g, inverse, image in steps:
+            conjugate = _gather(_gather(inverse, padded), image)  # t_a^g
+            b = g[a - 1]
+            if b not in ts:
+                ts[b] = conjugate
+                orbit.append(b)
+            elif ts[b] != conjugate:
+                raise _not_presenting(spec)
+    if len(set(ts.values())) != spec.n:
         raise ImageError("images of the symmetric generators are not distinct")
-    for g36, gn in zip(gens_image, spec.control_gens):
-        for i in range(1, spec.n + 1):
-            if ts[i - 1].conj(g36) != ts[gn.apply(i) - 1]:
-                raise ImageError(
-                    "conjugation by the control image does not permute the "
-                    "generators as the control action does")
-
-    return _standard_numbering(spec, table.index, gens_image, ts)
+    return _standard_numbering(spec, table.index, gens_image,
+                               [_trusted(ts[i]) for i in range(1, spec.n + 1)])
 
 
 def _check_control_presentation(spec: ProgenitorSpec):
-    """Raise ValueError unless the control presentation closes at |N|
+    """Raise _not_presenting unless the control presentation closes at |N|
     within 100 |N| cosets.  Run only after the progenitor's enumeration hit
     its limit, where a presentation of a cover of N would otherwise read as
     a resource limit; the budget is not the caller's limit, so a small
@@ -212,13 +224,19 @@ def _check_control_presentation(spec: ProgenitorSpec):
     order = spec.control_group.order()
     pres = spec.control_presentation
     try:
-        closed = todd_coxeter(pres, (), 100 * order).index == order
+        if todd_coxeter(pres, (), 100 * order).index == order:
+            return
     except CosetLimitExceeded:
-        closed = False
-    if not closed:
-        relators = ", ".join(word_str(rel, pres.names) for rel in pres.relators)
-        raise ValueError(f"control presentation {relators} does not present "
-                         f"the control group of order {order}")
+        pass
+    raise _not_presenting(spec)
+
+
+def _not_presenting(spec: ProgenitorSpec) -> ValueError:
+    """The error for control relators that do not present N itself."""
+    pres = spec.control_presentation
+    relators = ", ".join(word_str(rel, pres.names) for rel in pres.relators)
+    return ValueError(f"control presentation {relators} does not present "
+                      f"the control group of order {spec.control_group.order()}")
 
 
 def _standard_numbering(spec: ProgenitorSpec, index: int,
@@ -229,12 +247,8 @@ def _standard_numbering(spec: ProgenitorSpec, index: int,
     in ascending index order, finds each point first through its shortest,
     lexicographically least word, and in that order; the orbit's k-th
     point becomes point k, and gens_image and ts are relabeled through
-    it, two gathers each."""
+    it, two gathers each.  As N normalizes <t_i>, each coset is some N t_w."""
     orbit, words = PermGroup(index, ts).orbit(1)
-    if len(orbit) != index:
-        raise ImageError(
-            "symmetric generators do not reach every coset: "
-            f"{len(orbit)} of {index}")
     new = [0] * (index + 1)  # old point -> new point, padded behind a 0
     for k, point in enumerate(orbit, start=1):
         new[point] = k
@@ -250,7 +264,6 @@ def _standard_numbering(spec: ProgenitorSpec, index: int,
 @dataclass
 class DoubleCoset:
     rep: Word
-    points: tuple[int, ...]
     stabilizer: PermGroup      # coset stabilizer, in the degree-n action
     size: int
     edges: list[tuple[int, int, int]]  # (orbit rep t-index, orbit size, target node)
@@ -302,8 +315,7 @@ def double_cosets(img: SymImage) -> CollapsedGraph:
             target = img.ts[t_orbit[0] - 1].apply(point)
             target_id = node_of[target] if target in node_of else discover(target)
             edges.append((t_orbit[0], len(t_orbit), target_id))
-        nodes.append(DoubleCoset(img.cst[point - 1], tuple(sorted(orbit)),
-                                 stab, len(orbit), edges))
+        nodes.append(DoubleCoset(img.cst[point - 1], stab, len(orbit), edges))
     return CollapsedGraph(img.spec, img.index, N.order(), nodes)
 
 

@@ -52,7 +52,6 @@ class CosetLimitExceeded(RuntimeError):
     def __init__(self, limit: int, stage: str = "coset enumeration",
                  unit: str = "cosets"):
         super().__init__(f"{stage} exceeded the limit of {limit} {unit}")
-        self.limit = limit
 
 
 # -- free words ----------------------------------------------------------

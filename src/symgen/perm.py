@@ -4,8 +4,8 @@ Everything downstream (coset actions, control groups, rewrite rules) is
 built on two types: an immutable ``Perm`` stored as an image tuple, and a
 ``PermGroup`` backed by a deterministic stabilizer chain.  The convention
 throughout is the right action: in ``p * q`` the permutation ``p`` acts
-first, so ``(p * q)(k) == q(p(k))`` and conjugation is ``p.conj(q) ==
-~q * p * q``.
+first, so ``(p * q)(k) == q(p(k))`` and p conjugated by q is
+``~q * p * q``.
 
 Groups here are desk-scale (orders up to a few tens of thousands), so the
 stabilizer chain is the plain deterministic Schreier-Sims construction.
@@ -102,10 +102,6 @@ class Perm:
 
     def __invert__(self) -> "Perm":
         return _trusted(_inverse(self.images))
-
-    def conj(self, other: "Perm") -> "Perm":
-        """Conjugate self by other: ~other * self * other."""
-        return ~other * self * other
 
     def is_identity(self) -> bool:
         return self.images == tuple(range(1, len(self.images) + 1))
@@ -448,7 +444,7 @@ class PermGroup:
 
         Every element is e * u_c, with e in the stabilizer H of the first
         base point b and u_c the top transversal element for c, and it
-        centralizes p iff p.conj(e) == u_c * p * ~u_c =: q_c.  Since e fixes
+        centralizes p iff ~e * p * e == u_c * p * ~u_c =: q_c.  Since e fixes
         b, it must then send b^p to b^(q_c), so for each c only the
         elements of H with that image are compared with q_c, on image
         tuples.  The matches are sorted by (index in H, index in the top

@@ -12,8 +12,8 @@ This module turns such a specification into
     cosets of N: per state a row holding, for each letter t_i, the least
     (length, lex) form of (least word) * t_i as a perm and a next state.
     It is read straight off one coset enumeration of G over N whose
-    entries carry elements of N, run on the factoring relators as written
-    and the conjugation relators t_i^g = t_(i^g) (see RuleSet.table).
+    entries carry elements of N, run on the factoring relators and the
+    conjugation relators t_i^g = t_(i^g) (see RuleSet.table).
     symrep.canon reduces a word letter by letter through the rows, from
     state to state.
 
@@ -129,31 +129,24 @@ def build_presentation(spec: ProgenitorSpec) -> Presentation:
     return Presentation(names, tuple(relators))
 
 
-def default_t_words(spec: ProgenitorSpec) -> list[FreeWord]:
-    """Words realizing each t_i in the built presentation's generators:
-    conjugates of the t symbol along orbit witness words."""
-    t = len(spec.control_gens) + 1
-    _, witness = spec.control_group.orbit(1)
-    return [word_conj((t,), witness[i]) for i in range(1, spec.n + 1)]
-
-
 def _shortest_segments(spec: ProgenitorSpec) -> list[FreeWord]:
     """The factoring relators over the built presentation's generators,
     with shortest control words between the t's.
 
-    With w_i the orbit witness word of index i (default_t_words), the
-    relator pi * t_i1 ... t_ik is written pi * w_i1^-1 t w_i1 ... w_ik^-1 t
-    w_ik.  Read cyclically, it is S_0 t S_1 t ... S_(k-1) t with the
-    control words S_0 = w_ik pi w_i1^-1 and S_j = w_ij w_i(j+1)^-1.  Each
-    segment is replaced by a shortest word for the same element of N,
-    which the control relators make equal to it when they present N, and
-    the cyclic reading is a conjugate of the relator, so the
-    presentation's group is unchanged.  (Over a presentation of a proper
-    cover of N the two words may differ by a kernel element, and the
-    group with them.)  A relator is kept as written unless the rebuilt
-    one is strictly shorter, since a mere rotation can make Todd-Coxeter
-    define more cosets.  A relator with an empty tail has no t to read
-    from and stays as written.
+    With w_i the orbit witness word of index i, so that t_i = w_i^-1 t w_i,
+    the relator pi * t_i1 ... t_ik is written pi * w_i1^-1 t w_i1 ...
+    w_ik^-1 t w_ik.  Read cyclically, it is S_0 t S_1 t ... S_(k-1) t with
+    the control words S_0 = w_ik pi w_i1^-1 and S_j = w_ij w_i(j+1)^-1.
+    Each segment is replaced by a shortest word for the same element of
+    N, which the control relators make equal to it when they present N,
+    and the cyclic reading is a conjugate of the relator, so the
+    presentation's group is unchanged.  Over a cover of N the two words
+    differ by an element of the kernel, which acts trivially on any image
+    that build_image certifies, so that image is the spec's group all the
+    same.  A relator is kept as written unless the rebuilt one is strictly
+    shorter, since a mere rotation can make Todd-Coxeter define more
+    cosets.  A relator with an empty tail has no t to read from and stays
+    as written.
     """
     t = len(spec.control_gens) + 1
     _, witness = spec.control_group.orbit(1)
@@ -164,27 +157,25 @@ def _shortest_segments(spec: ProgenitorSpec) -> list[FreeWord]:
         written.append(concat(control_word, *(word_conj((t,), v) for v in w)))
         segments.append([concat(w[j - 1], control_word if j == 0 else (),
                                 invert_word(w[j])) for j in range(len(w))])
-    elements = {seg: word_perm(spec.control_gens, seg, spec.n).images
-                for segs in segments for seg in segs}
     shortest = _shortest_words(spec.control_gens, spec.n,
-                               set(elements.values()),
-                               max(map(len, elements), default=0))
+                               [seg for segs in segments for seg in segs])
     relators = []
     for rel, segs in zip(written, segments):
-        rebuilt = concat(*(shortest.get(elements[seg], seg) + (t,)
-                           for seg in segs))
+        rebuilt = concat(*(shortest[seg] + (t,) for seg in segs))
         relators.append(rebuilt if segs and len(rebuilt) < len(rel) else rel)
     return relators
 
 
-def _shortest_words(gens: Sequence[Perm], degree: int, targets: set[Images],
-                    depth: int) -> dict[Images, FreeWord]:
-    """A shortest word over gens for each target found, by one breadth-first
-    search over image tuples from the identity, the generators taken in
-    order, each followed by its inverse unless it is an involution.  The
-    search stops once every target is found, at words of length depth, or
-    once it has visited perm.MAX_ELEMENTS elements; a target it does not
-    reach is left out."""
+def _shortest_words(gens: Sequence[Perm], degree: int,
+                    words: Iterable[FreeWord]) -> dict[FreeWord, FreeWord]:
+    """Each word over gens against a shortest word for its element, by one
+    breadth-first search over image tuples from the identity, the
+    generators taken in order, each followed by its inverse unless it is
+    an involution.  It stops once it has found every element, within the
+    longest word's length, or visited perm.MAX_ELEMENTS elements; a word
+    whose element it has not found stands for itself."""
+    elements = {w: word_perm(gens, w, degree).images for w in words}
+    targets = set(elements.values())
     letters = []
     for k, g in enumerate(gens, start=1):
         letters.append((k, (0,) + g.images))
@@ -192,36 +183,37 @@ def _shortest_words(gens: Sequence[Perm], degree: int, targets: set[Images],
         if inverse != g.images:
             letters.append((-k, (0,) + inverse))
     identity = tuple(range(1, degree + 1))
-    words: dict[Images, FreeWord] = {identity: ()}
-    level = [identity]
-    for _ in range(depth):
-        following = []
-        for p in level:
-            if targets <= words.keys() or len(words) >= MAX_ELEMENTS:
-                break
-            for letter, padded in letters:
-                q = _gather(p, padded)  # p * g
-                if q not in words:
-                    words[q] = words[p] + (letter,)
-                    following.append(q)
-        level = following
-    return {p: words[p] for p in targets & words.keys()}
+    found: dict[Images, FreeWord] = {identity: ()}
+    queue = [identity]
+    for p in queue:
+        if targets <= found.keys() or len(found) >= MAX_ELEMENTS:
+            break
+        for letter, padded in letters:
+            q = _gather(p, padded)  # p * g
+            if q not in found:
+                found[q] = found[p] + (letter,)
+                queue.append(q)
+    return {w: found.get(p, w) for w, p in elements.items()}
 
 
 # -- the letter table --------------------------------------------------------
 
 def derive_rules(spec: ProgenitorSpec, max_cosets: int = MAX_COSETS) -> "RuleSet":
-    """The rewrite engine of spec: its factoring relators as written, each
-    as a word over the letter table's enumeration columns (see RuleSet),
-    and the table, enumerated on first use within the max_cosets budget.
+    """The rewrite engine of spec: its factoring relators, each as a word
+    over the letter table's enumeration columns (see RuleSet), and the
+    table, enumerated on first use within the max_cosets budget.
 
-    A relator pi * t_w = 1 is its control word followed by its tail.  One
-    with an empty tail reads pi = 1, which the enumeration checks at the
-    coset of N itself.
+    A relator pi * t_w = 1 is a shortest control word for pi, found by
+    _shortest_words as for build_presentation, followed by its tail.  The
+    labels are exact, so any word for pi gives the same table, and a
+    shorter one defines fewer cosets.  One with an empty tail reads
+    pi = 1, which the enumeration checks at the coset of N itself.
     """
     n = spec.n
+    shortest = _shortest_words(spec.control_gens, n,
+                               [word for word, _ in spec.relators])
     relators = tuple(
-        tuple(_control_column(n, letter) for letter in control_word)
+        tuple(_control_column(n, letter) for letter in shortest[control_word])
         + tuple(i - 1 for i in tail)
         for control_word, tail in spec.relators)
     return RuleSet(spec, relators, max_cosets)
@@ -248,8 +240,8 @@ class RuleSet:
     in rows[k] is the least form of t_(words[k]) t_i.  symrep.canon reduces
     a word letter by letter through the rows, from state to state.
 
-    rules holds the factoring relators as written, one word of columns
-    each (derive_rules), and max_cosets bounds the cosets that the
+    rules holds the factoring relators, one word of columns each
+    (derive_rules), and max_cosets bounds the cosets that the
     enumeration defines; past it, building the table raises
     CosetLimitExceeded, and so does every later access, since each one
     enumerates afresh.
@@ -282,7 +274,7 @@ class RuleSet:
         column c says x_a c = lambda x_b.  Coset 0 is N itself, x_0 = 1,
         so its control entries are preset to (0, g).  Every live coset
         scans t_i g t_(i^g) g^-1 for each control generator g and letter
-        i, and then the factoring relators as written; N's own relations
+        i, and then the factoring relators (rules); N's own relations
         hold in the labels, so its presentation is not needed.  A
         coincidence x_a = tau x_b moves a's row onto b, multiplying the
         labels through.  The factoring relators identify a non-identity

@@ -7,9 +7,10 @@ from functools import cached_property
 from typing import Sequence
 
 from symgen.fpgroup import (CosetLimitExceeded, CosetTable, Presentation,
-                            _check_closed, commutator, concat, reduce_word)
+                            _check_closed, commutator, concat, reduce_word,
+                            word_conj)
 from symgen.perm import IdentificationError, Perm, PermGroup, word_perm
-from symgen.progenitor import Word, default_t_words, normalize_tail
+from symgen.progenitor import Word, normalize_tail
 from symgen.symrep import SymElement
 
 
@@ -166,7 +167,7 @@ def completion_rules(spec):
 def conjugate_rule(rule, pi):
     """Map a rule through a control element: letters via pi, perm by conjugation."""
     return Rule(tuple(pi.apply(i) for i in rule.pattern),
-                rule.perm.conj(pi),
+                ~pi * rule.perm * pi,
                 tuple(pi.apply(i) for i in rule.replacement))
 
 
@@ -176,6 +177,13 @@ def follow_word(img, word):
     for letter in word:
         point = img.ts[letter - 1].images[point - 1]
     return point
+
+
+def node_points(img, node):
+    """The coset points of a collapsed graph node with representative w:
+    N w^nu for each element nu of N."""
+    return {follow_word(img, tuple(nu.apply(i) for i in node.rep))
+            for nu in elements_by_chain(img.spec.control_group)}
 
 
 def closed_relator_rules(spec):
@@ -211,7 +219,7 @@ def closed_relator_rules(spec):
 
     for pi, tail in seeds:
         for nu in elems:
-            add(pi.conj(nu), images_of(nu, tail))
+            add(~nu * pi * nu, images_of(nu, tail))
     rules = [_split_rule(pi, w) for pi, w in pool.values()]
     return tuple(sorted(rules, key=lambda r: (len(r.pattern), r.pattern,
                                               r.replacement, r.perm.images)))
@@ -479,7 +487,7 @@ class CompletionReference:
         yield identity, u[:-1], pi, v + u[-1:]
         yield identity, u[1:], pi, images_of(pi, u[:1]) + v
         for g in self.spec.control_gens:
-            yield identity, images_of(g, u), pi.conj(g), images_of(g, v)
+            yield identity, images_of(g, u), ~g * pi * g, images_of(g, v)
         for other in list(self.system.values()):
             for a, b in ((rule, other), (other, rule)):
                 # a's pattern ends with the k letters that b's begins with
@@ -589,16 +597,17 @@ def image_inverse_by_perms(a):
 
 def build_presentation_as_written(spec):
     """progenitor.build_presentation as written before it shortened the
-    factoring relators: each is the control word followed by the t_words
-    of its tail, conjugates of t along orbit witness words, as concat
+    factoring relators: each is the control word followed by the words of
+    its tail's t_i, conjugates of t along orbit witness words, as concat
     reduces them."""
     t = len(spec.control_gens) + 1
     relators = list(spec.control_presentation.relators) + [(t, t)]
     for stab_word, _ in spec.control_group.schreier_generators(1):
         relators.append(commutator((t,), stab_word))
-    t_words = default_t_words(spec)
+    _, witness = spec.control_group.orbit(1)
     for control_word, tail in spec.relators:
-        relators.append(concat(control_word, *(t_words[i - 1] for i in tail)))
+        relators.append(concat(control_word,
+                               *(word_conj((t,), witness[i]) for i in tail)))
     names = spec.control_presentation.names
     return Presentation(names + ("t" * (1 + max(map(len, names), default=0)),),
                         tuple(relators))

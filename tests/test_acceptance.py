@@ -12,7 +12,8 @@ from symgen.groupfile import load_bundled
 from symgen.perm import Perm
 from symgen import symrep as sr
 from symgen.symrep import parse_label_cycles
-from oracles import control_action_by_perms, elements_by_chain, follow_word
+from oracles import (control_action_by_perms, elements_by_chain, follow_word,
+                     node_points)
 
 
 def report(k, detail):
@@ -69,7 +70,8 @@ def test_criterion_3_5sq_d6_enumeration():
 
     def node_size_of(word_labels):
         point = follow_word(img, tuple(ix[l] for l in word_labels))
-        return next(n.size for n in graph.nodes if point in n.points)
+        return next(n.size for n in graph.nodes
+                    if point in node_points(img, n))
 
     narrative = {"": 1, "0": 3, "01": 6, "010": 3, "0102": 3, "01202": 6,
                  "012": 6, "0120": 6, "0121": 3, "01210": 3, "01201": 3,

@@ -109,7 +109,8 @@ def test_enumerate_order_and_node_size_mismatch(tmp_path, capsys, field, value,
 
 # N = <(1,2)> presented by x^4 is a cover of C2: x^2 fixes both generator
 # indices, but no relator makes it commute with t_1, and in this image it
-# does not, so x conjugates t_2 to t_1^(x^2), not to t_1
+# does not, so x conjugates t_2 to t_1^(x^2), not to t_1, and the control
+# presentation is named as the fault
 COVER_SPEC = {
     "name": "cover", "n": 2, "labels": ["1", "2"],
     "control_generator_names": ["x"], "control_generators": ["(1,2)"],
@@ -130,8 +131,8 @@ IDENTIFIED_SPEC = {
 
 @pytest.mark.parametrize("mutate,message", [
     (lambda src: COVER_SPEC,
-     "error: conjugation by the control image does not permute the "
-     "generators as the control action does"),
+     "error: control presentation x*x*x*x does not present the control "
+     "group of order 2"),
     (lambda src: IDENTIFIED_SPEC,
      "error: images of the symmetric generators are not distinct"),
     (lambda src: {**src, "control_generators": src["control_generators"][:-1]},

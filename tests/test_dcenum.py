@@ -1,3 +1,4 @@
+import dataclasses
 from collections import Counter
 from pathlib import Path
 
@@ -7,11 +8,13 @@ from symgen import dcenum
 from symgen.dcenum import (CollapsedGraph, DoubleCoset, ImageError,
                            build_image, double_cosets, emit_graph,
                            verify_relators_in_image)
+from symgen.fpgroup import Presentation, todd_coxeter
 from symgen.groupfile import load_bundled
 from symgen.perm import Perm, parse_cycles
 from symgen.symrep import SymElement
 from oracles import (build_presentation_as_written, control_action_by_perms,
-                     elements_by_chain, follow_word, sym2per_by_perms)
+                     elements_by_chain, follow_word, node_points,
+                     sym2per_by_perms)
 from test_progenitor import POWER_CASES, _case_spec
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -69,7 +72,7 @@ def test_image_invariants(all_contexts):
         # conjugation by control images permutes the ts like the indices
         for g_img, g_ctrl in zip(img.gens_image, ctx.spec.control_gens):
             for i in range(1, ctx.n + 1):
-                assert img.ts[i - 1].conj(g_img) == img.ts[g_ctrl.apply(i) - 1]
+                assert ~g_img * img.ts[i - 1] * g_img == img.ts[g_ctrl.apply(i) - 1]
         # control image fixes the trivial coset point
         for g in img.gens_image[:len(ctx.spec.control_gens)]:
             assert g.apply(1) == 1
@@ -130,7 +133,7 @@ def test_5sq_graph_values(d6_5sq):
         word = tuple(ix[l] for l in word_labels)
         point = follow_word(img, word)
         for node in graph.nodes:
-            if point in node.points:
+            if point in node_points(img, node):
                 return node.size
         raise AssertionError("point not in any node")
 
@@ -178,7 +181,7 @@ def test_pointwise_stabilizer_inside_coset_stabilizer(all_contexts):
 
 def test_coset_stabilizers_match_their_definition(all_contexts):
     # w is the least canonical word of its node, N^(w) = {nu in N :
-    # N w^nu = N w}, and the node's points are the cosets N w^nu, filtered
+    # N w^nu = N w}, and the node's size counts the cosets N w^nu, filtered
     # straight from the elements of N
     for ctx in all_contexts.values():
         img = ctx.image
@@ -187,11 +190,12 @@ def test_coset_stabilizers_match_their_definition(all_contexts):
             moved = {nu: follow_word(img, tuple(nu.apply(i) for i in node.rep))
                      for nu in elements_by_chain(N)}
             point = follow_word(img, node.rep)
-            assert node.rep == min((img.cst[p - 1] for p in node.points),
+            points = set(moved.values())
+            assert node.rep == min((img.cst[p - 1] for p in points),
                                    key=lambda w: (len(w), w))
             assert {nu for nu in elements_by_chain(N) if nu in node.stabilizer} == \
                 {nu for nu, p in moved.items() if p == point}
-            assert set(node.points) == set(moved.values())
+            assert node.size == len(points)
 
 
 def test_edge_double_counting(all_contexts):
@@ -287,8 +291,8 @@ def test_emit_graph_single_node():
     from symgen.fpgroup import Presentation
     pres = Presentation.parse(["x"], "x^2")
     spec = ProgenitorSpec(2, (parse_cycles("(1,2)", 2),), pres, ())
-    node = DoubleCoset(rep=(), points=(1,), stabilizer=spec.control_group,
-                       size=1, edges=[(1, 2, 0)])
+    node = DoubleCoset(rep=(), stabilizer=spec.control_group, size=1,
+                       edges=[(1, 2, 0)])
     graph = CollapsedGraph(spec, 1, 2, [node])
     dot = emit_graph(graph, "dot")
     assert dot.count("--") == 1
@@ -338,6 +342,32 @@ def test_golden_graphs(all_contexts, name, fmt):
     text = emit_graph(double_cosets(all_contexts[name].image), fmt)
     golden = (GOLDEN / f"{name}.{fmt}").read_text(encoding="utf-8")
     assert text == golden
+
+
+# control presentations of proper covers of N: 2.A5 of order 120, the
+# infinite (2,3,10) triangle group, and u3_3's without its last relator
+COVERS = [("l2_19", "x^5*y^-2, (x*y)^3*y^-2, y^4"),
+          ("l2_19", "x^10, y^2, (x*y)^3"),
+          ("u3_3", None)]
+
+
+@pytest.mark.parametrize("name,relators", COVERS)
+def test_a_cover_that_passes_the_checks_gives_the_fixture_image(
+        all_contexts, name, relators):
+    # build_image's pass checks that t commutes with every Schreier word
+    # of point 1, which generate the preimage of N_1 in the cover, kernel
+    # and all; so the cover gives the fixture's image and group
+    fixture = all_contexts[name].image
+    pres = fixture.spec.control_presentation
+    cover = (Presentation(pres.names, pres.relators[:-1]) if relators is None
+             else Presentation.parse(pres.names, relators))
+    if name == "l2_19" and relators.startswith("x^5"):
+        assert todd_coxeter(cover).index == 120
+    img = build_image(dataclasses.replace(fixture.spec,
+                                          control_presentation=cover))
+    assert (img.index, img.gens_image, img.ts, img.cst) == (
+        fixture.index, fixture.gens_image, fixture.ts, fixture.cst)
+    assert img.full_group.order() == {"l2_19": 3420, "u3_3": 12096}[name]
 
 
 def test_degenerate_image_rejected():

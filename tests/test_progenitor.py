@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import itertools
 import random
 import signal
 from contextlib import contextmanager
@@ -8,7 +9,7 @@ from types import SimpleNamespace
 import pytest
 
 from symgen.fpgroup import (CosetLimitExceeded, Presentation, invert_word,
-                            parse_word, todd_coxeter, coset_action)
+                            parse_word, todd_coxeter)
 from symgen import progenitor
 from symgen.perm import Perm, PermGroup, parse_cycles, word_perm
 from symgen.progenitor import (ProgenitorSpec, build_presentation,
@@ -261,16 +262,16 @@ def test_unsupported_relator_shape():
 
 
 def test_default_t_words_reach_all_generators(l2_19):
-    from symgen.progenitor import default_t_words
-    spec = l2_19.spec
-    pres = build_presentation(spec)
-    table = todd_coxeter(pres, [(1,), (2,)])
-    images = coset_action(table)
-    words = default_t_words(spec)
-    ts = [word_perm(images, w) for w in words]
-    assert len(set(ts)) == spec.n
-    for t in ts:
-        assert t.order() == 2
+    # build_image's t_1 is the t symbol's action and t_i its conjugate
+    # along the orbit witness word of i: n distinct involutions
+    spec, img = l2_19.spec, l2_19.image
+    _, witness = spec.control_group.orbit(1)
+    t = img.gens_image[len(spec.control_gens)]
+    for i, t_i in enumerate(img.ts, start=1):
+        w = word_perm(img.gens_image, witness[i])
+        assert t_i == ~w * t * w
+        assert t_i.order() == 2
+    assert len(set(img.ts)) == spec.n
 
 
 def test_pair_canonical_forms_match_image(all_contexts):
@@ -325,7 +326,7 @@ def test_completed_system_is_confluent(all_contexts, name):
         assert joins(identity, u[:-1], pi, v + u[-1:]), r
         assert joins(identity, u[1:], pi, shift(u[:1], pi) + v), r
         for g in ctx.spec.control_gens:
-            assert joins(identity, shift(u, g), pi.conj(g),
+            assert joins(identity, shift(u, g), ~g * pi * g,
                          shift(v, g)), (r, g)
         for s in system:
             w = s.pattern
@@ -397,8 +398,9 @@ def test_products_read_the_table_without_reducing(monkeypatch, all_contexts,
 
 
 # the least max_cosets at which each fixture's letter table closes: the
-# cosets its enumeration defines, above the index, as bisected
-LEAST = {"5sq_d6": 215, "l2_19": 199, "u3_3": 210}
+# cosets its enumeration defines, above the index, as bisected, with each
+# factoring relator's control word spelled as a shortest word
+LEAST = {"5sq_d6": 104, "l2_19": 167, "u3_3": 210}
 
 
 @pytest.mark.parametrize("name,max_cosets,fits", [
@@ -413,7 +415,7 @@ def test_rewrite_table_is_bounded_by_max_cosets(name, max_cosets, fits):
             rules.table
 
 
-@pytest.mark.parametrize("word,least", [("x", 3781), ("x^2*y", 6572)])
+@pytest.mark.parametrize("word,least", [("x", 2836), ("x^2*y", 2911)])
 def test_index_1015_members_close_at_their_least_budgets(word, least):
     # the enumeration defines the same cosets at scale: 2^{*4}:S_4 /
     # (pi t_1)^7 closes with 1,015 states at these budgets and no lower
@@ -422,6 +424,25 @@ def test_index_1015_members_close_at_their_least_budgets(word, least):
     with pytest.raises(CosetLimitExceeded,
                        match=f"of {least - 1} cosets$"):
         derive_rules(spec, least - 1).table
+
+
+def dihedral_spec(k):
+    """2^{*2} : C_2 / (x t_1)^k, with N = <(1,2)> presented by x^2; the
+    image is dihedral of order 2k, so the letter table has k states."""
+    x = parse_cycles("(1,2)", 2)
+    tail = tuple(1 + (k - 1 - j) % 2 for j in range(k))  # ... t_2 t_1
+    return ProgenitorSpec(2, (x,), Presentation.parse(["x"], "x^2"),
+                          (((1,) * k, tail),))
+
+
+def test_dihedral_letter_table_budget_follows_the_index():
+    # the relator's control word x^1000 is spelled as x^0 = 1, so the
+    # table closes with 1,000 states at 1,497 cosets and no lower; walked
+    # letter by letter, x^1000 made it define 497,006
+    spec = dihedral_spec(1000)
+    assert len(derive_rules(spec, 1497).table[0]) == 1000
+    with pytest.raises(CosetLimitExceeded, match="of 1496 cosets$"):
+        derive_rules(spec, 1496).table
 
 
 def test_each_product_of_two_labels_is_gathered_once(monkeypatch):
@@ -613,25 +634,38 @@ POWER_CASES = [
 
 
 def test_shortest_words_stop_at_depth_and_at_the_element_bound(monkeypatch):
-    # S_4 on x = (1,2,3,4), y = (1,2): the letters are x, x^-1 and y
+    # S_4 on x = (1,2,3,4), y = (1,2): the letters are x, x^-1 and y.  Each
+    # word is x^4 times a word for one of the 24 elements, so none is
+    # shortest, and each gets a shortest word for its element
     x, y = parse_cycles("(1,2,3,4)", 4), parse_cycles("(1,2)", 4)
     lengths = word_lengths_in((x, y), 4)
-    targets = {p.images for p in lengths}
-    found = progenitor._shortest_words((x, y), 4, targets, 10)
-    assert len(found) == 24
-    for images, word in found.items():
-        assert word_perm((x, y), word, 4).images == images
-        assert len(word) == lengths[Perm(images)]
-    assert found[(x * y).images] == (1, 2)
-    assert found[(~x).images] == (-1,)
-    # depth 2 finds the elements of length at most 2
-    near = progenitor._shortest_words((x, y), 4, targets, 2)
-    assert sorted(map(len, near.values())) == sorted(
-        k for k in lengths.values() if k <= 2)
-    # the search stops once it has visited MAX_ELEMENTS elements
+    spelled = {}
+    for k in range(max(lengths.values()) + 1):
+        for w in itertools.product((1, -1, 2), repeat=k):
+            spelled.setdefault(word_perm((x, y), w, 4), (1,) * 4 + w)
+    words = list(spelled.values())
+    assert len(words) == 24
+    found = progenitor._shortest_words((x, y), 4, words)
+    for word in words:
+        p = word_perm((x, y), word, 4)
+        assert word_perm((x, y), found[word], 4) == p
+        assert len(found[word]) == lengths[p]
+    assert found[(1,) * 5 + (2,)] == (1, 2)
+    assert found[(1,) * 4 + (-1,)] == (-1,)
+    # the search stops at the depth of the farthest element asked for: y
+    # alone costs the identity's three neighbours
+    gathered = []
+    gather = progenitor._gather
+    monkeypatch.setattr(progenitor, "_gather",
+                        lambda p, q: gathered.append(p) or gather(p, q))
+    assert progenitor._shortest_words((x, y), 4, [(2, 1, -1)]) == {
+        (2, 1, -1): (2,)}
+    assert gathered == [Perm.identity(4).images] * 3
+    # and once it has visited MAX_ELEMENTS elements, leaving a word whose
+    # element it has not found as written
     monkeypatch.setattr(progenitor, "MAX_ELEMENTS", 1)
-    assert progenitor._shortest_words((x, y), 4, targets, 10) == {
-        Perm.identity(4).images: ()}
+    assert progenitor._shortest_words((x, y), 4, words) == {
+        w: () if w == (1,) * 4 else w for w in words}
 
 
 @pytest.mark.parametrize("n,word,k,outcome", POWER_CASES)

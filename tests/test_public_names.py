@@ -43,14 +43,51 @@ def _references(tree):
             yield node.value
 
 
-def _unused(private):
-    """The package's definitions that src, the demos and the benchmark
-    never name outside their own def."""
+def _fields(tree):
+    """A module's classes' dataclass fields and the attributes their
+    methods assign on self, as (class name, attribute name)."""
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        names = set()
+        if any(ast.unparse(d).startswith("dataclass")
+               for d in node.decorator_list):
+            names.update(item.target.id for item in node.body
+                         if isinstance(item, ast.AnnAssign)
+                         and isinstance(item.target, ast.Name))
+        names.update(sub.attr for sub in ast.walk(node)
+                     if isinstance(sub, ast.Attribute)
+                     and isinstance(sub.ctx, ast.Store)
+                     and isinstance(sub.value, ast.Name)
+                     and sub.value.id == "self")
+        for name in sorted(names):
+            yield node.name, name
+
+
+def _reads(tree):
+    """Every attribute a module reads, and every name it spells as a
+    string (getattr and the benchmark's tracer look names up so)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and node.value.isidentifier()):
+            yield node.value
+
+
+def _sources():
+    """The parsed modules of src, the demos and the benchmark."""
     sources = [path for folder in ("src", "demos", "perfbench")
                for path in sorted((ROOT / folder).rglob("*.py"))
                if not path.name.startswith("test_")]
-    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
-             for path in sources}
+    return {path: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sources}
+
+
+def _unused(private):
+    """The package's definitions that src, the demos and the benchmark
+    never name outside their own def."""
+    trees = _sources()
     used = Counter()
     for tree in trees.values():
         used.update(_references(tree))
@@ -71,3 +108,16 @@ def test_no_private_name_is_dead():
     # the same for private functions, classes and methods other than
     # dunders: one that nothing outside its own def names is dead code
     assert _unused(private=True) == []
+
+
+def test_no_field_is_unread():
+    # each dataclass field and self attribute of the package's classes is
+    # read somewhere in the package, the demos or the benchmark; one that
+    # is only written, or only read by the tests, is state to delete
+    trees = _sources()
+    read = set()
+    for tree in trees.values():
+        read.update(_reads(tree))
+    assert sorted(f"{cls}.{name}" for path, tree in trees.items()
+                  if path.is_relative_to(PACKAGE)
+                  for cls, name in _fields(tree) if name not in read) == []
