@@ -25,8 +25,8 @@ import sys
 from .fpgroup import MAX_COSETS, CosetLimitExceeded
 from .perm import GroupTooLarge, IdentificationError, parse_cycles, cycles_str
 from .dcenum import CollapsedGraph, double_cosets, emit_graph, word_label
-from .groupfile import (GroupSpecFile, SpecFileError, bundled_fixture_names,
-                        load_bundled, load_spec_file)
+from .groupfile import (GroupSpecFile, bundled_fixture_names, load_bundled,
+                        load_spec_file)
 from . import symrep
 
 EXIT_OK = 0
@@ -39,9 +39,7 @@ EXIT_MEMBERSHIP = 5
 def _load(spec_arg: str) -> GroupSpecFile:
     if os.path.exists(spec_arg):
         return load_spec_file(spec_arg)
-    if spec_arg in bundled_fixture_names():
-        return load_bundled(spec_arg)
-    raise SpecFileError(f"no such spec file or bundled fixture: {spec_arg}")
+    return load_bundled(spec_arg)
 
 
 def _max_cosets() -> int:
@@ -83,7 +81,7 @@ def _check_expected(gf: GroupSpecFile, index: int, order: int,
     if exp.group_order is not None and exp.group_order != order:
         problems.append(f"order {order} != expected {exp.group_order}")
     if exp.node_sizes is not None:
-        sizes = tuple(graph.node_sizes())
+        sizes = tuple(node.size for node in graph.nodes)
         if sizes != exp.node_sizes:
             problems.append(f"node sizes {sizes} != expected {exp.node_sizes}")
     return problems

@@ -10,10 +10,12 @@ N-conjugates of the one t symbol, certified by build_image.  The image engine
 group's action on the coset points, each element against its
 realization, and the t-chain of each coset word with its inverse, so an
 element with a coset word is realized or read back with one gather per
-table.  double_cosets reads the collapsed Cayley graph straight off the
-image: nodes are orbits of the control group on coset points, sized
-|N| / |N^(w)|, with one edge entry per orbit of the coset stabilizer
-N^(w) on the symmetric generators.
+table.  Those two methods are the tables' only readers: anything else,
+such as a check that a factoring relator pi * t_tail is the identity,
+asks symrep.sym2per.  double_cosets reads the collapsed Cayley graph
+straight off the image: nodes are orbits of the control group on coset
+points, sized |N| / |N^(w)|, with one edge entry per orbit of the coset
+stabilizer N^(w) on the symmetric generators.
 Orbit and N^(w) come from one orbit-Schreier pass of N itself
 (PermGroup.schreier) acting on the coset points, so N^(w) is found in N's
 own degree-n action.
@@ -276,9 +278,6 @@ class CollapsedGraph:
     control_order: int
     nodes: list[DoubleCoset]
 
-    def node_sizes(self) -> list[int]:
-        return [node.size for node in self.nodes]
-
 
 def double_cosets(img: SymImage) -> CollapsedGraph:
     """Collapsed Cayley graph of the image over the control group.
@@ -386,27 +385,3 @@ def emit_graph(graph: CollapsedGraph, format: str = "dot") -> str:
     lines.append("}")
     return "\n".join(lines) + "\n"
 
-
-def verify_relators_in_image(spec: ProgenitorSpec, img: SymImage) -> list[str]:
-    """Check every factoring relator in the image; returns a report line per
-    relator, raising ImageError on the first failure.
-
-    Each relator pi * t_tail = 1 is checked in the image.  The report also
-    names the witness identity that follows: t_tail is then the image of
-    ~pi, and since N acts faithfully on the coset points (see SymImage),
-    the tail acts by conjugation on the generators exactly as ~pi acts on
-    indices.
-    """
-    report = []
-    identity = tuple(range(1, img.index + 1))
-    realize = img._action[0]
-    for k, (control_word, tail) in enumerate(spec.relators, start=1):
-        pi = word_perm(spec.control_gens, control_word, spec.n)
-        # by word_perm, leaving the coset-word table unbuilt
-        chain = word_perm(img.ts, tail, img.index).images
-        if realize[pi.images](chain) != identity:
-            raise ImageError(f"relator {k} does not evaluate to the identity")
-        report.append(
-            f"relator {k}: control * t[{word_label(spec, tail)}] = 1; "
-            f"tail acts on the generators as {~pi!r}")
-    return report

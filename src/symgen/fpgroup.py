@@ -204,7 +204,9 @@ class _WordParser:
 
 
 def parse_word(text: str, names: Sequence[str]) -> FreeWord:
-    return _WordParser(text, names).parse()
+    """The word that text spells; blank text is the empty word."""
+    parser = _WordParser(text, names)
+    return parser.parse() if parser.text else ()
 
 
 def word_str(word: Sequence[int], names: Sequence[str]) -> str:

@@ -168,6 +168,6 @@ def bundled_fixture_names() -> list[str]:
 def load_bundled(name: str) -> GroupSpecFile:
     ref = resources.files("symgen.fixtures").joinpath(f"{name}.json")
     if not ref.is_file():
-        raise SpecFileError(f"no bundled fixture named {name!r}")
+        raise SpecFileError(f"no such spec file or bundled fixture: {name}")
     data = json.loads(ref.read_text(encoding="utf-8"))
     return load_spec_data(data, f"fixtures/{name}.json")

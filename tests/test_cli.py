@@ -389,8 +389,27 @@ def test_parse_error_exit_code(tmp_path, capsys):
 
 
 def test_unknown_fixture(capsys):
-    code, _, err = run_cli(capsys, "enumerate", "no_such_fixture")
+    code, out, err = run_cli(capsys, "enumerate", "no_such_fixture")
     assert code == 2
+    assert out == ""
+    assert err == "error: no such spec file or bundled fixture: no_such_fixture\n"
+
+
+def test_empty_control_word_is_the_identity(tmp_path, capsys):
+    # 5sq_d6 spells its second relator's identity control word as y^6;
+    # blank text gives the same index, order and graph bytes
+    src = json.loads((FIXTURE_DIR / "5sq_d6.json").read_text(encoding="utf-8"))
+    assert src["relators"][1]["control_word"] == "y^6"
+    src["relators"][1]["control_word"] = ""
+    path = tmp_path / "empty_word.json"
+    path.write_text(json.dumps(src), encoding="utf-8")
+    code, out, _ = run_cli(capsys, "enumerate", str(path))
+    assert code == 0
+    assert "index: 50\n" in out and "order: 300\n" in out
+    for fmt in ("dot", "json"):
+        code, out, _ = run_cli(capsys, "graph", str(path), "--format", fmt)
+        assert code == 0
+        assert out == (GOLDEN / f"5sq_d6.{fmt}").read_text(encoding="utf-8")
 
 
 def test_limit_exit_code(tmp_path, capsys, monkeypatch):

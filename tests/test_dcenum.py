@@ -6,12 +6,11 @@ import pytest
 
 from symgen import dcenum
 from symgen.dcenum import (CollapsedGraph, DoubleCoset, ImageError,
-                           build_image, double_cosets, emit_graph,
-                           verify_relators_in_image)
+                           build_image, double_cosets, emit_graph)
 from symgen.fpgroup import Presentation, todd_coxeter
 from symgen.groupfile import load_bundled
-from symgen.perm import Perm, parse_cycles
-from symgen.symrep import SymElement
+from symgen.perm import Perm, parse_cycles, word_perm
+from symgen.symrep import SymContext, SymElement, sym2per
 from oracles import (build_presentation_as_written, control_action_by_perms,
                      elements_by_chain, follow_word, node_points,
                      sym2per_by_perms)
@@ -211,53 +210,19 @@ def test_edge_double_counting(all_contexts):
             assert flow[(b, a)] == value
 
 
-RELATOR_REPORTS = {
-    "5sq_d6": [
-        "relator 1: control * t[0.2.1.0.2.1.0.2.1.0] = 1; tail acts on the "
-        "generators as Perm('(1,3,2)', degree=3)",
-        "relator 2: control * t[1.0.1.0.1.0] = 1; tail acts on the "
-        "generators as Perm('()', degree=3)"],
-    "l2_19": [
-        "relator 1: control * t[4.2.3.4.2] = 1; tail acts on the "
-        "generators as Perm('(1,2,3)(4,6,5)', degree=6)"],
-    "u3_3": [
-        "relator 1: control * t[b0.0.b0] = 1; tail acts on the generators "
-        "as Perm('(1,8)(2,9)(3,10)(4,11)(5,12)(6,13)(7,14)', degree=14)",
-        "relator 2: control * t[b0.1.b0.1] = 1; tail acts on the generators "
-        "as Perm('(3,7)(5,6)(8,11)(13,14)', degree=14)"],
-}
+def assert_relators_hold(ctx):
+    # each factoring relator pi * t_tail realizes as the identity, and
+    # without its last letter i as t_i, which is not the identity
+    spec = ctx.spec
+    for control_word, tail in spec.relators:
+        pi = word_perm(spec.control_gens, control_word, spec.n)
+        assert sym2per(ctx, ctx.element(pi, tail)).is_identity()
+        assert sym2per(ctx, ctx.element(pi, tail[:-1])) == ctx.image.ts[tail[-1] - 1]
 
 
-def test_verify_relators(all_contexts):
-    for name, ctx in all_contexts.items():
-        assert verify_relators_in_image(ctx.spec, ctx.image) == \
-            RELATOR_REPORTS[name], name
-
-
-def test_verify_relators_vacuous_without_relators(l2_19):
-    from symgen.progenitor import ProgenitorSpec
-    spec = l2_19.spec
-    bare = ProgenitorSpec(spec.n, spec.control_gens, spec.control_presentation,
-                          (), spec.labels)
-    assert verify_relators_in_image(bare, l2_19.image) == []
-
-
-@pytest.mark.parametrize("relator,passes", [
-    (((), (1, 2)), False),      # t_1 t_2 != 1
-    (((1,), ()), False),        # x != 1 in N
-    (((1, 1, 1, 1, 1), ()), True),  # x^5 = 1 in N
-])
-def test_verify_relators_checks_each_relator(l2_19, relator, passes):
-    from symgen.progenitor import ProgenitorSpec
-    spec = l2_19.spec
-    one = ProgenitorSpec(spec.n, spec.control_gens, spec.control_presentation,
-                         (relator,), spec.labels)
-    if passes:
-        assert len(verify_relators_in_image(one, l2_19.image)) == 1
-    else:
-        with pytest.raises(ImageError, match="^relator 1 does not evaluate "
-                                             "to the identity$"):
-            verify_relators_in_image(one, l2_19.image)
+@pytest.mark.parametrize("name", ["l2_19", "5sq_d6", "u3_3"])
+def test_factoring_relators_hold_in_the_image(all_contexts, name):
+    assert_relators_hold(all_contexts[name])
 
 
 def test_l2_19_relator_witness(l2_19):
@@ -368,6 +333,7 @@ def test_a_cover_that_passes_the_checks_gives_the_fixture_image(
     assert (img.index, img.gens_image, img.ts, img.cst) == (
         fixture.index, fixture.gens_image, fixture.ts, fixture.cst)
     assert img.full_group.order() == {"l2_19": 3420, "u3_3": 12096}[name]
+    assert_relators_hold(SymContext(img.spec, image=img))
 
 
 def test_degenerate_image_rejected():
@@ -438,8 +404,7 @@ def test_chain_table_matches_the_perm_oracle(all_contexts, name):
 @pytest.mark.parametrize("name", ["l2_19", "5sq_d6", "u3_3"])
 def test_enumerate_and_graph_build_no_engine_table(name):
     # the image engine's tables are built on first use, and building the
-    # image and its collapsed graph never uses them; checking the relators
-    # reads N's action but leaves the coset-word table unbuilt
+    # image and its collapsed graph never uses them
     ctx = load_bundled(name).build_context(with_rules=False)
     img = ctx.image
     graph = double_cosets(img)
@@ -447,8 +412,6 @@ def test_enumerate_and_graph_build_no_engine_table(name):
     emit_graph(graph, "json")
     assert "_chains" not in img.__dict__
     assert "_action" not in img.__dict__
-    verify_relators_in_image(ctx.spec, img)
-    assert "_chains" not in img.__dict__
 
 
 @pytest.mark.parametrize("name", ["l2_19", "5sq_d6", "u3_3"])

@@ -51,6 +51,8 @@ def test_word_helpers():
     ("x^y", (-2, 1, 2)),
     ("(x,y)", (-1, -2, 1, 2)),
     ("x ^ ( y ^ 2 )", (-2, -2, 1, 2, 2)),
+    ("", ()),
+    (" ", ()),
 ])
 def test_parse_word(text, expected):
     assert parse_word(text, ("x", "y")) == expected

@@ -121,3 +121,21 @@ def test_no_field_is_unread():
     assert sorted(f"{cls}.{name}" for path, tree in trees.items()
                   if path.is_relative_to(PACKAGE)
                   for cls, name in _fields(tree) if name not in read) == []
+
+
+def test_only_the_image_engine_reads_its_tables():
+    # SymImage's two tables, N's action and the coset words' t-chains, are
+    # read by SymImage's own methods (the image engine) and by nothing
+    # else in the package, the demos or the benchmark
+    tables = ("_action", "_chains")
+    readers = []
+    for path, tree in _sources().items():
+        engine = {id(sub) for node in ast.walk(tree)
+                  if isinstance(node, ast.ClassDef) and node.name == "SymImage"
+                  for sub in ast.walk(node)}
+        readers += [f"{path.relative_to(ROOT)}:{node.lineno}"
+                    for node in ast.walk(tree) if id(node) not in engine
+                    and (isinstance(node, ast.Attribute) and node.attr in tables
+                         or isinstance(node, ast.Constant)
+                         and node.value in tables)]
+    assert readers == []
