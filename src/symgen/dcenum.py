@@ -40,10 +40,6 @@ from .fpgroup import (MAX_COSETS, CosetLimitExceeded, coset_action,
 from .progenitor import ProgenitorSpec, Word, build_presentation
 
 
-class ImageError(ValueError):
-    """The enumerated image violates a structural requirement."""
-
-
 @dataclass
 class SymImage:
     """Coset-space realization of a factored progenitor.
@@ -183,7 +179,7 @@ def build_image(spec: ProgenitorSpec, max_cosets: int = MAX_COSETS) -> SymImage:
     present (Seress 2003, ch. 4): an image that passes is the spec's
     group.  Over N itself the stabilizer commutators give [t, N_1] = 1,
     so a failing edge raises _not_presenting's ValueError; an identity t
-    or repeated ts raise ImageError.
+    or repeated ts raise ValueError too.
     """
     pres = build_presentation(spec)
     m = len(spec.control_gens)
@@ -195,7 +191,7 @@ def build_image(spec: ProgenitorSpec, max_cosets: int = MAX_COSETS) -> SymImage:
     gens_image = coset_action(table)
     t = gens_image[m]
     if t.is_identity():
-        raise ImageError("image of generator 1 does not have order 2")
+        raise ValueError("image of generator 1 does not have order 2")
     # per control generator: its index action, its image's inverse, and
     # its image padded behind a 0
     steps = [(g.images, _inverse(image.images), (0,) + image.images)
@@ -212,7 +208,7 @@ def build_image(spec: ProgenitorSpec, max_cosets: int = MAX_COSETS) -> SymImage:
             elif ts[b] != conjugate:
                 raise _not_presenting(spec)
     if len(set(ts.values())) != spec.n:
-        raise ImageError("images of the symmetric generators are not distinct")
+        raise ValueError("images of the symmetric generators are not distinct")
     return _standard_numbering(spec, table.index, gens_image,
                                [_trusted(ts[i]) for i in range(1, spec.n + 1)])
 

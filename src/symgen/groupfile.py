@@ -23,10 +23,6 @@ from .perm import parse_label_cycles
 from .symrep import SymContext
 
 
-class SpecFileError(ValueError):
-    """The spec file is malformed or internally inconsistent."""
-
-
 @dataclass(frozen=True)
 class Expected:
     index: int | None = None
@@ -76,10 +72,10 @@ def _field(data: dict, key: str, path: str, check, what: str,
     value = data.get(key)
     if value is None:
         if required:
-            raise SpecFileError(f"{path}: missing required field {key!r}")
+            raise ValueError(f"{path}: missing required field {key!r}")
         return None
     if not check(value):
-        raise SpecFileError(f"{path}: field {key!r} must be {what}")
+        raise ValueError(f"{path}: field {key!r} must be {what}")
     return value
 
 
@@ -104,20 +100,20 @@ def load_spec_data(data: dict, path: str = "<data>") -> GroupSpecFile:
     _field(data, "display", path, lambda v: isinstance(v, dict), "an object",
            required=False)
     if len(labels) != n:
-        raise SpecFileError(f"{path}: expected {n} labels, got {len(labels)}")
+        raise ValueError(f"{path}: expected {n} labels, got {len(labels)}")
     for label in labels:
         # cycle and element text ignore whitespace, so a label may hold none
         if not label or any(ch in "(),.|" or ch.isspace() for ch in label):
-            raise SpecFileError(f"{path}: label {label!r} is empty or contains "
-                                "whitespace or one of ( ) , . |")
+            raise ValueError(f"{path}: label {label!r} is empty or contains "
+                             "whitespace or one of ( ) , . |")
         if label in ("-", "*"):
             # element text writes the empty word as "-", and enumerate and
             # graph output as "*"
-            raise SpecFileError(f"{path}: label {label!r} is reserved for the empty word")
+            raise ValueError(f"{path}: label {label!r} is reserved for the empty word")
     if "" in gen_names:
         # word text would read an empty name at every position
-        raise SpecFileError(f"{path}: field 'control_generator_names' holds "
-                            "the empty generator name ''")
+        raise ValueError(f"{path}: field 'control_generator_names' holds "
+                         "the empty generator name ''")
 
     try:
         control_gens = tuple(parse_label_cycles(c, labels) for c in gen_cycles)
@@ -127,16 +123,14 @@ def load_spec_data(data: dict, path: str = "<data>") -> GroupSpecFile:
             cw = parse_word(item["control_word"], gen_names)
             for label in item["tail"]:
                 if label not in labels:
-                    raise SpecFileError(
-                        f"{path}: field 'relators' has unknown tail label {label!r}")
+                    raise ValueError(
+                        f"field 'relators' has unknown tail label {label!r}")
             tail = tuple(labels.index(l) + 1 for l in item["tail"])
             relators.append((cw, tail))
         spec = ProgenitorSpec(n, control_gens, presentation, tuple(relators),
                               labels)
-    except SpecFileError:
-        raise
     except ValueError as exc:
-        raise SpecFileError(f"{path}: {exc}") from exc
+        raise ValueError(f"{path}: {exc}") from exc
 
     node_sizes = exp.get("node_sizes")
     expected = Expected(
@@ -151,9 +145,9 @@ def load_spec_file(path: str) -> GroupSpecFile:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise SpecFileError(f"{path}: {exc}") from exc
+        raise ValueError(f"{path}: {exc}") from exc
     if not isinstance(data, dict):
-        raise SpecFileError(f"{path}: top level must be an object")
+        raise ValueError(f"{path}: top level must be an object")
     return load_spec_data(data, path)
 
 
@@ -168,6 +162,6 @@ def bundled_fixture_names() -> list[str]:
 def load_bundled(name: str) -> GroupSpecFile:
     ref = resources.files("symgen.fixtures").joinpath(f"{name}.json")
     if not ref.is_file():
-        raise SpecFileError(f"no such spec file or bundled fixture: {name}")
+        raise ValueError(f"no such spec file or bundled fixture: {name}")
     data = json.loads(ref.read_text(encoding="utf-8"))
     return load_spec_data(data, f"fixtures/{name}.json")

@@ -33,8 +33,8 @@ from typing import Iterable, Sequence
 from .perm import (MAX_ELEMENTS, Images, Perm, PermGroup, _gather, _inverse,
                    _product, word_perm)
 from .fpgroup import (MAX_COSETS, CosetLimitExceeded, FreeWord, Presentation,
-                      commutator, concat, invert_word, reduce_word, word_conj,
-                      word_str)
+                      _column, commutator, concat, invert_word, reduce_word,
+                      word_conj, word_str)
 
 Word = tuple[int, ...]  # letters are symmetric-generator indices in 1..n
 # a state's row of the letter table: letter -> (padded images or None, state)
@@ -213,17 +213,10 @@ def derive_rules(spec: ProgenitorSpec, max_cosets: int = MAX_COSETS) -> "RuleSet
     shortest = _shortest_words(spec.control_gens, n,
                                [word for word, _ in spec.relators])
     relators = tuple(
-        tuple(_control_column(n, letter) for letter in shortest[control_word])
+        tuple(n + _column(letter) for letter in shortest[control_word])
         + tuple(i - 1 for i in tail)
         for control_word, tail in spec.relators)
     return RuleSet(spec, relators, max_cosets)
-
-
-def _control_column(n: int, letter: int) -> int:
-    """The column of control generator k (letter k) or of its inverse
-    (letter -k): n + 2k - 2 and n + 2k - 1, after the n columns of the
-    t_i."""
-    return n + 2 * abs(letter) - 2 + (letter < 0)
 
 
 _COLLAPSE = ("the factoring relators identify a non-identity element of N "
@@ -391,7 +384,7 @@ def _labelled_cosets(spec: ProgenitorSpec,
     # x_a = link[a] x_parent[a]; a live coset is its own parent
     parent, link = [0], [0]
     # t_i g t_(i^g) g^-1 for each control generator g and letter i
-    scanned = [(i, _control_column(n, k), g[i] - 1, _control_column(n, -k))
+    scanned = [(i, n + _column(k), g[i] - 1, n + _column(-k))
                for k, g in enumerate(gens, start=1) for i in range(n)]
     scanned += relators
 

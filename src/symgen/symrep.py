@@ -35,16 +35,13 @@ from .progenitor import ProgenitorSpec, RuleSet, Word, normalize_tail
 from .dcenum import SymImage, word_label
 
 
-class ContextError(ValueError):
-    """The operation needs a capability this context does not have."""
-
-
 @dataclass
 class SymContext:
     """Shared context for symmetric-representation arithmetic.
 
     rules enables the pure rewrite engine; image enables the image-backed
-    engine.  Either may be None, but not both.
+    engine.  Either may be None, but not both; an operation that needs
+    the missing engine raises ValueError.
     """
 
     spec: ProgenitorSpec
@@ -53,7 +50,7 @@ class SymContext:
 
     def __post_init__(self):
         if self.rules is None and self.image is None:
-            raise ContextError("context needs rules, an image, or both")
+            raise ValueError("context needs rules, an image, or both")
 
     @property
     def n(self) -> int:
@@ -61,7 +58,7 @@ class SymContext:
 
     def require_image(self) -> SymImage:
         if self.image is None:
-            raise ContextError("operation requires the image engine")
+            raise ValueError("operation requires the image engine")
         return self.image
 
     def element(self, control: Perm, word: Sequence[int],
@@ -101,12 +98,6 @@ class SymElement:
         self.ctx = ctx
         self.control = control
         self.word = word
-
-    def __mul__(self, other: "SymElement") -> "SymElement":
-        return mult(self, other)
-
-    def __invert__(self) -> "SymElement":
-        return invert_sym(self)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SymElement):
@@ -256,12 +247,13 @@ def equal_sym(a: SymElement, b: SymElement, mode: str = "auto") -> bool:
 
 def _is_pure(ctx: SymContext, mode: str) -> bool:
     """Whether mode picks the rewrite engine, after checking that the
-    engine it picks exists; "auto" prefers pure when rules exist."""
+    engine it picks exists (ValueError if not); "auto" prefers pure when
+    rules exist."""
     if mode == "auto":
         return ctx.rules is not None
     if mode == "pure":
         if ctx.rules is None:
-            raise ContextError("operation requires the rewrite engine")
+            raise ValueError("operation requires the rewrite engine")
     elif mode == "image":
         ctx.require_image()
     else:

@@ -211,6 +211,21 @@ def test_unknown_tail_label_exit_code(tmp_path, capsys):
 
 
 
+@pytest.mark.parametrize("args", [("enumerate",), ("elt", "invert", "(id | a)")])
+def test_identity_t_exit_code(tmp_path, capsys, args):
+    # the relator t_1 = 1 over a one-point control group: the image has no
+    # involution to realize t, which every command that builds it reports
+    spec = {"name": "trivial_t", "n": 1, "labels": ["a"],
+            "control_generator_names": ["x"], "control_generators": ["()"],
+            "control_presentation": "x",
+            "relators": [{"control_word": "", "tail": ["a"]}]}
+    path = tmp_path / "trivial_t.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    code, out, err = run_cli(capsys, args[0], str(path), *args[1:])
+    assert (code, out) == (2, "")
+    assert err == "error: image of generator 1 does not have order 2\n"
+
+
 def test_label_with_inner_whitespace_exit_code(tmp_path, capsys):
     # cycle text ignores whitespace, so "x y" would be read as the label "xy"
     src = json.loads((FIXTURE_DIR / "l2_19.json").read_text(encoding="utf-8"))

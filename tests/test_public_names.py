@@ -1,4 +1,5 @@
 import ast
+import builtins
 from collections import Counter
 from pathlib import Path
 
@@ -75,6 +76,22 @@ def _reads(tree):
             yield node.value
 
 
+def _is_builtin_exception(name):
+    value = getattr(builtins, name, None)
+    return isinstance(value, type) and issubclass(value, BaseException)
+
+
+def _handled(tree):
+    """Every name a module's except clauses catch."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            for sub in ast.walk(node.type):
+                if isinstance(sub, ast.Name):
+                    yield sub.id
+                elif isinstance(sub, ast.Attribute):
+                    yield sub.attr
+
+
 def _sources():
     """The parsed modules of src, the demos and the benchmark."""
     sources = [path for folder in ("src", "demos", "perfbench")
@@ -139,3 +156,29 @@ def test_only_the_image_engine_reads_its_tables():
                          or isinstance(node, ast.Constant)
                          and node.value in tables)]
     assert readers == []
+
+
+def test_every_exception_class_is_handled():
+    # each exception class of the package is caught by name by an except
+    # clause outside its own module, in the package, the demos or the
+    # benchmark; one that every handler catches as its base class is a
+    # second name for the base class's error
+    trees = _sources()
+    bases = {node.name: (path, [ast.unparse(base).rsplit(".", 1)[-1]
+                                for base in node.bases])
+             for path, tree in trees.items() if path.is_relative_to(PACKAGE)
+             for node in tree.body if isinstance(node, ast.ClassDef)}
+    homes = {}
+    while True:
+        found = {name: path for name, (path, names) in bases.items()
+                 if name not in homes and any(
+                     base in homes or _is_builtin_exception(base)
+                     for base in names)}
+        if not found:
+            break
+        homes.update(found)
+    assert homes  # the scan sees the package's exception classes
+    assert sorted(name for name, home in homes.items()
+                  if not any(name in _handled(tree)
+                             for path, tree in trees.items()
+                             if path != home)) == []
