@@ -63,7 +63,7 @@ def _enumerate(gf: GroupSpecFile, out) -> int:
     print(f"double cosets: {len(graph.nodes)}", file=out)
     for node in graph.nodes:
         print(f"  [{word_label(gf.spec, node.rep)}]  size {node.size}  "
-              f"stabilizer {node.stabilizer.order()}", file=out)
+              f"stabilizer {graph.control_order // node.size}", file=out)
     problems = _check_expected(gf, img.index, order, graph)
     if problems:
         for line in problems:

@@ -17,7 +17,7 @@ straight off the image: nodes are orbits of the control group on coset
 points, sized |N| / |N^(w)|, with one edge entry per orbit of the coset
 stabilizer N^(w) on the symmetric generators.
 Orbit and N^(w) come from one orbit-Schreier pass of N itself
-(PermGroup.schreier) acting on the coset points, so N^(w) is found in N's
+(perm._schreier) acting on the coset points, so N^(w) is found in N's
 own degree-n action.
 
 Construction is single-threaded; a built SymImage is effectively immutable
@@ -34,7 +34,7 @@ from operator import itemgetter
 from typing import Sequence
 
 from .perm import (Images, Perm, PermGroup, IdentificationError, _gather,
-                   _gather_of, _inverse, _product, _trusted, word_perm)
+                   _gather_of, _inverse, _product, _schreier, _trusted, word_perm)
 from .fpgroup import (MAX_COSETS, CosetLimitExceeded, coset_action,
                       todd_coxeter, word_str)
 from .progenitor import ProgenitorSpec, Word, build_presentation
@@ -281,10 +281,11 @@ def double_cosets(img: SymImage) -> CollapsedGraph:
     A node is an orbit of N on the coset points; its representative w is
     the least (length, lex) canonical word among them, its coset
     stabilizer is N^(w) = {pi in N : N w^pi = N w}, and its size is
-    |N| / |N^(w)|.  Each orbit of N^(w) on the symmetric generators gives
-    one edge entry, to the node holding N w t_i for the orbit's least i.
-    Nodes appear in breadth-first discovery order from the trivial double
-    coset.
+    |N| / |N^(w)|, so emit_graph and the CLI print |N| / size as |N^(w)|
+    (orbit-stabilizer) and build no chain for it.  Each orbit of N^(w) on
+    the symmetric generators gives one edge entry, to the node holding
+    N w t_i for the orbit's least i.  Nodes appear in breadth-first
+    discovery order from the trivial double coset.
 
     The point through which the search first reaches a node is N w, so w
     is read off it: with w = v t_i, v represents its own node and i is
@@ -292,13 +293,14 @@ def double_cosets(img: SymImage) -> CollapsedGraph:
     smaller canonical word in w's node.
     """
     N = img.spec.control_group
+    gens, action = [g.images for g in N.gens], [g.images for g in img.gens_image]
     found: list = []   # (point N w, orbit, Schreier generators of N^(w)) per node
     node_of: dict[int, int] = {}
 
     def discover(point: int) -> int:
-        orbit, _, sgens = N.schreier(point, action=img.gens_image)
+        orbit, _, sgens = _schreier(gens, point, action)
         node_of.update(dict.fromkeys(orbit, len(found)))
-        found.append((point, orbit, sgens))
+        found.append((point, orbit, list(map(_trusted, sgens))))
         return node_of[point]
 
     discover(1)
@@ -336,7 +338,7 @@ def emit_graph(graph: CollapsedGraph, format: str = "dot") -> str:
                 {
                     "rep": [graph.spec.labels[i - 1] for i in node.rep],
                     "size": node.size,
-                    "stabilizer_order": node.stabilizer.order(),
+                    "stabilizer_order": graph.control_order // node.size,
                     "edges": [
                         {"orbit_rep": graph.spec.labels[t - 1],
                          "orbit_size": size, "target": target}

@@ -114,6 +114,10 @@ class Presentation:
         return Presentation(names, _WordParser(relator_text, names).word_list())
 
 
+# open parentheses past this many, each 3 calls deep, are a parse error
+_MAX_NESTING = 100
+
+
 class _WordParser:
     """Recursive-descent parser for the word syntax described above."""
 
@@ -121,6 +125,7 @@ class _WordParser:
         self.text = "".join(text.split())
         self.pos = 0
         self.names = list(names)
+        self.depth = 0  # parentheses open at pos
 
     def peek(self) -> str:
         return self.text[self.pos] if self.pos < len(self.text) else ""
@@ -166,6 +171,9 @@ class _WordParser:
 
     def atom(self) -> FreeWord:
         if self.peek() == "(":
+            if self.depth == _MAX_NESTING:
+                self.error(f"parentheses nested deeper than {_MAX_NESTING}")
+            self.depth += 1
             self.pos += 1
             parts = [self.word()]
             while self.peek() == ",":
@@ -174,6 +182,7 @@ class _WordParser:
             if self.peek() != ")":
                 self.error("expected ')'")
             self.pos += 1
+            self.depth -= 1
             out = parts[0]
             for nxt in parts[1:]:
                 out = commutator(out, nxt)
@@ -457,10 +466,10 @@ def _check_closed(t: CosetTable, relators, subgens):
     """Raise RuntimeError unless every subgroup generator fixes coset 0
     and every relator closes at every coset.
 
-    Each relator is compiled to its column tuple and traced from all
-    cosets at once, one C-level gather per letter over the table's
-    columns; a failure names the least failing coset and, at that coset,
-    the first failing relator, as a coset-by-coset scan would.
+    Each relator is traced from all cosets at once: its first letter's
+    column, then one C-level gather per further letter's column; a
+    failure names the least failing coset and, at that coset, the first
+    failing relator, as a coset-by-coset scan would.
     """
     for w in subgens:
         if t.trace(0, w) != 0:
@@ -471,8 +480,8 @@ def _check_closed(t: CosetTable, relators, subgens):
     first = None
     for rel in relators:
         ends = cosets
-        for col in _compile(rel):
-            ends = _gather(ends, t.columns[col])
+        for k, col in enumerate(_compile(rel)):
+            ends = _gather(ends, t.columns[col]) if k else t.columns[col]
         if ends != cosets:
             c = next(c for c in cosets if ends[c] != c)
             if first is None or c < first[0]:

@@ -8,7 +8,8 @@ first, so ``(p * q)(k) == q(p(k))`` and p conjugated by q is
 ``~q * p * q``.
 
 Groups here are desk-scale (orders up to a few tens of thousands), so the
-stabilizer chain is the plain deterministic Schreier-Sims construction.
+stabilizer chain is the plain deterministic Schreier-Sims construction,
+one orbit-Schreier pass (_schreier) on image tuples per level.
 Centralizers split over the chain's top level, so a group multiplies out
 only the stabilizer of the first base point, once, behind an explicit size
 bound.  No randomization anywhere: two builds of the same group produce
@@ -23,9 +24,9 @@ the coset action read off a coset table, checks that the images form a
 permutation, and apply() range-checks its point.
 Products, inverses, conjugates and identity() are built unchecked
 from permutations already valid, the product in one C-level gather
-(operator.itemgetter), so composing pays for no validation.  The
-modules that keep a permutation as its tuple of images (Images) gather
-with this one's _gather, _product, _inverse and _gather_of.
+(operator.itemgetter), so composing pays for no validation.  PermGroup
+and the modules that keep a permutation as its tuple of images (Images)
+gather with this one's _gather, _product, _inverse and _gather_of.
 
 Perm values are immutable.  A PermGroup builds its chain and caches lazily
 on first use, so share instances across threads only after forcing that
@@ -38,7 +39,7 @@ import math
 import re
 from functools import cached_property
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 
 # centralizer() refuses a group of more elements than this
@@ -111,9 +112,6 @@ class Perm:
         for cycle in self.cycles():
             n = math.lcm(n, len(cycle))
         return n
-
-    def moved(self) -> list[int]:
-        return [k for k, i in enumerate(self.images, start=1) if i != k]
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles, each starting at its least point, sorted."""
@@ -244,22 +242,54 @@ def word_perm(gens: Sequence[Perm], letters: Iterable[int], degree: int | None =
         if not gens:
             raise ValueError("cannot infer degree from empty generator list")
         degree = gens[0].degree
-    result = Perm.identity(degree)
+    result = Perm.identity(degree).images
     for letter in letters:
         if letter == 0 or abs(letter) > len(gens):
             raise ValueError(f"letter {letter} out of range for {len(gens)} generators")
-        g = gens[abs(letter) - 1]
-        result = result * (g if letter > 0 else ~g)
-    return result
+        g = gens[abs(letter) - 1].images
+        if len(g) != degree:
+            raise ValueError(f"degree mismatch: {degree} != {len(g)}")
+        result = _product(result, g if letter > 0 else _inverse(g))
+    return _trusted(result)
 
 
-class _Level:
-    __slots__ = ("point", "orbit", "transversal")
+def _schreier(gens: Sequence[Images], point: int,
+              action: Sequence[Images] | None = None):
+    """Orbit of point, its transversal and the stabilizer's Schreier
+    generators, in one breadth-first pass over the generators' images.
 
-    def __init__(self, point, orbit, transversal):
-        self.point = point            # base point
-        self.orbit = orbit            # points in BFS discovery order
-        self.transversal = transversal  # point -> Perm u with point^u == that point
+    action, when given, pairs each generator with its permutation of
+    another point set (zip stops at the shorter); point and the orbit
+    are then in that set, while transversal elements and Schreier
+    generators stay in the generators' group.  Returns (orbit in discovery
+    order, transversal with point^u_b == b, the distinct non-identity
+    u_a g u_(a^g)^-1 in discovery order), the last generating the
+    stabilizer of point, all as image tuples.
+    """
+    pairs = [((0,) + g, act) for g, act in zip(gens, gens if action is None else action)]
+    trans = {point: tuple(range(1, len(gens[0]) + 1)) if gens else ()}
+    inverses: dict[int, Images] = {}  # b -> ~u_b's images, padded behind a 0
+    orbit = [point]
+    stab: dict[Images, None] = {}  # keys in discovery order
+    for a in orbit:
+        ua = trans[a]
+        for g, act in pairs:
+            b = act[a - 1]
+            uag = _gather(ua, g)
+            if b not in trans:
+                trans[b] = uag
+                orbit.append(b)
+            elif uag != trans[b]:
+                if b not in inverses:
+                    inverses[b] = (0,) + _inverse(trans[b])
+                stab[_gather(uag, inverses[b])] = None
+    return orbit, trans, list(stab)
+
+
+class _Level(NamedTuple):
+    point: int                        # base point
+    orbit: list[int]                  # points in BFS discovery order
+    transversal: dict[int, Images]    # point -> images of u with point^u == that point
 
 
 class PermGroup:
@@ -268,7 +298,8 @@ class PermGroup:
     Base points are the ascending moved points of each level's generators,
     orbits are explored breadth-first with generators in their given order,
     so orders, membership tests, transversals and the generators the span
-    filter keeps are all reproducible.
+    filter keeps are all reproducible.  All of it works on image tuples
+    and builds a Perm only for what a method returns.
     """
 
     def __init__(self, degree: int, generators: Iterable[Perm] = ()):
@@ -283,44 +314,16 @@ class PermGroup:
 
     # -- chain ---------------------------------------------------------
 
-    def schreier(self, point: int, action: Sequence[Perm] | None = None):
-        """Orbit of point, its transversal and the stabilizer's Schreier
-        generators, in one breadth-first pass over the generators.
-
-        action, when given, pairs each generator with its permutation of
-        another point set (zip stops at the shorter); point and the orbit
-        are then in that set, while transversal elements and Schreier
-        generators stay in this group.  Returns (orbit in discovery order,
-        transversal with point^u_b == b, the distinct non-identity
-        u_a g u_(a^g)^-1 in discovery order), the last generating the
-        stabilizer of point.
-        """
-        pairs = list(zip(self.gens, self.gens if action is None else action))
-        trans = {point: Perm.identity(self.degree)}
-        orbit = [point]
-        stab: dict[tuple[int, ...], Perm] = {}
-        for a in orbit:
-            ua = trans[a]
-            for g, act in pairs:
-                b = act.images[a - 1]
-                uag = ua * g
-                if b not in trans:
-                    trans[b] = uag
-                    orbit.append(b)
-                elif uag != trans[b]:
-                    sg = uag * ~trans[b]
-                    stab.setdefault(sg.images, sg)
-        return orbit, trans, list(stab.values())
-
     @cached_property
     def chain(self) -> list[_Level]:
+        """One _schreier pass per level, at the least point that the
+        level's generators (the Schreier generators of the one above) move."""
         levels = []
-        gens = [g for g in self.gens if not g.is_identity()]
+        gens = [g.images for g in self.gens if not g.is_identity()]
         while gens:
-            point = min(min(g.moved()) for g in gens)
-            orbit, trans, nxt = PermGroup(self.degree, gens).schreier(point)
+            point = min(next(k for k, i in enumerate(g, 1) if i != k) for g in gens)
+            orbit, trans, gens = _schreier(gens, point)
             levels.append(_Level(point, orbit, trans))
-            gens = nxt
         return levels
 
     def order(self) -> int:
@@ -329,33 +332,33 @@ class PermGroup:
     def __contains__(self, p: Perm) -> bool:
         if p.degree != self.degree:
             raise ValueError(f"degree mismatch: {p.degree} != {self.degree}")
-        s = (~p).images  # sift ~p from the left: s is the residue's inverse
+        s = _inverse(p.images)  # sift ~p from the left: s is the residue's inverse
         for level in self.chain:
             b = s.index(level.point) + 1  # the residue's image of the point
             if b not in level.transversal:
                 return False
-            s = _product(level.transversal[b].images, s)
+            s = _product(level.transversal[b], s)
         return s == tuple(range(1, self.degree + 1))
 
-    def _multiply_out(self, levels: Sequence[_Level]) -> list[Perm]:
-        """Every product u_k * ... * u_1 of transversal elements, one per
-        level, the deepest level's varying slowest.
+    def _multiply_out(self, levels: Sequence[_Level]) -> list[Images]:
+        """The images of every product u_k * ... * u_1 of transversal
+        elements, one per level, the deepest level's varying slowest.
 
         Over chain[1:] it is the stabilizer H of the first base point; over
         the whole chain it is every element, [e * u_c for e in H for c in
         the top orbit].
         """
-        elems = [Perm.identity(self.degree)]
+        elems = [tuple(range(1, self.degree + 1))]
         for level in reversed(levels):
-            elems = [e * level.transversal[pt]
-                     for e in elems for pt in level.orbit]
+            padded = [(0,) + level.transversal[pt] for pt in level.orbit]
+            elems = [_gather(e, u) for e in elems for u in padded]
         return elems
 
     def random_element(self, rng) -> Perm:
-        g = Perm.identity(self.degree)
+        g = tuple(range(1, self.degree + 1))
         for level in reversed(self.chain):
-            g = g * level.transversal[rng.choice(level.orbit)]
-        return g
+            g = _product(g, level.transversal[rng.choice(level.orbit)])
+        return _trusted(g)
 
     # -- orbits and stabilizers -----------------------------------------
 
@@ -470,31 +473,32 @@ class PermGroup:
         pb = p.images[top.point - 1]
         by_image: dict[int, list[int]] = {}
         for i, e in enumerate(stab):
-            by_image.setdefault(e.images[pb - 1], []).append(i)
+            by_image.setdefault(e[pb - 1], []).append(i)
         gather_p = _gather_of(p.images)
         matches = []
         for j, (gather_u, inverse) in enumerate(tops):
             q = gather_u(gather_p(inverse))  # u_c * p * ~u_c
             for i in by_image.get(q[top.point - 1], ()):
                 # p * e == e * q
-                if gather_p(stab[i].images) == stab_gathers[i](q):
+                if gather_p(stab[i]) == stab_gathers[i](q):
                     matches.append((i, j))
         matches.sort()
         # the matches are all of C(p), so the span stops at |C(p)|
-        _, cent = self._span_filter((((i, j), stab[i] * top.transversal[top.orbit[j]])
-                                     for i, j in matches), len(matches))
+        _, cent = self._span_filter(
+            (((i, j), _trusted(_product(stab[i], top.transversal[top.orbit[j]])))
+             for i, j in matches), len(matches))
         return cent
 
     @cached_property
-    def _split(self) -> tuple[list[Perm], list[itemgetter],
+    def _split(self) -> tuple[list[Images], list[itemgetter],
                               list[tuple[itemgetter, Images]]]:
-        """centralizer()'s top split: the first base point's stabilizer
-        multiplied out, its elements' gathers, and the gather and the
+        """centralizer()'s top split: the images of the first base point's
+        stabilizer multiplied out, their gathers, and the gather and the
         inverse's images of each top transversal element.  Read only past
         the size bound, on a chain that moves a point, so the degree is at
         least 2, as a gather needs."""
         top = self.chain[0]
         stab = self._multiply_out(self.chain[1:])
-        return (stab, [_gather_of(e.images) for e in stab],
-                [(_gather_of(top.transversal[c].images),
-                  (~top.transversal[c]).images) for c in top.orbit])
+        return (stab, [_gather_of(e) for e in stab],
+                [(_gather_of(u), _inverse(u))
+                 for u in map(top.transversal.get, top.orbit)])

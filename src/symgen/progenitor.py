@@ -179,7 +179,7 @@ def _shortest_words(gens: Sequence[Perm], degree: int,
     letters = []
     for k, g in enumerate(gens, start=1):
         letters.append((k, (0,) + g.images))
-        inverse = (~g).images
+        inverse = _inverse(g.images)
         if inverse != g.images:
             letters.append((-k, (0,) + inverse))
     identity = tuple(range(1, degree + 1))

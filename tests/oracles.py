@@ -54,17 +54,63 @@ def elements_by_chain(group):
     the deepest level's varying slowest."""
     elems = [Perm.identity(group.degree)]
     for level in reversed(group.chain):
-        elems = [e * level.transversal[point]
+        elems = [e * Perm(level.transversal[point])
                  for e in elems for point in level.orbit]
     return elems
 
 
-def centralizer_by_enumeration(group, p):
+def chain_by_perms(group):
+    """PermGroup.chain as built before it gathered image tuples, as (base
+    point, orbit, transversal of Perms) per level: one breadth-first
+    orbit-Schreier pass of Perm products per level, at the least point
+    that the level's generators move, whose distinct non-identity Schreier
+    generators u_a g u_(a^g)^-1, in discovery order, generate the next."""
+    levels = []
+    gens = [g for g in group.gens if not g.is_identity()]
+    while gens:
+        point = min(k for g in gens for k in range(1, group.degree + 1)
+                    if g.apply(k) != k)
+        trans = {point: Perm.identity(group.degree)}
+        orbit = [point]
+        stab = {}
+        for a in orbit:
+            for g in gens:
+                b, uag = g.apply(a), trans[a] * g
+                if b not in trans:
+                    trans[b] = uag
+                    orbit.append(b)
+                elif uag != trans[b]:
+                    sg = uag * ~trans[b]
+                    stab.setdefault(sg.images, sg)
+        levels.append((point, orbit, trans))
+        gens = list(stab.values())
+    return levels
+
+
+def elements_by_perms(levels, degree):
+    """elements_by_chain on chain_by_perms' levels, multiplied as Perms."""
+    elems = [Perm.identity(degree)]
+    for _, orbit, trans in reversed(levels):
+        elems = [e * trans[point] for e in elems for point in orbit]
+    return elems
+
+
+def random_element_by_perms(levels, degree, rng):
+    """PermGroup.random_element on chain_by_perms' levels: one transversal
+    element per level, drawn deepest level first, multiplied as Perms."""
+    g = Perm.identity(degree)
+    for _, orbit, trans in reversed(levels):
+        g = g * trans[rng.choice(orbit)]
+    return g
+
+
+def centralizer_by_enumeration(group, p, elements=None):
     """Centralizer of p by filtering every element of the group for the
-    ones commuting with p, spanned in element order."""
+    ones commuting with p, spanned in element order; the elements are
+    elements_by_chain's unless given."""
     kept = []
     sub = PermGroup(group.degree)
-    for g in elements_by_chain(group):
+    for g in elements_by_chain(group) if elements is None else elements:
         if g * p == p * g and not g.is_identity() and g not in sub:
             kept.append(g)
             sub = PermGroup(group.degree, tuple(kept))

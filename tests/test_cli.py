@@ -11,6 +11,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from symgen import perm
 from symgen.cli import build_parser, main
+from symgen.dcenum import double_cosets, word_label
+from symgen.groupfile import load_bundled
 
 GOLDEN = Path(__file__).parent / "golden"
 FIXTURE_DIR = Path(__file__).parents[1] / "src/symgen/fixtures"
@@ -179,6 +181,25 @@ def test_malformed_spec_field_exit_code(tmp_path, capsys, field, value):
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert repr(field) in lines[0]
+
+
+@pytest.mark.parametrize("field", ["control_presentation", "relators"])
+def test_deeply_nested_word_text_exit_code(tmp_path, capsys, field):
+    # word text nested past the parser's depth is a parse error, not a
+    # RecursionError traceback
+    src = json.loads((FIXTURE_DIR / "5sq_d6.json").read_text(encoding="utf-8"))
+    nested = "(" * 3000 + "x" + ")" * 3000
+    if field == "relators":
+        src["relators"][0]["control_word"] = nested
+    else:
+        src["control_presentation"] = nested + ", y^2"
+    path = tmp_path / "nested.json"
+    path.write_text(json.dumps(src), encoding="utf-8")
+    code, out, err = run_cli(capsys, "enumerate", str(path))
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error: {path}: parentheses nested deeper than 100 ")
 
 
 @pytest.mark.parametrize("field,value", [
@@ -463,6 +484,29 @@ def test_graph_golden_bytes(tmp_path, capsys):
         assert code == 0
         assert out_file.read_text(encoding="utf-8") == \
             (GOLDEN / f"l2_19.{fmt}").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", ["5sq_d6", "l2_19", "u3_3"])
+def test_enumerate_and_graph_multiply_no_perm_objects(monkeypatch, capsys, name):
+    # enumerate and graph compute on image tuples: with Perm's product and
+    # inverse refusing, both still print the golden output, and enumerate's
+    # orbit-stabilizer orders are the orders of the stabilizers' chains
+    ctx = load_bundled(name).build_context(with_rules=False)
+    expected = [f"  [{word_label(ctx.spec, node.rep)}]  size {node.size}  "
+                f"stabilizer {node.stabilizer.order()}"
+                for node in double_cosets(ctx.image).nodes]
+
+    def refuse(*args):
+        raise AssertionError("a Perm was multiplied or inverted")
+
+    monkeypatch.setattr(perm.Perm, "__mul__", refuse)
+    monkeypatch.setattr(perm.Perm, "__invert__", refuse)
+    code, out, err = run_cli(capsys, "enumerate", name)
+    assert code == 0 and err == ""
+    assert out.splitlines()[4:] == expected
+    code, out, err = run_cli(capsys, "graph", name, "--format", "json")
+    assert code == 0 and err == ""
+    assert out == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
 
 
 def test_graph_out_in_missing_directory(tmp_path, capsys):

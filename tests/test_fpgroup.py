@@ -150,7 +150,8 @@ def test_subgroup_enumeration():
 def test_closed_table_check_names_what_fails():
     pres = A5
     t = todd_coxeter(pres, [(1,)])
-    _check_closed(t, pres.relators, [(1,)])
+    # an empty relator closes everywhere, a one-letter relator is its column
+    _check_closed(t, pres.relators + ((),), [(1,)])
     # x^3 is not a relator of A5, and y does not lie in <x>
     with pytest.raises(RuntimeError, match=r"relator \(1, 1, 1\) does not close at coset \d+$"):
         _check_closed(t, pres.relators + ((1, 1, 1),), [(1,)])
@@ -427,3 +428,15 @@ def test_enumeration_deterministic():
     t1 = todd_coxeter(pres, [(2,)])
     t2 = todd_coxeter(pres, [(2,)])
     assert t1.columns == t2.columns
+
+
+def test_parse_word_refuses_deep_nesting():
+    # 100 nested parentheses parse; more raise ValueError, not
+    # RecursionError, at the parenthesis that goes too deep
+    assert parse_word("(" * 100 + "x" + ")" * 100, ("x", "y")) == (1,)
+    assert parse_word("(x*" * 100 + "y" + ")" * 100, ("x", "y")) == (1,) * 100 + (2,)
+    for depth in (101, 3000):
+        text = "(" * depth + "x" + ")" * depth + ", y^2"
+        with pytest.raises(ValueError,
+                           match="^parentheses nested deeper than 100 at position 100 in"):
+            Presentation.parse(("x", "y"), text)

@@ -8,8 +8,12 @@ from symgen.perm import (GroupTooLarge, IdentificationError, Perm, PermGroup,
                          cycles_str, label_cycles_str, parse_cycles,
                          parse_label_cycles, word_perm)
 
-from oracles import (centralizer_by_enumeration, closure_order,
-                     elements_by_chain, inverse_by_loop, product_by_generator)
+from symgen.dcenum import build_image
+
+from oracles import (centralizer_by_enumeration, chain_by_perms, closure_order,
+                     elements_by_chain, inverse_by_loop, product_by_generator,
+                     random_element_by_perms)
+from test_progenitor import power_relator_spec
 
 # the 14-point control group used by the largest fixture; handy here because
 # its subgroup structure is known exactly
@@ -416,3 +420,26 @@ def test_order_divides_cyclic_group_order():
     for _ in range(50):
         p = random_perm(rng, 7)
         assert closure_order((p,)) == p.order()
+
+
+@pytest.mark.parametrize("name", ["5sq_d6", "l2_19", "u3_3", "power"])
+def test_chain_and_random_elements_match_perm_products(all_contexts, name):
+    # the chain on image tuples has the base points, orbits and transversal
+    # images of the chain built from Perm products, and so draws the same
+    # seeded random elements, from which the benchmark's inputs come
+    if name == "power":
+        spec = power_relator_spec(4, "x", 6)  # index 84, order 2016
+        groups = (spec.control_group, build_image(spec).full_group)
+    else:
+        ctx = all_contexts[name]
+        groups = (ctx.spec.control_group, ctx.image.full_group)
+    for seed, group in enumerate(groups):
+        levels = chain_by_perms(group)
+        assert [(level.point, level.orbit, level.transversal)
+                for level in group.chain] == [
+            (point, orbit, {b: u.images for b, u in trans.items()})
+            for point, orbit, trans in levels]
+        got, ref = random.Random(seed), random.Random(seed)
+        assert ([group.random_element(got) for _ in range(50)]
+                == [random_element_by_perms(levels, group.degree, ref)
+                    for _ in range(50)])

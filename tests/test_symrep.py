@@ -11,9 +11,11 @@ from symgen.perm import IdentificationError, Perm
 from symgen.symrep import (SymContext, SymElement, canon, canonical_form,
                            cenelt, equal_sym, format_element, invert_sym,
                            mult, parse_element, per2sym, sym2per, unify)
-from oracles import (control_action_by_perms, elements_by_chain, follow_word,
-                     image_inverse_by_perms, image_product_by_perms,
-                     per2sym_by_perms, sym2per_by_perms)
+from oracles import (centralizer_by_enumeration, chain_by_perms,
+                     control_action_by_perms, elements_by_chain,
+                     elements_by_perms, follow_word, image_inverse_by_perms,
+                     image_product_by_perms, per2sym_by_perms,
+                     sym2per_by_perms)
 from test_progenitor import POWER_CASES, power_relator_spec
 
 
@@ -405,6 +407,22 @@ def test_cenelt_brute_force_count(u3_3):
         prod1 = mult(g, a)
         prod2 = mult(a, g)
         assert prod1.control == prod2.control and prod1.word == prod2.word
+
+
+@pytest.mark.parametrize("name", ["5sq_d6", "l2_19", "u3_3"])
+def test_cenelt_matches_the_perm_product_chain(all_contexts, name):
+    # cenelt's order and generator text on seeded elements are those of
+    # the centralizer enumerated over the chain built from Perm products
+    ctx = all_contexts[name]
+    full = ctx.image.full_group
+    elements = elements_by_perms(chain_by_perms(full), full.degree)
+    rng = random.Random(12)
+    for _ in range(10):
+        p = full.random_element(rng)
+        order, gens = cenelt(ctx, per2sym(ctx, p))
+        ref = centralizer_by_enumeration(full, p, elements)
+        assert (order, [format_element(g) for g in gens]) == (
+            ref.order(), [format_element(per2sym(ctx, g)) for g in ref.gens])
 
 
 def test_worked_product(u3_3):
