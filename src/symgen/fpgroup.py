@@ -116,6 +116,8 @@ class Presentation:
 
 # open parentheses past this many, each 3 calls deep, are a parse error
 _MAX_NESTING = 100
+# a parse error quotes at most this many characters of the word text
+_EXCERPT = 60
 
 
 class _WordParser:
@@ -131,7 +133,14 @@ class _WordParser:
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
     def error(self, msg: str):
-        raise ValueError(f"{msg} at position {self.pos} in {self.text!r}")
+        """Raise ValueError naming pos, and quoting the text, or an excerpt
+        of _EXCERPT characters around pos when the text is longer."""
+        text, pos = self.text, self.pos
+        start = max(0, min(pos - _EXCERPT // 2, len(text) - _EXCERPT))
+        end = start + _EXCERPT
+        quoted = (("..." if start else "") + repr(text[start:end])
+                  + ("..." if end < len(text) else ""))
+        raise ValueError(f"{msg} at position {pos} in {quoted}")
 
     def parse(self) -> FreeWord:
         w = self.word()

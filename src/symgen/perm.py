@@ -236,20 +236,27 @@ def cycles_str(p: Perm) -> str:
 def word_perm(gens: Sequence[Perm], letters: Iterable[int], degree: int | None = None) -> Perm:
     """Product of generators along a word of signed 1-based indices.
 
-    Positive letter k means gens[k-1], negative means its inverse.
+    Positive letter k means gens[k-1], negative means its inverse, which
+    is computed once per call however often the word meets it.
     """
     if degree is None:
         if not gens:
             raise ValueError("cannot infer degree from empty generator list")
         degree = gens[0].degree
     result = Perm.identity(degree).images
+    inverses: dict[int, Images] = {}
     for letter in letters:
         if letter == 0 or abs(letter) > len(gens):
             raise ValueError(f"letter {letter} out of range for {len(gens)} generators")
         g = gens[abs(letter) - 1].images
         if len(g) != degree:
             raise ValueError(f"degree mismatch: {degree} != {len(g)}")
-        result = _product(result, g if letter > 0 else _inverse(g))
+        if letter < 0:
+            inverse = inverses.get(letter)
+            if inverse is None:
+                inverse = inverses[letter] = _inverse(g)
+            g = inverse
+        result = _product(result, g)
     return _trusted(result)
 
 
@@ -381,15 +388,23 @@ class PermGroup:
         return orbit, words
 
     def orbits(self) -> list[list[int]]:
-        """All orbits on {1..degree}, ordered by least point."""
-        seen: set[int] = set()
+        """All orbits on {1..degree}, ordered by least point, each in the
+        breadth-first order of orbit(k) from its least point k."""
+        gens = [g.images for g in self.gens]
+        seen = [False] * (self.degree + 1)
         out = []
         for k in range(1, self.degree + 1):
-            if k in seen:
+            if seen[k]:
                 continue
-            orb, _ = self.orbit(k)
-            seen.update(orb)
-            out.append(orb)
+            seen[k] = True
+            orbit = [k]
+            for a in orbit:
+                for g in gens:
+                    b = g[a - 1]
+                    if not seen[b]:
+                        seen[b] = True
+                        orbit.append(b)
+            out.append(orbit)
         return out
 
     def schreier_generators(self, k: int) -> list[tuple[tuple[int, ...], Perm]]:

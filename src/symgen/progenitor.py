@@ -33,7 +33,7 @@ from typing import Iterable, Sequence
 from .perm import (MAX_ELEMENTS, Images, Perm, PermGroup, _gather, _inverse,
                    _product, word_perm)
 from .fpgroup import (MAX_COSETS, CosetLimitExceeded, FreeWord, Presentation,
-                      _column, commutator, concat, invert_word, reduce_word,
+                      commutator, concat, invert_word, reduce_word,
                       word_conj, word_str)
 
 Word = tuple[int, ...]  # letters are symmetric-generator indices in 1..n
@@ -97,6 +97,26 @@ class ProgenitorSpec:
     @cached_property
     def control_group(self) -> PermGroup:
         return PermGroup(self.n, self.control_gens)
+
+    @cached_property
+    def _columns(self) -> tuple[dict[int, int], list[int]]:
+        """The columns of the letter table's enumeration (RuleSet.table):
+        letter t_i's is i - 1, its own inverse; then each control generator
+        g_k in order gets one column for g_k and one for g_k^-1, or, when
+        g_k is an involution, one column that is its own inverse.  Returns
+        each control letter's column, k for g_k and -k for g_k^-1, and
+        inv, each column's inverse column."""
+        inv = list(range(self.n))
+        columns: dict[int, int] = {}
+        for k, g in enumerate(self.control_gens, start=1):
+            c = len(inv)
+            if _inverse(g.images) == g.images:
+                columns[k] = columns[-k] = c
+                inv.append(c)
+            else:
+                columns[k], columns[-k] = c, c + 1
+                inv += [c + 1, c]
+        return columns, inv
 
     def label_index(self, label: str) -> int:
         try:
@@ -200,8 +220,8 @@ def _shortest_words(gens: Sequence[Perm], degree: int,
 
 def derive_rules(spec: ProgenitorSpec, max_cosets: int = MAX_COSETS) -> "RuleSet":
     """The rewrite engine of spec: its factoring relators, each as a word
-    over the letter table's enumeration columns (see RuleSet), and the
-    table, enumerated on first use within the max_cosets budget.
+    over the letter table's enumeration columns (ProgenitorSpec._columns),
+    and the table, enumerated on first use within the max_cosets budget.
 
     A relator pi * t_w = 1 is a shortest control word for pi, found by
     _shortest_words as for build_presentation, followed by its tail.  The
@@ -212,8 +232,9 @@ def derive_rules(spec: ProgenitorSpec, max_cosets: int = MAX_COSETS) -> "RuleSet
     n = spec.n
     shortest = _shortest_words(spec.control_gens, n,
                                [word for word, _ in spec.relators])
+    columns, _ = spec._columns
     relators = tuple(
-        tuple(n + _column(letter) for letter in shortest[control_word])
+        tuple(columns[letter] for letter in shortest[control_word])
         + tuple(i - 1 for i in tail)
         for control_word, tail in spec.relators)
     return RuleSet(spec, relators, max_cosets)
@@ -261,23 +282,28 @@ class RuleSet:
         """The letter table (rows, words), whose states are the cosets of N.
 
         The enumeration is HLT over N (Neubueser 1982; Holt, Eick &
-        O'Brien 2005, ch. 5) with an element of N on each entry: coset x_a
-        has one column per t_i, which is its own inverse, and two per
-        control generator g, for g and g^-1, and the entry (b, lambda) of
-        column c says x_a c = lambda x_b.  Coset 0 is N itself, x_0 = 1,
-        so its control entries are preset to (0, g).  Every live coset
-        scans t_i g t_(i^g) g^-1 for each control generator g and letter
-        i, and then the factoring relators (rules); N's own relations
-        hold in the labels, so its presentation is not needed.  A
-        coincidence x_a = tau x_b moves a's row onto b, multiplying the
+        O'Brien 2005, ch. 5) with an element of N on each entry, over the
+        column map of ProgenitorSpec._columns: coset x_a has one column
+        per t_i, which is its own inverse, and per control generator g one
+        column that is its own inverse when g is an involution, or two,
+        for g and g^-1; the entry (b, lambda) of column c says
+        x_a c = lambda x_b.  Coset 0 is N itself, x_0 = 1, so its control
+        entries are preset to (0, g) and (0, g^-1).  Every live coset
+        scans t_i g t_(i^g) g^-1 letter by letter, for each letter i every
+        control generator g in order, so that a new t edge is carried
+        along every g before the next letter's, and then the factoring
+        relators (rules), compiled through the same map; N's own
+        relations hold in the labels, so its presentation is not needed.
+        A coincidence x_a = tau x_b moves a's row onto b, multiplying the
         labels through.  The factoring relators identify a non-identity
         element of N with 1, and ValueError is raised, when a scan closes
         a loop at one coset with a label other than the identity, a coset
-        merges with itself under such a label, or a t column's self-loop
-        gets a label whose square is not the identity.  Each label is the
-        number of its element of N (_Labels): 0 for the identity, so those
-        checks compare numbers, and each product of two labels is gathered
-        once however often the scans meet it.
+        merges with itself under such a label, or a self-loop in a column
+        that is its own inverse, a t_i's or an involution's, gets a label
+        whose square is not the identity.  Each label is the number of its
+        element of N (_Labels): 0 for the identity, so those checks compare
+        numbers, and each product of two labels is gathered once however
+        often the scans meet it.
 
         Once the table closes, one breadth-first pass over the t columns,
         in letter order from coset 0, renumbers the cosets by their least
@@ -366,26 +392,31 @@ def _labelled_cosets(spec: ProgenitorSpec,
                      relators: Sequence[tuple[int, ...]],
                      max_cosets: int) -> tuple[list, _Labels]:
     """The closed HLT table of RuleSet.table and the numbering of its
-    labels: row a holds, per column c, the entry (b, lambda) with
-    x_a c = lambda x_b, lambda an element of N as its number in labels;
-    rows of dead cosets are None, and live rows name only live cosets."""
+    labels: row a holds, per column c of spec._columns (t_i at i - 1,
+    then one column per involutory control generator and two per other),
+    the entry (b, lambda) with x_a c = lambda x_b, lambda an element of N
+    as its number in labels; rows of dead cosets are None, and live rows
+    name only live cosets.  Each live coset scans the conjugation
+    relators letter by letter, every control generator for one letter
+    before the next letter, then the factoring relators."""
     n = spec.n
+    columns, inv = spec._columns
     labels = _Labels(tuple(range(1, n + 1)))
     product, inverse = labels.product, labels.inverse
     quotient = labels.quotient
-    gens = [g.images for g in spec.control_gens]
-    inv = list(range(n)) + [n + (c ^ 1) for c in range(2 * len(gens))]
     ncols = len(inv)
-    first: list = [None] * n
-    for g in gens:
-        g = labels.of(g)
-        first += [(0, g), (0, inverse(g))]
+    first: list = [None] * ncols
+    gens = []
+    for k, g in enumerate(spec.control_gens, start=1):
+        label, c, d = labels.of(g.images), columns[k], columns[-k]
+        # an involution's one column gets its label, its own inverse
+        first[c], first[d] = (0, label), (0, inverse(label))
+        gens.append((g.images, c, d))
     table: list = [first]
     # x_a = link[a] x_parent[a]; a live coset is its own parent
     parent, link = [0], [0]
-    # t_i g t_(i^g) g^-1 for each control generator g and letter i
-    scanned = [(i, n + _column(k), g[i] - 1, n + _column(-k))
-               for k, g in enumerate(gens, start=1) for i in range(n)]
+    # t_i g t_(i^g) g^-1 for each letter i and each control generator g
+    scanned = [(i, c, g[i] - 1, d) for i in range(n) for g, c, d in gens]
     scanned += relators
 
     def find(a: int) -> tuple[int, int]:
@@ -436,16 +467,24 @@ def _labelled_cosets(spec: ProgenitorSpec,
         queue: list[int] = []
         merge(a, b, tau, queue)
         for dead in queue:
+            u, delta = find(dead)
             for col, entry in enumerate(table[dead]):
                 if entry is None:
                     continue
                 target, label = entry
                 back = inv[col]
                 table[target][back] = None
-                u, delta = find(dead)
-                v, epsilon = find(target)
+                if parent[u] != u:  # a merge below killed dead's root
+                    u, delta = find(dead)
+                if parent[target] == target:
+                    v, epsilon = target, 0
+                else:
+                    v, epsilon = find(target)
                 # x_u c = label x_v
-                label = product(quotient(delta, label), epsilon)
+                if delta:
+                    label = quotient(delta, label)
+                if epsilon:
+                    label = product(label, epsilon)
                 here, there = table[u][col], table[v][back]
                 if here is not None:
                     merge(v, here[0], quotient(label, here[1]), queue)

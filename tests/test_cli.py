@@ -2,6 +2,7 @@ import copy
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -184,22 +185,25 @@ def test_malformed_spec_field_exit_code(tmp_path, capsys, field, value):
 
 
 @pytest.mark.parametrize("field", ["control_presentation", "relators"])
-def test_deeply_nested_word_text_exit_code(tmp_path, capsys, field):
+def test_deeply_nested_word_text_exit_code(tmp_path, monkeypatch, capsys,
+                                          field):
     # word text nested past the parser's depth is a parse error, not a
-    # RecursionError traceback
+    # RecursionError traceback, and its one line quotes an excerpt of the
+    # 6,001 characters around the position, not the whole text
     src = json.loads((FIXTURE_DIR / "5sq_d6.json").read_text(encoding="utf-8"))
     nested = "(" * 3000 + "x" + ")" * 3000
     if field == "relators":
         src["relators"][0]["control_word"] = nested
     else:
         src["control_presentation"] = nested + ", y^2"
-    path = tmp_path / "nested.json"
-    path.write_text(json.dumps(src), encoding="utf-8")
-    code, out, err = run_cli(capsys, "enumerate", str(path))
+    monkeypatch.chdir(tmp_path)
+    Path("nested.json").write_text(json.dumps(src), encoding="utf-8")
+    code, out, err = run_cli(capsys, "enumerate", "nested.json")
     assert code == 2 and out == ""
     lines = err.splitlines()
-    assert len(lines) == 1
-    assert lines[0].startswith(f"error: {path}: parentheses nested deeper than 100 ")
+    assert len(lines) == 1 and len(lines[0]) < 200
+    assert lines[0].startswith("error: nested.json: parentheses nested deeper "
+                               "than 100 at position 100 in ...'(((")
 
 
 @pytest.mark.parametrize("field,value", [
@@ -553,9 +557,9 @@ def test_elt_invert_involution(capsys):
     assert out.strip() == "(id | b0)"
 
 
-@pytest.mark.parametrize("limit,code", [(209, 4), (210, 0)])
+@pytest.mark.parametrize("limit,code", [(178, 4), (179, 0)])
 def test_elt_letter_table_budget(capsys, monkeypatch, limit, code):
-    # the letter table's enumeration defines 210 cosets of N in u3_3, more
+    # the letter table's enumeration defines 179 cosets of N in u3_3, more
     # than the image route's 134: one fewer is a resource limit, named by
     # its stage on one line
     monkeypatch.setenv("SYMGEN_MAX_COSETS", str(limit))
@@ -564,9 +568,26 @@ def test_elt_letter_table_budget(capsys, monkeypatch, limit, code):
     if code:
         assert out == ""
         assert err == ("error: rewrite letter table exceeded the limit of "
-                       "209 cosets\n")
+                       "178 cosets\n")
     else:
         assert (out, err) == ("((b2,b6)(b4,b5)(0,3)(5,6) | b0.1)\n", "")
+
+
+def test_readme_elt_commands_print_the_golden_output(capsys):
+    # the README's four `symgen elt` commands, run in order, print
+    # tests/golden/elt.out byte for byte, as CI's installed package must
+    readme = (Path(__file__).parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    commands = [shlex.split(line, comments=True)[1:]
+                for line in readme.splitlines()
+                if line.startswith("symgen elt ")]
+    assert len(commands) == 4
+    printed = ""
+    for argv in commands:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        printed += out
+    assert printed.encode() == (GOLDEN / "elt.out").read_bytes()
 
 
 def test_elt_mult(capsys):

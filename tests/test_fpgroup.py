@@ -440,3 +440,25 @@ def test_parse_word_refuses_deep_nesting():
         with pytest.raises(ValueError,
                            match="^parentheses nested deeper than 100 at position 100 in"):
             Presentation.parse(("x", "y"), text)
+
+
+def test_parse_error_quotes_an_excerpt_of_long_text():
+    # text of up to 60 characters is quoted whole; longer text by the 60
+    # characters around the position, marked "..." where it is cut
+    with pytest.raises(ValueError, match=r"^expected a generator name at "
+                                         r"position 2 in 'x\^'$"):
+        parse_word("x^", ("x", "y"))
+    text = "x*" * 50 + "q" + "*y" * 50
+    with pytest.raises(ValueError) as exc:
+        parse_word(text, ("x", "y"))
+    assert str(exc.value) == ("expected a generator name at position 100 in "
+                              f"...{text[70:130]!r}...")
+    with pytest.raises(ValueError) as exc:
+        parse_word(text[:-1], ("x", "y"))
+    assert str(exc.value) == ("expected a generator name at position 100 in "
+                              f"...{text[70:130]!r}...")
+    text = "x*" * 35 + "x^"
+    with pytest.raises(ValueError) as exc:
+        parse_word(text, ("x", "y"))
+    assert str(exc.value) == ("expected a generator name at position 72 in "
+                              f"...{text[12:]!r}")

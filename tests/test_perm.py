@@ -164,6 +164,28 @@ def test_word_perm_signed_letters():
         word_perm([x], (2,))
 
 
+def test_word_perm_inverts_each_generator_once(monkeypatch):
+    # repeated negative letters read one inverse per generator, and the
+    # product equals the Perm product along the word
+    gens = pgl_2_7().gens
+    word = (-1, 2, -1, -3, -1, 3, -3, -2, -1, -2)
+    expected = Perm.identity(14)
+    for letter in word:
+        g = gens[abs(letter) - 1]
+        expected = expected * (g if letter > 0 else ~g)
+    inverted = []
+    inverse = perm_module._inverse
+    monkeypatch.setattr(perm_module, "_inverse",
+                        lambda p: inverted.append(p) or inverse(p))
+    assert word_perm(gens, word, 14) == expected
+    assert sorted(inverted) == sorted(g.images for g in gens)
+    with pytest.raises(ValueError, match="^letter -4 out of range for 3 "
+                                         "generators$"):
+        word_perm(gens, (-1, -4), 14)
+    with pytest.raises(ValueError, match="^degree mismatch: 3 != 14$"):
+        word_perm(gens, (-1,), 3)
+
+
 def test_group_order_small_groups():
     s3 = PermGroup(3, (parse_cycles("(1,2,3)", 3), parse_cycles("(1,2)", 3)))
     assert s3.order() == 6
@@ -229,6 +251,22 @@ def test_point_stabilizer_dihedral_in_six_point_group():
     orbits = stab.orbits()
     assert orbits[0] == [1]
     assert sorted(orbits[1]) == [2, 3, 4, 5, 6]
+
+
+@pytest.mark.parametrize("name", ["5sq_d6", "l2_19", "u3_3"])
+def test_orbits_match_the_witness_orbits_on_node_stabilizers(all_contexts,
+                                                             name):
+    # orbits walks breadth-first from each least point unseen, generators in
+    # order, so it lists the orbits, and each orbit's points, as orbit(k)
+    from symgen.dcenum import double_cosets
+    for node in double_cosets(all_contexts[name].image).nodes:
+        group, expected, seen = node.stabilizer, [], set()
+        for k in range(1, group.degree + 1):
+            if k not in seen:
+                orbit, _ = group.orbit(k)
+                seen.update(orbit)
+                expected.append(orbit)
+        assert group.orbits() == expected, node.rep
 
 
 def test_point_stabilizer_pgl27():

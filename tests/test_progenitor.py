@@ -400,7 +400,7 @@ def test_products_read_the_table_without_reducing(monkeypatch, all_contexts,
 # the least max_cosets at which each fixture's letter table closes: the
 # cosets its enumeration defines, above the index, as bisected, with each
 # factoring relator's control word spelled as a shortest word
-LEAST = {"5sq_d6": 104, "l2_19": 167, "u3_3": 210}
+LEAST = {"5sq_d6": 96, "l2_19": 168, "u3_3": 179}
 
 
 @pytest.mark.parametrize("name,max_cosets,fits", [
@@ -415,7 +415,7 @@ def test_rewrite_table_is_bounded_by_max_cosets(name, max_cosets, fits):
             rules.table
 
 
-@pytest.mark.parametrize("word,least", [("x", 2836), ("x^2*y", 2911)])
+@pytest.mark.parametrize("word,least", [("x", 2633), ("x^2*y", 2820)])
 def test_index_1015_members_close_at_their_least_budgets(word, least):
     # the enumeration defines the same cosets at scale: 2^{*4}:S_4 /
     # (pi t_1)^7 closes with 1,015 states at these budgets and no lower
@@ -436,13 +436,51 @@ def dihedral_spec(k):
 
 
 def test_dihedral_letter_table_budget_follows_the_index():
-    # the relator's control word x^1000 is spelled as x^0 = 1, so the
-    # table closes with 1,000 states at 1,497 cosets and no lower; walked
-    # letter by letter, x^1000 made it define 497,006
+    # the relator's control word x^1000 is spelled as x^0 = 1, so its
+    # compiled word has only t columns and the table closes with 1,000
+    # states at 1,000 cosets and no lower; walked letter by letter, x^1000
+    # made it define 497,006
     spec = dihedral_spec(1000)
-    assert len(derive_rules(spec, 1497).table[0]) == 1000
-    with pytest.raises(CosetLimitExceeded, match="of 1496 cosets$"):
-        derive_rules(spec, 1496).table
+    rules = derive_rules(spec, 1000)
+    assert rules.rules == ((1, 0) * 500,)
+    assert len(rules.table[0]) == 1000
+    with pytest.raises(CosetLimitExceeded, match="of 999 cosets$"):
+        derive_rules(spec, 999).table
+
+
+@pytest.mark.parametrize("name", FIXTURES + ["dihedral_10", "4,x,7"])
+def test_an_involution_has_one_enumeration_column(name):
+    # the letter table's enumeration gives t_i column i - 1, its own
+    # inverse, then each control generator g_k one column, its own inverse,
+    # when g_k is an involution, or two, one the other's inverse; derive_rules
+    # compiles the factoring relators through the same map
+    spec = _case_spec(name)
+    columns, inv = spec._columns
+    n = spec.n
+    assert inv[:n] == list(range(n))
+    expected = {}
+    for k, g in enumerate(spec.control_gens, start=1):
+        c = n + len(set(expected.values()))
+        expected[k], expected[-k] = c, c if (g * g).is_identity() else c + 1
+    assert columns == expected
+    assert all(inv[columns[k]] == columns[-k] for k in columns)
+    assert len(inv) == len(set(expected.values())) + n
+    shortest = progenitor._shortest_words(spec.control_gens, n,
+                                          [w for w, _ in spec.relators])
+    assert derive_rules(spec).rules == tuple(
+        tuple(expected[letter] for letter in shortest[w])
+        + tuple(i - 1 for i in tail) for w, tail in spec.relators)
+
+
+@pytest.mark.parametrize("k", [10, 51, 250, 1000])
+def test_dihedral_letter_table_defines_one_coset_per_state(k):
+    # x is an involution, so it has one column, its own inverse, and each
+    # coset's scans t_i x t_(i^x) x reach the next coset without a
+    # definition to spare: the table closes at k cosets and no lower
+    spec = dihedral_spec(k)
+    assert len(derive_rules(spec, k).table[0]) == k
+    with pytest.raises(CosetLimitExceeded, match=f"of {k - 1} cosets$"):
+        derive_rules(spec, k - 1).table
 
 
 def test_each_product_of_two_labels_is_gathered_once(monkeypatch):
@@ -473,7 +511,7 @@ def test_each_product_of_two_labels_is_gathered_once(monkeypatch):
 
 
 def test_rewrite_budget_names_its_stage():
-    for max_cosets in (1, 36, 209):
+    for max_cosets in (1, 36, 178):
         with pytest.raises(CosetLimitExceeded) as exc:
             derive_rules(load_bundled("u3_3").spec, max_cosets).table
         assert str(exc.value) == ("rewrite letter table exceeded the limit "
@@ -630,7 +668,10 @@ POWER_CASES = [
     (3, "x", 5, 20), (3, "y", 5, 20), (3, "x^2*y", 4, 8),
     (3, "x", 8, CosetLimitExceeded), (4, "x*y*x^-1*y", 4, 10),
     (4, "y", 4, 16), (4, "x", 5, 5), (4, "x", 6, 84),
-    (4, "x*y*x^-1*y", 7, 91), (4, "x", 3, ValueError)]
+    (4, "x*y*x^-1*y", 7, 91), (4, "x", 3, ValueError),
+    # collapses first at a self-loop in y's one column, under a label
+    # whose square is not the identity
+    (4, "x", 2, ValueError)]
 
 
 def test_shortest_words_stop_at_depth_and_at_the_element_bound(monkeypatch):
@@ -823,6 +864,8 @@ def _case_spec(name):
         return collapsing_spec()
     if name == "empty_tail":
         return empty_tail_spec()
+    if name.startswith("dihedral_"):
+        return dihedral_spec(int(name[len("dihedral_"):]))
     n, word, k = name.split(",")
     return power_relator_spec(int(n), word, int(k))
 
@@ -942,15 +985,26 @@ TABLE_SHA256 = {
         "d9748395defe497a1a26f5c4e4e8683ddc99338a6826aab0a14fc045e64358a8",
     "degree_one_free":
         "d0a8127b1777f51e35e535e0fc7ed760cf51cc1b5678484c619ba9441e4b9c2a",
+    "4,x,7": "6d3b7b3ce7f088f61190b76a3e3ea6bf99ae00c2228f65f1feed0ba86b4bc454",
+    "4,x^2*y,7":
+        "6d3b7b3ce7f088f61190b76a3e3ea6bf99ae00c2228f65f1feed0ba86b4bc454",
+    "dihedral_250":
+        "9503653ede2b6ba1eb7ae09dc307db486557d02f9b4ca42646e325b507519bf2",
+    "dihedral_1000":
+        "5e726808644ef56a4d38f2b6dff6a869e0c2e907a45cc5ff886a7dec38c97d35",
 }
 
 
-# every case that builds a table, with its budget
+# every case that builds a table, with its budget, and four members at
+# scale: the two index-1,015 members, whose tables are equal, and the
+# dihedral members k = 250 and 1,000
 TABLE_CASES = (
     [(name, 10 ** 6) for name in INDEX]
     + [(f"{n},{word},{k}", 2000) for n, word, k, outcome in POWER_CASES
        if isinstance(outcome, int)]
-    + [(f"degree_one_{key}", 10 ** 6) for key in DEGREE_ONE_RELATORS])
+    + [(f"degree_one_{key}", 10 ** 6) for key in DEGREE_ONE_RELATORS]
+    + [(name, 10 ** 6) for name in ("4,x,7", "4,x^2*y,7", "dihedral_250",
+                                    "dihedral_1000")])
 
 
 @pytest.mark.parametrize("name,max_cosets", TABLE_CASES)
