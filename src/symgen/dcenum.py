@@ -5,20 +5,21 @@ symmetric generators as permutations on the coset points, and numbers the
 points by their canonical coset-representative words (breadth-first,
 shortest then lexicographically least), so the image does not depend on
 the enumerator's definition order.  The symmetric generators are the
-N-conjugates of the one t symbol, certified by build_image.  The image engine
-(SymImage.realized and SymImage.read_pair) reads two tables: the control
-group's action on the coset points, each element against its
-realization, and the t-chain of each coset word with its inverse, so an
-element with a coset word is realized or read back with one gather per
-table.  Those two methods are the tables' only readers: anything else,
-such as a check that a factoring relator pi * t_tail is the identity,
-asks symrep.sym2per.  double_cosets reads the collapsed Cayley graph
-straight off the image: nodes are orbits of the control group on coset
-points, sized |N| / |N^(w)|, with one edge entry per orbit of the coset
-stabilizer N^(w) on the symmetric generators.
-Orbit and N^(w) come from one orbit-Schreier pass of N itself
-(perm._schreier) acting on the coset points, so N^(w) is found in N's
-own degree-n action.
+N-conjugates of the one t symbol along one perm._schreier transversal,
+certified by build_image: t commutes with every Schreier generator of
+point 1.  The image engine (SymImage.realized and SymImage.read_pair)
+reads two tables: the control group's action on the coset points, each
+element against its realization, and the t-chain of each coset word
+with its inverse, so an element with a coset word is realized or read
+back with one gather per table.  Those two methods are the tables' only
+readers: anything else, such as a check that a factoring relator
+pi * t_tail is the identity, asks symrep.sym2per.  double_cosets reads
+the collapsed Cayley graph straight off the image: nodes are orbits of
+the control group on coset points, sized |N| / |N^(w)|, with one edge
+entry per orbit of the coset stabilizer N^(w) on the symmetric
+generators.  Orbit and N^(w) come from one orbit-Schreier pass of N
+itself (perm._schreier) acting on the coset points, so N^(w) is found
+in N's own degree-n action.
 
 Construction is single-threaded; a built SymImage is effectively immutable
 (its tables are built on first use), and distinct images can be processed
@@ -57,11 +58,11 @@ class SymImage:
 
     That realization is one to one, so read_pair reads a permutation
     fixing point 1 back as the unique control element.  build_image checks
-    that the ts are distinct and that each control generator conjugates
-    them as it permutes their indices, so the image of any nu in N
-    conjugates t_i to t_(i^nu).  If nu acts trivially on the coset
-    points, then t_i = t_i^nu = t_(i^nu) for every i, and since the ts are
-    distinct, i^nu = i for every i: nu = 1.
+    that the ts are distinct and that t commutes with every Schreier
+    generator of point 1, so the image of any nu in N conjugates t_i to
+    t_(i^nu).  If nu acts trivially on the coset points, then
+    t_i = t_i^nu = t_(i^nu) for every i, and since the ts are distinct,
+    i^nu = i for every i: nu = 1.
 
     The image engine is two methods on image tuples: realized multiplies
     a pair out on the coset points, and read_pair reads the canonical pair
@@ -171,15 +172,14 @@ class SymImage:
 def build_image(spec: ProgenitorSpec, max_cosets: int = MAX_COSETS) -> SymImage:
     """Enumerate the image and realize the symmetric generators.
 
-    One breadth-first pass over N's orbit of 1 realizes and certifies the
-    ts: t_1 is the t symbol's action, the edge (a, g) that first reaches
-    a^g sets t_(a^g) = t_a^g, and every other edge must agree.  So t
-    commutes with every Schreier word of point 1, which generate the
-    preimage of N_1, kernel and all, in the group the control relators
-    present (Seress 2003, ch. 4): an image that passes is the spec's
-    group.  Over N itself the stabilizer commutators give [t, N_1] = 1,
-    so a failing edge raises _not_presenting's ValueError; an identity t
-    or repeated ts raise ValueError too.
+    One perm._schreier pass runs the control generators' images over N's
+    orbit of 1 in 1..n: t_a is u_a^-1 t u_a for the transversal element
+    u_a, and t must commute with every Schreier generator of point 1,
+    which generate the preimage of N_1, kernel and all, in the group the
+    control relators present (Seress 2003, ch. 4), so an image that
+    passes is the spec's group.  Over N itself the stabilizer commutators
+    give [t, N_1] = 1, so a failure raises _not_presenting's ValueError;
+    an identity t or repeated ts raise ValueError too.
     """
     pres = build_presentation(spec)
     m = len(spec.control_gens)
@@ -192,25 +192,16 @@ def build_image(spec: ProgenitorSpec, max_cosets: int = MAX_COSETS) -> SymImage:
     t = gens_image[m]
     if t.is_identity():
         raise ValueError("image of generator 1 does not have order 2")
-    # per control generator: its index action, its image's inverse, and
-    # its image padded behind a 0
-    steps = [(g.images, _inverse(image.images), (0,) + image.images)
-             for g, image in zip(spec.control_gens, gens_image)]
-    ts, orbit = {1: t.images}, [1]
-    for a in orbit:
-        padded = (0,) + ts[a]
-        for g, inverse, image in steps:
-            conjugate = _gather(_gather(inverse, padded), image)  # t_a^g
-            b = g[a - 1]
-            if b not in ts:
-                ts[b] = conjugate
-                orbit.append(b)
-            elif ts[b] != conjugate:
-                raise _not_presenting(spec)
-    if len(set(ts.values())) != spec.n:
+    _, trans, sgens = _schreier(table.index, [g.images for g in gens_image[:m]],
+                                1, [g.images for g in spec.control_gens])
+    if any(_product(s, t.images) != _product(t.images, s) for s in sgens):
+        raise _not_presenting(spec)
+    ts = [_product(_product(_inverse(u), t.images), u)
+          for u in map(trans.get, range(1, spec.n + 1))]
+    if len(set(ts)) != spec.n:
         raise ValueError("images of the symmetric generators are not distinct")
     return _standard_numbering(spec, table.index, gens_image,
-                               [_trusted(ts[i]) for i in range(1, spec.n + 1)])
+                               list(map(_trusted, ts)))
 
 
 def _check_control_presentation(spec: ProgenitorSpec):
@@ -298,7 +289,7 @@ def double_cosets(img: SymImage) -> CollapsedGraph:
     node_of: dict[int, int] = {}
 
     def discover(point: int) -> int:
-        orbit, _, sgens = _schreier(gens, point, action)
+        orbit, _, sgens = _schreier(img.n, gens, point, action)
         node_of.update(dict.fromkeys(orbit, len(found)))
         found.append((point, orbit, list(map(_trusted, sgens))))
         return node_of[point]

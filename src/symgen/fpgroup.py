@@ -249,6 +249,26 @@ def _compile(word: Sequence[int]) -> tuple[int, ...]:
     return tuple(map(_column, word))
 
 
+def _column_layout(self_inverse: int, involutions: Sequence[bool]
+                   ) -> tuple[dict[int, int], list[int]]:
+    """The working columns of an enumeration: first self_inverse columns
+    that are their own inverses, then per generator k in order one column
+    that is its own inverse when involutions[k - 1] holds, or two, for k
+    and k^-1.  Returns each generator letter's column, k for generator k
+    and -k for its inverse, and inv, each column's inverse column."""
+    inv = list(range(self_inverse))
+    column: dict[int, int] = {}
+    for k, involution in enumerate(involutions, start=1):
+        c = len(inv)
+        if involution:
+            column[k] = column[-k] = c
+            inv.append(c)
+        else:
+            column[k], column[-k] = c, c + 1
+            inv += [c + 1, c]
+    return column, inv
+
+
 @dataclass(frozen=True)
 class CosetTable:
     """Closed coset table: columns[col][c] is the 0-based target of coset c.
@@ -287,16 +307,7 @@ def todd_coxeter(pres: Presentation, subgroup_gens: Sequence[Sequence[int]] = ()
     # k^-1, which makes its square hold by construction
     squares = [r for r in relators if len(r) == 2 and r[0] == r[1]]
     involutions = {abs(r[0]) for r in squares}
-    column: dict[int, int] = {}
-    inv: list[int] = []
-    for k in range(1, m + 1):
-        c = len(inv)
-        if k in involutions:
-            column[k] = column[-k] = c
-            inv.append(c)
-        else:
-            column[k], column[-k] = c, c + 1
-            inv += [c + 1, c]
+    column, inv = _column_layout(0, [k in involutions for k in range(1, m + 1)])
 
     def compile_word(word: FreeWord) -> tuple[int, ...]:
         return tuple(map(column.__getitem__, word))
@@ -321,11 +332,10 @@ def _hlt(inv: list[int], relators: list[tuple[int, ...]],
     """HLT over compiled, non-empty words; returns the index and the
     compacted columns in CosetTable's layout.
 
-    The working columns follow the generators in order: two columns, k
-    then k^-1, for a generator that is no involution, and one column that
-    is its own inverse (inv[c] == c) for an involution.  Each working
-    column is one list indexed by coset, grown by _CHUNK Nones at a time,
-    so a definition allocates no container.  A word is compiled to the
+    The working columns are laid out by _column_layout, an involution's
+    one column its own inverse (inv[c] == c).  Each working column is one
+    list indexed by coset, grown by _CHUNK Nones at a time, so a
+    definition allocates no container.  A word is compiled to the
     tuple of its column lists, walked forward, and the tuple of their
     inverse columns, walked backward.  Dead cosets keep stale entries,
     which nothing reads: walks start at live cosets, and a finished

@@ -102,7 +102,7 @@ def load_spec_data(data: dict, path: str = "<data>") -> GroupSpecFile:
     if len(labels) != n:
         raise ValueError(f"{path}: expected {n} labels, got {len(labels)}")
     for label in labels:
-        # cycle and element text ignore whitespace, so a label may hold none
+        # cycle and element text strip whitespace off labels: a label holds none
         if not label or any(ch in "(),.|" or ch.isspace() for ch in label):
             raise ValueError(f"{path}: label {label!r} is empty or contains "
                              "whitespace or one of ( ) , . |")

@@ -97,9 +97,7 @@ class Perm:
         si, oi = self.images, other.images
         if len(si) != len(oi):
             raise ValueError(f"degree mismatch: {len(si)} != {len(oi)}")
-        if len(si) == 1:  # itemgetter of one index gives no tuple
-            return other
-        return _trusted(itemgetter(*si)((0,) + oi))
+        return _trusted(_product(si, oi))
 
     def __invert__(self) -> "Perm":
         return _trusted(_inverse(self.images))
@@ -185,21 +183,22 @@ def parse_label_cycles(text: str, labels: Sequence[str]) -> Perm:
     """Parse cycle notation whose points are labels, the k-th label naming
     point k: "(a,b,c)(d,e)" over the labels of a spec file.
 
-    Whitespace-insensitive, so labels must contain none; "()" or the empty
+    Whitespace around labels, commas and parentheses is ignored, but not
+    inside a label, so "(1 2)" names the label "1 2"; "()" or the empty
     string is the identity.  Each label may appear at most once.
     """
-    s = "".join(text.split())
     index = {label: i for i, label in enumerate(labels, start=1)}
     images = list(range(1, len(labels) + 1))
     seen: set[int] = set()
-    for match in re.finditer(r"\(([^()]*)\)|(.)", s):
+    # the search skips the whitespace between matches
+    for match in re.finditer(r"\(([^()]*)\)|(\S)", text):
         if match.group(2) is not None:
             raise ValueError(f"unexpected {match.group(2)!r} in {text!r}")
         body = match.group(1)
-        if not body:
+        if not body.strip():
             continue
         try:
-            cycle = [index[tok] for tok in body.split(",")]
+            cycle = [index[tok.strip()] for tok in body.split(",")]
         except KeyError as exc:
             raise ValueError(f"unknown label {exc.args[0]!r} in {text!r}") from None
         for k in cycle:
@@ -260,10 +259,11 @@ def word_perm(gens: Sequence[Perm], letters: Iterable[int], degree: int | None =
     return _trusted(result)
 
 
-def _schreier(gens: Sequence[Images], point: int,
+def _schreier(degree: int, gens: Sequence[Images], point: int,
               action: Sequence[Images] | None = None):
     """Orbit of point, its transversal and the stabilizer's Schreier
-    generators, in one breadth-first pass over the generators' images.
+    generators, in one breadth-first pass over the images of gens, which
+    permute 1..degree (given, as gens may be empty).
 
     action, when given, pairs each generator with its permutation of
     another point set (zip stops at the shorter); point and the orbit
@@ -271,10 +271,11 @@ def _schreier(gens: Sequence[Images], point: int,
     generators stay in the generators' group.  Returns (orbit in discovery
     order, transversal with point^u_b == b, the distinct non-identity
     u_a g u_(a^g)^-1 in discovery order), the last generating the
-    stabilizer of point, all as image tuples.
+    stabilizer of point, all as image tuples.  Besides PermGroup.chain,
+    dcenum's double_cosets and build_image run it with an action.
     """
     pairs = [((0,) + g, act) for g, act in zip(gens, gens if action is None else action)]
-    trans = {point: tuple(range(1, len(gens[0]) + 1)) if gens else ()}
+    trans = {point: tuple(range(1, degree + 1))}
     inverses: dict[int, Images] = {}  # b -> ~u_b's images, padded behind a 0
     orbit = [point]
     stab: dict[Images, None] = {}  # keys in discovery order
@@ -329,7 +330,7 @@ class PermGroup:
         gens = [g.images for g in self.gens if not g.is_identity()]
         while gens:
             point = min(next(k for k, i in enumerate(g, 1) if i != k) for g in gens)
-            orbit, trans, gens = _schreier(gens, point)
+            orbit, trans, gens = _schreier(self.degree, gens, point)
             levels.append(_Level(point, orbit, trans))
         return levels
 

@@ -33,8 +33,8 @@ from typing import Iterable, Sequence
 from .perm import (MAX_ELEMENTS, Images, Perm, PermGroup, _gather, _inverse,
                    _product, word_perm)
 from .fpgroup import (MAX_COSETS, CosetLimitExceeded, FreeWord, Presentation,
-                      commutator, concat, invert_word, reduce_word,
-                      word_conj, word_str)
+                      _column_layout, commutator, concat, invert_word,
+                      reduce_word, word_conj, word_str)
 
 Word = tuple[int, ...]  # letters are symmetric-generator indices in 1..n
 # a state's row of the letter table: letter -> (padded images or None, state)
@@ -100,23 +100,13 @@ class ProgenitorSpec:
 
     @cached_property
     def _columns(self) -> tuple[dict[int, int], list[int]]:
-        """The columns of the letter table's enumeration (RuleSet.table):
-        letter t_i's is i - 1, its own inverse; then each control generator
-        g_k in order gets one column for g_k and one for g_k^-1, or, when
-        g_k is an involution, one column that is its own inverse.  Returns
-        each control letter's column, k for g_k and -k for g_k^-1, and
-        inv, each column's inverse column."""
-        inv = list(range(self.n))
-        columns: dict[int, int] = {}
-        for k, g in enumerate(self.control_gens, start=1):
-            c = len(inv)
-            if _inverse(g.images) == g.images:
-                columns[k] = columns[-k] = c
-                inv.append(c)
-            else:
-                columns[k], columns[-k] = c, c + 1
-                inv += [c + 1, c]
-        return columns, inv
+        """The columns of the letter table's enumeration (RuleSet.table),
+        laid out by fpgroup._column_layout: letter t_i's is i - 1, its own
+        inverse, and then the control generators', one column for an
+        involution.  Returns each control letter's column, k for g_k and
+        -k for g_k^-1, and inv, each column's inverse column."""
+        return _column_layout(self.n, [_inverse(g.images) == g.images
+                                       for g in self.control_gens])
 
     def label_index(self, label: str) -> int:
         try:

@@ -280,7 +280,7 @@ def format_element(e: SymElement) -> str:
 
 
 def parse_element(ctx: SymContext, text: str) -> SymElement:
-    """Inverse of format_element (whitespace-insensitive)."""
+    """Inverse of format_element; whitespace around labels is skipped."""
     s = text.strip()
     if not (s.startswith("(") and s.endswith(")")):
         raise ValueError(f"element must be parenthesized: {text!r}")

@@ -551,6 +551,22 @@ def test_elt_convert_applied_twice_roundtrips(capsys):
     assert out.strip() == "(id | ∞.0)"
 
 
+
+def test_elt_convert_joins_no_label_across_whitespace(capsys):
+    # whitespace around labels, commas and parentheses is skipped, but not
+    # inside a label: "(1 2)" names the unknown label "1 2", where reading
+    # it as the one-point cycle (12) printed (id | -) with exit 0
+    code, out, err = run_cli(capsys, "elt", "u3_3", "convert", "(1 2)")
+    assert (code, out, err) == (
+        2, "", "error: unknown label '1 2' in '(1 2)'\n")
+    code, out, _ = run_cli(capsys, "elt", "u3_3", "convert", "(id | b0)")
+    perm_line = out.splitlines()[0]
+    spaced = " " + "".join(f" {ch} " if ch in "()," else ch
+                           for ch in perm_line) + " "
+    code, out, _ = run_cli(capsys, "elt", "u3_3", "convert", spaced)
+    assert code == 0
+    assert out.strip() == "(id | b0)"
+
 def test_elt_invert_involution(capsys):
     code, out, _ = run_cli(capsys, "elt", "u3_3", "invert", "(id | b0)")
     assert code == 0

@@ -358,6 +358,22 @@ def test_degenerate_image_rejected():
         build_image(spec)
 
 
+
+def test_a_spec_with_no_control_generators_builds():
+    # 2^{*1} : 1 is C_2: the Schreier pass that realizes the ts has no
+    # generator, so its transversal is the identity on the coset points
+    from symgen.progenitor import ProgenitorSpec
+    from symgen.fpgroup import Presentation
+    img = build_image(ProgenitorSpec(1, (), Presentation((), ()), ()))
+    assert img.index == 2
+    assert img.ts == (Perm((2, 1)),)
+    assert img.cst == ((), (1,))
+    graph = double_cosets(img)
+    assert [(node.rep, node.size, node.edges) for node in graph.nodes] == [
+        ((), 1, [(1, 1, 1)]), ((1,), 1, [(1, 1, 0)])]
+    assert 'n0 -- n1 [taillabel="1", headlabel="1"];' in emit_graph(graph)
+    assert '"control_order": 1' in emit_graph(graph, "json")
+
 def test_realized_rejects_non_members(u3_3):
     from symgen.perm import IdentificationError
     outside = Perm((2, 1) + tuple(range(3, u3_3.n + 1)))

@@ -154,6 +154,14 @@ def test_cycle_parse_errors():
         parse_cycles("(1,5)", 4)
     with pytest.raises(ValueError):
         parse_cycles("(1,x)", 4)
+    # whitespace is stripped around labels but joins none: "1 2" is no
+    # label of 1..12, where it was read as 12
+    for text in ("(1 2)", "(1 2,3)"):
+        with pytest.raises(ValueError) as exc:
+            parse_cycles(text, 12)
+        assert str(exc.value) == f"unknown label '1 2' in {text!r}"
+    assert parse_cycles(" ( 1 , 2 ) ( 3 , 4 ) ", 4) == parse_cycles(
+        "(1,2)(3,4)", 4)
 
 
 def test_word_perm_signed_letters():
