@@ -10,10 +10,11 @@ first, so ``(p * q)(k) == q(p(k))`` and p conjugated by q is
 Groups here are desk-scale (orders up to a few tens of thousands), so the
 stabilizer chain is the plain deterministic Schreier-Sims construction,
 one orbit-Schreier pass (_schreier) on image tuples per level.
-Centralizers split over the chain's top level, so a group multiplies out
-only the stabilizer of the first base point, once, behind an explicit size
-bound.  No randomization anywhere: two builds of the same group produce
-identical transversals, orders and element sequences.
+Centralizers split over the chain's top level: a group keeps only the
+first base point's stabilizer multiplied out, behind a size bound, and
+prunes each top coset by two one-point tests.  No randomization anywhere:
+two builds of the same group produce identical transversals, orders and
+element sequences.
 
 Cycle notation lives here, over arbitrary string labels (a spec file's
 "∞", "0".."6", "b0".."b6"); the numerals "1".."degree" are one such label
@@ -461,21 +462,21 @@ class PermGroup:
         """Centralizer of p (p must lie in the group), split over the
         chain's top level.
 
-        Every element is e * u_c, with e in the stabilizer H of the first
-        base point b and u_c the top transversal element for c, and it
-        centralizes p iff ~e * p * e == u_c * p * ~u_c =: q_c.  Since e fixes
-        b, it must then send b^p to b^(q_c), so for each c only the
-        elements of H with that image are compared with q_c, on image
-        tuples.  The matches are sorted by (index in H, index in the top
-        orbit), which is their order when the whole chain is multiplied
-        out (_multiply_out), so the span filter keeps exactly the generators
-        it would keep filtering every element of the group in that order.
+        Every element is g = e * u_c, with e in the stabilizer H of the
+        first base point b and u_c the top transversal element for c.  g
+        commutes with p only if it does at b, that is, if e sends b^p to the
+        preimage of c^p under u_c, and H is bucketed by the image of b^p;
+        the elements that pass must also commute with p at b^p, two lookups
+        a side, and only then is g gathered and compared with p in full.
+        The matches are sorted by (index in H, index in the top orbit),
+        which is their order when the whole chain is multiplied out
+        (_multiply_out), so the span filter keeps exactly the generators it
+        would keep filtering every element of the group in that order.
 
-        The split does not depend on p, so the group keeps it: H multiplied
-        out, and for H and the top transversal the gathers (_gather_of) and
-        inverses that q_c and the comparison need, built on the first call
-        that passes the size bound.  Raises GroupTooLarge when the group
-        order exceeds MAX_ELEMENTS, before anything is multiplied out.
+        The group keeps H multiplied out (_split), which does not depend on
+        p, from the first call that passes the size bound.  Raises
+        GroupTooLarge when the group order exceeds MAX_ELEMENTS, before
+        anything is multiplied out.
         """
         if p not in self:
             raise IdentificationError("element is not in the group")
@@ -485,36 +486,32 @@ class PermGroup:
         if not self.chain:
             return PermGroup(self.degree)
         top = self.chain[0]
-        stab, stab_gathers, tops = self._split
-        pb = p.images[top.point - 1]
-        by_image: dict[int, list[int]] = {}
+        stab = self._split
+        images = p.images
+        pb = images[top.point - 1]
+        ppb = images[pb - 1]
+        by_image: dict[int, list[tuple[int, Images]]] = {}
         for i, e in enumerate(stab):
-            by_image.setdefault(e[pb - 1], []).append(i)
-        gather_p = _gather_of(p.images)
+            by_image.setdefault(e[pb - 1], []).append((i, e))
         matches = []
-        for j, (gather_u, inverse) in enumerate(tops):
-            q = gather_u(gather_p(inverse))  # u_c * p * ~u_c
-            for i in by_image.get(q[top.point - 1], ()):
-                # p * e == e * q
-                if gather_p(stab[i]) == stab_gathers[i](q):
-                    matches.append((i, j))
+        for j, c in enumerate(top.orbit):
+            u = top.transversal[c]
+            pc = images[c - 1]
+            ppc = images[pc - 1]  # g sends b^p to c^p, so b^(p p g) is c^(p p)
+            for i, e in by_image.get(u.index(pc) + 1, ()):
+                if u[e[ppb - 1] - 1] == ppc:
+                    g = _product(e, u)
+                    if _product(images, g) == _product(g, images):
+                        matches.append((i, j, g))
         matches.sort()
         # the matches are all of C(p), so the span stops at |C(p)|
         _, cent = self._span_filter(
-            (((i, j), _trusted(_product(stab[i], top.transversal[top.orbit[j]])))
-             for i, j in matches), len(matches))
+            (((i, j), _trusted(g)) for i, j, g in matches), len(matches))
         return cent
 
     @cached_property
-    def _split(self) -> tuple[list[Images], list[itemgetter],
-                              list[tuple[itemgetter, Images]]]:
+    def _split(self) -> list[Images]:
         """centralizer()'s top split: the images of the first base point's
-        stabilizer multiplied out, their gathers, and the gather and the
-        inverse's images of each top transversal element.  Read only past
-        the size bound, on a chain that moves a point, so the degree is at
-        least 2, as a gather needs."""
-        top = self.chain[0]
-        stab = self._multiply_out(self.chain[1:])
-        return (stab, [_gather_of(e) for e in stab],
-                [(_gather_of(u), _inverse(u))
-                 for u in map(top.transversal.get, top.orbit)])
+        stabilizer H multiplied out and nothing else, read only past the
+        size bound; e * u_c is gathered only once it passes both tests."""
+        return self._multiply_out(self.chain[1:])

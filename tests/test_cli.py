@@ -590,14 +590,14 @@ def test_elt_letter_table_budget(capsys, monkeypatch, limit, code):
 
 
 def test_readme_elt_commands_print_the_golden_output(capsys):
-    # the README's four `symgen elt` commands, run in order, print
+    # the README's five `symgen elt` commands, run in order, print
     # tests/golden/elt.out byte for byte, as CI's installed package must
     readme = (Path(__file__).parents[1] / "README.md").read_text(
         encoding="utf-8")
     commands = [shlex.split(line, comments=True)[1:]
                 for line in readme.splitlines()
                 if line.startswith("symgen elt ")]
-    assert len(commands) == 4
+    assert len(commands) == 5
     printed = ""
     for argv in commands:
         code, out, err = run_cli(capsys, *argv)

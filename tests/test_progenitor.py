@@ -1031,6 +1031,30 @@ def test_letter_table_automaton(name, max_cosets):
     assert hashlib.sha256(view).hexdigest() == TABLE_SHA256[name]
 
 
+# SHA-1 of cenelt's order and generator text on six seeded elements; the
+# enumeration oracle lists every element, so it runs only at fixture size,
+# and these pin the centralizer's split at scale
+CENELT_SHA1 = {
+    "4,x,7": "8c46791e41b0b07437339a3ef7d7adc6708b954f",
+    "dihedral_1000": "4bf022649d97c61351b79ac01a96fe70bfc2fbd8",
+}
+
+
+@pytest.mark.parametrize("name", CENELT_SHA1)
+def test_cenelt_at_scale_keeps_its_generators(name):
+    # the index-1,015 member 2^{*4}:S_4 / (x t_1)^7 and the dihedral
+    # member of index 1,000, whose letter tables are pinned above
+    spec = _case_spec(name)
+    ctx = SymContext(spec, image=build_image(spec))
+    full = ctx.image.full_group
+    rng = random.Random(13)
+    out = []
+    for _ in range(6):
+        order, gens = cenelt(ctx, per2sym(ctx, full.random_element(rng)))
+        out.append((order, [format_element(g) for g in gens]))
+    assert hashlib.sha1(repr(out).encode()).hexdigest() == CENELT_SHA1[name]
+
+
 def _raw_pairs(spec, rng, count):
     """Seeded raw pairs: a random control and a word of up to 8 letters,
     each letter after the first repeating the one before a third of the
