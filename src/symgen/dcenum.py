@@ -34,8 +34,9 @@ from functools import cached_property
 from operator import itemgetter
 from typing import Sequence
 
-from .perm import (Images, Perm, PermGroup, IdentificationError, _gather,
-                   _gather_of, _inverse, _product, _schreier, _trusted, word_perm)
+from .perm import (MAX_ELEMENTS, GroupTooLarge, Images, Perm, PermGroup,
+                   IdentificationError, _gather, _gather_of, _inverse,
+                   _product, _schreier, _trusted, word_perm)
 from .fpgroup import (MAX_COSETS, CosetLimitExceeded, coset_action,
                       todd_coxeter, word_str)
 from .progenitor import ProgenitorSpec, Word, build_presentation
@@ -102,7 +103,13 @@ class SymImage:
         element's images to the gather of its realization, and the
         realization's images back to the element.  A word trivial in N (in
         a cover) fixes point 1 and commutes with every t_i, so the action
-        is well defined."""
+        is well defined.  The table holds |N| entries, so a control group
+        of more than perm.MAX_ELEMENTS elements raises GroupTooLarge
+        before any is built."""
+        order = self.spec.control_group.order()
+        if order > MAX_ELEMENTS:
+            raise GroupTooLarge(
+                f"control group order {order} exceeds bound {MAX_ELEMENTS}")
         gens = [(gen.images, gen_image.images)
                 for gen, gen_image in zip(self.spec.control_gens, self.gens_image)]
         action = {tuple(range(1, self.n + 1)): tuple(range(1, self.index + 1))}

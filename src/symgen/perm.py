@@ -43,7 +43,8 @@ from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
 
-# centralizer() refuses a group of more elements than this
+# centralizer() refuses a group of more elements than this, and SymImage's
+# action table, one entry per element, a control group of more
 MAX_ELEMENTS = 10 ** 6
 
 Images = tuple[int, ...]  # a perm's images of 1..degree, as Perm.images
@@ -392,21 +393,13 @@ class PermGroup:
     def orbits(self) -> list[list[int]]:
         """All orbits on {1..degree}, ordered by least point, each in the
         breadth-first order of orbit(k) from its least point k."""
-        gens = [g.images for g in self.gens]
-        seen = [False] * (self.degree + 1)
+        seen: set[int] = set()
         out = []
         for k in range(1, self.degree + 1):
-            if seen[k]:
-                continue
-            seen[k] = True
-            orbit = [k]
-            for a in orbit:
-                for g in gens:
-                    b = g[a - 1]
-                    if not seen[b]:
-                        seen[b] = True
-                        orbit.append(b)
-            out.append(orbit)
+            if k not in seen:
+                orbit, _ = self.orbit(k)
+                seen.update(orbit)
+                out.append(orbit)
         return out
 
     def schreier_generators(self, k: int) -> list[tuple[tuple[int, ...], Perm]]:

@@ -6,7 +6,7 @@ element's control-group coset, so a group of order thousands is handled
 through permutations of the small control degree plus a short word.
 
 Two independent engines are provided and must agree: a pure rewrite
-engine (unify + canon over the letter table, no image needed) and
+engine (unify + canon over the letter table, reading no image) and
 the image engine (SymImage.realized and SymImage.read_pair).  mult,
 invert_sym, canonical_form and equal_sym pick one by mode (_is_pure),
 after checking that their elements share a context; the rewrite engine
@@ -15,8 +15,7 @@ or inverts the realizations and reads the result back.  canonical_form is
 the one way to ask for an element's canonical pair outside a product or
 an inversion: equal_sym compares two of them, and
 SymContext.element(..., canonical=True) compares a pair with its own, by
-the image engine when the context has one.  per2sym and sym2per are the
-two converters.
+the image engine.  per2sym and sym2per are the two converters.
 
 A raw pair is (control images, word): the control travels as its tuple
 of images, as inside RuleSet, so a pure product or inversion builds one
@@ -39,36 +38,26 @@ from .dcenum import SymImage, word_label
 class SymContext:
     """Shared context for symmetric-representation arithmetic.
 
-    rules enables the pure rewrite engine; image enables the image-backed
-    engine.  Either may be None, but not both; an operation that needs
-    the missing engine raises ValueError.
+    image is the image engine, which every context carries; rules enables
+    the pure rewrite engine, and a pure operation on a context without
+    rules raises ValueError.
     """
 
     spec: ProgenitorSpec
+    image: SymImage
     rules: RuleSet | None = None
-    image: SymImage | None = None
-
-    def __post_init__(self):
-        if self.rules is None and self.image is None:
-            raise ValueError("context needs rules, an image, or both")
 
     @property
     def n(self) -> int:
         return self.spec.n
-
-    def require_image(self) -> SymImage:
-        if self.image is None:
-            raise ValueError("operation requires the image engine")
-        return self.image
 
     def element(self, control: Perm, word: Sequence[int],
                 canonical: bool = False) -> "SymElement":
         """Checked construction from outside input: the control must be a
         degree-n member of N and every letter must lie in 1..n.  With
         canonical=True the pair must also be its own canonical_form, which
-        raises ValueError otherwise; the image engine decides when the
-        context has an image, so the check builds no letter table, and
-        canon decides without one."""
+        raises ValueError otherwise; the image engine decides, so the check
+        builds no letter table."""
         if control.degree != self.n:
             raise ValueError(f"control degree {control.degree} != {self.n}")
         if control not in self.spec.control_group:
@@ -79,7 +68,7 @@ class SymContext:
                 raise ValueError(f"word letter {letter} out of range 1..{self.n}")
         e = SymElement(self, control, word)
         if canonical:
-            form = canonical_form(e, "pure" if self.image is None else "image")
+            form = canonical_form(e, "image")
             if (form.control, form.word) != (control, word):
                 raise ValueError("control and word are not a canonical pair")
         return e
@@ -179,7 +168,7 @@ def canon(raw: tuple[Images, Word], rules: RuleSet, *,
 def per2sym(ctx: SymContext, p: Perm) -> SymElement:
     """Algorithm converting a coset permutation to its canonical pair, read
     back from its images by the image engine (SymImage.read_pair)."""
-    img = ctx.require_image()
+    img = ctx.image
     if p.degree != img.index:
         raise ValueError(f"degree {p.degree} != image degree {img.index}")
     nu, word = img.read_pair(p.images)
@@ -190,7 +179,7 @@ def sym2per(ctx: SymContext, e: SymElement) -> Perm:
     """Realize an element of ctx's spec as a permutation of the coset
     points, by the image engine (SymImage.realized)."""
     _shared_context(ctx, e.ctx)
-    return _trusted(ctx.require_image().realized(e.control, e.word))
+    return _trusted(ctx.image.realized(e.control, e.word))
 
 
 def mult(a: SymElement, b: SymElement, mode: str = "auto") -> SymElement:
@@ -246,17 +235,15 @@ def equal_sym(a: SymElement, b: SymElement, mode: str = "auto") -> bool:
 
 
 def _is_pure(ctx: SymContext, mode: str) -> bool:
-    """Whether mode picks the rewrite engine, after checking that the
-    engine it picks exists (ValueError if not); "auto" prefers pure when
-    rules exist."""
+    """Whether mode picks the rewrite engine, after checking that ctx has
+    rules when it does (ValueError if not); "auto" picks pure when rules
+    exist, and the image engine, which every context has, otherwise."""
     if mode == "auto":
         return ctx.rules is not None
     if mode == "pure":
         if ctx.rules is None:
             raise ValueError("operation requires the rewrite engine")
-    elif mode == "image":
-        ctx.require_image()
-    else:
+    elif mode != "image":
         raise ValueError(f"unknown mode {mode!r}")
     return mode == "pure"
 
@@ -264,7 +251,7 @@ def _is_pure(ctx: SymContext, mode: str) -> bool:
 def cenelt(ctx: SymContext, a: SymElement) -> tuple[int, list[SymElement]]:
     """Centralizer of a symmetrically represented element of ctx's spec,
     computed in the image and returned symmetrically represented."""
-    p = sym2per(ctx, a)  # checks a's context, then that ctx has an image
+    p = sym2per(ctx, a)  # checks a's context
     cent = ctx.image.full_group.centralizer(p)
     return cent.order(), [per2sym(ctx, g) for g in cent.gens]
 

@@ -624,6 +624,15 @@ def per2sym_by_perms(ctx, p):
     return SymElement(ctx, control_of[residue], word)
 
 
+class RefusingImage:
+    """A stand-in for a SymImage that raises AssertionError, naming the
+    attribute, whenever any attribute is read: a context that holds it
+    shows that the rewrite engine's paths never touch the image."""
+
+    def __getattribute__(self, name):
+        raise AssertionError(f"image attribute {name!r} was read")
+
+
 def image_product_by_perms(a, b):
     """The image-mode product as written before: both factors realized as
     Perms, multiplied, and converted back."""

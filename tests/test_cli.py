@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from symgen import perm
+from symgen import dcenum, perm
 from symgen.cli import build_parser, main
 from symgen.dcenum import double_cosets, word_label
 from symgen.groupfile import load_bundled
@@ -467,6 +467,22 @@ def test_group_too_large_exit_code(capsys, monkeypatch):
     assert code == 4
     assert out == ""
     assert err == "error: group order 300 exceeds bound 100\n"
+
+
+@pytest.mark.parametrize("bound", [335, 336])
+def test_control_action_bound_exit_code(capsys, monkeypatch, bound):
+    # the image engine's table of N's action holds |N| = 336 entries on
+    # u3_3: a bound of one fewer refuses it before any is built, exit 4
+    # with one line, while the pure engine and enumerate never build it
+    monkeypatch.setattr(dcenum, "MAX_ELEMENTS", bound)
+    code, out, err = run_cli(capsys, "elt", "u3_3", "convert", "(id | b0)")
+    if bound == 335:
+        assert (code, out) == (4, "")
+        assert err == "error: control group order 336 exceeds bound 335\n"
+    else:
+        assert (code, err) == (0, "")
+    assert run_cli(capsys, "elt", "u3_3", "invert", "(id | b0)")[:1] == (0,)
+    assert run_cli(capsys, "enumerate", "u3_3")[:1] == (0,)
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-5", "1.5"])

@@ -19,9 +19,10 @@ from symgen.dcenum import build_image
 from symgen.symrep import (SymContext, canon, cenelt, format_element,
                            invert_sym, mult, per2sym, sym2per, unify)
 import oracles
-from oracles import (CompletionReference, Rule, build_presentation_as_written,
-                     canon_by_perms, closed_relator_rules, completion_rules,
-                     conjugate_rule, control_action_by_perms, images_of,
+from oracles import (CompletionReference, RefusingImage, Rule,
+                     build_presentation_as_written, canon_by_perms,
+                     closed_relator_rules, completion_rules, conjugate_rule,
+                     control_action_by_perms, images_of,
                      schreier_generators_by_scan, table_view,
                      unify_two_step)
 
@@ -798,7 +799,8 @@ def test_degree_one_progenitor(relators, words):
         assert canon((identity.images, word), rules,
                      trace=trace) == (identity, t1)
         assert trace == [(1, (1,))] + [(0, ())] * (t1 == ())
-    ctx = SymContext(spec, rules=rules)
+    # the pure engine reads no image, and t1_is_1 has none
+    ctx = SymContext(spec, RefusingImage(), rules=rules)
     t = ctx.element(identity, (1,))
     product, inverse = mult(t, t), invert_sym(t)
     assert (product.control, product.word) == (identity, ())
@@ -1109,7 +1111,7 @@ def test_unify_matches_the_two_step_oracle(all_contexts, name):
         ctx = all_contexts[name]
     else:
         spec = degree_one_spec(DEGREE_ONE_RELATORS[name[len("degree_one_"):]])
-        ctx = SymContext(spec, rules=derive_rules(spec))
+        ctx = SymContext(spec, RefusingImage(), rules=derive_rules(spec))
     rng = random.Random(name)
     raws = _raw_pairs(ctx.spec, rng, 400)
     for (p, u), (q, v) in zip(raws[::2], raws[1::2]):
@@ -1125,7 +1127,7 @@ def test_degree_one_pure_products_and_inversions_match_the_oracle(key):
     # for canon, and the oracle multiplies Perms and reduces per letter
     spec = degree_one_spec(DEGREE_ONE_RELATORS[key])
     rules = derive_rules(spec)
-    ctx = SymContext(spec, rules=rules)
+    ctx = SymContext(spec, RefusingImage(), rules=rules)
     elements = [ctx.element(p, u)
                 for p, u in _raw_pairs(spec, random.Random(key), 200)]
     for a, b in zip(elements[::2], elements[1::2]):
