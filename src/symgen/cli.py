@@ -10,6 +10,7 @@ Spec files are the JSON format of groupfile; bundled fixture names
 0 ok, 2 parse/validation error or unwritable --out file, 3 expectation
 mismatch, 4 resource limit (cosets, or a group too large to list),
 5 membership failure; a reader that closes stdout early gets 0.
+selftest goes on past a fixture that fails and exits with the worst code.
 SYMGEN_MAX_COSETS overrides the coset limit, which bounds the cosets that
 each of the two enumerations defines: the image route's Todd-Coxeter and
 the rewrite engine's letter table.
@@ -37,7 +38,8 @@ EXIT_MEMBERSHIP = 5
 
 
 def _load(spec_arg: str) -> GroupSpecFile:
-    if os.path.exists(spec_arg):
+    # a directory does not hide its fixture; isfile would refuse /dev/stdin
+    if os.path.exists(spec_arg) and not os.path.isdir(spec_arg):
         return load_spec_file(spec_arg)
     return load_bundled(spec_arg)
 
@@ -144,7 +146,7 @@ def _selftest(out) -> int:
     worst = EXIT_OK
     for name in bundled_fixture_names():
         buf = io.StringIO()
-        code = _enumerate(load_bundled(name), buf)
+        code = _exit_code(lambda: _enumerate(load_bundled(name), buf))
         status = "ok" if code == EXIT_OK else f"FAILED (exit {code})"
         print(f"== {name}: {status}", file=out)
         out.write(buf.getvalue())
@@ -179,27 +181,11 @@ def build_parser() -> argparse.ArgumentParser:
 _PARSER = build_parser()
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = _PARSER.parse_args(argv)
-    out = sys.stdout
+def _exit_code(command) -> int:
+    """command()'s exit code, or the code of the error it raises, whose
+    message is then one line on stderr."""
     try:
-        if args.command == "enumerate":
-            code = _enumerate(_load(args.spec), out)
-        elif args.command == "graph":
-            code = _graph(_load(args.spec), args.format, args.out, out)
-        elif args.command == "elt":
-            code = _elt(_load(args.spec), args.action, args.elements, out)
-        else:
-            code = _selftest(out)
-        out.flush()  # a closed reader shows here, not at shutdown
-        return code
-    except BrokenPipeError:
-        # the reader closed stdout early: what is left goes to devnull, so
-        # the flush at shutdown is silent too
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, out.fileno())
-        os.close(devnull)
-        return EXIT_OK
+        return command()
     except (CosetLimitExceeded, GroupTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_LIMIT
@@ -209,6 +195,28 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _PARSER.parse_args(argv)
+    out = sys.stdout
+    commands = {
+        "enumerate": lambda: _enumerate(_load(args.spec), out),
+        "graph": lambda: _graph(_load(args.spec), args.format, args.out, out),
+        "elt": lambda: _elt(_load(args.spec), args.action, args.elements, out),
+        "selftest": lambda: _selftest(out),
+    }
+    try:
+        code = _exit_code(commands[args.command])
+        out.flush()  # a closed reader shows here, not at shutdown
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early: what is left goes to devnull, so
+        # the flush at shutdown is silent too
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, out.fileno())
+        os.close(devnull)
+        return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -16,18 +16,18 @@ definition order, compacted ascending when the table closes, so enumeration
 output is reproducible run to run; dcenum.build_image renumbers the points
 of an image in (length, lex) order of their coset words, so no output
 depends on this order.  A generator k with a relator k^2 or
-k^-2 is an involution: while enumerating, k and k^-1 share one column that
-is its own inverse, so the squares hold by construction and are not
-scanned, and the closed table lists that column once for k and once for
-k^-1.  The table is column-major, one list per column indexed by coset
-(Holt, Eick & O'Brien, Handbook of Computational Group Theory, 2005,
-ch. 5), so defining a coset fills entries of lists that grow a chunk at a
-time.  Each relator and subgroup generator is compiled once per
-enumeration to the tuple of its working column lists, and a relator walk
-at a coset that meets no undefined entry only compares its end with the
-start; the closed table is then checked against every relator, squares
-included, one relator at a time over all cosets, by C-level gathers along
-its columns.
+k^-2 is an involution: k and k^-1 share one column that is its own
+inverse, so the squares hold by construction and are not scanned; the
+closed table keeps the columns as they were enumerated, with the map from
+each letter to its column.  The table is column-major, one list per
+column indexed by coset (Holt, Eick & O'Brien, Handbook of Computational
+Group Theory, 2005, ch. 5), so defining a coset fills entries of lists
+that grow a chunk at a time.  Each relator and subgroup generator is
+compiled once per enumeration to the tuple of its column lists, and a
+relator walk at a coset that meets no undefined entry only compares its
+end with the start; the closed table is then checked against every
+relator, squares included, one relator at a time over all cosets, by
+C-level gathers along its columns.
 """
 
 from __future__ import annotations
@@ -239,16 +239,6 @@ def word_str(word: Sequence[int], names: Sequence[str]) -> str:
 
 # -- Todd-Coxeter ---------------------------------------------------------
 
-def _column(letter: int) -> int:
-    """Coset table column of a letter: 2k-2 for generator k, 2k-1 for its
-    inverse, so flipping the low bit inverts the letter."""
-    return 2 * letter - 2 if letter > 0 else -2 * letter - 1
-
-
-def _compile(word: Sequence[int]) -> tuple[int, ...]:
-    return tuple(map(_column, word))
-
-
 def _column_layout(self_inverse: int, involutions: Sequence[bool]
                    ) -> tuple[dict[int, int], list[int]]:
     """The working columns of an enumeration: first self_inverse columns
@@ -271,21 +261,20 @@ def _column_layout(self_inverse: int, involutions: Sequence[bool]
 
 @dataclass(frozen=True)
 class CosetTable:
-    """Closed coset table: columns[col][c] is the 0-based target of coset c.
-
-    Columns alternate generator and inverse: generator k (1-based) acts via
-    column 2k-2 and its inverse via column 2k-1, and an involution's two
-    columns are one tuple.  Coset 0 is the subgroup.  The index is kept
-    apart from the columns, since a presentation with no generators has
-    one coset and no column.
+    """Closed coset table: columns[column[letter]][c] is the 0-based
+    target of coset c under a letter, k for generator k or -k for its
+    inverse.  The columns are the enumeration's, laid out by _column_layout.
+    Coset 0 is the subgroup.  The index is kept apart from the columns,
+    since a presentation with no generators has one coset and no column.
     """
 
     index: int
     columns: tuple[tuple[int, ...], ...]
+    column: dict[int, int]
 
     def trace(self, coset: int, word: Sequence[int]) -> int:
         for letter in word:
-            coset = self.columns[_column(letter)][coset]
+            coset = self.columns[self.column[letter]][coset]
         return coset
 
 
@@ -316,7 +305,7 @@ def todd_coxeter(pres: Presentation, subgroup_gens: Sequence[Sequence[int]] = ()
     # the working table is freed on return, before the check reads columns
     result = CosetTable(*_hlt(inv, [compile_word(r) for r in scanned],
                               [compile_word(w) for w in subgens if w],
-                              max_cosets))
+                              max_cosets), column)
     _check_closed(result, relators, subgens)
     return result
 
@@ -330,7 +319,7 @@ def _hlt(inv: list[int], relators: list[tuple[int, ...]],
          subgens: list[tuple[int, ...]], max_cosets: int
          ) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """HLT over compiled, non-empty words; returns the index and the
-    compacted columns in CosetTable's layout.
+    working columns, compacted to the live cosets.
 
     The working columns are laid out by _column_layout, an involution's
     one column its own inverse (inv[c] == c).  Each working column is one
@@ -474,11 +463,7 @@ def _hlt(inv: list[int], relators: list[tuple[int, ...]],
     for column in columns:
         closed.append(_gather(_gather(live, column), renumber))
         column.clear()
-    expanded = []
-    for c, d in enumerate(inv):
-        if c <= d:
-            expanded += [closed[c], closed[d]]
-    return len(live), tuple(expanded)
+    return len(live), tuple(closed)
 
 
 def _check_closed(t: CosetTable, relators, subgens):
@@ -499,8 +484,9 @@ def _check_closed(t: CosetTable, relators, subgens):
     first = None
     for rel in relators:
         ends = cosets
-        for k, col in enumerate(_compile(rel)):
-            ends = _gather(ends, t.columns[col]) if k else t.columns[col]
+        for k, letter in enumerate(rel):
+            column = t.columns[t.column[letter]]
+            ends = _gather(ends, column) if k else column
         if ends != cosets:
             c = next(c for c in cosets if ends[c] != c)
             if first is None or c < first[0]:
@@ -514,6 +500,6 @@ def _check_closed(t: CosetTable, relators, subgens):
 
 def coset_action(t: CosetTable) -> list[Perm]:
     """One permutation of {1..index} per presentation generator."""
-    return [Perm(tuple(target + 1 for target in column))
-            for column in t.columns[::2]]
+    return [Perm(tuple(target + 1 for target in t.columns[t.column[k]]))
+            for k in range(1, len(t.column) // 2 + 1)]
 

@@ -282,7 +282,8 @@ def todd_coxeter_reference(pres: Presentation,
 
     A generator k with a relator k^2 or k^-2 is an involution: k and k^-1
     share one column, and the squares are not scanned.  The other
-    generators keep a column for k and one for k^-1, in generator order.
+    generators keep a column for k and one for k^-1, in generator order,
+    and the closed table keeps these columns with each letter's column.
 
     Raises CosetLimitExceeded if more than max_cosets cosets get defined;
     that is a resource verdict, not a proof the index is infinite.
@@ -413,10 +414,10 @@ def todd_coxeter_reference(pres: Presentation,
 
     live = [c for c in range(len(table)) if find(c) == c]
     renumber = {c: i for i, c in enumerate(live)}
-    rows = tuple(tuple(renumber[find(table[c][col_of(letter)])]
-                       for k in range(1, m + 1) for letter in (k, -k))
+    rows = tuple(tuple(renumber[find(table[c][col])] for col in range(ncols))
                  for c in live)
-    result = CosetTable(len(rows), tuple(zip(*rows)))
+    column = {letter: col_of(letter) for k in range(1, m + 1) for letter in (k, -k)}
+    result = CosetTable(len(rows), tuple(zip(*rows)), column)
     _check_closed(result, relators, subgens)
     return result
 

@@ -747,11 +747,42 @@ def test_bad_arguments_exit_2_with_usage(capsys, argv):
     assert out == (GOLDEN / "5sq_d6.dot").read_text(encoding="utf-8")
 
 
-def test_selftest(capsys):
+def test_selftest(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "selftest")
     assert code == 0
     for name in ("l2_19", "5sq_d6", "u3_3"):
         assert f"== {name}: ok" in out
+    # l2_19's enumeration defines 317 cosets and the others 131 and 134:
+    # l2_19 fails at 135 with one error line, and the run goes on to u3_3
+    monkeypatch.setenv("SYMGEN_MAX_COSETS", "135")
+    code, out, err = run_cli(capsys, "selftest")
+    assert code == 4
+    assert [line for line in out.splitlines() if line.startswith("==")] == [
+        "== 5sq_d6: ok", "== l2_19: FAILED (exit 4)", "== u3_3: ok"]
+    assert err == "error: coset enumeration exceeded the limit of 135 cosets\n"
+
+
+def test_a_directory_does_not_hide_a_fixture(tmp_path, monkeypatch, capsys):
+    # a spec path must exist and not be a directory; a directory named
+    # like a fixture loads the fixture, and any other directory is no spec
+    _, bundled, _ = run_cli(capsys, "enumerate", "u3_3")
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "u3_3").mkdir()
+    (tmp_path / "specsdir").mkdir()
+    assert run_cli(capsys, "enumerate", "u3_3") == (0, bundled, "")
+    assert run_cli(capsys, "enumerate", "specsdir") == (
+        2, "", "error: no such spec file or bundled fixture: specsdir\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+def test_enumerate_reads_a_spec_from_stdin():
+    # /dev/stdin is no regular file, yet it is read as a spec file
+    spec = (FIXTURE_DIR / "5sq_d6.json").read_text(encoding="utf-8")
+    proc = subprocess.run([sys.executable, "-m", "symgen.cli", "enumerate",
+                           "/dev/stdin"], input=spec, capture_output=True,
+                          text=True, encoding="utf-8")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert "index: 50" in proc.stdout
 
 
 def test_console_entry_point():

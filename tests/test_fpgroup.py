@@ -342,19 +342,28 @@ def closed_table_cases():
 @pytest.mark.parametrize("case", list(closed_table_cases()),
                          ids=lambda case: case[0])
 def test_closed_columns_are_inverse_permutations(case):
-    # the working columns expand to a column for each generator and one
-    # for its inverse, and an involution's one working column fills both
+    # the closed table keeps the working columns: each letter k and -k has
+    # a column, every column serves some letter, k's and -k's columns are
+    # inverse permutations of the cosets, and two letters share a column
+    # exactly when they are an involution and its inverse
     _, pres, subgens = case
     table = todd_coxeter(pres, subgens)
     cosets = list(range(table.index))
-    assert len(table.columns) == 2 * len(pres.names)
-    for k in range(1, len(pres.names) + 1):
-        forward = table.columns[2 * k - 2]
-        backward = table.columns[2 * k - 1]
+    m = len(pres.names)
+    assert sorted(table.column) == [*range(-m, 0), *range(1, m + 1)]
+    letters = {}
+    for letter in sorted(table.column):
+        letters.setdefault(table.column[letter], []).append(letter)
+    assert sorted(letters) == list(range(len(table.columns)))
+    involutions = [k for k in range(1, m + 1)
+                   if (k, k) in pres.relators or (-k, -k) in pres.relators]
+    assert [letters[c] for c in sorted(letters)
+            if len(letters[c]) > 1] == [[-k, k] for k in involutions]
+    for k in range(1, m + 1):
+        forward = table.columns[table.column[k]]
+        backward = table.columns[table.column[-k]]
         assert sorted(forward) == sorted(backward) == cosets
         assert [forward[c] for c in backward] == cosets
-        if (k, k) in pres.relators or (-k, -k) in pres.relators:
-            assert forward == backward
 
 
 def test_a_presentation_without_generators_has_one_coset():

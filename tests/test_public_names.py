@@ -182,3 +182,18 @@ def test_every_exception_class_is_handled():
                   if not any(name in _handled(tree)
                              for path, tree in trees.items()
                              if path != home)) == []
+
+
+def test_only_fpgroup_reads_coset_table_columns():
+    # a CosetTable's columns and its letter-to-column map are read in
+    # fpgroup alone, so a change of the column layout stays in one module;
+    # the rest of the package, the demos and the benchmark read the index
+    # and the coset action
+    fields = ("columns", "column")
+    readers = [f"{path.relative_to(ROOT)}:{node.lineno}"
+               for path, tree in _sources().items()
+               if path != PACKAGE / "fpgroup.py"
+               for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute) and node.attr in fields
+               and isinstance(node.ctx, ast.Load)]
+    assert readers == []
