@@ -6,20 +6,21 @@ element's control-group coset, so a group of order thousands is handled
 through permutations of the small control degree plus a short word.
 
 Two independent engines are provided and must agree: a pure rewrite
-engine (unify + canon over the letter table, reading no image) and
+engine (canon's walk of the letter table, reading no image) and
 the image engine (SymImage.realized and SymImage.read_pair).  mult,
 invert_sym, canonical_form and equal_sym pick one by mode (_is_pure),
 after checking that their elements share a context; the rewrite engine
-reduces a raw pair, and the image engine realizes the factors, multiplies
-or inverts the realizations and reads the result back.  canonical_form is
-the one way to ask for an element's canonical pair outside a product or
-an inversion: equal_sym compares two of them, and
-SymContext.element(..., canonical=True) compares a pair with its own, by
-the image engine.  per2sym and sym2per are the two converters.
+reduces a raw pair, or a product of two, and the image engine realizes
+the factors, multiplies or inverts the realizations and reads the result
+back.  canonical_form is the one way to ask for an element's canonical
+pair outside a product or an inversion: equal_sym compares two of them,
+and SymContext.element(..., canonical=True) compares a pair with its own,
+by the image engine.  per2sym and sym2per are the two converters.
 
 A raw pair is (control images, word): the control travels as its tuple
 of images, as inside RuleSet, so a pure product or inversion builds one
-Perm, canon's result.
+Perm, canon's result.  A pure product hands canon the two factors' pairs,
+which it multiplies and reduces in one walk.
 """
 
 from __future__ import annotations
@@ -54,16 +55,18 @@ class SymContext:
     def element(self, control: Perm, word: Sequence[int],
                 canonical: bool = False) -> "SymElement":
         """Checked construction from outside input: the control must be a
-        degree-n member of N and every letter must lie in 1..n.  With
-        canonical=True the pair must also be its own canonical_form, which
-        raises ValueError otherwise; the image engine decides, so the check
-        builds no letter table."""
+        degree-n member of N and every letter must be an int (no bool) in
+        1..n.  With canonical=True the pair must also be its own
+        canonical_form, which raises ValueError otherwise; the image engine
+        decides, so the check builds no letter table."""
         if control.degree != self.n:
             raise ValueError(f"control degree {control.degree} != {self.n}")
         if control not in self.spec.control_group:
             raise IdentificationError("control permutation is not in the control group")
         word = tuple(word)
         for letter in word:
+            if not isinstance(letter, int) or isinstance(letter, bool):
+                raise ValueError(f"word letter {letter!r} is not an integer")
             if not 1 <= letter <= self.n:
                 raise ValueError(f"word letter {letter} out of range 1..{self.n}")
         e = SymElement(self, control, word)
@@ -105,22 +108,12 @@ def _shared_context(ctx: SymContext, other: SymContext) -> SymContext:
     return ctx
 
 
-def unify(a: SymElement, b: SymElement) -> tuple[Images, Word]:
-    """Gather two elements into one raw pair: pi*u . sigma*v =
-    (pi*sigma) . u^sigma ++ v, with no reduction performed, the control
-    as its tuple of images.  sigma's images are padded behind a 0 once,
-    and both pi*sigma and u^sigma are gathered from that one tuple, so a
-    call builds no Perm.  The two elements must come from one spec, which
-    mult checks before it calls this."""
-    padded = (0,) + b.control.images
-    return (_gather(a.control.images, padded),
-            _gather(a.word, padded) + b.word)
-
-
-def canon(raw: tuple[Images, Word], rules: RuleSet, *,
+def canon(raw: tuple[Images, Word], rules: RuleSet,
+          right: tuple[Images, Word] | None = None, *,
           trace: list | None = None) -> tuple[Perm, Word]:
-    """Reduce a raw pair (control images, word) to its canonically
-    shortest form (perm, least word), with control * t_word = perm * t_form.
+    """Reduce a raw pair (control images, word), or with right the product
+    raw * right, to its canonically shortest form (perm, least word), with
+    control * t_word = perm * t_form.
 
     One left-to-right run of the letter table's automaton, whose states
     are the cosets of N (RuleSet.table), from state 0, the coset of ():
@@ -128,31 +121,63 @@ def canon(raw: tuple[Images, Word], rules: RuleSet, *,
     control's, and the form is the least word of the last state.  A call
     builds one Perm, its result.
 
-    Without a trace the word goes into the walk as it is: every state's
+    A product (pi | u) * (sigma | v) is (pi*sigma | u^sigma v): sigma is
+    padded behind a 0 once, pi*sigma is gathered from it, and the walk
+    reads each letter of u through it and then reads v, so no word
+    u^sigma v is built.
+
+    Without a trace the words go into the walk as they are: every state's
     row has an entry for every letter i, a state whose least word ends in
     i too, so the walk cancels squares t_i t_i itself.  A letter outside
     1..n misses the row, and the range check then names it.  With a
-    trace, squares are dropped first, and trace collects the (length,
-    word) measure of that input and of the whole word after every rewrite
-    step; each entry is strictly less than the one before.
+    trace, a product's word u^sigma v is built, squares are dropped first,
+    and trace collects the (length, word) measure of that input and of the
+    whole word after every rewrite step; each entry is strictly less than
+    the one before.
     """
     images, word = raw
-    if len(images) != rules.n:
-        raise ValueError(f"degree mismatch: {len(images)} != {rules.n}")
-    if trace is not None:
-        word = normalize_tail(word, rules.n)
+    n = rules.n
+    if len(images) != n:
+        raise ValueError(f"degree mismatch: {len(images)} != {n}")
     rows, words = rules.table
+    state = 0
+    if right is not None:
+        sigma, v = right
+        if len(sigma) != n:
+            raise ValueError(f"degree mismatch: {len(sigma)} != {n}")
+        padded = (0,) + sigma
+        # at degree 1 both controls are the identity, and itemgetter of
+        # one index would return no tuple
+        if n > 1:
+            images = itemgetter(*images)(padded)
+        if trace is not None:
+            normalize_tail(word, n)  # names a bad letter before padded reads it
+            word = _gather(word, padded) + v
+        else:
+            try:
+                for letter in word:
+                    # padded[-k] would be a letter of sigma, so a letter
+                    # below 1 reads 0 instead and misses the row; a letter
+                    # above n misses padded
+                    step, state = rows[state][
+                        padded[letter] if letter > 0 else 0]
+                    if step is not None:
+                        images = itemgetter(*images)(step)
+            except (KeyError, IndexError):
+                normalize_tail(word, n)  # raises for a letter out of range
+                raise
+            word = v
     if trace is not None:
+        word = normalize_tail(word, n)
         trace.append((len(word), word))
         read = 0  # letters read, counted only for the trace
-    state = 0
     try:
         for letter in word:
-            padded, new = rows[state][letter]
+            step, new = rows[state][letter]
             # None for the identity, so always at degree 1, where
             # itemgetter of one index would return no tuple
-            if padded is not None:
-                images = itemgetter(*images)(padded)
+            if step is not None:
+                images = itemgetter(*images)(step)
             if trace is not None:
                 read += 1
                 if words[new] != words[state] + (letter,):
@@ -160,7 +185,7 @@ def canon(raw: tuple[Images, Word], rules: RuleSet, *,
                     trace.append((len(current), current))
             state = new
     except KeyError:
-        normalize_tail(word, rules.n)  # raises for a letter out of range
+        normalize_tail(word, n)  # raises for a letter out of range
         raise
     return _trusted(images), words[state]
 
@@ -184,9 +209,9 @@ def sym2per(ctx: SymContext, e: SymElement) -> Perm:
 
 def mult(a: SymElement, b: SymElement, mode: str = "auto") -> SymElement:
     """Product of two symmetrically represented elements of one context,
-    by the engine mode picks: canon reduces the raw pair that unify
-    gathers, or the image engine multiplies the two factors' realizations
-    and reads the product back."""
+    by the engine mode picks: canon reduces the product of the two pairs
+    in one walk, or the image engine multiplies the two factors'
+    realizations and reads the product back."""
     ctx = a.ctx
     if b.ctx is not ctx:
         _shared_context(ctx, b.ctx)
@@ -195,7 +220,8 @@ def mult(a: SymElement, b: SymElement, mode: str = "auto") -> SymElement:
     pure = ctx.rules is not None and mode in ("auto", "pure")
     if pure or _is_pure(ctx, mode):
         # canon by its module global, which the benchmark's tracer wraps
-        perm, word = canon(unify(a, b), ctx.rules)
+        perm, word = canon((a.control.images, a.word), ctx.rules,
+                           (b.control.images, b.word))
         return SymElement(ctx, perm, word)
     img = ctx.image
     return SymElement(ctx, *img.read_pair(_product(

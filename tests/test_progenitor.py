@@ -17,7 +17,7 @@ from symgen.progenitor import (ProgenitorSpec, build_presentation,
 from symgen.groupfile import load_bundled
 from symgen.dcenum import build_image
 from symgen.symrep import (SymContext, canon, cenelt, format_element,
-                           invert_sym, mult, per2sym, sym2per, unify)
+                           invert_sym, mult, per2sym, sym2per)
 import oracles
 from oracles import (CompletionReference, RefusingImage, Rule,
                      build_presentation_as_written, canon_by_perms,
@@ -376,7 +376,7 @@ def test_products_read_the_table_without_reducing(monkeypatch, all_contexts,
                                                   name):
     # products never rebuild the table: the enumeration runs once, on the
     # first access, and canon only reads its rows
-    from symgen.symrep import canon, per2sym, sym2per, unify
+    from symgen.symrep import canon, per2sym, sym2per
     ctx = all_contexts[name]
     ctx.rules.table
     built = []
@@ -392,7 +392,8 @@ def test_products_read_the_table_without_reducing(monkeypatch, all_contexts,
     for _ in range(200):
         a = per2sym(ctx, full.random_element(rng))
         b = per2sym(ctx, full.random_element(rng))
-        perm, word = canon(unify(a, b), ctx.rules)
+        perm, word = canon((a.control.images, a.word), ctx.rules,
+                           (b.control.images, b.word))
         e = per2sym(ctx, sym2per(ctx, a) * sym2per(ctx, b))
         assert (perm, word) == (e.control, e.word)
     assert built == []
@@ -1104,9 +1105,10 @@ def test_canon_matches_the_per_letter_oracle(all_contexts, name):
 @pytest.mark.parametrize("name", FIXTURES + [
     f"degree_one_{key}" for key in DEGREE_ONE_RELATORS])
 def test_unify_matches_the_two_step_oracle(all_contexts, name):
-    # unify pads sigma once and gathers the control product and the moved
-    # word from it; the oracle multiplies the controls and then moves the
-    # word, padding sigma twice; both give the same raw pair
+    # canon's product form pads sigma once, gathers the control product
+    # from it and reads u through it in its walk; the oracle multiplies
+    # the controls, moves the word and then reduces the raw pair; both
+    # give the same form, and with a trace the same trace
     if name in all_contexts:
         ctx = all_contexts[name]
     else:
@@ -1116,8 +1118,15 @@ def test_unify_matches_the_two_step_oracle(all_contexts, name):
     raws = _raw_pairs(ctx.spec, rng, 400)
     for (p, u), (q, v) in zip(raws[::2], raws[1::2]):
         a, b = ctx.element(p, u), ctx.element(q, v)
-        perm, word = unify_two_step(a, b)
-        assert unify(a, b) == (perm.images, word), (a, b)
+        expected_trace = []
+        expected = canon_by_perms(unify_two_step(a, b), ctx.rules,
+                                  trace=expected_trace)
+        assert canon((p.images, u), ctx.rules, (q.images, v)) == expected, \
+            (a, b)
+        trace = []
+        assert canon((p.images, u), ctx.rules, (q.images, v),
+                     trace=trace) == expected, (a, b)
+        assert trace == expected_trace, (a, b)
 
 
 @pytest.mark.parametrize("key", list(DEGREE_ONE_RELATORS))

@@ -10,17 +10,23 @@ from symgen.groupfile import load_bundled
 from symgen.perm import IdentificationError, Perm
 from symgen.symrep import (SymContext, SymElement, canon, canonical_form,
                            cenelt, equal_sym, format_element, invert_sym,
-                           mult, parse_element, per2sym, sym2per, unify)
+                           mult, parse_element, per2sym, sym2per)
+from symgen.progenitor import normalize_tail
 from oracles import (RefusingImage, centralizer_by_enumeration,
                      chain_by_perms, control_action_by_perms,
                      elements_by_chain, elements_by_perms, follow_word,
-                     image_inverse_by_perms, image_product_by_perms,
+                     image_inverse_by_perms, image_product_by_perms, images_of,
                      per2sym_by_perms, sym2per_by_perms)
 from test_progenitor import POWER_CASES, power_relator_spec
 
 
 def ix_map(ctx):
     return {label: i + 1 for i, label in enumerate(ctx.spec.labels)}
+
+
+def raw_pair(e):
+    """The raw pair of an element, as mult hands it to canon."""
+    return e.control.images, e.word
 
 
 def rand_elements(ctx, count, seed=0):
@@ -37,29 +43,38 @@ def test_element_validation(l2_19):
         ctx.element(Perm((2, 1, 3, 4, 5, 6)), ())  # not in the control group
     with pytest.raises(ValueError):
         ctx.element(Perm.identity(6), (7,))        # letter out of range
+    # letters that are no int: a float, even a whole one, and a bool
+    for letter in (2.5, 2.0, True):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"word letter {letter!r} is not "
+                                           "an integer")):
+            ctx.element(Perm.identity(6), (letter,))
 
 
 def test_unify_identity_cases(l2_19):
+    # the product form with an identity factor on the left is the right
+    # factor, and a one-letter word moved by sigma is sigma's image of it
     ctx = l2_19
     e = ctx.element(Perm.identity(ctx.n), ())
     b = rand_elements(ctx, 1, seed=1)[0]
-    images, word = unify(e, b)
-    assert images == b.control.images and word == b.word
-    # one-letter conjugation
+    assert canon(raw_pair(e), ctx.rules, raw_pair(b)) == (b.control, b.word)
     a = ctx.element(Perm.identity(6), (3,))
     sigma = b.control
-    images, word = unify(a, ctx.element(sigma, ()))
-    assert images == sigma.images and word == (sigma.apply(3),)
+    assert (canon(raw_pair(a), ctx.rules, (sigma.images, ()))
+            == canon((sigma.images, (sigma.apply(3),)), ctx.rules))
 
 
 def test_unify_flatten_length(u3_3):
+    # a traced product builds u^sigma v, starts its trace from that word
+    # without its squares, and reduces it as a lone pair
     ctx = u3_3
     a, b = rand_elements(ctx, 2, seed=2)
-    images, word = unify(a, b)
-    # unify only concatenates: the raw word keeps every letter of both
-    assert len(word) == len(a.word) + len(b.word)
-    assert images == (a.control * b.control).images
-    assert word[len(a.word):] == b.word
+    moved = images_of(b.control, a.word) + b.word
+    trace = []
+    result = canon(raw_pair(a), ctx.rules, raw_pair(b), trace=trace)
+    word = normalize_tail(moved, ctx.n)
+    assert trace[0] == (len(word), word)
+    assert result == canon(((a.control * b.control).images, moved), ctx.rules)
 
 
 def test_canon_deletes_squares(l2_19):
@@ -68,25 +83,42 @@ def test_canon_deletes_squares(l2_19):
     assert perm.is_identity() and word == ()
 
 
+BAD_WORDS = {
+    "zero": ((0,), "tail letter 0 out of range 1..6"),
+    "zero_inside": ((2, 0, 3), "tail letter 0 out of range 1..6"),
+    "n_plus_one": ((7,), "tail letter 7 out of range 1..6"),
+    "n_plus_one_after_square": ((3, 3, 7), "tail letter 7 out of range 1..6"),
+    "negative": ((-1,), "tail letter -1 out of range 1..6"),
+    "negative_after_letter": ((2, -6), "tail letter -6 out of range 1..6"),
+}
+# a product's right control sigma = (1,2,3,4,5,6): its images padded
+# behind a 0 would read a negative letter of the left word as a real one
+SIGMA = (2, 3, 4, 5, 6, 1)
+IDENTITY = (1, 2, 3, 4, 5, 6)
+
+
 @pytest.mark.parametrize("traced", [False, True],
                          ids=["untraced", "traced"])
-@pytest.mark.parametrize("degree,word,message", [
-    (6, (0,), "tail letter 0 out of range 1..6"),
-    (6, (2, 0, 3), "tail letter 0 out of range 1..6"),
-    (6, (7,), "tail letter 7 out of range 1..6"),
-    (6, (3, 3, 7), "tail letter 7 out of range 1..6"),
-    (6, (-1,), "tail letter -1 out of range 1..6"),
-    (6, (2, -6), "tail letter -6 out of range 1..6"),
-    (5, (2, 3), "degree mismatch: 5 != 6"),
-], ids=["zero", "zero_inside", "n_plus_one", "n_plus_one_after_square",
-        "negative", "negative_after_letter", "degree_five"])
-def test_canon_rejects_raw_input(l2_19, degree, word, message, traced):
+@pytest.mark.parametrize("left,right,message", [
+    ((IDENTITY, word), None, message)
+    for word, message in BAD_WORDS.values()] + [
+    ((IDENTITY[:5], (2, 3)), None, "degree mismatch: 5 != 6")] + [
+    ((IDENTITY, (1,) + word), (SIGMA, (4,)), message)
+    for word, message in BAD_WORDS.values()] + [
+    ((IDENTITY, (1,)), (SIGMA, word + (4,)), message)
+    for word, message in BAD_WORDS.values()] + [
+    ((IDENTITY, (1,)), ((2, 3, 4, 5, 1), (4,)), "degree mismatch: 5 != 6")],
+    ids=list(BAD_WORDS) + ["degree_five"]
+    + [f"{key}_in_left_factor" for key in BAD_WORDS]
+    + [f"{key}_in_right_factor" for key in BAD_WORDS]
+    + ["degree_five_right_factor"])
+def test_canon_rejects_raw_input(l2_19, left, right, message, traced):
     # raw pairs come from outside SymContext.element too: canon names the
-    # bad letter or degree whether or not it traces, before any trace entry
+    # bad letter or degree of a lone pair or of either factor of a product
+    # whether or not it traces, before any trace entry
     trace = [] if traced else None
     with pytest.raises(ValueError, match=re.escape(message)):
-        canon((Perm.identity(degree).images, word), l2_19.rules,
-              trace=trace)
+        canon(left, l2_19.rules, right, trace=trace)
     assert trace == ([] if traced else None)
 
 
@@ -116,7 +148,7 @@ def test_canon_measure_strictly_decreases(all_contexts):
         for _ in range(60):
             a, b = rand_elements(ctx, 2, seed=rng.randrange(10 ** 9))
             trace = []
-            canon(unify(a, b), ctx.rules, trace=trace)
+            canon(raw_pair(a), ctx.rules, raw_pair(b), trace=trace)
             for before, after in zip(trace, trace[1:]):
                 assert after < before
             assert len(trace) <= 2 * (len(a.word) + len(b.word)) + 2
