@@ -7,19 +7,22 @@ shortest then lexicographically least), so the image does not depend on
 the enumerator's definition order.  The symmetric generators are the
 N-conjugates of the one t symbol along one perm._schreier transversal,
 certified by build_image: t commutes with every Schreier generator of
-point 1.  The image engine (SymImage.realized and SymImage.read_pair)
-reads two tables: the control group's action on the coset points, each
-element against its realization, and the t-chain of each coset word
-with its inverse, so an element with a coset word is realized or read
-back with one gather per table.  Those two methods are the tables' only
-readers: anything else, such as a check that a factoring relator
-pi * t_tail is the identity, asks symrep.sym2per.  double_cosets reads
-the collapsed Cayley graph straight off the image: nodes are orbits of
-the control group on coset points, sized |N| / |N^(w)|, with one edge
-entry per orbit of the coset stabilizer N^(w) on the symmetric
-generators.  Orbit and N^(w) come from one orbit-Schreier pass of N
-itself (perm._schreier) acting on the coset points, so N^(w) is found
-in N's own degree-n action.
+point 1.  The image engine has two halves.  The conversions
+(SymImage.realized and SymImage.read_pair) read two tables: the control
+group's action on the coset points, each element against its
+realization, and the t-chain of each coset word with its inverse, so an
+element with a coset word is realized or read back with one gather per
+table.  Products, inversions and canonical forms go through
+SymImage.traced_pair, which traces point 1 and a base of N's
+realization through the factors, and build no table of index^2 entries.
+Those three methods are the tables' only readers: anything else, such
+as a check that a factoring relator pi * t_tail is the identity, asks
+symrep.sym2per.  double_cosets reads the collapsed Cayley graph
+straight off the image: nodes are orbits of the control group on coset
+points, sized |N| / |N^(w)|, with one edge entry per orbit of the coset
+stabilizer N^(w) on the symmetric generators.  Orbit and N^(w) come
+from one orbit-Schreier pass of N itself (perm._schreier) acting on the
+coset points, so N^(w) is found in N's own degree-n action.
 
 Construction is single-threaded; a built SymImage is effectively immutable
 (its tables are built on first use), and distinct images can be processed
@@ -39,7 +42,8 @@ from .perm import (MAX_ELEMENTS, GroupTooLarge, Images, Perm, PermGroup,
                    _product, _schreier, _trusted, word_perm)
 from .fpgroup import (MAX_COSETS, CosetLimitExceeded, coset_action,
                       todd_coxeter, word_str)
-from .progenitor import ProgenitorSpec, Word, build_presentation
+from .progenitor import (ProgenitorSpec, Word, build_presentation,
+                         normalize_tail)
 
 
 @dataclass
@@ -65,12 +69,15 @@ class SymImage:
     t_i = t_i^nu = t_(i^nu) for every i, and since the ts are distinct,
     i^nu = i for every i: nu = 1.
 
-    The image engine is two methods on image tuples: realized multiplies
-    a pair out on the coset points, and read_pair reads the canonical pair
-    of an element back.  They read two tables, each built breadth-first
-    on first use: N's action, in its two directions, and the t-chain of
-    each coset word with its inverse.  A word that is no coset word is
-    multiplied out by word_perm.
+    The image engine is three methods on image tuples.  The conversions
+    are two: realized multiplies a pair out on the coset points, and
+    read_pair reads the canonical pair of an element back.  They read two
+    tables, each built breadth-first on first use: N's action, in its two
+    directions, and the t-chain of each coset word with its inverse.  A
+    word that is no coset word is multiplied out by word_perm.
+    traced_pair reads the canonical pair of a product of controls and
+    words from 1 + |base| traced points, and reads only tables of |N| or
+    n entries, read off N's action on first use.
     """
 
     spec: ProgenitorSpec
@@ -87,9 +94,10 @@ class SymImage:
     def full_group(self) -> PermGroup:
         return PermGroup(self.index, self.gens_image)
 
-    # The image engine, on image tuples.  Its tables, N's action and the
-    # coset words' t-chains, are built on first use, so enumerate and graph
-    # never pay for them; the chains hold 2 * index^2 references.  A gather
+    # The image engine, on image tuples.  Its tables, N's action, the
+    # coset words' t-chains and the traced reader's tables, are built on
+    # first use, so enumerate and graph never pay for them; the chains hold
+    # 2 * index^2 references, and only the conversions read them.  A gather
     # is an itemgetter of 0-based points: applied to the images of X it
     # gives the images of g * X, for the g it was built from.  build_image
     # rejects an identity t, so the index is at least 2 and a gather never
@@ -141,6 +149,79 @@ class SymImage:
                             padded_gathers[word[-1] - 1](inverse))
         return chains
 
+    @cached_property
+    def _traces(self) -> tuple[dict[Images, Images], dict[int, Images],
+                               tuple[int, ...], dict[Images, Perm]]:
+        """traced_pair's tables, read off _action: each element's images
+        against its realization's, and each letter i against t_i's images,
+        both padded behind a 0; a base of N's realization on the coset
+        points; and each element's base images back to the element.
+
+        The base is that of the chain of point stabilizers N > N_(b1) >
+        N_(b1,b2) > ... > 1 of the realization, each b the least point its
+        level moves, found by filtering the realizations, so only the
+        identity fixes every base point and the base images name an
+        element.  The points 1^(t_i) are no base: two of them can coincide.
+        """
+        elements = self._action[1]
+        identity = tuple(range(1, self.index + 1))
+        base = []
+        level = [g for g in elements if g != identity]
+        while level:
+            point = min(next(k for k, x in enumerate(g, start=1) if x != k)
+                        for g in level)
+            base.append(point)
+            level = [g for g in level if g[point - 1] == point]
+        return ({nu.images: (0,) + g for g, nu in elements.items()},
+                {i: (0,) + t.images for i, t in enumerate(self.ts, start=1)},
+                tuple(base),
+                {tuple(g[b - 1] for b in base): nu for g, nu in elements.items()})
+
+    def _control_error(self, control: Perm) -> ValueError:
+        """The error for a control that realizes nothing: ValueError for
+        one of another degree, IdentificationError for one outside N."""
+        if control.degree != self.n:
+            return ValueError(f"control degree {control.degree} != {self.n}")
+        return IdentificationError("permutation is not in the control group")
+
+    def traced_pair(self, *parts: Perm | Word) -> tuple[Perm, Word]:
+        """The canonical pair (nu, w) of the product of parts, in order,
+        each a control (realized on the coset points) or a word (its
+        t-chain), read from 1 + |base| traced points.
+
+        Point 1's image names the coset, hence w.  Traced on through t_w^-1,
+        w's letters in reverse as every t is an involution, each base
+        point's image is its image under the realization of the residue
+        nu, and the base images name nu.  Raises ValueError for a control
+        of another degree or a letter outside 1..n, and
+        IdentificationError for a control outside N.
+        """
+        realizations, letters, base, elements = self._traces
+        steps = []  # each control's and letter's padded images, in order
+        for part in parts:
+            if isinstance(part, Perm):
+                step = realizations.get(part.images)
+                if step is None:
+                    raise self._control_error(part)
+                steps.append(step)
+            else:
+                try:
+                    steps += map(letters.__getitem__, part)
+                except KeyError as exc:
+                    raise ValueError(f"word letter {exc.args[0]!r} out of "
+                                     f"range 1..{self.n}") from None
+        point = 1
+        for step in steps:
+            point = step[point]
+        word = self.cst[point - 1]
+        steps += map(letters.__getitem__, word[::-1])
+        images = []
+        for point in base:
+            for step in steps:
+                point = step[point]
+            images.append(point)
+        return elements[tuple(images)], word
+
     def realized(self, control: Perm, word: Word) -> Images:
         """The images of the realization of control times t_word: the
         t-chain of word, read from the table for a coset word and
@@ -150,12 +231,13 @@ class SymImage:
         for one outside N."""
         gather = self._action[0].get(control.images)
         if gather is None:
-            if control.degree != self.n:
-                raise ValueError(f"control degree {control.degree} != {self.n}")
-            raise IdentificationError("permutation is not in the control group")
+            raise self._control_error(control)
         entry = self._chains.get(word)
         if entry is None:
-            return gather(word_perm(self.ts, word, self.index).images)
+            # normalize_tail refuses a letter below 1, which word_perm
+            # would read as an inverse
+            return gather(word_perm(self.ts, normalize_tail(word, self.n),
+                                    self.index).images)
         return gather(entry[0])
 
     def read_pair(self, images: Images) -> tuple[Perm, Word]:

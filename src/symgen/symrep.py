@@ -6,16 +6,20 @@ element's control-group coset, so a group of order thousands is handled
 through permutations of the small control degree plus a short word.
 
 Two independent engines are provided and must agree: a pure rewrite
-engine (canon's walk of the letter table, reading no image) and
-the image engine (SymImage.realized and SymImage.read_pair).  mult,
-invert_sym, canonical_form and equal_sym pick one by mode (_is_pure),
-after checking that their elements share a context; the rewrite engine
-reduces a raw pair, or a product of two, and the image engine realizes
-the factors, multiplies or inverts the realizations and reads the result
-back.  canonical_form is the one way to ask for an element's canonical
-pair outside a product or an inversion: equal_sym compares two of them,
-and SymContext.element(..., canonical=True) compares a pair with its own,
-by the image engine.  per2sym and sym2per are the two converters.
+engine (canon's walk of the letter table, reading no image) and the
+image engine in dcenum.SymImage.  mult, invert_sym, canonical_form and
+equal_sym pick one by mode (_is_pure), after checking that their
+elements share a context; the rewrite engine reduces a raw pair, or a
+product of two, and the image engine's traced_pair traces point 1 and a
+base of N through the factors' controls and letters and reads the
+canonical pair off the traced points, with no gather of a whole coset
+permutation.  An inversion is the product (1 | reverse(w)) * (pi^-1 | ())
+in either engine.  canonical_form is the one way to ask for an
+element's canonical pair outside a product or an inversion: equal_sym
+compares two of them, and SymContext.element(..., canonical=True)
+compares a pair with its own, by the image engine.  per2sym and sym2per
+are the two converters, through SymImage.read_pair and
+SymImage.realized, one gather per table each.
 
 A raw pair is (control images, word): the control travels as its tuple
 of images, as inside RuleSet, so a pure product or inversion builds one
@@ -29,8 +33,8 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Sequence
 
-from .perm import (IdentificationError, Images, Perm, _gather, _inverse,
-                   _product, _trusted, label_cycles_str, parse_label_cycles)
+from .perm import (IdentificationError, Images, Perm, _inverse, _trusted,
+                   label_cycles_str, parse_label_cycles)
 from .progenitor import ProgenitorSpec, RuleSet, Word, normalize_tail
 from .dcenum import SymImage, word_label
 
@@ -129,7 +133,8 @@ def canon(raw: tuple[Images, Word], rules: RuleSet,
     Without a trace the words go into the walk as they are: every state's
     row has an entry for every letter i, a state whose least word ends in
     i too, so the walk cancels squares t_i t_i itself.  A letter outside
-    1..n misses the row, and the range check then names it.  With a
+    1..n misses the row, and the range check then names it; one in range
+    that is no int, such as 2.5, raises KeyError, in either factor.  With a
     trace, a product's word u^sigma v is built, squares are dropped first,
     and trace collects the (length, word) measure of that input and of the
     whole word after every rewrite step; each entry is strictly less than
@@ -151,8 +156,10 @@ def canon(raw: tuple[Images, Word], rules: RuleSet,
         if n > 1:
             images = itemgetter(*images)(padded)
         if trace is not None:
-            normalize_tail(word, n)  # names a bad letter before padded reads it
-            word = _gather(word, padded) + v
+            normalize_tail(word, n)  # names a letter out of range
+            # sigma as a dict, which a letter in range but no int misses
+            word = tuple(map(dict(enumerate(sigma, start=1)).__getitem__,
+                             word)) + v
         else:
             try:
                 for letter in word:
@@ -163,9 +170,10 @@ def canon(raw: tuple[Images, Word], rules: RuleSet,
                         padded[letter] if letter > 0 else 0]
                     if step is not None:
                         images = itemgetter(*images)(step)
-            except (KeyError, IndexError):
+            except (KeyError, IndexError, TypeError):
                 normalize_tail(word, n)  # raises for a letter out of range
-                raise
+                # a letter in range but no int, which padded cannot read
+                raise KeyError(letter) from None
             word = v
     if trace is not None:
         word = normalize_tail(word, n)
@@ -210,8 +218,7 @@ def sym2per(ctx: SymContext, e: SymElement) -> Perm:
 def mult(a: SymElement, b: SymElement, mode: str = "auto") -> SymElement:
     """Product of two symmetrically represented elements of one context,
     by the engine mode picks: canon reduces the product of the two pairs
-    in one walk, or the image engine multiplies the two factors'
-    realizations and reads the product back."""
+    in one walk, or the image engine traces it."""
     ctx = a.ctx
     if b.ctx is not ctx:
         _shared_context(ctx, b.ctx)
@@ -223,33 +230,29 @@ def mult(a: SymElement, b: SymElement, mode: str = "auto") -> SymElement:
         perm, word = canon((a.control.images, a.word), ctx.rules,
                            (b.control.images, b.word))
         return SymElement(ctx, perm, word)
-    img = ctx.image
-    return SymElement(ctx, *img.read_pair(_product(
-        img.realized(a.control, a.word), img.realized(b.control, b.word))))
+    return SymElement(ctx, *ctx.image.traced_pair(a.control, a.word,
+                                                  b.control, b.word))
 
 
 def invert_sym(a: SymElement, mode: str = "auto") -> SymElement:
-    """Inverse: (pi*w)^-1 = pi^-1 * reverse(w)^(pi^-1), which canon
-    reduces, or the inverse of the image engine's realization of a, read
-    back."""
+    """Inverse: (pi*w)^-1 = (1 | reverse(w)) * (pi^-1 | ()), as every t is
+    an involution, a product that canon reduces or the image engine
+    traces."""
     ctx = a.ctx
     if _is_pure(ctx, mode):
-        inv = _inverse(a.control.images)
-        perm, word = canon((inv, _gather(a.word[::-1], (0,) + inv)), ctx.rules)
+        perm, word = canon((tuple(range(1, ctx.n + 1)), a.word[::-1]),
+                           ctx.rules, (_inverse(a.control.images), ()))
         return SymElement(ctx, perm, word)
-    img = ctx.image
-    return SymElement(ctx, *img.read_pair(_inverse(img.realized(a.control, a.word))))
+    return SymElement(ctx, *ctx.image.traced_pair(a.word[::-1], ~a.control))
 
 
 def canonical_form(e: SymElement, mode: str = "auto") -> SymElement:
     """The canonical form of an element, by the engine mode picks: canon
-    reduces its pair, or the image engine realizes it on the coset points
-    and reads its canonical pair back."""
+    reduces its pair, or the image engine traces it."""
     ctx = e.ctx
     if _is_pure(ctx, mode):
         return SymElement(ctx, *canon((e.control.images, e.word), ctx.rules))
-    img = ctx.image
-    return SymElement(ctx, *img.read_pair(img.realized(e.control, e.word)))
+    return SymElement(ctx, *ctx.image.traced_pair(e.control, e.word))
 
 
 def equal_sym(a: SymElement, b: SymElement, mode: str = "auto") -> bool:

@@ -429,6 +429,7 @@ def test_enumerate_and_graph_build_no_engine_table(name):
     emit_graph(graph, "json")
     assert "_chains" not in img.__dict__
     assert "_action" not in img.__dict__
+    assert "_traces" not in img.__dict__
 
 
 @pytest.mark.parametrize("name", ["l2_19", "5sq_d6", "u3_3"])

@@ -665,6 +665,22 @@ def power_relator_spec(n, word, k):
     return ProgenitorSpec(n, gens, pres, ((control_word * k, tuple(tail)),))
 
 
+def shared_cosets_spec():
+    """2^{*12} : S_4 / (x y t_1 t_3, (t_1 t_4)^2), whose image, of order
+    240 and index 10, sends the twelve t_i to only four cosets N t_i: the
+    points 1^(t_i) coincide in threes, and those of a base of N's
+    degree-12 action are no base of its action on the coset points.
+    The twelve letters are the involutions (a 5)(b c) of S_5 outside
+    S_4 = <(1,2,3,4), (1,2)>, as (a, {b, c}) in the order (1, {2, 3}),
+    (1, {2, 4}), (1, {3, 4}), (2, {1, 3}), ..., (4, {2, 3}), permuted by
+    conjugation; t_1 t_2 = (2,3)(2,4) lies in S_4."""
+    x = parse_cycles("(1,6,8,10)(2,4,9,11)(3,5,7,12)", 12)
+    y = parse_cycles("(1,4)(2,5)(3,6)(8,9)(11,12)", 12)
+    return ProgenitorSpec(12, (x, y),
+                          Presentation.parse(["x", "y"], SYMMETRIC_CONTROL[4][2]),
+                          (((1, 2), (1, 3)), ((), (1, 4, 1, 4))))
+
+
 # (n, control word, k, number of least words or the error raised)
 POWER_CASES = [
     (3, "x", 5, 20), (3, "y", 5, 20), (3, "x^2*y", 4, 8),
@@ -869,6 +885,8 @@ def _case_spec(name):
         return collapsing_spec()
     if name == "empty_tail":
         return empty_tail_spec()
+    if name == "shared_cosets":
+        return shared_cosets_spec()
     if name.startswith("dihedral_"):
         return dihedral_spec(int(name[len("dihedral_"):]))
     n, word, k = name.split(",")

@@ -141,10 +141,11 @@ def test_no_field_is_unread():
 
 
 def test_only_the_image_engine_reads_its_tables():
-    # SymImage's two tables, N's action and the coset words' t-chains, are
-    # read by SymImage's own methods (the image engine) and by nothing
-    # else in the package, the demos or the benchmark
-    tables = ("_action", "_chains")
+    # SymImage's tables, N's action, the coset words' t-chains and the
+    # traced reader's tables, are read by SymImage's own methods (the
+    # image engine) and by nothing else in the package, the demos or the
+    # benchmark
+    tables = ("_action", "_chains", "_traces")
     readers = []
     for path, tree in _sources().items():
         engine = {id(sub) for node in ast.walk(tree)

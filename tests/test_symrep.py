@@ -17,7 +17,7 @@ from oracles import (RefusingImage, centralizer_by_enumeration,
                      elements_by_chain, elements_by_perms, follow_word,
                      image_inverse_by_perms, image_product_by_perms, images_of,
                      per2sym_by_perms, sym2per_by_perms)
-from test_progenitor import POWER_CASES, power_relator_spec
+from test_progenitor import POWER_CASES, _case_spec, power_relator_spec
 
 
 def ix_map(ctx):
@@ -122,13 +122,20 @@ def test_canon_rejects_raw_input(l2_19, left, right, message, traced):
     assert trace == ([] if traced else None)
 
 
-@pytest.mark.parametrize("traced", [False, True],
-                         ids=["untraced", "traced"])
-def test_canon_reraises_a_table_miss_in_range(l2_19, traced):
-    # 2.5 passes the range check but is no letter of the table
+@pytest.mark.parametrize("left,right,traced", [
+    (left, right, traced)
+    for left, right in (((IDENTITY, (2.5,)), None),
+                        ((IDENTITY, (1, 2.5)), (SIGMA, (4,))),
+                        ((IDENTITY, (1,)), (SIGMA, (2.5, 4))))
+    for traced in (False, True)],
+    ids=["untraced", "traced", "left_factor_untraced", "left_factor_traced",
+         "right_factor_untraced", "right_factor_traced"])
+def test_canon_reraises_a_table_miss_in_range(l2_19, left, right, traced):
+    # 2.5 passes the range check but is no letter of the table, and no
+    # point at which sigma's images can be read: a lone pair and either
+    # factor of a product raise KeyError, whether or not canon traces
     with pytest.raises(KeyError):
-        canon((Perm.identity(6).images, (2.5,)), l2_19.rules,
-              trace=[] if traced else None)
+        canon(left, l2_19.rules, right, trace=[] if traced else None)
 
 
 def test_canon_empties_first_relator_word(u3_3):
@@ -510,15 +517,42 @@ def test_per2sym_rejects_wrong_degree(u3_3):
 
 def test_sym2per_rejects_a_control_outside_n(l2_19):
     # an unchecked element whose control has another degree, or lies
-    # outside N, raises as SymImage.realized does, in image-mode products too
-    with pytest.raises(ValueError, match="^control degree 3 != 6$"):
-        sym2per(l2_19, SymElement(l2_19, Perm.identity(3), (1,)))
-    e = SymElement(l2_19, Perm((2, 1, 3, 4, 5, 6)), (1,))
+    # outside N, raises as SymImage.realized does, in image-mode products,
+    # inversions and canonical forms too
     one = l2_19.element(Perm.identity(l2_19.n), ())
-    for call in (lambda: sym2per(l2_19, e), lambda: mult(e, one, mode="image"),
-                 lambda: invert_sym(e, mode="image")):
-        with pytest.raises(IdentificationError, match="^permutation is not in "
-                                                      "the control group$"):
+    for control, error, message in (
+            (Perm.identity(3), ValueError, "^control degree 3 != 6$"),
+            (Perm((2, 1, 3, 4, 5, 6)), IdentificationError,
+             "^permutation is not in the control group$")):
+        e = SymElement(l2_19, control, (1,))
+        for call in (lambda: sym2per(l2_19, e),
+                     lambda: mult(e, one, mode="image"),
+                     lambda: mult(one, e, mode="image"),
+                     lambda: invert_sym(e, mode="image"),
+                     lambda: canonical_form(e, mode="image")):
+            with pytest.raises(error, match=message):
+                call()
+
+
+@pytest.mark.parametrize("letter", [0, 7, -1],
+                         ids=["zero", "n_plus_one", "negative"])
+def test_image_operations_reject_a_letter_out_of_range(l2_19, letter):
+    # a hand-built element's letter outside 1..n raises ValueError naming
+    # it in every image-engine operation, in either factor of a product;
+    # -1 would read the last t if letters were looked up by position, and
+    # word_perm would read it as t_1's inverse
+    ctx = l2_19
+    e = SymElement(ctx, Perm.identity(ctx.n), (2, letter))
+    one = ctx.element(Perm.identity(ctx.n), ())
+    for call in (lambda: mult(e, one, mode="image"),
+                 lambda: mult(one, e, mode="image"),
+                 lambda: invert_sym(e, mode="image"),
+                 lambda: invert_sym(e, mode="pure"),
+                 lambda: canonical_form(e, mode="image"),
+                 lambda: equal_sym(e, one, mode="image"),
+                 lambda: sym2per(ctx, e)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"letter {letter} out of range 1..{ctx.n}")):
             call()
 
 
@@ -531,8 +565,7 @@ IMAGE_CASES = (["l2_19", "5sq_d6", "u3_3"]
 def image_context(all_contexts, name):
     if name in all_contexts:
         return all_contexts[name]
-    n, word, k = name.split(",")
-    spec = power_relator_spec(int(n), word, int(k))
+    spec = _case_spec(name)
     return SymContext(spec, image=build_image(spec, max_cosets=2000))
 
 
@@ -584,11 +617,23 @@ def test_action_table_matches_the_perm_oracle(all_contexts, name):
     assert all(type(nu) is Perm for nu in elements.values())
 
 
-@pytest.mark.parametrize("name", IMAGE_CASES)
+# the image cases, dihedral images of a few orders, an image whose t_i
+# share cosets, and the index-2 image of 2^{*1} : 1, whose control group
+# is trivial and so has an empty base
+TRACED_CASES = IMAGE_CASES + ["dihedral_3", "dihedral_4", "dihedral_8",
+                              "dihedral_31", "shared_cosets",
+                              "degree_one_free"]
+
+
+@pytest.mark.parametrize("name", TRACED_CASES)
 def test_image_engine_matches_the_perm_oracle_on_raw_words(all_contexts, name):
-    # words that are not canonical: squares, long words, any control
+    # words that are not canonical: squares, long words, any control; the
+    # pair operations trace 1 + |base| points, and canonical forms match
+    # the oracle's conversions too
     ctx = image_context(all_contexts, name)
     full, control = ctx.image.full_group, ctx.spec.control_group
+    if name == "shared_cosets":  # the case's point: the 1^(t_i) coincide
+        assert len({t.apply(1) for t in ctx.image.ts}) == 4
     rng = random.Random(19)
     for _ in range(300):
         word = tuple(rng.randint(1, ctx.n) for _ in range(rng.randint(0, 9)))
@@ -598,8 +643,11 @@ def test_image_engine_matches_the_perm_oracle_on_raw_words(all_contexts, name):
         for a, b in ((raw, other), (other, raw), (raw, raw)):
             assert pair(mult(a, b, mode="image")) == pair(
                 image_product_by_perms(a, b))
-        assert pair(invert_sym(raw, mode="image")) == pair(
-            image_inverse_by_perms(raw))
+        for a in (raw, other):
+            assert pair(invert_sym(a, mode="image")) == pair(
+                image_inverse_by_perms(a))
+            assert pair(canonical_form(a, mode="image")) == pair(
+                per2sym_by_perms(ctx, sym2per_by_perms(ctx, a)))
 
 
 def test_image_engine_matches_the_perm_oracle_at_index_1015():
@@ -617,6 +665,30 @@ def test_image_engine_matches_the_perm_oracle_at_index_1015():
         assert sym2per(ctx, a) == sym2per_by_perms(ctx, a) == p
         assert pair(mult(a, b, mode="image")) == pair(image_product_by_perms(a, b))
         assert pair(invert_sym(a, mode="image")) == pair(image_inverse_by_perms(a))
+
+
+@pytest.mark.parametrize("name", ["l2_19", "5sq_d6", "u3_3", "dihedral_2000"])
+def test_pair_operations_build_no_chains(name):
+    # products, inversions and canonical forms read no table of index^2
+    # entries, so on a fresh image they leave the coset words' t-chains
+    # unbuilt; each conversion still builds them
+    spec = _case_spec(name)
+    ctx = SymContext(spec, image=build_image(spec))
+    img = ctx.image
+    rng = random.Random(23)
+    control = spec.control_group
+    a, b = (ctx.element(control.random_element(rng), rng.choice(img.cst),
+                        canonical=True) for _ in range(2))
+    product, inverse = mult(a, b, mode="image"), invert_sym(a, mode="image")
+    assert equal_sym(canonical_form(product, mode="image"), product, mode="image")
+    assert "_chains" not in vars(img) and "_traces" in vars(img)
+    p = sym2per(ctx, product)
+    assert "_chains" in vars(img)
+    del img._chains
+    assert pair(per2sym(ctx, p)) == pair(product)
+    assert "_chains" in vars(img)
+    assert pair(mult(inverse, a, mode="image")) == (
+        Perm.identity(ctx.n), ())
 
 
 def _outcome(convert, ctx, p):
